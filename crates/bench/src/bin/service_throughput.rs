@@ -2,10 +2,10 @@
 //! registry.**
 //!
 //! The `warmstart` bench measures one automaton; this one measures the
-//! whole service layer: a [`SelectorService`] registry over all six
-//! built-in targets, fed a fixed-seed mixed-traffic batch
-//! ([`odburg_workloads::mixed_traffic`]), drained across 1/2/4/8
-//! workers — once with a cold registry and once warm-started from
+//! whole service layer: a [`SelectorServer`] registry over all six
+//! built-in targets with an uncapped queue, fed a fixed-seed
+//! mixed-traffic batch ([`odburg_workloads::mixed_traffic`]) across
+//! 1/2/4/8 workers — once with a cold registry and once warm-started from
 //! tables trained on exactly this traffic. Reported per run: jobs/s,
 //! p50/p99 per-job latency, and the per-target miss counts that prove
 //! the warm registry never re-enters the grow path on the seen suite.
@@ -21,9 +21,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use odburg::service::{SelectorService, ServiceConfig};
+use odburg::service::{CompletedJob, JobHandle, SelectorServer, ServerConfig};
 use odburg_bench::{f, row, rule_line};
-use odburg_core::{persist, Labeler, OnDemandAutomaton};
+use odburg_core::{persist, Histogram, Labeler, OnDemandAutomaton};
 use odburg_grammar::NormalGrammar;
 use odburg_workloads::{mixed_traffic, TrafficJob};
 
@@ -93,31 +93,41 @@ fn main() {
     let mut runs: Vec<Run> = Vec::new();
     for &workers in &WORKER_COUNTS {
         for warm in [false, true] {
-            let svc = SelectorService::with_builtin_targets(ServiceConfig {
+            let server = SelectorServer::with_builtin_targets(ServerConfig {
                 workers,
+                queue_cap: usize::MAX,
                 tables_dir: warm.then(|| tables_dir.clone()),
-                ..ServiceConfig::default()
+                ..ServerConfig::default()
             });
-            // Time submission *and* drain: masters are built at first
-            // submit, so the warm registry pays its table-file loads
-            // inside this window, exactly where the cold registry pays
-            // table construction — the comparison is end to end.
+            // Time submission, the wait on every job and the batch's
+            // maintenance quanta: masters are built at first submit, so
+            // the warm registry pays its table-file loads inside this
+            // window, exactly where the cold registry pays table
+            // construction — the comparison is end to end.
             let t = Instant::now();
-            submit_all(&svc, &traffic);
-            let report = svc.drain();
+            let done: Vec<CompletedJob> = submit_all(&server, &traffic)
+                .into_iter()
+                .map(JobHandle::wait)
+                .collect();
+            server.wait_idle();
             let batch_ns = t.elapsed().as_nanos();
-            assert_eq!(report.failed(), 0, "sampled traffic always labels");
-            assert_eq!(report.results.len(), JOBS);
+            assert!(
+                done.iter().all(|d| d.outcome.is_ok()),
+                "sampled traffic always labels"
+            );
+            assert_eq!(done.len(), JOBS);
             // Conservation recomputed purely from the telemetry registry
             // of the batch server: every submitted job was accepted
-            // (uncapped batch queue) and completed.
-            let totals = svc
-                .telemetry()
-                .expect("drain started the batch server")
-                .totals();
+            // (uncapped queue) and completed.
+            let totals = server.telemetry().totals();
             assert!(totals.conserved(), "registry conservation: {totals:?}");
             assert_eq!(totals.accepted, JOBS as u64);
             assert_eq!(totals.completed, JOBS as u64);
+            // Shutdown re-exports the warm registry's (unchanged) tables;
+            // it runs outside the timed window.
+            let report = server.shutdown();
+            let latency =
+                Histogram::from_durations(&done.iter().map(|d| d.latency).collect::<Vec<_>>());
             let misses: u64 = report
                 .per_target
                 .iter()
@@ -131,8 +141,8 @@ fn main() {
                 warm,
                 batch_ns,
                 jobs_per_s: JOBS as f64 / (batch_ns as f64 / 1e9),
-                p50_us: report.latency.p50.as_nanos() as f64 / 1e3,
-                p99_us: report.latency.p99.as_nanos() as f64 / 1e3,
+                p50_us: latency.quantile_duration(0.50).as_nanos() as f64 / 1e3,
+                p99_us: latency.quantile_duration(0.99).as_nanos() as f64 / 1e3,
                 misses,
                 nodes: total_nodes as u64,
             };
@@ -213,9 +223,13 @@ fn main() {
     );
 }
 
-fn submit_all(svc: &SelectorService, traffic: &[TrafficJob]) {
-    for job in traffic {
-        svc.submit(&job.target, job.forest.clone())
-            .expect("all traffic targets are registered");
-    }
+fn submit_all(server: &SelectorServer, traffic: &[TrafficJob]) -> Vec<JobHandle> {
+    traffic
+        .iter()
+        .map(|job| {
+            server
+                .try_submit(&job.target, job.forest.clone())
+                .expect("all traffic targets are registered; the queue is uncapped")
+        })
+        .collect()
 }

@@ -13,7 +13,7 @@
 //! [`PressureAction::Flush`], the other with
 //! [`PressureAction::Compact`].
 //!
-//! Reported per mode: peak post-drain table bytes (must stay ≤ budget),
+//! Reported per mode: peak post-round table bytes (must stay ≤ budget),
 //! steady-state memo-miss rate over the second half of the run, the
 //! median of the steady rounds' per-batch p99 latencies, pressure-event
 //! count, and budget-policy errors (must be zero). The run asserts Compact's steady-state miss rate is at
@@ -31,9 +31,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use odburg::service::{SelectorService, ServiceConfig};
+use odburg::service::{JobError, JobHandle, SelectorServer, ServerConfig};
 use odburg_bench::{f, row, rule_line};
-use odburg_core::{LabelError, MemoryBudget, PressureAction};
+use odburg_core::{Histogram, LabelError, MemoryBudget, PressureAction, SharedOnDemand};
 use odburg_grammar::NormalGrammar;
 use odburg_ir::{parse_sexpr, Forest};
 
@@ -109,19 +109,25 @@ fn job_forest(a: u64, b: u64, c: u64) -> Forest {
 }
 
 fn run_mode(mode: &'static str, action: PressureAction) -> ModeResult {
-    let svc = SelectorService::new(ServiceConfig {
+    let server = SelectorServer::new(ServerConfig {
         workers: 2,
+        queue_cap: usize::MAX,
         memory_budget: Some(MemoryBudget {
             byte_budget: BYTE_BUDGET,
             action,
         }),
-        ..ServiceConfig::default()
+        ..ServerConfig::default()
     });
     let grammar = churn_grammar();
-    for target in TARGETS {
-        svc.register_normal(target, Arc::clone(&grammar))
-            .expect("bench target names are unique");
-    }
+    let masters: Vec<Arc<SharedOnDemand>> = TARGETS
+        .iter()
+        .map(|target| {
+            server
+                .register_normal(target, Arc::clone(&grammar))
+                .expect("bench target names are unique");
+            server.shared(target).expect("registered")
+        })
+        .collect();
 
     let mut result = ModeResult {
         mode,
@@ -136,44 +142,49 @@ fn run_mode(mode: &'static str, action: PressureAction) -> ModeResult {
     let mut p99s: Vec<Duration> = Vec::new();
     let mut cold = 1_000_000u64; // never overlaps the hot pool
     for round in 0..ROUNDS {
+        let before: Vec<_> = masters.iter().map(|m| m.counters()).collect();
+        let mut handles: Vec<JobHandle> = Vec::new();
         for target in TARGETS {
             for i in 0..HOT_JOBS_PER_TARGET {
                 let base = (round as u64 + i as u64) % HOT_POOL;
-                svc.submit(
-                    target,
-                    job_forest(base, (base + 1) % HOT_POOL, (base + 2) % HOT_POOL),
-                )
-                .expect("submit hot");
+                let forest = job_forest(base, (base + 1) % HOT_POOL, (base + 2) % HOT_POOL);
+                handles.push(server.try_submit(target, forest).expect("submit hot"));
             }
             for _ in 0..COLD_JOBS_PER_TARGET {
-                svc.submit(target, job_forest(cold, cold + 1, cold + 2))
-                    .expect("submit cold");
+                let forest = job_forest(cold, cold + 1, cold + 2);
+                handles.push(server.try_submit(target, forest).expect("submit cold"));
                 cold += 3;
             }
         }
-        let report = svc.drain();
-        for job in &report.results {
-            if let Err(e) = &job.outcome {
-                if matches!(e, LabelError::StateBudgetExceeded { .. }) {
+        let mut latencies = Vec::with_capacity(handles.len());
+        for handle in handles {
+            let done = handle.wait();
+            match &done.outcome {
+                Ok(_) => {}
+                Err(JobError::Label(LabelError::StateBudgetExceeded { .. })) => {
                     result.budget_errors += 1;
-                } else {
-                    panic!("bench traffic must label: {e}");
                 }
+                Err(e) => panic!("bench traffic must label: {e}"),
             }
+            latencies.push(done.latency);
         }
+        // Table bytes after the round's maintenance quanta: the budget
+        // is enforced between jobs, so this is the post-enforcement size.
+        server.wait_idle();
         let steady = round >= ROUNDS / 2;
-        for t in &report.per_target {
-            result.peak_bytes = result.peak_bytes.max(t.table_bytes);
-            if t.pressure.is_some() {
+        for (master, before) in masters.iter().zip(&before) {
+            let delta = master.counters().since(before);
+            result.peak_bytes = result.peak_bytes.max(master.accounted_bytes().total());
+            if delta.compactions + delta.flushes > 0 {
                 result.pressure_events += 1;
             }
             if steady {
-                result.steady_misses += t.counters.memo_misses;
-                result.steady_nodes += t.counters.nodes;
+                result.steady_misses += delta.memo_misses;
+                result.steady_nodes += delta.nodes;
             }
         }
         if steady {
-            p99s.push(report.latency.p99);
+            p99s.push(Histogram::from_durations(&latencies).quantile_duration(0.99));
         }
     }
     result.steady_miss_rate = result.steady_misses as f64 / result.steady_nodes.max(1) as f64;

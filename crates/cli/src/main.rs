@@ -18,8 +18,8 @@
 //! odburg tables import <grammar> <in>  validate persisted tables, print sizes
 //! odburg tables stats  <file.odbt>     per-component size breakdown of a
 //!                                      persisted table file (no grammar needed)
-//! odburg batch   <manifest>            run a multi-target job manifest through
-//!                                      the selection service, one shot
+//! odburg batch   <manifest|->          run a multi-target job manifest through
+//!                                      an uncapped SelectorServer, one report
 //! odburg serve   <manifest|->          stream a manifest (or stdin) through a
 //!                                      long-running SelectorServer with a
 //!                                      bounded queue, deadlines, backpressure
@@ -44,14 +44,23 @@
 //! `tables export` — a mismatched or corrupted file is rejected with an
 //! error, never silently mislabeled.
 //!
-//! `batch` reads a manifest of `<target> <sexpr-file>` lines, submits
-//! every job to a [`SelectorService`] over all built-in targets (plus
-//! any `.burg` paths the manifest names), and drains the batch across
-//! a worker pool — one shot, everything accepted, a single report.
+//! `batch`, `serve` and `cluster serve` share one code path over one
+//! manifest format: lines of `<target> <sexpr-file>` (or stdin, with
+//! `-`), read **incrementally**; a target beyond the built-ins names a
+//! `.burg` file and registers on first sight, and each file's
+//! s-expressions form one job. All three print the same per-job lines
+//! and close with the same telemetry epilogue (conservation re-checked
+//! from the metrics registries alone, then `--metrics-out`/`--trace-out`).
 //!
-//! `serve` is the streaming sibling: it reads the manifest (or stdin,
-//! with `-`) **incrementally** and feeds each job to a long-running
-//! [`SelectorServer`](odburg::service::SelectorServer) with a
+//! `batch` submits every job to a
+//! [`SelectorServer`](odburg::service::SelectorServer) with an
+//! **uncapped** queue — everything accepted — waits on every job in
+//! submission order, then shuts the server down (re-exporting tables
+//! into `--tables-dir`) and prints a single report. A job that fails,
+//! panicking labelers included, is reported `FAILED` and fails the run.
+//!
+//! `serve` is the streaming sibling: it feeds each job to a
+//! long-running server with a
 //! **bounded** queue (`--queue-cap=<n>`, default 256) and per-job
 //! deadlines (`--deadline-ms=<n>`). A full queue *rejects* the job —
 //! backpressure is reported, never silently dropped — and a job whose
@@ -64,9 +73,9 @@
 //! line appears every 16 submissions, and EOF triggers a graceful
 //! shutdown (which re-exports per-target tables into `--tables-dir`, so
 //! heat survives restarts). `--queue-cap`/`--deadline-ms`/`--sched`/
-//! `--fair` are serve-only;
-//! both subcommands take `--workers=<n>` and `--tables-dir=<dir>`, and
-//! both reject the per-grammar `--tables=<path>` flag and non-`shared`
+//! `--fair` apply to `serve` and `cluster serve`, not to `batch`; all
+//! three take `--workers=<n>` and `--tables-dir=<dir>`, and all three
+//! reject the per-grammar `--tables=<path>` flag and non-`shared`
 //! `--labeler` values — the service always labels through the shared
 //! snapshot core.
 //!
@@ -78,9 +87,9 @@
 //! emits a machine-readable report (used by the CI `analysis-smoke`
 //! job); `--deny=<severity>` picks the exit-code threshold: the default
 //! `--deny=error` fails only on error-severity findings, while
-//! `--deny=warning` also fails on warnings. `batch` and `serve` always
-//! register manifest grammars under the `Deny` policy: a grammar with
-//! error-severity findings is rejected with one stderr line per
+//! `--deny=warning` also fails on warnings. The service subcommands
+//! always register manifest grammars under the `Deny` policy: a grammar
+//! with error-severity findings is rejected with one stderr line per
 //! diagnostic instead of failing jobs with `NoCover` at runtime.
 //!
 //! `cluster serve` drives the same manifest format through an in-process
@@ -101,13 +110,17 @@
 //! `--budget-policy=<error|flush|compact>` picks the pressure response
 //! (default `compact`: evict cold states, keep the hot working set). On
 //! `label`, `emit` and `compile` the flags configure the labeler's
-//! [`BudgetPolicy`](odburg_core::BudgetPolicy); on `batch`/`serve` they
-//! set the service's per-target budgets, enforced in the maintenance
+//! [`BudgetPolicy`](odburg_core::BudgetPolicy); on the service
+//! subcommands they set per-target budgets, enforced in the maintenance
 //! quanta the workers run between jobs — never on the submit path.
 
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use odburg::grammar::analysis;
 use odburg::prelude::*;
@@ -392,6 +405,17 @@ fn run(args: &[String]) -> Result<(), String> {
                 ));
             }
         };
+        let flags = ServiceFlags {
+            workers,
+            tables_dir: tables_dir.as_deref(),
+            memory_budget: budget,
+            queue_cap,
+            deadline_ms,
+            sched,
+            fair,
+            metrics_out: metrics_out.as_deref(),
+            trace_out: trace_out.as_deref(),
+        };
         if command.as_str() == "batch" {
             if queue_cap.is_some() {
                 return Err("--queue-cap only applies to `serve` (batch accepts every \
@@ -416,7 +440,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let manifest = positional
                 .get(1)
                 .ok_or("batch needs a manifest file of `<target> <sexpr-file>` lines")?;
-            return batch(manifest, workers, tables_dir.as_deref(), budget);
+            return batch(manifest, &flags);
         }
         if command.as_str() == "cluster" {
             let action = positional
@@ -440,34 +464,15 @@ fn run(args: &[String]) -> Result<(), String> {
             return cluster_serve(
                 manifest,
                 shards.unwrap_or(3),
-                workers,
-                tables_dir.as_deref(),
-                budget,
-                queue_cap,
-                deadline_ms,
-                sched,
-                fair,
                 listen.as_deref(),
                 join.as_deref(),
-                metrics_out.as_deref(),
-                trace_out.as_deref(),
+                &flags,
             );
         }
         let manifest = positional
             .get(1)
             .ok_or("serve needs a manifest of `<target> <sexpr-file>` lines (or `-` for stdin)")?;
-        return serve(
-            manifest,
-            workers,
-            tables_dir.as_deref(),
-            budget,
-            queue_cap,
-            deadline_ms,
-            sched,
-            fair,
-            metrics_out.as_deref(),
-            trace_out.as_deref(),
-        );
+        return serve(manifest, &flags);
     }
     if let Some(dir) = &tables_dir {
         return Err(format!(
@@ -778,68 +783,140 @@ fn tables_stats(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `odburg batch <manifest>`: run a multi-target job manifest through
-/// the selection service. Each manifest line is `<target> <sexpr-file>`
-/// (blank lines and `#` comments are skipped); the file's s-expressions
-/// (one per line, `#` comments allowed) form one forest = one job.
-/// Formats a manifest registration failure. When the grammar was rejected
-/// by the static verifier, first prints one stderr line per diagnostic so
-/// the offending findings are visible, not just the count.
-fn registration_error(manifest: &str, lineno: usize, e: ServiceError) -> String {
-    if let ServiceError::Analysis {
-        target,
-        diagnostics,
-    } = &e
-    {
-        for d in diagnostics {
-            eprintln!("odburg: {manifest}:{lineno}: target `{target}`: {d}");
-        }
-    }
-    format!("{manifest}:{lineno}: {e}")
+/// The flags `batch`, `serve` and `cluster serve` share, validated by
+/// [`run`].
+struct ServiceFlags<'a> {
+    workers: Option<usize>,
+    tables_dir: Option<&'a str>,
+    memory_budget: Option<MemoryBudget>,
+    queue_cap: Option<usize>,
+    deadline_ms: Option<u64>,
+    sched: Option<SchedPolicy>,
+    fair: bool,
+    metrics_out: Option<&'a str>,
+    trace_out: Option<&'a str>,
 }
 
-fn batch(
+impl ServiceFlags<'_> {
+    /// The one place a [`ServerConfig`] is made: for the `serve`
+    /// server, every `cluster serve` shard, and (with an uncapped
+    /// queue) `batch`.
+    fn server_config(&self) -> ServerConfig {
+        ServerConfig {
+            workers: self.workers.unwrap_or(0),
+            queue_cap: self.queue_cap.unwrap_or(0),
+            sched: self.sched.unwrap_or_default(),
+            // An explicit --sched=edf opts into admission shedding too;
+            // the default (EDF ordering, no shedding) keeps the submit
+            // contract of earlier releases.
+            shed_infeasible: self.sched == Some(SchedPolicy::Edf),
+            fair: self.fair.then(FairConfig::default),
+            tables_dir: self.tables_dir.map(Into::into),
+            memory_budget: self.memory_budget,
+            analysis_policy: AnalysisPolicy::Deny,
+        }
+    }
+
+    fn job_options(&self) -> JobOptions {
+        JobOptions {
+            deadline: self.deadline_ms.map(Duration::from_millis),
+            ..JobOptions::default()
+        }
+    }
+}
+
+/// What a manifest registers the targets it names beyond the built-ins
+/// with: one server, or every shard of a cluster.
+trait Registry {
+    fn has_target(&self, target: &str) -> bool;
+    fn register_target(
+        &self,
+        target: &str,
+        grammar: Arc<NormalGrammar>,
+    ) -> Result<(), ServiceError>;
+}
+
+impl Registry for SelectorServer {
+    fn has_target(&self, target: &str) -> bool {
+        self.grammar(target).is_ok()
+    }
+
+    fn register_target(
+        &self,
+        target: &str,
+        grammar: Arc<NormalGrammar>,
+    ) -> Result<(), ServiceError> {
+        self.register_normal(target, grammar)
+    }
+}
+
+impl Registry for ShardCluster {
+    fn has_target(&self, target: &str) -> bool {
+        self.writer(target).is_some()
+    }
+
+    fn register_target(
+        &self,
+        target: &str,
+        grammar: Arc<NormalGrammar>,
+    ) -> Result<(), ServiceError> {
+        self.register_normal(target, grammar).map(drop)
+    }
+}
+
+/// One manifest line: `at` is its `manifest:line` for errors.
+struct ManifestJob<'a> {
+    at: String,
+    target: &'a str,
+    file: &'a str,
+}
+
+/// The one manifest reader of the service subcommands. Reads
+/// `manifest` (`-` is stdin) incrementally: each line is
+/// `<target> <sexpr-file>` (blank lines and `#` comments are skipped),
+/// a target beyond the built-ins registers on first sight (it names a
+/// `.burg` file), and the file's s-expressions (one per line, `#`
+/// comments allowed) form one forest — one job, handed to `submit`
+/// with its line. Every error carries `manifest:line`; a manifest
+/// without jobs is an error too.
+fn read_manifest(
     manifest: &str,
-    workers: Option<usize>,
-    tables_dir: Option<&str>,
-    memory_budget: Option<MemoryBudget>,
+    registry: &dyn Registry,
+    mut submit: impl FnMut(&ManifestJob<'_>, Forest) -> Result<(), String>,
 ) -> Result<(), String> {
-    use odburg::service::{SelectorService, ServiceConfig, Ticket};
-
-    let text = std::fs::read_to_string(manifest)
-        .map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-    let svc = SelectorService::with_builtin_targets(ServiceConfig {
-        workers: workers.unwrap_or(0),
-        tables_dir: tables_dir.map(Into::into),
-        memory_budget,
-        analysis_policy: AnalysisPolicy::Deny,
-    });
-
-    let mut jobs: Vec<(Ticket, String, String)> = Vec::new(); // ticket, target, file
-    for (idx, raw) in text.lines().enumerate() {
+    let stdin = std::io::stdin();
+    let reader: Box<dyn BufRead> = if manifest == "-" {
+        Box::new(stdin.lock())
+    } else {
+        let file =
+            File::open(manifest).map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
+        Box::new(BufReader::new(file))
+    };
+    let mut jobs = 0usize;
+    for (idx, raw) in reader.lines().enumerate() {
+        let raw = raw.map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let lineno = idx + 1;
+        let at = format!("{manifest}:{}", idx + 1);
         let (target, file) = line
             .split_once(char::is_whitespace)
             .map(|(t, f)| (t, f.trim()))
             .filter(|(t, f)| !t.is_empty() && !f.is_empty())
-            .ok_or_else(|| {
-                format!("{manifest}:{lineno}: expected `<target> <sexpr-file>`, got `{line}`")
-            })?;
+            .ok_or_else(|| format!("{at}: expected `<target> <sexpr-file>`, got `{line}`"))?;
 
-        // Targets beyond the built-ins register on first sight — this is
-        // the runtime-registration path, driven from a manifest.
-        if svc.grammar(target).is_err() {
-            let grammar = load_grammar(target).map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-            svc.register_normal(target, Arc::new(grammar.normalize()))
-                .map_err(|e| registration_error(manifest, lineno, e))?;
+        // Targets beyond the built-ins register on first sight — the
+        // runtime-registration path, driven from a manifest.
+        if !registry.has_target(target) {
+            let grammar = load_grammar(target).map_err(|e| format!("{at}: {e}"))?;
+            registry
+                .register_target(target, Arc::new(grammar.normalize()))
+                .map_err(|e| registration_error(&at, e))?;
         }
 
         let trees = std::fs::read_to_string(file)
-            .map_err(|e| format!("{manifest}:{lineno}: cannot read `{file}`: {e}"))?;
+            .map_err(|e| format!("{at}: cannot read `{file}`: {e}"))?;
         let mut forest = Forest::new();
         for tree in trees.lines() {
             let tree = tree.trim();
@@ -847,51 +924,312 @@ fn batch(
                 continue;
             }
             let root = parse_sexpr(&mut forest, tree)
-                .map_err(|e| format!("{manifest}:{lineno}: {file}: bad tree: {e}"))?;
+                .map_err(|e| format!("{at}: {file}: bad tree: {e}"))?;
             forest.add_root(root);
         }
         if forest.is_empty() {
-            return Err(format!("{manifest}:{lineno}: {file}: no trees"));
+            return Err(format!("{at}: {file}: no trees"));
         }
-        let ticket = svc
-            .submit(target, forest)
-            .map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-        jobs.push((ticket, target.to_owned(), file.to_owned()));
+        submit(&ManifestJob { at, target, file }, forest)?;
+        jobs += 1;
     }
-    if jobs.is_empty() {
+    if jobs == 0 {
         return Err(format!("manifest `{manifest}` contains no jobs"));
     }
+    Ok(())
+}
 
-    let report = svc.drain();
-    let mut first_failure: Option<String> = None;
-    for (result, (ticket, target, file)) in report.results.iter().zip(&jobs) {
-        debug_assert_eq!(result.ticket, *ticket);
-        match result.reduce() {
-            Ok(red) => println!(
-                "{} {target} {file}: {} nodes, {} instructions, cost {}",
-                result.ticket,
-                result.forest.len(),
-                red.len(),
-                red.total_cost
-            ),
+/// Formats a manifest registration failure. When the grammar was rejected
+/// by the static verifier, first prints one stderr line per diagnostic so
+/// the offending findings are visible, not just the count.
+fn registration_error(at: &str, e: ServiceError) -> String {
+    if let ServiceError::Analysis {
+        target,
+        diagnostics,
+    } = &e
+    {
+        for d in diagnostics {
+            eprintln!("odburg: {at}: target `{target}`: {d}");
+        }
+    }
+    format!("{at}: {e}")
+}
+
+/// An accepted job whose outcome is not printed yet.
+struct Pending {
+    handle: JobHandle,
+    file: String,
+    /// The shard that took the job (`cluster serve` only).
+    shard: Option<usize>,
+}
+
+/// A service run's jobs: the accounting the one outcome printer feeds,
+/// and the accepted jobs not printed yet, in submission order.
+#[derive(Default)]
+struct Jobs {
+    submitted: u64,
+    completed: u64,
+    failed: u64,
+    rejected: u64,
+    shed: u64,
+    missed: u64,
+    first_failure: Option<String>,
+    pending: Vec<Pending>,
+}
+
+impl Jobs {
+    /// Submits a manifest job to `server` (`batch` and `serve`).
+    fn submit_to(
+        &mut self,
+        server: &SelectorServer,
+        job: &ManifestJob<'_>,
+        forest: Forest,
+        options: JobOptions,
+    ) -> Result<(), String> {
+        let outcome = server.try_submit_with(job.target, forest, options);
+        self.tally_submit(job, outcome.map_err(|e| (None, e)).map(|h| (h, None)))
+    }
+
+    /// Tallies one submission: an accepted job waits to be printed,
+    /// backpressure and shedding are printed and counted, and any
+    /// other refusal ends the run. `shard` is the shard that took or
+    /// refused the job (`cluster serve` only).
+    fn tally_submit(
+        &mut self,
+        job: &ManifestJob<'_>,
+        outcome: Result<(JobHandle, Option<usize>), (Option<usize>, SubmitError)>,
+    ) -> Result<(), String> {
+        self.submitted += 1;
+        let (target, file) = (job.target, job.file);
+        let (shard, error) = match outcome {
+            Ok((handle, shard)) => {
+                self.pending.push(Pending {
+                    handle,
+                    file: file.to_owned(),
+                    shard,
+                });
+                return Ok(());
+            }
+            Err(refused) => refused,
+        };
+        let by = shard.map_or_else(String::new, |s| format!("shard {s} "));
+        match error {
+            SubmitError::QueueFull { capacity } => {
+                self.rejected += 1;
+                println!("-- {target} {file}: {by}rejected (queue full at {capacity})");
+            }
+            SubmitError::Infeasible {
+                estimated_wait,
+                deadline,
+            } => {
+                self.shed += 1;
+                println!(
+                    "-- {target} {file}: {by}shed (estimated wait {estimated_wait:?} \
+                     exceeds the {deadline:?} deadline)"
+                );
+            }
+            error => {
+                return Err(match shard {
+                    Some(s) => format!("{}: shard {s} refused the job: {error}", job.at),
+                    None => format!("{}: {error}", job.at),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// The one job-outcome printer: prints a finished job and tallies
+    /// it. Reduction runs on this thread, so `telemetry` (the server
+    /// that labeled the job) has its reduce histogram fed here rather
+    /// than in the worker pop path.
+    fn record(
+        &mut self,
+        done: &CompletedJob,
+        file: &str,
+        shard: Option<usize>,
+        telemetry: Option<&Telemetry>,
+    ) {
+        let reduce_start = Instant::now();
+        let reduced = done.reduce();
+        if let Some(telemetry) = telemetry {
+            telemetry
+                .target(&done.target)
+                .reduce
+                .record_duration(reduce_start.elapsed());
+        }
+        let on_shard = shard.map_or_else(String::new, |s| format!(" [shard {s}]"));
+        let job = format!("{} {} {file}{on_shard}", done.ticket, done.target);
+        match reduced {
+            Ok(red) => {
+                self.completed += 1;
+                println!(
+                    "{job}: {} nodes, {} instructions, cost {}",
+                    done.forest.len(),
+                    red.len(),
+                    red.total_cost
+                );
+            }
+            Err(ServeError::Job(JobError::DeadlineExceeded { missed_by })) => {
+                self.missed += 1;
+                println!("{job}: DEADLINE MISSED by {missed_by:?}");
+            }
             Err(e) => {
-                println!("{} {target} {file}: FAILED: {e}", result.ticket);
-                first_failure.get_or_insert_with(|| {
-                    format!("job {} ({target}, {file}): {e}", result.ticket)
+                self.completed += 1;
+                self.failed += 1;
+                println!("{job}: FAILED: {e}");
+                self.first_failure.get_or_insert_with(|| {
+                    format!("job {} ({}, {file}): {e}", done.ticket, done.target)
                 });
             }
         }
     }
-    for t in &report.per_target {
+
+    /// Prints every pending job that has finished, without blocking.
+    fn reap(&mut self, telemetry: Option<&Telemetry>) {
+        let mut waiting = Vec::with_capacity(self.pending.len());
+        for mut p in std::mem::take(&mut self.pending) {
+            match p.handle.try_wait() {
+                Some(done) => self.record(&done, &p.file, p.shard, telemetry),
+                None => waiting.push(p),
+            }
+        }
+        self.pending = waiting;
+    }
+
+    /// Waits on every pending job in submission order, printing each.
+    fn wait_all(&mut self, telemetry: Option<&Telemetry>) -> Vec<CompletedJob> {
+        std::mem::take(&mut self.pending)
+            .into_iter()
+            .map(|p| {
+                let done = p.handle.wait();
+                self.record(&done, &p.file, p.shard, telemetry);
+                done
+            })
+            .collect()
+    }
+
+    /// `submitted N, completed N, failed N, rejected N, shed N,
+    /// deadline-missed N`: the accounting that closes every run.
+    fn summary(&self) -> String {
+        format!(
+            "submitted {}, completed {}, failed {}, rejected {}, shed {}, deadline-missed {}",
+            self.submitted, self.completed, self.failed, self.rejected, self.shed, self.missed
+        )
+    }
+
+    /// The run's exit status: any failed job fails it.
+    fn status(&self) -> Result<(), String> {
+        match &self.first_failure {
+            Some(first) => Err(format!("{} jobs failed; first: {first}", self.failed)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Prints a shutdown's table re-exports into `--tables-dir`.
+fn print_exports(report: &ServerReport) {
+    for name in &report.exported_tables {
+        println!("exported tables: {name}");
+    }
+    for (name, error) in &report.export_errors {
+        eprintln!("odburg: cannot export tables for `{name}`: {error}");
+    }
+}
+
+/// The one telemetry epilogue. Conservation is recomputed purely from
+/// the metrics registries of `hubs` — no loop counter or server tally
+/// feeds it — and checked against the `(submitted, rejected, shed)` of
+/// the run's own report; then `--metrics-out` gets every hub as JSONL
+/// and `--trace-out` the Chrome trace `write_trace` renders.
+fn telemetry_epilogue(
+    flags: &ServiceFlags<'_>,
+    hubs: &[Arc<Telemetry>],
+    reported: (u64, u64, u64),
+    write_trace: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut totals = JobCounts::default();
+    for hub in hubs {
+        totals.merge(&hub.totals());
+    }
+    assert!(
+        totals.conserved(),
+        "telemetry registry must conserve jobs \
+         (submitted == accepted + rejected + shed): {totals:?}"
+    );
+    assert_eq!(
+        (totals.submitted, totals.rejected, totals.shed),
+        reported,
+        "telemetry registry disagrees with the run's report"
+    );
+    if let Some(path) = flags.metrics_out {
+        write_out("metrics", path, |out| {
+            hubs.iter().try_for_each(|hub| write_jsonl(out, hub))
+        })?;
+    }
+    if let Some(path) = flags.trace_out {
+        write_out("trace", path, write_trace)?;
+    }
+    Ok(())
+}
+
+/// Writes one telemetry artifact to `path` and announces it on stdout.
+fn write_out(
+    what: &str,
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let error = |e| format!("cannot write {what} `{path}`: {e}");
+    let mut out = BufWriter::new(File::create(path).map_err(error)?);
+    write(&mut out).and_then(|()| out.flush()).map_err(error)?;
+    println!("wrote {what}: {path}");
+    Ok(())
+}
+
+/// `odburg batch <manifest>`: run a multi-target job manifest through
+/// a [`SelectorServer`] with an uncapped queue — every job is accepted,
+/// every handle waited on in submission order — then shut it down
+/// (re-exporting tables into `--tables-dir`) and print one report.
+fn batch(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
+    let server = SelectorServer::with_builtin_targets(ServerConfig {
+        queue_cap: usize::MAX,
+        ..flags.server_config()
+    });
+    let started = Instant::now();
+    let mut jobs = Jobs::default();
+    read_manifest(manifest, &server, |job, forest| {
+        jobs.submit_to(&server, job, forest, JobOptions::default())
+    })?;
+    let results = jobs.wait_all(Some(server.telemetry()));
+    let report = server.shutdown();
+
+    // Per-target lines in first-submission order.
+    let mut targets: Vec<&str> = Vec::new();
+    for done in &results {
+        if !targets.contains(&done.target.as_str()) {
+            targets.push(&done.target);
+        }
+    }
+    for target in targets {
+        let mine = || results.iter().filter(|r| r.target == target);
+        let nodes: usize = mine().map(|r| r.forest.len()).sum();
+        let epochs = mine()
+            .filter_map(CompletedJob::epoch)
+            .fold(None, |span, e| match span {
+                Some((lo, hi)) => Some((e.min(lo), e.max(hi))),
+                None => Some((e, e)),
+            });
+        let t = report
+            .per_target
+            .iter()
+            .find(|t| t.target == target)
+            .expect("a target that ran jobs has a built master");
         println!(
-            "target {}: {} jobs, {} nodes, {} misses, {} states built, epochs {}, {}, \
+            "target {target}: {} jobs, {nodes} nodes, {} misses, {} states built, epochs {}, {}, \
              {} table bytes{}",
-            t.target,
-            t.jobs,
-            t.nodes,
+            mine().count(),
             t.counters.memo_misses,
             t.counters.states_built,
-            match t.epochs {
+            match epochs {
                 Some((lo, hi)) => format!("{lo}..{hi}"),
                 None => "-".to_owned(),
             },
@@ -900,10 +1238,7 @@ fn batch(
             match t.pressure {
                 Some(event) => format!(
                     ", {} {} -> {} bytes ({} compactions, {} flushes, {} states evicted)",
-                    match event.action {
-                        PressureAction::Flush => "flushed",
-                        PressureAction::Compact { .. } => "compacted",
-                    },
+                    pressure_verb(event.action),
                     event.bytes_before,
                     event.bytes_after,
                     t.counters.compactions,
@@ -914,236 +1249,62 @@ fn batch(
             },
         );
     }
+    print_exports(&report);
+    let latencies: Vec<Duration> = results.iter().map(|r| r.latency).collect();
+    let latency = Histogram::from_durations(&latencies);
     println!(
         "batch: {} jobs across {} workers in {:?} (p50 {:?}, p99 {:?})",
-        report.results.len(),
+        results.len(),
         report.workers,
-        report.wall,
-        report.latency.p50,
-        report.latency.p99,
+        started.elapsed(),
+        latency.quantile_duration(0.50),
+        latency.quantile_duration(0.99),
     );
-    match first_failure {
-        Some(failure) => Err(failure),
-        None => Ok(()),
+    telemetry_epilogue(
+        flags,
+        &[Arc::clone(server.telemetry())],
+        (report.submitted, report.rejected, report.shed),
+        |_| Ok(()),
+    )?;
+    jobs.status()
+}
+
+fn pressure_verb(action: PressureAction) -> &'static str {
+    match action {
+        PressureAction::Flush => "flushed",
+        PressureAction::Compact { .. } => "compacted",
     }
 }
 
 /// `odburg serve <manifest|->`: stream jobs through a long-running
-/// [`SelectorServer`](odburg::service::SelectorServer). Manifest lines
-/// are read incrementally (`-` reads stdin), each job is submitted
-/// with the configured deadline against the bounded queue, completions
-/// print as they finish, and EOF triggers a graceful shutdown whose
-/// report (including the table re-exports into `--tables-dir`) closes
-/// the run. A full queue rejects the job, and under `--sched=edf` a
-/// deadline the queue already blows is shed at admission — both
-/// counted and printed, never silently lost. `--fair` adds per-target
-/// deficit-round-robin so one hot target cannot starve the rest.
+/// [`SelectorServer`]. Each manifest job is submitted with the
+/// configured deadline against the bounded queue as soon as it is
+/// read, completions print as they finish, and EOF triggers a graceful
+/// shutdown whose report (including the table re-exports into
+/// `--tables-dir`) closes the run. A full queue rejects the job, and
+/// under `--sched=edf` a deadline the queue already blows is shed at
+/// admission — both counted and printed, never silently lost. `--fair`
+/// adds per-target deficit-round-robin so one hot target cannot starve
+/// the rest.
 ///
 /// Observability: the periodic stats line and the post-shutdown
 /// conservation check are sourced from the server's telemetry registry
 /// (not the hand-rolled loop counters), `--metrics-out=<path>` dumps
 /// the registry and flight recorder as JSONL, and `--trace-out=<path>`
 /// writes a Chrome trace-event file (`chrome://tracing`).
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    manifest: &str,
-    workers: Option<usize>,
-    tables_dir: Option<&str>,
-    memory_budget: Option<MemoryBudget>,
-    queue_cap: Option<usize>,
-    deadline_ms: Option<u64>,
-    sched: Option<SchedPolicy>,
-    fair: bool,
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
-) -> Result<(), String> {
-    use std::fmt::Write as _;
-    use std::io::BufRead;
-    use std::time::{Duration, Instant};
-
-    use odburg::select::telemetry::{write_chrome_trace, write_jsonl, Telemetry};
-    use odburg::service::{
-        JobHandle, JobOptions, SelectorServer, ServeError, ServerConfig, SubmitError,
-    };
-
-    let server = SelectorServer::with_builtin_targets(ServerConfig {
-        workers: workers.unwrap_or(0),
-        queue_cap: queue_cap.unwrap_or(0),
-        sched: sched.unwrap_or_default(),
-        // An explicit --sched=edf opts into admission shedding too; the
-        // default (EDF ordering, no shedding) keeps the submit contract
-        // of earlier releases.
-        shed_infeasible: sched == Some(SchedPolicy::Edf),
-        fair: fair.then(FairConfig::default),
-        tables_dir: tables_dir.map(Into::into),
-        memory_budget,
-        analysis_policy: AnalysisPolicy::Deny,
-    });
-    let options = JobOptions {
-        deadline: deadline_ms.map(Duration::from_millis),
-        ..JobOptions::default()
-    };
-
-    let stdin = std::io::stdin();
-    let reader: Box<dyn BufRead> = if manifest == "-" {
-        Box::new(stdin.lock())
-    } else {
-        let file = std::fs::File::open(manifest)
-            .map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-        Box::new(std::io::BufReader::new(file))
-    };
-
-    let mut handles: Vec<(JobHandle, String)> = Vec::new(); // handle, file
-    let mut submitted = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut rejected = 0u64;
-    let mut shed = 0u64;
-    let mut missed = 0u64;
-
-    /// Prints one finished job and tallies its outcome. Reduction runs
-    /// on this thread, so its latency histogram is fed here rather than
-    /// in the worker pop path.
-    fn print_outcome(
-        done: &odburg::service::CompletedJob,
-        file: &str,
-        telemetry: &Telemetry,
-        completed: &mut u64,
-        failed: &mut u64,
-        missed: &mut u64,
-    ) {
-        let reduce_start = Instant::now();
-        let reduced = done.reduce();
-        telemetry
-            .target(&done.target)
-            .reduce
-            .record_duration(reduce_start.elapsed());
-        match reduced {
-            Ok(red) => {
-                *completed += 1;
-                println!(
-                    "{} {} {file}: {} nodes, {} instructions, cost {}",
-                    done.ticket,
-                    done.target,
-                    done.forest.len(),
-                    red.len(),
-                    red.total_cost
-                );
-            }
-            Err(ServeError::Job(odburg::service::JobError::DeadlineExceeded { missed_by })) => {
-                *missed += 1;
-                println!(
-                    "{} {} {file}: DEADLINE MISSED by {missed_by:?}",
-                    done.ticket, done.target
-                );
-            }
-            Err(e) => {
-                *completed += 1;
-                *failed += 1;
-                println!("{} {} {file}: FAILED: {e}", done.ticket, done.target);
-            }
-        }
-    }
-
-    /// Reaps finished handles: prints each completed job, keeps the
-    /// rest. With `block`, waits every remaining handle out.
-    #[allow(clippy::too_many_arguments)]
-    fn reap(
-        handles: &mut Vec<(JobHandle, String)>,
-        block: bool,
-        telemetry: &Telemetry,
-        completed: &mut u64,
-        failed: &mut u64,
-        missed: &mut u64,
-    ) {
-        let mut i = 0;
-        while i < handles.len() {
-            if block {
-                let (handle, file) = handles.remove(i);
-                let done = handle.wait();
-                print_outcome(&done, &file, telemetry, completed, failed, missed);
-            } else if let Some(done) = handles[i].0.try_wait() {
-                let (_, file) = handles.remove(i);
-                print_outcome(&done, &file, telemetry, completed, failed, missed);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    for (idx, raw) in reader.lines().enumerate() {
-        let raw = raw.map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let lineno = idx + 1;
-        let (target, file) = line
-            .split_once(char::is_whitespace)
-            .map(|(t, f)| (t, f.trim()))
-            .filter(|(t, f)| !t.is_empty() && !f.is_empty())
-            .ok_or_else(|| {
-                format!("{manifest}:{lineno}: expected `<target> <sexpr-file>`, got `{line}`")
-            })?;
-
-        // Targets beyond the built-ins register on first sight, exactly
-        // as in `batch`.
-        if server.grammar(target).is_err() {
-            let grammar = load_grammar(target).map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-            server
-                .register_normal(target, Arc::new(grammar.normalize()))
-                .map_err(|e| registration_error(manifest, lineno, e))?;
-        }
-
-        let trees = std::fs::read_to_string(file)
-            .map_err(|e| format!("{manifest}:{lineno}: cannot read `{file}`: {e}"))?;
-        let mut forest = Forest::new();
-        for tree in trees.lines() {
-            let tree = tree.trim();
-            if tree.is_empty() || tree.starts_with('#') {
-                continue;
-            }
-            let root = parse_sexpr(&mut forest, tree)
-                .map_err(|e| format!("{manifest}:{lineno}: {file}: bad tree: {e}"))?;
-            forest.add_root(root);
-        }
-        if forest.is_empty() {
-            return Err(format!("{manifest}:{lineno}: {file}: no trees"));
-        }
-
-        submitted += 1;
-        match server.try_submit_with(target, forest, options) {
-            Ok(handle) => handles.push((handle, file.to_owned())),
-            Err(SubmitError::QueueFull { capacity }) => {
-                rejected += 1;
-                println!("-- {target} {file}: rejected (queue full at {capacity})");
-            }
-            Err(SubmitError::Infeasible {
-                estimated_wait,
-                deadline,
-            }) => {
-                shed += 1;
-                println!(
-                    "-- {target} {file}: shed (estimated wait {estimated_wait:?} \
-                     exceeds the {deadline:?} deadline)"
-                );
-            }
-            Err(e) => return Err(format!("{manifest}:{lineno}: {e}")),
-        }
-
-        reap(
-            &mut handles,
-            false,
-            server.telemetry(),
-            &mut completed,
-            &mut failed,
-            &mut missed,
-        );
-        if submitted.is_multiple_of(16) {
+fn serve(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
+    let server = SelectorServer::with_builtin_targets(flags.server_config());
+    let telemetry = server.telemetry();
+    let options = flags.job_options();
+    let mut jobs = Jobs::default();
+    read_manifest(manifest, &server, |job, forest| {
+        jobs.submit_to(&server, job, forest, options)?;
+        jobs.reap(Some(telemetry));
+        if jobs.submitted.is_multiple_of(16) {
             // Sourced from the telemetry registry (queue depth is a
             // gauge the registry does not track, so it still comes from
             // the server); each target's shedding EWMA rides along.
-            let totals = server.telemetry().totals();
+            let totals = telemetry.totals();
             let mut line = format!(
                 "serve: submitted={} completed={} failed={} rejected={} shed={} \
                  deadline-missed={} queue-depth={}",
@@ -1153,28 +1314,18 @@ fn serve(
                 totals.rejected,
                 totals.shed,
                 totals.deadline_missed,
-                server.tallies().queue_depth,
+                server.queue_depth(),
             );
             for (target, estimate, samples) in server.service_estimates() {
                 let _ = write!(line, " {target}.ewma={estimate:?}/{samples}");
             }
             println!("{line}");
         }
-    }
-    if submitted == 0 {
-        return Err(format!("manifest `{manifest}` contains no jobs"));
-    }
+        Ok(())
+    })?;
 
     // EOF: finish every accepted job, then shut down gracefully.
-    reap(
-        &mut handles,
-        true,
-        server.telemetry(),
-        &mut completed,
-        &mut failed,
-        &mut missed,
-    );
-    let telemetry = Arc::clone(server.telemetry());
+    jobs.wait_all(Some(telemetry));
     let report = server.shutdown();
     for t in &report.per_target {
         println!(
@@ -1198,10 +1349,7 @@ fn serve(
             match t.pressure {
                 Some(event) => format!(
                     ", {} {} -> {} bytes",
-                    match event.action {
-                        PressureAction::Flush => "flushed",
-                        PressureAction::Compact { .. } => "compacted",
-                    },
+                    pressure_verb(event.action),
                     event.bytes_before,
                     event.bytes_after,
                 ),
@@ -1209,60 +1357,26 @@ fn serve(
             },
         );
     }
-    for name in &report.exported_tables {
-        println!("exported tables: {name}");
-    }
-    for (name, error) in &report.export_errors {
-        eprintln!("odburg: cannot export tables for `{name}`: {error}");
-    }
+    print_exports(&report);
     println!(
-        "serve: submitted {submitted}, completed {completed}, failed {failed}, \
-         rejected {rejected}, shed {shed}, deadline-missed {missed}, across {} workers \
-         (queue cap {}) in {:?}",
-        report.workers, report.queue_cap, report.uptime,
+        "serve: {}, across {} workers (queue cap {}) in {:?}",
+        jobs.summary(),
+        report.workers,
+        report.queue_cap,
+        report.uptime,
     );
     debug_assert_eq!(report.completed + report.deadline_missed, report.accepted);
     debug_assert_eq!(
         report.accepted + report.rejected + report.shed,
         report.submitted
     );
-
-    // Conservation recomputed purely from the metrics registry — no
-    // loop counter or server tally feeds this check.
-    let totals = telemetry.totals();
-    assert!(
-        totals.conserved(),
-        "telemetry registry must conserve jobs \
-         (submitted == accepted + rejected + shed): {totals:?}"
-    );
-    assert_eq!(
-        (totals.submitted, totals.rejected, totals.shed),
+    telemetry_epilogue(
+        flags,
+        &[Arc::clone(telemetry)],
         (report.submitted, report.rejected, report.shed),
-        "telemetry registry disagrees with the server report"
-    );
-
-    if let Some(path) = metrics_out {
-        let error = |e| format!("cannot write metrics `{path}`: {e}");
-        let file = std::fs::File::create(path).map_err(error)?;
-        let mut out = std::io::BufWriter::new(file);
-        write_jsonl(&mut out, &telemetry).map_err(error)?;
-        std::io::Write::flush(&mut out).map_err(error)?;
-        println!("wrote metrics: {path}");
-    }
-    if let Some(path) = trace_out {
-        let error = |e| format!("cannot write trace `{path}`: {e}");
-        let file = std::fs::File::create(path).map_err(error)?;
-        let mut out = std::io::BufWriter::new(file);
-        write_chrome_trace(&mut out, &telemetry).map_err(error)?;
-        std::io::Write::flush(&mut out).map_err(error)?;
-        println!("wrote trace: {path}");
-    }
-
-    if failed > 0 {
-        Err(format!("{failed} jobs failed"))
-    } else {
-        Ok(())
-    }
+        |out| write_chrome_trace(out, telemetry),
+    )?;
+    jobs.status()
 }
 
 /// `odburg cluster serve <manifest|->`: run a manifest through an
@@ -1280,48 +1394,20 @@ fn serve(
 /// Conservation is asserted twice at shutdown: from the
 /// [`ClusterReport`] and — independently — from the per-shard telemetry
 /// registries alone.
-#[allow(clippy::too_many_arguments)]
 fn cluster_serve(
     manifest: &str,
     shards: usize,
-    workers: Option<usize>,
-    tables_dir: Option<&str>,
-    memory_budget: Option<MemoryBudget>,
-    queue_cap: Option<usize>,
-    deadline_ms: Option<u64>,
-    sched: Option<SchedPolicy>,
-    fair: bool,
     listen: Option<&str>,
     join: Option<&str>,
-    metrics_out: Option<&str>,
-    trace_out: Option<&str>,
+    flags: &ServiceFlags<'_>,
 ) -> Result<(), String> {
-    use std::io::BufRead;
     use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
-
-    use odburg::select::telemetry::write_jsonl;
-    use odburg::select::InstallError;
-    use odburg::service::{JobOptions, ServeError, ServerConfig, SubmitError};
 
     let cluster = ShardCluster::with_builtin_targets(ClusterConfig {
         shards,
         vnodes: 64,
-        server: ServerConfig {
-            workers: workers.unwrap_or(0),
-            queue_cap: queue_cap.unwrap_or(0),
-            sched: sched.unwrap_or_default(),
-            shed_infeasible: sched == Some(SchedPolicy::Edf),
-            fair: fair.then(FairConfig::default),
-            tables_dir: tables_dir.map(Into::into),
-            memory_budget,
-            analysis_policy: AnalysisPolicy::Deny,
-        },
+        server: flags.server_config(),
     });
-    let options = JobOptions {
-        deadline: deadline_ms.map(Duration::from_millis),
-        ..JobOptions::default()
-    };
 
     // Join first: every shard warm-starts from the listener's shipped
     // tables before the manifest's first job is submitted.
@@ -1380,126 +1466,18 @@ fn cluster_serve(
         }
     }
 
-    let stdin = std::io::stdin();
-    let reader: Box<dyn BufRead> = if manifest == "-" {
-        Box::new(stdin.lock())
-    } else {
-        let file = std::fs::File::open(manifest)
-            .map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-        Box::new(std::io::BufReader::new(file))
-    };
-
-    let mut accepted: Vec<(ClusterSubmit, String)> = Vec::new();
-    let mut submitted = 0u64;
-    let mut rejected = 0u64;
-    let mut shed = 0u64;
-    for (idx, raw) in reader.lines().enumerate() {
-        let raw = raw.map_err(|e| format!("cannot read manifest `{manifest}`: {e}"))?;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let lineno = idx + 1;
-        let (target, file) = line
-            .split_once(char::is_whitespace)
-            .map(|(t, f)| (t, f.trim()))
-            .filter(|(t, f)| !t.is_empty() && !f.is_empty())
-            .ok_or_else(|| {
-                format!("{manifest}:{lineno}: expected `<target> <sexpr-file>`, got `{line}`")
-            })?;
-
-        // Targets beyond the built-ins register on every shard on first
-        // sight, exactly as in `batch`/`serve`.
-        if cluster.writer(target).is_none() {
-            let grammar = load_grammar(target).map_err(|e| format!("{manifest}:{lineno}: {e}"))?;
-            cluster
-                .register_normal(target, Arc::new(grammar.normalize()))
-                .map_err(|e| registration_error(manifest, lineno, e))?;
-        }
-
-        let trees = std::fs::read_to_string(file)
-            .map_err(|e| format!("{manifest}:{lineno}: cannot read `{file}`: {e}"))?;
-        let mut forest = Forest::new();
-        for tree in trees.lines() {
-            let tree = tree.trim();
-            if tree.is_empty() || tree.starts_with('#') {
-                continue;
-            }
-            let root = parse_sexpr(&mut forest, tree)
-                .map_err(|e| format!("{manifest}:{lineno}: {file}: bad tree: {e}"))?;
-            forest.add_root(root);
-        }
-        if forest.is_empty() {
-            return Err(format!("{manifest}:{lineno}: {file}: no trees"));
-        }
-
-        submitted += 1;
-        match cluster.submit_with(target, forest, options) {
-            Ok(sub) => accepted.push((sub, file.to_owned())),
-            Err(ClusterSubmitError::Submit {
-                shard,
-                error: SubmitError::QueueFull { capacity },
-            }) => {
-                rejected += 1;
-                println!("-- {target} {file}: shard {shard} rejected (queue full at {capacity})");
-            }
-            Err(ClusterSubmitError::Submit {
-                shard,
-                error:
-                    SubmitError::Infeasible {
-                        estimated_wait,
-                        deadline,
-                    },
-            }) => {
-                shed += 1;
-                println!(
-                    "-- {target} {file}: shard {shard} shed (estimated wait {estimated_wait:?} \
-                     exceeds the {deadline:?} deadline)"
-                );
-            }
-            Err(e) => return Err(format!("{manifest}:{lineno}: {e}")),
-        }
-    }
-    if submitted == 0 {
-        return Err(format!("manifest `{manifest}` contains no jobs"));
-    }
-
+    let options = flags.job_options();
+    let mut jobs = Jobs::default();
+    read_manifest(manifest, &cluster, |job, forest| {
+        let outcome = match cluster.submit_with(job.target, forest, options) {
+            Ok(sub) => Ok((sub.handle, Some(sub.shard))),
+            Err(ClusterSubmitError::Submit { shard, error }) => Err((Some(shard), error)),
+            Err(e @ ClusterSubmitError::Route(_)) => return Err(format!("{}: {e}", job.at)),
+        };
+        jobs.tally_submit(job, outcome)
+    })?;
     // Drain: every accepted job resolves, whichever shard took it.
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut missed = 0u64;
-    for (sub, file) in accepted {
-        let done = sub.handle.wait();
-        match done.reduce() {
-            Ok(red) => {
-                completed += 1;
-                println!(
-                    "{} {} {file} [shard {}]: {} nodes, {} instructions, cost {}",
-                    done.ticket,
-                    done.target,
-                    sub.shard,
-                    done.forest.len(),
-                    red.len(),
-                    red.total_cost
-                );
-            }
-            Err(ServeError::Job(odburg::service::JobError::DeadlineExceeded { missed_by })) => {
-                missed += 1;
-                println!(
-                    "{} {} {file} [shard {}]: DEADLINE MISSED by {missed_by:?}",
-                    done.ticket, done.target, sub.shard
-                );
-            }
-            Err(e) => {
-                completed += 1;
-                failed += 1;
-                println!(
-                    "{} {} {file} [shard {}]: FAILED: {e}",
-                    done.ticket, done.target, sub.shard
-                );
-            }
-        }
-    }
+    jobs.wait_all(None);
 
     // Replicate the warm writers' tables to every replica.
     for (target, result) in cluster.ship_all() {
@@ -1569,58 +1547,30 @@ fn cluster_serve(
         );
     }
     println!(
-        "cluster: {} shards, submitted {submitted}, completed {completed}, failed {failed}, \
-         rejected {rejected}, shed {shed}, deadline-missed {missed}; {} shipments, \
-         {} ship rejects, {} reroutes, {} writer elections",
-        shards, report.shipments, report.ship_rejects, report.reroutes, report.writer_elections,
+        "cluster: {shards} shards, {}; {} shipments, {} ship rejects, {} reroutes, \
+         {} writer elections",
+        jobs.summary(),
+        report.shipments,
+        report.ship_rejects,
+        report.reroutes,
+        report.writer_elections,
     );
     assert!(
         report.conserved(),
         "cluster report must conserve jobs: {report:?}"
     );
-
-    // Conservation recomputed purely from the telemetry registries — no
-    // loop counter or server tally feeds this check.
-    let mut totals = JobCounts::default();
-    for (_, telemetry) in cluster.shard_telemetries() {
-        totals.merge(&telemetry.totals());
-    }
-    assert!(
-        totals.conserved(),
-        "shard telemetry must conserve jobs \
-         (submitted == accepted + rejected + shed): {totals:?}"
-    );
-    assert_eq!(
-        (totals.submitted, totals.rejected, totals.shed),
+    // The control-plane hub leads the JSONL; it records shipments and
+    // elections, never job outcomes, so the conservation sums are the
+    // shards' alone.
+    let mut hubs = vec![Arc::clone(cluster.telemetry())];
+    hubs.extend(cluster.shard_telemetries().into_iter().map(|(_, t)| t));
+    telemetry_epilogue(
+        flags,
+        &hubs,
         (report.submitted, report.rejected, report.shed),
-        "shard telemetry disagrees with the cluster report"
-    );
-
-    if let Some(path) = metrics_out {
-        let error = |e| format!("cannot write metrics `{path}`: {e}");
-        let file = std::fs::File::create(path).map_err(error)?;
-        let mut out = std::io::BufWriter::new(file);
-        write_jsonl(&mut out, cluster.telemetry()).map_err(error)?;
-        for (_, telemetry) in cluster.shard_telemetries() {
-            write_jsonl(&mut out, &telemetry).map_err(error)?;
-        }
-        std::io::Write::flush(&mut out).map_err(error)?;
-        println!("wrote metrics: {path}");
-    }
-    if let Some(path) = trace_out {
-        let error = |e| format!("cannot write trace `{path}`: {e}");
-        let file = std::fs::File::create(path).map_err(error)?;
-        let mut out = std::io::BufWriter::new(file);
-        cluster.write_chrome_trace(&mut out).map_err(error)?;
-        std::io::Write::flush(&mut out).map_err(error)?;
-        println!("wrote trace: {path}");
-    }
-
-    if failed > 0 {
-        Err(format!("{failed} jobs failed"))
-    } else {
-        Ok(())
-    }
+        |out| cluster.write_chrome_trace(out),
+    )?;
+    jobs.status()
 }
 
 fn stats(grammar: &Grammar) -> Result<(), String> {

@@ -1097,3 +1097,124 @@ fn errors_exit_nonzero_with_messages() {
     assert!(!ok);
     assert!(stderr.contains("usage"));
 }
+
+/// Writes a manifest of `rounds` copies of (demo, x86ish, riscish) jobs
+/// into `dir` and returns its path.
+fn mixed_manifest(dir: &std::path::Path, rounds: usize) -> std::path::PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let rmw = dir.join("rmw.sx");
+    std::fs::write(
+        &rmw,
+        "(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))\n",
+    )
+    .unwrap();
+    let add = dir.join("add.sx");
+    std::fs::write(
+        &add,
+        "(AddI4 (ConstI4 1) (MulI4 (ConstI4 3) (ConstI4 4)))\n",
+    )
+    .unwrap();
+    let mut lines = String::new();
+    for _ in 0..rounds {
+        lines.push_str(&format!(
+            "demo {rmw}\nx86ish {add}\nriscish {add}\n",
+            rmw = rmw.display(),
+            add = add.display()
+        ));
+    }
+    let manifest = dir.join("jobs.txt");
+    std::fs::write(&manifest, lines).unwrap();
+    manifest
+}
+
+#[test]
+fn cluster_serve_reports_every_shard_and_conserves_jobs() {
+    let manifest = mixed_manifest(&std::env::temp_dir().join("odburg-cli-cluster"), 4);
+    let (ok, stdout, stderr) = odburg(&[
+        "cluster",
+        "serve",
+        manifest.to_str().unwrap(),
+        "--shards=2",
+        "--workers=1",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("[shard "), "{stdout}");
+    for shard in ["shard 0: submitted", "shard 1: submitted"] {
+        assert!(stdout.contains(shard), "missing `{shard}` in:\n{stdout}");
+    }
+    assert!(
+        stdout.contains("cluster: 2 shards, submitted 12, completed 12, failed 0, "),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn serve_writes_metrics_and_trace_under_edf_and_fair() {
+    let dir = std::env::temp_dir().join("odburg-cli-serve-telemetry");
+    let manifest = mixed_manifest(&dir, 6);
+    let metrics = dir.join("metrics.jsonl");
+    let trace = dir.join("trace.json");
+    let _ = std::fs::remove_file(&metrics);
+    let _ = std::fs::remove_file(&trace);
+    let (ok, stdout, stderr) = odburg(&[
+        "serve",
+        manifest.to_str().unwrap(),
+        "--workers=2",
+        "--deadline-ms=60000",
+        "--sched=edf",
+        "--fair",
+        &format!("--metrics-out={}", metrics.display()),
+        &format!("--trace-out={}", trace.display()),
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains(&format!("wrote metrics: {}", metrics.display())),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!("wrote trace: {}", trace.display())),
+        "{stdout}"
+    );
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    let first = jsonl.lines().next().unwrap_or_default();
+    assert!(first.starts_with("{\"type\":\"meta\""), "{first}");
+    assert!(jsonl.contains("\"type\":\"metrics\""), "{jsonl}");
+    let trace = std::fs::read_to_string(&trace).unwrap();
+    assert!(trace.contains("\"traceEvents\":["), "{trace}");
+}
+
+#[test]
+fn batch_reexports_tables_for_a_warm_second_run() {
+    let dir = std::env::temp_dir().join("odburg-cli-batch-reexport");
+    let tables_dir = dir.join("tables");
+    let _ = std::fs::remove_dir_all(&tables_dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let tree = dir.join("rmw.sx");
+    std::fs::write(
+        &tree,
+        "(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))\n",
+    )
+    .unwrap();
+    let manifest = dir.join("jobs.txt");
+    std::fs::write(&manifest, format!("demo {}\n", tree.display())).unwrap();
+    let run = || {
+        odburg(&[
+            "batch",
+            manifest.to_str().unwrap(),
+            &format!("--tables-dir={}", tables_dir.display()),
+        ])
+    };
+
+    // First run: cold, and shutdown exports demo's tables.
+    let (ok, stdout, stderr) = run();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(", cold,"), "{stdout}");
+    assert!(tables_dir.join("demo.odbt").exists(), "{stdout}");
+
+    // Second run: warm from that export, with no grow-path work.
+    let (ok, stdout, stderr) = run();
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("target demo: 1 jobs"), "{stdout}");
+    assert!(stdout.contains(" 0 misses, 0 states built,"), "{stdout}");
+    assert!(stdout.contains(", warm,"), "{stdout}");
+}

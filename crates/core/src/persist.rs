@@ -80,6 +80,7 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odburg_grammar::{Cost, NormalGrammar, RuleCost};
@@ -798,12 +799,52 @@ pub fn read_tables_from<R: Read>(
 
 /// Exports a snapshot to a file; see [`write_tables_to`].
 ///
+/// The write is crash-safe: the bytes go to a uniquely named sibling
+/// temp file, which is synced to disk and then renamed over `path`
+/// (and, on Unix, the directory synced). A concurrent reader, or the
+/// next process after a crash mid-export, sees either the previous file
+/// or the new one — never a torn mix.
+///
 /// # Errors
 ///
-/// [`PersistError::Io`] if the file cannot be created or written.
+/// [`PersistError::Io`] if the temp file cannot be created, written,
+/// synced or renamed; the temp file is removed on every error path.
 pub fn save_tables(snapshot: &AutomatonSnapshot, path: &Path) -> Result<(), PersistError> {
-    let file = std::fs::File::create(path)?;
-    write_tables_to(snapshot, std::io::BufWriter::new(file))
+    static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("`{}` does not name a file", path.display()),
+        )
+    })?;
+    let mut temp_name = std::ffi::OsString::from(".");
+    temp_name.push(name);
+    temp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT_TEMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = path.with_file_name(temp_name);
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&temp)?;
+    let written = (|| {
+        write_tables_to(snapshot, std::io::BufWriter::new(&file))?;
+        file.sync_all()?;
+        std::fs::rename(&temp, path)?;
+        // The rename is durable only once the directory entry is.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    written
 }
 
 /// Imports tables from a file; see [`read_tables_from`].
@@ -1047,5 +1088,56 @@ mod tests {
             matches!(err, PersistError::UnsupportedVersion { .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn saves_replace_the_file_atomically() {
+        use std::sync::atomic::AtomicBool;
+
+        let (auto, _) = warmed();
+        let snapshot = auto.snapshot();
+        let dir =
+            std::env::temp_dir().join(format!("odburg-persist-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.odbt");
+        save_tables(&snapshot, &path).unwrap();
+
+        // A reader racing a writer that re-exports over and over must
+        // always load a whole file: never a truncated or half-written one.
+        let saving = AtomicBool::new(true);
+        let loads = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..200 {
+                    save_tables(&snapshot, &path).unwrap();
+                }
+                saving.store(false, Ordering::Release);
+            });
+            let mut loads = 0u32;
+            while saving.load(Ordering::Acquire) || loads == 0 {
+                load_tables(&path, Arc::clone(auto.grammar()), auto.config())
+                    .unwrap_or_else(|e| panic!("load {loads} saw a torn file: {e}"));
+                loads += 1;
+            }
+            loads
+        });
+        assert!(loads > 0);
+
+        // A failed save (the target is a directory, so the rename fails)
+        // reports the error and cleans its temp file up too.
+        let blocked = dir.join("blocked.odbt");
+        std::fs::create_dir_all(&blocked).unwrap();
+        assert!(matches!(
+            save_tables(&snapshot, &blocked),
+            Err(PersistError::Io(_))
+        ));
+
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["blocked.odbt", "t.odbt"], "temp files left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,7 +15,7 @@
 //! | [`frontend`] | MiniC: a small language lowered to IR forests |
 //! | [`workloads`] | benchmark programs and random-tree workloads |
 //! | [`strategy`] | runtime strategy choice behind the unified `Labeler` trait |
-//! | [`service`] | multi-target selection service: grammar registry + long-running `SelectorServer` (bounded queue, deadlines, backpressure) with a batch-compatible `SelectorService` layer |
+//! | [`service`] | multi-target selection service: grammar registry + long-running `SelectorServer` (bounded queue, deadlines, backpressure; an uncapped queue runs batches) |
 //! | [`cluster`] | replicated snapshot shards: consistent-hash routing, single-writer leases, table shipping over framed transports, epoch-fenced failover |
 //!
 //! # Quick start
@@ -179,10 +179,9 @@ pub mod prelude {
         ShipmentReport, SocketTransport, WriterLease,
     };
     pub use crate::service::{
-        AnalysisPolicy, BatchReport, CompletedJob, FairConfig, JobError, JobHandle, JobOptions,
-        Priority, SchedPolicy, SelectorServer, SelectorService, ServeError, ServerConfig,
-        ServerReport, ServerTallies, ServiceConfig, ServiceError, SubmitError, TargetServerStats,
-        Ticket,
+        AnalysisPolicy, CompletedJob, FairConfig, JobError, JobHandle, JobOptions, Priority,
+        SchedPolicy, SelectorServer, ServeError, ServerConfig, ServerReport, ServerTallies,
+        ServiceError, SubmitError, TargetServerStats, Ticket,
     };
     pub use crate::strategy::{AnyLabeler, AnyLabeling, Strategy};
     pub use odburg_codegen::{reduce_forest, reduce_tree, Reduction};

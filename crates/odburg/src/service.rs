@@ -54,12 +54,12 @@
 //!   pinned labelings included), re-exports per-target tables into the
 //!   configured directory so heat survives restarts, and returns a
 //!   final [`ServerReport`].
-//! * **Batch compatibility** — [`SelectorService`] keeps the PR-3
-//!   `submit()`/`drain()` batch API as a thin layer over the server:
-//!   `drain()` feeds the queued jobs to a private, uncapped server,
-//!   waits on their handles, and waits for the resulting maintenance
-//!   quanta, so batch callers observe the same per-target budget
-//!   guarantees as before.
+//! * **Batches** — a batch is the same server with an uncapped queue
+//!   (`queue_cap: usize::MAX`, no deadlines): submit every job, wait on
+//!   each [`JobHandle`], then [`wait_idle`](SelectorServer::wait_idle)
+//!   (or `shutdown`) before reading table sizes, so they reflect the
+//!   maintenance quanta the batch scheduled. A panicking job is a
+//!   [`JobError::Panicked`] there too, never a crashed caller.
 //!
 //! # Job lifecycle
 //!
@@ -135,8 +135,6 @@ use odburg_core::{
 use odburg_grammar::{analysis, Diagnostic, Grammar, NormalGrammar, Severity};
 use odburg_ir::Forest;
 
-use crate::SelectError;
-
 /// Queue capacity a [`ServerConfig`] of `queue_cap: 0` resolves to.
 pub const DEFAULT_QUEUE_CAP: usize = 256;
 
@@ -145,7 +143,7 @@ pub const DEFAULT_QUEUE_CAP: usize = 256;
 ///
 /// The verifier runs once per registration, before the target becomes
 /// visible; its findings stay queryable afterwards via
-/// [`SelectorService::diagnostics`] / [`SelectorServer::diagnostics`].
+/// [`SelectorServer::diagnostics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalysisPolicy {
     /// Reject grammars with error-severity findings (`NoCover` provably
@@ -158,26 +156,6 @@ pub enum AnalysisPolicy {
     WarnOnly,
     /// Skip analysis entirely (registration-latency-sensitive callers).
     Off,
-}
-
-/// Configuration of the batch-compatible [`SelectorService`].
-#[derive(Debug, Clone, Default)]
-pub struct ServiceConfig {
-    /// Size of the worker pool batches are sharded across. `0` picks
-    /// the machine's available parallelism, capped at 8.
-    pub workers: usize,
-    /// Directory of persisted tables to warm-start masters from: a
-    /// target named `t` looks for `<dir>/t.odbt` when its master is
-    /// first built. Missing files start cold; mismatched or corrupted
-    /// files are [`ServiceError::Tables`] — never a silent cold start.
-    pub tables_dir: Option<PathBuf>,
-    /// Default per-target memory budget, enforced by the maintenance
-    /// quanta workers run between jobs. Individual targets can override
-    /// this with [`SelectorService::set_memory_budget`]; `None` (the
-    /// default) leaves growth unbounded.
-    pub memory_budget: Option<MemoryBudget>,
-    /// What registration does with grammar-verifier findings.
-    pub analysis_policy: AnalysisPolicy,
 }
 
 /// How each priority lane orders its waiting jobs.
@@ -229,7 +207,8 @@ pub struct ServerConfig {
     /// beyond it are rejected with [`SubmitError::QueueFull`] — after
     /// already-expired queued jobs have been purged, so dead work never
     /// holds capacity against live work. `0` resolves to
-    /// [`DEFAULT_QUEUE_CAP`].
+    /// [`DEFAULT_QUEUE_CAP`]; a batch that must never see `QueueFull`
+    /// sets `usize::MAX`.
     pub queue_cap: usize,
     /// How each lane orders its waiting jobs.
     pub sched: SchedPolicy,
@@ -238,18 +217,21 @@ pub struct ServerConfig {
     /// the queue ahead of it already takes longer than that deadline,
     /// reject with [`SubmitError::Infeasible`] instead of queueing work
     /// that is doomed to expire. Off by default (it changes the submit
-    /// contract); the batch path never sheds regardless.
+    /// contract), and moot for deadline-less jobs.
     pub shed_infeasible: bool,
     /// Weighted per-target fair queueing; `None` (the default) keeps
     /// one sub-queue per lane.
     pub fair: Option<FairConfig>,
     /// Directory of persisted tables: masters warm-start from
-    /// `<dir>/<target>.odbt`, and [`SelectorServer::shutdown`]
-    /// re-exports each built master's tables back into it so the hot
-    /// working set survives restarts.
+    /// `<dir>/<target>.odbt` (missing files start cold; mismatched or
+    /// corrupted ones are [`ServiceError::Tables`], never a silent cold
+    /// start), and [`SelectorServer::shutdown`] re-exports each built
+    /// master's tables back into it so the hot working set survives
+    /// restarts.
     pub tables_dir: Option<PathBuf>,
     /// Default per-target memory budget, enforced in the maintenance
     /// quanta workers run between jobs — never on the submit path.
+    /// [`SelectorServer::set_memory_budget`] overrides it per target.
     pub memory_budget: Option<MemoryBudget>,
     /// What registration does with grammar-verifier findings.
     pub analysis_policy: AnalysisPolicy,
@@ -487,7 +469,7 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// Identifies one submitted job within its service.
+/// Identifies one submitted job within its server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ticket(pub u64);
 
@@ -641,31 +623,16 @@ impl TargetEntry {
     }
 }
 
-/// The shared grammar registry behind both front ends.
+/// The server's grammar registry.
 #[derive(Debug)]
 struct Registry {
     tables_dir: Option<PathBuf>,
     default_budget: Option<MemoryBudget>,
     analysis_policy: AnalysisPolicy,
     targets: RwLock<HashMap<String, Arc<TargetEntry>>>,
-    next_ticket: AtomicU64,
 }
 
 impl Registry {
-    fn new(
-        tables_dir: Option<PathBuf>,
-        default_budget: Option<MemoryBudget>,
-        analysis_policy: AnalysisPolicy,
-    ) -> Self {
-        Registry {
-            tables_dir,
-            default_budget,
-            analysis_policy,
-            targets: RwLock::new(HashMap::new()),
-            next_ticket: AtomicU64::new(0),
-        }
-    }
-
     fn register_with_mode(
         &self,
         name: &str,
@@ -756,10 +723,6 @@ impl Registry {
             .lock()
             .expect("budget lock")
             .unwrap_or(self.default_budget)
-    }
-
-    fn allocate_ticket(&self) -> Ticket {
-        Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed))
     }
 }
 
@@ -1318,7 +1281,7 @@ const SUBMIT_LANE: usize = 0;
 
 #[derive(Debug)]
 struct ServerShared {
-    registry: Arc<Registry>,
+    registry: Registry,
     /// The telemetry hub: per-target metrics registry plus the flight
     /// recorder. Lane 0 is the submit path, lanes `1..=workers` the
     /// workers, the last lane the shared core (epoch publications,
@@ -1331,6 +1294,7 @@ struct ServerShared {
     idle: Condvar,
     queue_cap: usize,
     started: Instant,
+    next_ticket: AtomicU64,
     accepted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -1660,8 +1624,6 @@ pub struct SelectorServer {
     workers: usize,
     /// Shed infeasible deadline submissions at admission.
     shed_infeasible: bool,
-    /// Export tables to the registry's directory at shutdown.
-    export_on_shutdown: bool,
     handles: Mutex<Vec<JoinHandle<()>>>,
     down: AtomicBool,
 }
@@ -1669,41 +1631,6 @@ pub struct SelectorServer {
 impl SelectorServer {
     /// An empty server: worker pool running, no targets registered.
     pub fn new(config: ServerConfig) -> Self {
-        let registry = Arc::new(Registry::new(
-            config.tables_dir.clone(),
-            config.memory_budget,
-            config.analysis_policy,
-        ));
-        let queue_cap = match config.queue_cap {
-            0 => DEFAULT_QUEUE_CAP,
-            n => n,
-        };
-        let export = config.tables_dir.is_some();
-        SelectorServer::with_registry(registry, &config, queue_cap, export)
-    }
-
-    /// A server with all six built-in targets
-    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
-    pub fn with_builtin_targets(config: ServerConfig) -> Self {
-        let server = SelectorServer::new(config);
-        for grammar in odburg_targets::all() {
-            server
-                .register(&grammar)
-                .expect("built-in target names are unique");
-        }
-        server
-    }
-
-    /// Spawns the pool over an existing registry (how the
-    /// [`SelectorService`] compatibility layer shares its targets).
-    /// Only the scheduling fields of `config` are read here — registry
-    /// concerns (tables, budget, analysis) were consumed by the caller.
-    fn with_registry(
-        registry: Arc<Registry>,
-        config: &ServerConfig,
-        queue_cap: usize,
-        export_on_shutdown: bool,
-    ) -> Self {
         let workers = resolve_workers(config.workers);
         // Recorder lanes: submit path, one per worker, shared core.
         let mut lanes = Vec::with_capacity(workers + 2);
@@ -1711,7 +1638,12 @@ impl SelectorServer {
         lanes.extend((0..workers).map(|i| format!("worker-{i}")));
         lanes.push("core".to_string());
         let shared = Arc::new(ServerShared {
-            registry,
+            registry: Registry {
+                tables_dir: config.tables_dir,
+                default_budget: config.memory_budget,
+                analysis_policy: config.analysis_policy,
+                targets: RwLock::new(HashMap::new()),
+            },
             telemetry: Arc::new(Telemetry::new(lanes)),
             state: Mutex::new(ServerState {
                 sched: Scheduler::new(config.sched, config.fair.as_ref()),
@@ -1722,8 +1654,12 @@ impl SelectorServer {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            queue_cap,
+            queue_cap: match config.queue_cap {
+                0 => DEFAULT_QUEUE_CAP,
+                n => n,
+            },
             started: Instant::now(),
+            next_ticket: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -1744,10 +1680,21 @@ impl SelectorServer {
             shared,
             workers,
             shed_infeasible: config.shed_infeasible,
-            export_on_shutdown,
             handles: Mutex::new(handles),
             down: AtomicBool::new(false),
         }
+    }
+
+    /// A server with all six built-in targets
+    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
+    pub fn with_builtin_targets(config: ServerConfig) -> Self {
+        let server = SelectorServer::new(config);
+        for grammar in odburg_targets::all() {
+            server
+                .register(&grammar)
+                .expect("built-in target names are unique");
+        }
+        server
     }
 
     /// Registers a grammar under its own name with the default
@@ -1875,21 +1822,6 @@ impl SelectorServer {
     ) -> Result<JobHandle, SubmitError> {
         let entry = self.shared.registry.entry(target)?;
         let (master, _) = entry.master(self.shared.registry.tables_dir.as_deref())?;
-        self.enqueue(None, entry, master, forest, options, true)
-    }
-
-    /// The single enqueue point. `enforce_cap: false` is the internal
-    /// batch path ([`SelectorService::drain`]), which must never lose a
-    /// job to backpressure (and is never purged against or shed).
-    fn enqueue(
-        &self,
-        ticket: Option<Ticket>,
-        entry: Arc<TargetEntry>,
-        master: Arc<SharedOnDemand>,
-        forest: Forest,
-        options: JobOptions,
-        enforce_cap: bool,
-    ) -> Result<JobHandle, SubmitError> {
         let metrics = self.shared.telemetry.target(&entry.name);
         if !entry.telemetry_attached.swap(true, Ordering::Relaxed) {
             // First admission for this target: give its master a core-lane
@@ -1941,10 +1873,10 @@ impl SelectorServer {
         // worker pops them — otherwise a queue full of expired work
         // spuriously rejects fresh feasible submits.
         let mut expired = Vec::new();
-        if enforce_cap && st.queued() >= self.shared.queue_cap {
+        if st.queued() >= self.shared.queue_cap {
             expired = st.sched.purge_expired(accepted_at);
         }
-        if enforce_cap && st.queued() >= self.shared.queue_cap {
+        if st.queued() >= self.shared.queue_cap {
             drop(st);
             self.deliver_expired(expired, accepted_at);
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -1968,7 +1900,7 @@ impl SelectorServer {
                 capacity: self.shared.queue_cap,
             });
         }
-        if self.shed_infeasible && enforce_cap {
+        if self.shed_infeasible {
             if let (Some(deadline), Some(abs_deadline), Some(est)) =
                 (options.deadline, deadline, entry.estimated_service())
             {
@@ -2003,7 +1935,7 @@ impl SelectorServer {
                 }
             }
         }
-        let ticket = ticket.unwrap_or_else(|| self.shared.registry.allocate_ticket());
+        let ticket = Ticket(self.shared.next_ticket.fetch_add(1, Ordering::Relaxed));
         let slot = Arc::new(Slot::new());
         let handle = JobHandle {
             ticket,
@@ -2138,8 +2070,8 @@ impl SelectorServer {
     }
 
     /// Blocks until every accepted job *and* every queued maintenance
-    /// quantum has finished. The batch layer uses this so its reports
-    /// reflect post-enforcement tables.
+    /// quantum has finished — so table sizes read afterwards reflect
+    /// the budget enforcement the finished jobs scheduled.
     pub fn wait_idle(&self) {
         let mut st = self.shared.state.lock().expect("server state lock");
         while !st.is_idle() {
@@ -2175,7 +2107,7 @@ impl SelectorServer {
                 let _ = handle.join();
             }
         }
-        let (exported_tables, export_errors) = if first && self.export_on_shutdown {
+        let (exported_tables, export_errors) = if first {
             self.export_tables()
         } else {
             (Vec::new(), Vec::new())
@@ -2281,490 +2213,6 @@ impl Drop for SelectorServer {
     }
 }
 
-// ---------------------------------------------------------------------
-// The batch compatibility layer.
-// ---------------------------------------------------------------------
-
-/// A queued `(target, forest)` job of the batch layer; the master is
-/// resolved at submit time so a batch keeps labeling correctly even if
-/// the registry gains targets mid-batch.
-#[derive(Debug)]
-struct PendingJob {
-    ticket: Ticket,
-    entry: Arc<TargetEntry>,
-    master: Arc<SharedOnDemand>,
-    warm: bool,
-    forest: Forest,
-}
-
-/// The outcome of one batched job.
-#[derive(Debug)]
-pub struct JobResult {
-    /// The ticket [`SelectorService::submit`] returned for this job.
-    pub ticket: Ticket,
-    /// The target the job was labeled against.
-    pub target: String,
-    /// The submitted forest, returned to the caller.
-    pub forest: Forest,
-    /// The labeling, pinned to the exact snapshot its state ids refer
-    /// to, or why labeling failed.
-    pub outcome: Result<PinnedLabeling, LabelError>,
-    /// Wall-clock time this job spent labeling on its worker.
-    pub latency: Duration,
-}
-
-impl JobResult {
-    /// The epoch of the snapshot this job's labeling is pinned to.
-    pub fn epoch(&self) -> Option<u64> {
-        self.outcome.as_ref().ok().map(|p| p.snapshot().epoch())
-    }
-
-    /// Reduces the job to instructions against its pinned snapshot's
-    /// grammar.
-    ///
-    /// # Errors
-    ///
-    /// [`SelectError::Label`] if the job's labeling failed,
-    /// [`SelectError::Reduce`] if the forest is not derivable from the
-    /// start symbol.
-    pub fn reduce(&self) -> Result<Reduction, SelectError> {
-        match &self.outcome {
-            Ok(pinned) => Ok(reduce_forest(
-                &self.forest,
-                pinned.snapshot().grammar(),
-                &pinned.chooser(),
-            )?),
-            Err(e) => Err(SelectError::Label(e.clone())),
-        }
-    }
-}
-
-/// Per-target accounting of one drained batch.
-#[derive(Debug, Clone)]
-pub struct TargetBatchStats {
-    /// The target name.
-    pub target: String,
-    /// Jobs of this target in the batch.
-    pub jobs: usize,
-    /// IR nodes across those jobs.
-    pub nodes: u64,
-    /// Jobs whose labeling failed.
-    pub failed: usize,
-    /// Work this batch performed on the target's master — including its
-    /// maintenance quanta — as a counter delta across the drain
-    /// (approximate if another thread drains the same target
-    /// concurrently).
-    pub counters: WorkCounters,
-    /// Minimum and maximum snapshot epoch the batch's labelings were
-    /// pinned to, when at least one job succeeded.
-    pub epochs: Option<(u64, u64)>,
-    /// Whether this target's master was warm-started from persisted
-    /// tables.
-    pub warm_started: bool,
-    /// Accounted bytes of the target's tables when the drain finished
-    /// (after the batch's maintenance quanta — so with a budget
-    /// configured this never exceeds it).
-    pub table_bytes: usize,
-    /// The budget enforcement this batch's maintenance quanta
-    /// triggered for the target, if its [`MemoryBudget`] tripped.
-    pub pressure: Option<PressureEvent>,
-}
-
-/// Latency percentiles over one batch's jobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LatencyStats {
-    /// Median per-job labeling latency.
-    pub p50: Duration,
-    /// 99th-percentile per-job labeling latency.
-    pub p99: Duration,
-    /// Slowest job.
-    pub max: Duration,
-}
-
-impl LatencyStats {
-    /// Percentiles via the shared telemetry histogram (log-linear
-    /// buckets, interpolated nearest-rank quantiles — within one
-    /// sub-bucket width of the sort-based order statistics this used to
-    /// compute). `max` stays exact: the histogram tracks it aside.
-    fn from_durations(samples: Vec<Duration>) -> LatencyStats {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        let h = odburg_core::Histogram::from_durations(&samples);
-        LatencyStats {
-            p50: h.quantile_duration(0.50),
-            p99: h.quantile_duration(0.99),
-            max: Duration::from_nanos(h.max()),
-        }
-    }
-
-    fn from_results(results: &[JobResult]) -> LatencyStats {
-        LatencyStats::from_durations(results.iter().map(|r| r.latency).collect())
-    }
-}
-
-/// Everything [`SelectorService::drain`] learned about one batch.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-job results, in ticket order.
-    pub results: Vec<JobResult>,
-    /// Per-target accounting, in first-submission order.
-    pub per_target: Vec<TargetBatchStats>,
-    /// Latency percentiles across the batch.
-    pub latency: LatencyStats,
-    /// Wall-clock time of the whole drain.
-    pub wall: Duration,
-    /// Worker threads the batch was sharded across.
-    pub workers: usize,
-}
-
-impl BatchReport {
-    /// Number of jobs whose labeling failed.
-    pub fn failed(&self) -> usize {
-        self.results.iter().filter(|r| r.outcome.is_err()).count()
-    }
-}
-
-/// The batch-compatible front end: `submit` queues, `drain` runs the
-/// whole batch through a private [`SelectorServer`] and blocks for the
-/// full report. See the [module docs](self); new code should prefer the
-/// server API.
-#[derive(Debug)]
-pub struct SelectorService {
-    /// Worker-pool size for the batch server; the rest of the
-    /// [`ServiceConfig`] lives on in the shared registry (tables
-    /// directory, default budget) — the authoritative copies.
-    workers: usize,
-    registry: Arc<Registry>,
-    /// The lazily started server the batches run on. Uncapped queue:
-    /// `drain` must never lose a job to backpressure.
-    server: Mutex<Option<Arc<SelectorServer>>>,
-    queue: Mutex<Vec<PendingJob>>,
-}
-
-impl SelectorService {
-    /// An empty service: no targets registered, nothing queued.
-    pub fn new(config: ServiceConfig) -> Self {
-        let registry = Arc::new(Registry::new(
-            config.tables_dir,
-            config.memory_budget,
-            config.analysis_policy,
-        ));
-        SelectorService {
-            workers: config.workers,
-            registry,
-            server: Mutex::new(None),
-            queue: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A service with all six built-in targets
-    /// ([`odburg_targets::TARGET_NAMES`]) pre-registered.
-    pub fn with_builtin_targets(config: ServiceConfig) -> Self {
-        let svc = SelectorService::new(config);
-        for grammar in odburg_targets::all() {
-            svc.register(&grammar)
-                .expect("built-in target names are unique");
-        }
-        svc
-    }
-
-    /// Registers a grammar under its own name with the default automaton
-    /// configuration. Registration is allowed at any time, including
-    /// while jobs are queued (already-submitted jobs are unaffected).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register(&self, grammar: &Grammar) -> Result<(), ServiceError> {
-        self.register_normal(grammar.name(), Arc::new(grammar.normalize()))
-    }
-
-    /// Registers an already-normalized grammar under `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_normal(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-    ) -> Result<(), ServiceError> {
-        self.register_with_mode(name, grammar, OnDemandConfig::default())
-    }
-
-    /// Registers a grammar with an explicit automaton configuration —
-    /// e.g. a projection-mode master (`project_children: true`), or a
-    /// bounded-memory one. Persisted tables for the target must have
-    /// been exported under the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_with_mode(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-        mode: OnDemandConfig,
-    ) -> Result<(), ServiceError> {
-        self.registry.register_with_mode(name, grammar, mode)
-    }
-
-    /// Overrides the service-level [`ServiceConfig::memory_budget`] for
-    /// one target: `Some(budget)` applies that budget in the target's
-    /// maintenance quanta, `None` opts the target out of budget
-    /// enforcement entirely (even when the service has a default).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn set_memory_budget(
-        &self,
-        target: &str,
-        budget: Option<MemoryBudget>,
-    ) -> Result<(), ServiceError> {
-        let entry = self.registry.entry(target)?;
-        *entry.budget.lock().expect("budget lock") = Some(budget);
-        Ok(())
-    }
-
-    /// The registered target names, sorted.
-    pub fn targets(&self) -> Vec<String> {
-        self.registry.names()
-    }
-
-    /// The normalized grammar a target labels against.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn grammar(&self, target: &str) -> Result<Arc<NormalGrammar>, ServiceError> {
-        Ok(Arc::clone(&self.registry.entry(target)?.grammar))
-    }
-
-    /// The grammar verifier's findings for a registered target, recorded
-    /// at registration time (empty under [`AnalysisPolicy::Off`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn diagnostics(&self, target: &str) -> Result<Vec<Diagnostic>, ServiceError> {
-        Ok(self.registry.entry(target)?.diagnostics.clone())
-    }
-
-    /// The target's shared master, building (and warm-starting) it on
-    /// first use. Useful for inspection (`stats`, `snapshots_retained`)
-    /// and for labeling outside the batch path.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] or [`ServiceError::Tables`].
-    pub fn shared(&self, target: &str) -> Result<Arc<SharedOnDemand>, ServiceError> {
-        let entry = self.registry.entry(target)?;
-        entry
-            .master(self.registry.tables_dir.as_deref())
-            .map(|(m, _)| m)
-    }
-
-    /// Queues `forest` for labeling against `target` and returns the
-    /// job's ticket. Building (or warm-starting) the target's master
-    /// happens here, on first submission — not inside the drain.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] or [`ServiceError::Tables`].
-    pub fn submit(&self, target: &str, forest: Forest) -> Result<Ticket, ServiceError> {
-        let entry = self.registry.entry(target)?;
-        let (master, warm) = entry.master(self.registry.tables_dir.as_deref())?;
-        let ticket = self.registry.allocate_ticket();
-        self.queue.lock().expect("queue lock").push(PendingJob {
-            ticket,
-            entry,
-            master,
-            warm,
-            forest,
-        });
-        Ok(ticket)
-    }
-
-    /// Number of jobs currently queued.
-    pub fn pending(&self) -> usize {
-        self.queue.lock().expect("queue lock").len()
-    }
-
-    /// The telemetry hub of the batch server, once a drain has started
-    /// it (`None` before the first drain). See
-    /// [`SelectorServer::telemetry`].
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.server
-            .lock()
-            .expect("server slot lock")
-            .as_ref()
-            .map(|server| Arc::clone(server.telemetry()))
-    }
-
-    /// The batch server, started on first drain.
-    fn server(&self) -> Arc<SelectorServer> {
-        let mut slot = self.server.lock().expect("server slot lock");
-        if let Some(server) = &*slot {
-            return Arc::clone(server);
-        }
-        // Default scheduling (Edf degenerates to arrival order for the
-        // deadline-less batch jobs), no shedding, no fair queueing: the
-        // batch contract is every submitted job labels.
-        let server = Arc::new(SelectorServer::with_registry(
-            Arc::clone(&self.registry),
-            &ServerConfig {
-                workers: self.workers,
-                ..ServerConfig::default()
-            },
-            usize::MAX,
-            false,
-        ));
-        *slot = Some(Arc::clone(&server));
-        server
-    }
-
-    /// Takes every queued job, runs the batch through the server's
-    /// persistent worker pool, and blocks for the per-job results.
-    /// Budget enforcement happens in the maintenance quanta the batch's
-    /// jobs schedule; the drain waits for those quanta before sampling
-    /// table sizes, so the report reflects post-enforcement tables.
-    /// Concurrent `drain` calls are allowed; each job is handed to
-    /// exactly one of them.
-    pub fn drain(&self) -> BatchReport {
-        let jobs: Vec<PendingJob> = std::mem::take(&mut *self.queue.lock().expect("queue lock"));
-        if jobs.is_empty() {
-            // Nothing queued: no server start, an empty report. Keeps
-            // serve-style polling loops cheap.
-            return BatchReport {
-                results: Vec::new(),
-                per_target: Vec::new(),
-                latency: LatencyStats::default(),
-                wall: Duration::ZERO,
-                workers: 0,
-            };
-        }
-        let started = Instant::now();
-        let server = self.server();
-
-        // Per-target bookkeeping, in first-submission order: the entry
-        // and master handles plus the cumulative counters before the
-        // batch runs (master work + service events).
-        let mut involved: Vec<(Arc<TargetEntry>, Arc<SharedOnDemand>, bool, WorkCounters)> =
-            Vec::new();
-        for job in &jobs {
-            if !involved
-                .iter()
-                .any(|(entry, ..)| entry.name == job.entry.name)
-            {
-                job.entry
-                    .last_pressure
-                    .lock()
-                    .expect("pressure lock")
-                    .take();
-                involved.push((
-                    Arc::clone(&job.entry),
-                    Arc::clone(&job.master),
-                    job.warm,
-                    job.entry.counters(),
-                ));
-            }
-        }
-
-        let mut handles: Vec<JobHandle> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let handle = server
-                .enqueue(
-                    Some(job.ticket),
-                    job.entry,
-                    job.master,
-                    job.forest,
-                    JobOptions::default(),
-                    false,
-                )
-                .expect("uncapped batch submission cannot be rejected");
-            handles.push(handle);
-        }
-        let mut results: Vec<JobResult> = handles
-            .into_iter()
-            .map(|handle| {
-                let done = handle.wait();
-                JobResult {
-                    ticket: done.ticket,
-                    target: done.target,
-                    forest: done.forest,
-                    outcome: match done.outcome {
-                        Ok(pinned) => Ok(pinned),
-                        Err(JobError::Label(e)) => Err(e),
-                        Err(JobError::DeadlineExceeded { .. }) => {
-                            unreachable!("batch jobs are submitted without deadlines")
-                        }
-                        // The server contains worker panics; the batch
-                        // API predates that and always re-panicked the
-                        // drain caller (scoped threads) — keep doing so.
-                        Err(JobError::Panicked { message }) => {
-                            panic!("batch labeling panicked: {message}")
-                        }
-                    },
-                    latency: done.latency,
-                }
-            })
-            .collect();
-        results.sort_unstable_by_key(|r| r.ticket);
-
-        // Wait for the maintenance quanta this batch scheduled, so the
-        // per-target table sizes below are post-enforcement.
-        server.wait_idle();
-
-        let per_target = involved
-            .into_iter()
-            .map(|(entry, master, warm_started, before)| {
-                let pressure = entry.last_pressure.lock().expect("pressure lock").take();
-                let target = entry.name.clone();
-                let mine = results.iter().filter(|r| r.target == target);
-                let mut jobs = 0;
-                let mut nodes = 0u64;
-                let mut failed = 0;
-                let mut epochs: Option<(u64, u64)> = None;
-                for r in mine {
-                    jobs += 1;
-                    nodes += r.forest.len() as u64;
-                    match r.epoch() {
-                        Some(e) => {
-                            epochs = Some(match epochs {
-                                Some((lo, hi)) => (lo.min(e), hi.max(e)),
-                                None => (e, e),
-                            });
-                        }
-                        None => failed += 1,
-                    }
-                }
-                TargetBatchStats {
-                    target,
-                    jobs,
-                    nodes,
-                    failed,
-                    counters: entry.counters().since(&before),
-                    epochs,
-                    warm_started,
-                    table_bytes: master.accounted_bytes().total(),
-                    pressure,
-                }
-            })
-            .collect();
-
-        let latency = LatencyStats::from_results(&results);
-        BatchReport {
-            results,
-            per_target,
-            latency,
-            wall: started.elapsed(),
-            workers: server.worker_count(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2778,78 +2226,76 @@ mod tests {
         f
     }
 
-    fn two_workers() -> ServiceConfig {
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
+    /// A batch server: an uncapped queue, so no job is ever rejected.
+    fn batch_config(workers: usize) -> ServerConfig {
+        ServerConfig {
+            workers,
+            queue_cap: usize::MAX,
+            ..ServerConfig::default()
         }
     }
 
     #[test]
     fn batch_labels_across_targets() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        let t0 = svc
-            .submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
-            .unwrap();
-        let t1 = svc
-            .submit("x86ish", forest("(AddI4 (ConstI4 1) (ConstI4 2))"))
-            .unwrap();
-        let t2 = svc
-            .submit("demo", forest("(StoreI8 (AddrLocalP @y) (ConstI8 2))"))
-            .unwrap();
-        assert_eq!(svc.pending(), 3);
-        let report = svc.drain();
-        assert_eq!(svc.pending(), 0);
-        assert_eq!(report.failed(), 0);
-        assert_eq!(
-            report.results.iter().map(|r| r.ticket).collect::<Vec<_>>(),
-            vec![t0, t1, t2]
-        );
+        let server = SelectorServer::with_builtin_targets(batch_config(2));
+        let handles: Vec<JobHandle> = [
+            ("demo", "(StoreI8 (AddrLocalP @x) (ConstI8 1))"),
+            ("x86ish", "(AddI4 (ConstI4 1) (ConstI4 2))"),
+            ("demo", "(StoreI8 (AddrLocalP @y) (ConstI8 2))"),
+        ]
+        .into_iter()
+        .map(|(target, src)| server.try_submit(target, forest(src)).unwrap())
+        .collect();
+        let tickets: Vec<Ticket> = handles.iter().map(JobHandle::ticket).collect();
+        assert!(tickets.windows(2).all(|w| w[0] < w[1]), "{tickets:?}");
+        for (handle, ticket) in handles.into_iter().zip(tickets) {
+            let done = handle.wait();
+            assert_eq!(done.ticket, ticket);
+            assert!(done.epoch().is_some());
+            assert!(!done.reduce().unwrap().instructions.is_empty());
+        }
+        let report = server.shutdown();
+        assert_eq!((report.completed, report.failed), (3, 0));
         let demo = report
             .per_target
             .iter()
             .find(|t| t.target == "demo")
             .unwrap();
-        assert_eq!(demo.jobs, 2);
         assert!(demo.counters.nodes >= 6, "{:?}", demo.counters);
-        assert!(demo.epochs.is_some());
-        for r in &report.results {
-            let red = r.reduce().unwrap();
-            assert!(!red.instructions.is_empty());
-        }
     }
 
     #[test]
     fn unknown_and_duplicate_targets_error() {
-        let svc = SelectorService::with_builtin_targets(ServiceConfig::default());
+        let server = SelectorServer::with_builtin_targets(batch_config(1));
         assert!(matches!(
-            svc.submit("z80", Forest::new()),
-            Err(ServiceError::UnknownTarget { .. })
+            server.try_submit("z80", Forest::new()),
+            Err(SubmitError::Service(ServiceError::UnknownTarget { .. }))
         ));
         assert!(matches!(
-            svc.register(&odburg_targets::demo()),
+            server.register(&odburg_targets::demo()),
             Err(ServiceError::DuplicateTarget { .. })
         ));
-        assert_eq!(svc.targets().len(), 6);
+        assert_eq!(server.targets().len(), 6);
     }
 
     #[test]
     fn mid_batch_registration_extends_the_registry() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+        let server = SelectorServer::with_builtin_targets(batch_config(2));
+        let first = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
             .unwrap();
         // A target registered while jobs are queued serves the same
         // batch.
         let custom =
             odburg_grammar::parse_grammar("%start reg\nreg: ConstI8 (1) \"li {imm}\"\n").unwrap();
-        svc.register_normal("custom", Arc::new(custom.normalize()))
+        server
+            .register_normal("custom", Arc::new(custom.normalize()))
             .unwrap();
-        svc.submit("custom", forest("(ConstI8 7)")).unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
-        assert_eq!(report.results[1].target, "custom");
-        let red = report.results[1].reduce().unwrap();
-        assert_eq!(red.instructions, vec!["li 7".to_owned()]);
+        let second = server.try_submit("custom", forest("(ConstI8 7)")).unwrap();
+        assert!(first.wait().outcome.is_ok());
+        let done = second.wait();
+        assert_eq!(done.target, "custom");
+        assert_eq!(done.reduce().unwrap().instructions, vec!["li 7".to_owned()]);
     }
 
     #[test]
@@ -2864,14 +2310,18 @@ mod tests {
             .unwrap();
             Arc::new(g.normalize())
         };
+        let server = |analysis_policy| {
+            SelectorServer::new(ServerConfig {
+                workers: 1,
+                analysis_policy,
+                ..ServerConfig::default()
+            })
+        };
 
         // Deny: registration fails with the findings attached, and the
         // target never becomes visible.
-        let svc = SelectorService::new(ServiceConfig {
-            analysis_policy: AnalysisPolicy::Deny,
-            ..ServiceConfig::default()
-        });
-        match svc.register_normal("broken", broken()) {
+        let deny = server(AnalysisPolicy::Deny);
+        match deny.register_normal("broken", broken()) {
             Err(ServiceError::Analysis {
                 target,
                 diagnostics,
@@ -2883,52 +2333,37 @@ mod tests {
             }
             other => panic!("expected an analysis rejection, got {other:?}"),
         }
-        assert!(svc.grammar("broken").is_err());
+        assert!(deny.grammar("broken").is_err());
 
         // WarnOnly (the default): everything registers; the findings
         // stay queryable.
-        let svc = SelectorService::new(ServiceConfig::default());
-        svc.register_normal("broken", broken()).unwrap();
-        let diags = svc.diagnostics("broken").unwrap();
+        let warn = server(AnalysisPolicy::WarnOnly);
+        warn.register_normal("broken", broken()).unwrap();
+        let diags = warn.diagnostics("broken").unwrap();
         assert!(diags.iter().any(|d| d.code.as_str() == "G0003"));
 
         // Off: no analysis, no recorded findings.
-        let svc = SelectorService::new(ServiceConfig {
-            analysis_policy: AnalysisPolicy::Off,
-            ..ServiceConfig::default()
-        });
-        svc.register_normal("broken", broken()).unwrap();
-        assert!(svc.diagnostics("broken").unwrap().is_empty());
-
-        // The server front end enforces the same gate.
-        let server = SelectorServer::new(ServerConfig {
-            workers: 1,
-            analysis_policy: AnalysisPolicy::Deny,
-            ..ServerConfig::default()
-        });
-        assert!(matches!(
-            server.register_normal("broken", broken()),
-            Err(ServiceError::Analysis { .. })
-        ));
-        server.shutdown();
+        let off = server(AnalysisPolicy::Off);
+        off.register_normal("broken", broken()).unwrap();
+        assert!(off.diagnostics("broken").unwrap().is_empty());
     }
 
     #[test]
     fn failed_jobs_are_reported_not_fatal() {
-        let svc = SelectorService::with_builtin_targets(two_workers());
-        svc.submit("demo", forest("(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))"))
+        let server = SelectorServer::with_builtin_targets(batch_config(2));
+        let bad = server
+            .try_submit("demo", forest("(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))"))
             .unwrap();
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+        let good = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
             .unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 1);
         assert!(matches!(
-            report.results[0].outcome,
-            Err(LabelError::NoCover { .. })
+            bad.wait().outcome,
+            Err(JobError::Label(LabelError::NoCover { .. }))
         ));
-        assert!(report.results[1].outcome.is_ok());
-        let demo = &report.per_target[0];
-        assert_eq!((demo.jobs, demo.failed), (2, 1));
+        assert!(good.wait().outcome.is_ok());
+        let report = server.shutdown();
+        assert_eq!((report.completed, report.failed), (2, 1));
     }
 
     #[test]
@@ -2945,14 +2380,17 @@ mod tests {
 
         // Today's registry warm-starts and answers the seen workload
         // without ever entering the grow path.
-        let svc = SelectorService::with_builtin_targets(ServiceConfig {
-            workers: 1,
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
             tables_dir: Some(dir),
-            ..ServiceConfig::default()
+            ..batch_config(1)
         });
-        svc.submit("demo", seen).unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
+        assert!(server
+            .try_submit("demo", seen)
+            .unwrap()
+            .wait()
+            .outcome
+            .is_ok());
+        let report = server.shutdown();
         let stats = &report.per_target[0];
         assert!(stats.warm_started);
         assert_eq!(stats.counters.memo_misses, 0, "{:?}", stats.counters);
@@ -2976,16 +2414,15 @@ mod tests {
         // demo's tables masquerading as jvmish's.
         persist::save_tables(&trainer.snapshot(), &dir.join("jvmish.odbt")).unwrap();
 
-        let svc = SelectorService::with_builtin_targets(ServiceConfig {
-            workers: 1,
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
             tables_dir: Some(dir),
-            ..ServiceConfig::default()
+            ..batch_config(1)
         });
-        let err = svc
-            .submit("jvmish", forest("(ConstI8 1)"))
+        let err = server
+            .try_submit("jvmish", forest("(ConstI8 1)"))
             .expect_err("mismatched tables must be rejected");
         match &err {
-            ServiceError::Tables { target, error } => {
+            SubmitError::Service(ServiceError::Tables { target, error }) => {
                 assert_eq!(target, "jvmish");
                 assert!(
                     matches!(error, PersistError::GrammarMismatch { .. }),
@@ -2997,152 +2434,54 @@ mod tests {
         assert!(err.to_string().contains("jvmish"), "{err}");
         assert!(err.to_string().contains("different grammar"), "{err}");
         // The queue stayed clean and unaffected targets still work.
-        assert_eq!(svc.pending(), 0);
-        svc.submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
-            .unwrap();
-        assert_eq!(svc.drain().failed(), 0);
+        assert_eq!(server.queue_depth(), 0);
+        let done = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+            .unwrap()
+            .wait();
+        assert!(done.outcome.is_ok());
     }
 
     #[test]
     fn projection_mode_master_per_target() {
-        let svc = SelectorService::new(two_workers());
+        let server = SelectorServer::new(batch_config(2));
         let normal = Arc::new(odburg_targets::demo().normalize());
-        svc.register_with_mode(
-            "demo-projected",
-            normal,
-            OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            },
-        )
-        .unwrap();
-        svc.submit(
-            "demo-projected",
-            forest("(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))"),
-        )
-        .unwrap();
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
+        server
+            .register_with_mode(
+                "demo-projected",
+                normal,
+                OnDemandConfig {
+                    project_children: true,
+                    ..OnDemandConfig::default()
+                },
+            )
+            .unwrap();
+        let done = server
+            .try_submit(
+                "demo-projected",
+                forest("(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))"),
+            )
+            .unwrap()
+            .wait();
         // The projected master still selects the RMW fold.
-        let red = report.results[0].reduce().unwrap();
+        let red = done.reduce().unwrap();
         assert_eq!(red.total_cost, odburg_grammar::Cost::finite(2));
-    }
-
-    /// A grammar whose dynamic cost depends on the constant's value, so
-    /// distinct constants keep minting new signatures and transitions —
-    /// unbounded growth unless a budget reins it in.
-    fn churn_grammar() -> Arc<NormalGrammar> {
-        let mut g = odburg_grammar::parse_grammar(
-            r#"
-            %grammar churn
-            %start stmt
-            %dyncost val
-            reg: ConstI8 [val]
-            reg: AddI8(reg, reg) (1)
-            stmt: StoreI8(reg, reg) (1)
-            "#,
-        )
-        .unwrap();
-        g.bind_dyncost(
-            "val",
-            Arc::new(|forest: &odburg_ir::Forest, node| {
-                let v = forest.node(node).payload().as_int().unwrap_or(0);
-                odburg_grammar::RuleCost::Finite((v.unsigned_abs() % 911) as u16)
-            }),
-        )
-        .unwrap();
-        Arc::new(g.normalize())
-    }
-
-    #[test]
-    fn memory_budget_is_enforced_per_target_in_drain() {
-        let byte_budget = 24 * 1024;
-        let svc = SelectorService::new(ServiceConfig {
-            workers: 2,
-            memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
-            ..ServiceConfig::default()
-        });
-        svc.register_normal("churn", churn_grammar()).unwrap();
-
-        let mut pressured = 0;
-        for round in 0..24 {
-            for i in 0..12 {
-                let k = round * 100 + i;
-                svc.submit(
-                    "churn",
-                    forest(&format!("(StoreI8 (ConstI8 {k}) (ConstI8 {}))", k + 7)),
-                )
-                .unwrap();
-            }
-            let report = svc.drain();
-            assert_eq!(report.failed(), 0);
-            let t = &report.per_target[0];
-            assert!(
-                t.table_bytes <= byte_budget,
-                "round {round}: {} bytes exceed the budget",
-                t.table_bytes
-            );
-            if let Some(event) = t.pressure {
-                pressured += 1;
-                assert!(event.bytes_before > byte_budget);
-                assert!(event.bytes_after <= byte_budget);
-            }
-        }
-        assert!(pressured > 0, "churn must trip the budget");
-        // The governance activity is visible in the ordinary counters —
-        // and the maintenance quanta that performed it are accounted.
-        let master = svc.shared("churn").unwrap();
-        assert!(master.counters().compactions > 0);
-        assert!(master.counters().states_evicted > 0);
-        assert!(master.counters().maintenance_runs > 0);
-    }
-
-    #[test]
-    fn per_target_budget_overrides_the_service_default() {
-        let svc = SelectorService::new(ServiceConfig {
-            workers: 1,
-            // A default so tight every target would flush each drain…
-            memory_budget: Some(MemoryBudget::flush(1)),
-            ..ServiceConfig::default()
-        });
-        svc.register_normal("governed", churn_grammar()).unwrap();
-        svc.register_normal("exempt", churn_grammar()).unwrap();
-        // …except the one opted out.
-        svc.set_memory_budget("exempt", None).unwrap();
-        assert!(matches!(
-            svc.set_memory_budget("nope", None),
-            Err(ServiceError::UnknownTarget { .. })
-        ));
-
-        for target in ["governed", "exempt"] {
-            svc.submit(target, forest("(StoreI8 (ConstI8 1) (ConstI8 2))"))
-                .unwrap();
-        }
-        let report = svc.drain();
-        assert_eq!(report.failed(), 0);
-        let stats = |name: &str| {
-            report
-                .per_target
-                .iter()
-                .find(|t| t.target == name)
-                .unwrap()
-                .clone()
-        };
-        let governed = stats("governed");
-        assert!(governed.pressure.is_some(), "default budget must apply");
-        assert_eq!(governed.counters.flushes, 1);
-        let exempt = stats("exempt");
-        assert!(exempt.pressure.is_none(), "opt-out must stick");
-        assert!(exempt.table_bytes > 1);
     }
 
     #[test]
     fn drain_on_empty_queue_is_a_cheap_no_op() {
-        let svc = SelectorService::with_builtin_targets(ServiceConfig::default());
-        let report = svc.drain();
-        assert!(report.results.is_empty());
+        // Shutdown drains the queue; with nothing submitted no master is
+        // built, nothing is exported, and the report is empty.
+        let dir = std::env::temp_dir().join(format!("odburg-service-idle-{}", std::process::id()));
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
+            tables_dir: Some(dir.clone()),
+            ..batch_config(1)
+        });
+        let report = server.shutdown();
+        assert_eq!((report.submitted, report.completed), (0, 0));
         assert!(report.per_target.is_empty());
-        assert_eq!(report.latency.p99, Duration::ZERO);
+        assert!(report.exported_tables.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -----------------------------------------------------------------

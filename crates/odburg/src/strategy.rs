@@ -92,14 +92,13 @@ impl Strategy {
         }
     }
 
-    /// Whether this is the strategy the service front ends
-    /// ([`SelectorServer`](crate::service::SelectorServer) and the
-    /// batch-compatible
-    /// [`SelectorService`](crate::service::SelectorService)) label
-    /// with. They always run the shared snapshot core — its lock-free
-    /// readers are what lets a persistent worker pool label
-    /// concurrently — so the CLI rejects any other `--labeler` value
-    /// on `batch`/`serve`.
+    /// Whether this is the strategy the service front end
+    /// ([`SelectorServer`](crate::service::SelectorServer), also behind
+    /// every shard of a [`ShardCluster`](crate::cluster::ShardCluster))
+    /// labels with. It always runs the shared snapshot core — its
+    /// lock-free readers are what lets a persistent worker pool label
+    /// concurrently — so the CLI rejects any other `--labeler` value on
+    /// `batch`, `serve` and `cluster serve`.
     pub fn serves_concurrently(self) -> bool {
         matches!(self, Strategy::Shared)
     }

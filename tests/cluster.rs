@@ -4,33 +4,28 @@
 //! snapshot shipment and across a writer re-election — and no accepted
 //! job may ever be lost, killed shard or not.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use odburg::prelude::*;
 use odburg::workloads::{builtin_traffic, TrafficJob};
 
-/// The DP oracle's reduction of one job: instructions and total cost
-/// from a fresh dynamic-programming labeler, no automata, no sharing.
-fn oracle_reduce(
-    oracles: &mut HashMap<String, (Arc<NormalGrammar>, DpLabeler)>,
-    job: &TrafficJob,
-) -> Reduction {
-    let (normal, dp) = oracles.entry(job.target.clone()).or_insert_with(|| {
-        let grammar = odburg::targets::by_name(&job.target).expect("builtin target");
-        let normal = Arc::new(grammar.normalize());
-        (Arc::clone(&normal), DpLabeler::new(normal))
-    });
-    let labeling = dp.label_forest(&job.forest).expect("oracle labels");
-    odburg::codegen::reduce_forest(&job.forest, normal, &labeling).expect("oracle reduces")
-}
+use common::dp_reduction;
 
+/// Checks one cluster job against the DP oracle; `oracles` caches each
+/// target's normalized grammar.
 fn assert_matches_oracle(
-    oracles: &mut HashMap<String, (Arc<NormalGrammar>, DpLabeler)>,
+    oracles: &mut HashMap<String, Arc<NormalGrammar>>,
     job: &TrafficJob,
     done: &CompletedJob,
 ) {
-    let expected = oracle_reduce(oracles, job);
+    let normal = oracles.entry(job.target.clone()).or_insert_with(|| {
+        let grammar = odburg::targets::by_name(&job.target).expect("builtin target");
+        Arc::new(grammar.normalize())
+    });
+    let expected = dp_reduction(&job.forest, normal);
     let got = done.reduce().expect("cluster job reduces");
     assert_eq!(
         got.instructions, expected.instructions,

@@ -112,3 +112,43 @@ pub fn total_cost(forest: &Forest, normal: &Arc<NormalGrammar>, chooser: &dyn Ru
         .expect("reduce")
         .total_cost
 }
+
+/// The differential oracle: a fresh iburg-style dynamic-programming
+/// labeler, built from scratch for one forest, reduced to instructions.
+/// Every automaton, server and cluster path must match it bit for bit —
+/// instruction sequence and total cost.
+pub fn dp_reduction(forest: &Forest, normal: &Arc<NormalGrammar>) -> Reduction {
+    let mut dp = DpLabeler::new(Arc::clone(normal));
+    let labeling = dp.label_forest(forest).expect("dp labels the forest");
+    odburg::codegen::reduce_forest(forest, normal, &labeling).expect("dp reduces")
+}
+
+/// A grammar where every distinct constant (modulo 257) mints a
+/// distinct signature *and* a distinct normalized state — the imm/reg
+/// cost spread is the value itself — so churny traffic grows every
+/// table component without bound unless a budget reins it in. The
+/// churn workload of the budget, compaction and shutdown tests.
+pub fn churn_grammar() -> Arc<NormalGrammar> {
+    let mut g = parse_grammar(
+        r#"
+        %grammar churn
+        %start stmt
+        %dyncost val
+        imm: ConstI8 (0)
+        reg: ConstI8 [val]
+        reg: AddI8(reg, imm) (1)
+        reg: AddI8(reg, reg) (1)
+        stmt: StoreI8(reg, reg) (1)
+        "#,
+    )
+    .expect("churn grammar parses");
+    g.bind_dyncost(
+        "val",
+        Arc::new(|forest: &Forest, node: NodeId| {
+            let v = forest.node(node).payload().as_int().unwrap_or(0);
+            RuleCost::Finite((v.unsigned_abs() % 257) as u16)
+        }),
+    )
+    .expect("dyncost binds");
+    Arc::new(g.normalize())
+}

@@ -213,18 +213,17 @@ fn concurrent_flushes_stay_correct() {
 #[test]
 fn registry_churn_keeps_retired_snapshots_bounded() {
     // The hazard-pointer `arc_swap` shim under service-shaped registry
-    // churn: worker threads keep submitting and draining batches through
-    // a SelectorService whose master re-publishes a snapshot on nearly
-    // every job (a value-dependent dynamic cost interns a fresh
-    // signature per distinct constant), while a dedicated writer thread
+    // churn: client threads keep submitting batches to a SelectorServer
+    // and waiting them out, while its master re-publishes a snapshot on
+    // nearly every job (a value-dependent dynamic cost interns a fresh
+    // signature per distinct constant) and a dedicated writer thread
     // churns the same master directly. Throughout:
     //
-    // * no labeling may observe a torn snapshot — every drained job must
+    // * no labeling may observe a torn snapshot — every finished job must
     //   reduce to exactly the DpLabeler-optimal cost, and
     // * `snapshots_retained()` must stay bounded by what can still be
     //   referenced (live pins + readers mid-forest), never grow with the
     //   publication count.
-    use odburg::service::{SelectorService, ServiceConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let mut grammar = odburg::grammar::parse_grammar(
@@ -238,7 +237,7 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
     )
     .unwrap();
     // The residue space is wide enough that the constant ranges below
-    // (drainers < 32_000, writer < 45_000, final probe above both) map
+    // (clients < 32_000, writer < 45_000, final probe above both) map
     // to *disjoint* cost residues — so the final probe is guaranteed to
     // intern a fresh signature, publish, and prune.
     grammar
@@ -252,12 +251,15 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
         .unwrap();
     let normal = Arc::new(grammar.normalize());
 
-    let svc = Arc::new(SelectorService::new(ServiceConfig {
+    let server = SelectorServer::new(ServerConfig {
         workers: 2,
-        ..ServiceConfig::default()
-    }));
-    svc.register_normal("churn", Arc::clone(&normal)).unwrap();
-    let shared = svc.shared("churn").unwrap();
+        queue_cap: usize::MAX,
+        ..ServerConfig::default()
+    });
+    server
+        .register_normal("churn", Arc::clone(&normal))
+        .unwrap();
+    let shared = server.shared("churn").unwrap();
 
     let forest_for = |k: i64| {
         let mut f = Forest::new();
@@ -281,7 +283,7 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
             .total_cost
     };
 
-    const DRAIN_THREADS: i64 = 4;
+    const CLIENT_THREADS: i64 = 4;
     const ROUNDS: i64 = 12;
     const JOBS_PER_ROUND: i64 = 4;
     let max_retained = AtomicUsize::new(0);
@@ -289,7 +291,7 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
 
     std::thread::scope(|scope| {
         // The writer: churns the master directly, re-publishing
-        // snapshots underneath the draining batches, and samples the
+        // snapshots underneath the served batches, and samples the
         // retire-list length while doing so.
         {
             let shared = Arc::clone(&shared);
@@ -304,29 +306,31 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
                 }
             });
         }
-        let handles: Vec<_> = (0..DRAIN_THREADS)
+        let handles: Vec<_> = (0..CLIENT_THREADS)
             .map(|t| {
-                let svc = Arc::clone(&svc);
+                let server = &server;
                 let dp_cost = &dp_cost;
                 let forest_for = &forest_for;
                 scope.spawn(move || {
                     for round in 0..ROUNDS {
-                        for j in 0..JOBS_PER_ROUND {
-                            // Distinct constants per (thread, round, job):
-                            // almost every job takes the grow path.
-                            let k = t * 10_000 + round * 100 + j;
-                            svc.submit("churn", forest_for(k)).unwrap();
-                        }
-                        // Concurrent drains race for each other's jobs;
-                        // whatever this drain receives must be untorn.
-                        let report = svc.drain();
-                        for result in &report.results {
-                            let red = result.reduce().unwrap_or_else(|e| {
+                        // Distinct constants per (thread, round, job):
+                        // almost every job takes the grow path.
+                        let handles: Vec<_> = (0..JOBS_PER_ROUND)
+                            .map(|j| {
+                                let k = t * 10_000 + round * 100 + j;
+                                server.try_submit("churn", forest_for(k)).unwrap()
+                            })
+                            .collect();
+                        // The clients' batches interleave on the shared
+                        // workers; every job must come back untorn.
+                        for handle in handles {
+                            let done = handle.wait();
+                            let red = done.reduce().unwrap_or_else(|e| {
                                 panic!("thread {t} round {round}: torn labeling: {e}")
                             });
                             assert_eq!(
                                 red.total_cost,
-                                dp_cost(&result.forest),
+                                dp_cost(&done.forest),
                                 "thread {t} round {round}: labeling disagrees with dp"
                             );
                         }
@@ -342,13 +346,15 @@ fn registry_churn_keeps_retired_snapshots_bounded() {
 
     let published = shared.snapshots_published();
     assert!(
-        published >= (DRAIN_THREADS * ROUNDS) as usize,
+        published >= (CLIENT_THREADS * ROUNDS) as usize,
         "churn workload must actually publish (got {published})"
     );
     // Bounded while under load: at most one pinned snapshot per
-    // in-flight job (each drain pins JOBS_PER_ROUND * DRAIN_THREADS at
-    // worst) plus a guard per thread — far below the publication count.
-    let bound = (DRAIN_THREADS * JOBS_PER_ROUND * DRAIN_THREADS + DRAIN_THREADS + 2) as usize;
+    // in-flight job (JOBS_PER_ROUND per client, CLIENT_THREADS clients;
+    // the bound keeps the slack of a JOBS_PER_ROUND * CLIENT_THREADS batch
+    // per client) plus a guard per thread — far below the publication
+    // count.
+    let bound = (CLIENT_THREADS * JOBS_PER_ROUND * CLIENT_THREADS + CLIENT_THREADS + 2) as usize;
     let observed = max_retained
         .load(Ordering::Relaxed)
         .max(shared.snapshots_retained());

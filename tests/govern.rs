@@ -5,38 +5,13 @@
 //! fresh `DpLabeler` oracle, while the accounted table bytes stay under
 //! the budget.
 
+mod common;
+
 use std::sync::Arc;
 
 use odburg::prelude::*;
-use odburg::service::{SelectorService, ServiceConfig};
 
-/// A grammar where every distinct constant mints a distinct signature
-/// *and* a distinct normalized state (the imm/reg spread is the value),
-/// so churny traffic grows all table components without bound.
-fn churn_grammar() -> Arc<NormalGrammar> {
-    let mut g = parse_grammar(
-        r#"
-        %grammar govchurn
-        %start stmt
-        %dyncost val
-        imm: ConstI8 (0)
-        reg: ConstI8 [val]
-        reg: AddI8(reg, imm) (1)
-        reg: AddI8(reg, reg) (1)
-        stmt: StoreI8(reg, reg) (1)
-        "#,
-    )
-    .unwrap();
-    g.bind_dyncost(
-        "val",
-        Arc::new(|forest: &Forest, node| {
-            let v = forest.node(node).payload().as_int().unwrap_or(0);
-            RuleCost::Finite((v.unsigned_abs() % 257) as u16)
-        }),
-    )
-    .unwrap();
-    Arc::new(g.normalize())
-}
+use common::{churn_grammar, dp_reduction};
 
 fn churn_forest(k: u64) -> Forest {
     let mut f = Forest::new();
@@ -51,12 +26,6 @@ fn churn_forest(k: u64) -> Forest {
     .unwrap();
     f.add_root(root);
     f
-}
-
-fn oracle_reduction(normal: &Arc<NormalGrammar>, forest: &Forest) -> Reduction {
-    let mut dp = DpLabeler::new(Arc::clone(normal));
-    let labeling = dp.label_forest(forest).unwrap();
-    reduce_forest(forest, normal, &labeling).unwrap()
 }
 
 #[test]
@@ -81,7 +50,7 @@ fn compaction_epoch_labelings_are_bit_identical_to_dp() {
     for k in 0..120 {
         let forest = churn_forest(k * 10);
         let pinned = shared.label_forest_pinned(&forest).unwrap();
-        let expected = oracle_reduction(&normal, &forest);
+        let expected = dp_reduction(&forest, &normal);
 
         // Bit-identical now: full instruction sequence and total cost.
         let got = reduce_forest(&forest, pinned.snapshot().grammar(), &pinned.chooser()).unwrap();
@@ -139,7 +108,7 @@ fn single_threaded_compact_policy_is_bit_identical_to_dp() {
         let forest = churn_forest(k * 7);
         let labeling = auto.label_forest(&forest).unwrap();
         let got = reduce_forest(&forest, &normal, &labeling.chooser(&auto)).unwrap();
-        let expected = oracle_reduction(&normal, &forest);
+        let expected = dp_reduction(&forest, &normal);
         assert_eq!(got.instructions, expected.instructions, "forest {k}");
         assert_eq!(got.total_cost, expected.total_cost, "forest {k}");
         assert!(
@@ -160,33 +129,44 @@ fn service_budget_enforcement_is_bit_identical_to_dp() {
         MemoryBudget::compact(10 * 1024, 0.5),
         MemoryBudget::flush(10 * 1024),
     ] {
-        let svc = SelectorService::new(ServiceConfig {
+        let server = SelectorServer::new(ServerConfig {
             workers: 2,
+            queue_cap: usize::MAX,
             memory_budget: Some(budget),
-            ..ServiceConfig::default()
+            ..ServerConfig::default()
         });
-        svc.register_normal("churn", Arc::clone(&normal)).unwrap();
-        let mut held: Vec<(odburg::service::JobResult, Reduction)> = Vec::new();
+        server
+            .register_normal("churn", Arc::clone(&normal))
+            .unwrap();
+        let master = server.shared("churn").unwrap();
+        let mut held: Vec<(CompletedJob, Reduction)> = Vec::new();
         let mut pressured = false;
         for round in 0..30 {
-            for i in 0..8u64 {
-                svc.submit("churn", churn_forest(round * 80 + i * 9))
-                    .unwrap();
-            }
-            let report = svc.drain();
-            assert_eq!(report.failed(), 0, "round {round}");
-            let t = &report.per_target[0];
-            pressured |= t.pressure.is_some();
-            assert!(t.table_bytes <= 10 * 1024, "round {round}");
-            for job in report.results {
-                let expected = oracle_reduction(&normal, &job.forest);
+            let before = master.counters();
+            let handles: Vec<JobHandle> = (0..8u64)
+                .map(|i| {
+                    server
+                        .try_submit("churn", churn_forest(round * 80 + i * 9))
+                        .unwrap()
+                })
+                .collect();
+            for job in handles.into_iter().map(JobHandle::wait) {
+                let expected = dp_reduction(&job.forest, &normal);
                 let got = job.reduce().unwrap();
-                assert_eq!(got.instructions, expected.instructions);
-                assert_eq!(got.total_cost, expected.total_cost);
+                assert_eq!(got.instructions, expected.instructions, "round {round}");
+                assert_eq!(got.total_cost, expected.total_cost, "round {round}");
                 if held.len() < 6 {
                     held.push((job, expected));
                 }
             }
+            // The round's maintenance quanta ran: the budget holds.
+            server.wait_idle();
+            let delta = master.counters().since(&before);
+            pressured |= delta.compactions + delta.flushes > 0;
+            assert!(
+                master.accounted_bytes().total() <= 10 * 1024,
+                "round {round}"
+            );
         }
         assert!(pressured, "{budget:?} never tripped");
         // Early jobs, pinned to long-retired epochs, still agree.
@@ -195,5 +175,106 @@ fn service_budget_enforcement_is_bit_identical_to_dp() {
             assert_eq!(got.instructions, expected.instructions);
             assert_eq!(got.total_cost, expected.total_cost);
         }
+        assert_eq!(server.shutdown().failed, 0);
     }
+}
+
+/// `(StoreI8 (ConstI8 a) (ConstI8 b))`: two fresh constants per job.
+fn store_forest(a: u64, b: u64) -> Forest {
+    let mut f = Forest::new();
+    let root = parse_sexpr(&mut f, &format!("(StoreI8 (ConstI8 {a}) (ConstI8 {b}))")).unwrap();
+    f.add_root(root);
+    f
+}
+
+#[test]
+fn server_budget_is_enforced_per_target_between_jobs() {
+    let byte_budget = 24 * 1024;
+    let server = SelectorServer::new(ServerConfig {
+        workers: 2,
+        queue_cap: usize::MAX,
+        memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
+        ..ServerConfig::default()
+    });
+    server.register_normal("churn", churn_grammar()).unwrap();
+    let master = server.shared("churn").unwrap();
+
+    let mut pressured = 0;
+    for round in 0..24u64 {
+        let before = master.counters();
+        let handles: Vec<JobHandle> = (0..12u64)
+            .map(|i| {
+                let k = round * 100 + i;
+                server.try_submit("churn", store_forest(k, k + 7)).unwrap()
+            })
+            .collect();
+        for handle in handles {
+            assert!(handle.wait().outcome.is_ok(), "round {round}");
+        }
+        // The round's maintenance quanta have run: the tables fit.
+        server.wait_idle();
+        let bytes = master.accounted_bytes().total();
+        assert!(
+            bytes <= byte_budget,
+            "round {round}: {bytes} bytes exceed the budget"
+        );
+        if master.counters().since(&before).compactions > 0 {
+            pressured += 1;
+        }
+    }
+    assert!(pressured > 0, "churn must trip the budget");
+    // The governance activity is visible in the ordinary counters — and
+    // the maintenance quanta that performed it are accounted.
+    let counters = master.counters();
+    assert!(counters.compactions > 0);
+    assert!(counters.states_evicted > 0);
+    assert!(counters.maintenance_runs > 0);
+    // The report carries the last pressure event, which kept the budget.
+    let report = server.shutdown();
+    let event = report.per_target[0].pressure.expect("the budget tripped");
+    assert!(event.bytes_before > byte_budget);
+    assert!(event.bytes_after <= byte_budget);
+}
+
+#[test]
+fn per_target_budget_overrides_the_server_default() {
+    let server = SelectorServer::new(ServerConfig {
+        workers: 1,
+        queue_cap: usize::MAX,
+        // A default so tight every target would flush after each job…
+        memory_budget: Some(MemoryBudget::flush(1)),
+        ..ServerConfig::default()
+    });
+    server.register_normal("governed", churn_grammar()).unwrap();
+    server.register_normal("exempt", churn_grammar()).unwrap();
+    // …except the one opted out.
+    server.set_memory_budget("exempt", None).unwrap();
+    assert!(matches!(
+        server.set_memory_budget("nope", None),
+        Err(ServiceError::UnknownTarget { .. })
+    ));
+
+    let handles: Vec<JobHandle> = ["governed", "exempt"]
+        .into_iter()
+        .map(|target| server.try_submit(target, store_forest(1, 2)).unwrap())
+        .collect();
+    for handle in handles {
+        assert!(handle.wait().outcome.is_ok());
+    }
+    let report = server.shutdown();
+    assert_eq!(report.failed, 0);
+    let stats = |name: &str| {
+        report
+            .per_target
+            .iter()
+            .find(|t| t.target == name)
+            .unwrap()
+            .clone()
+    };
+    let governed = stats("governed");
+    assert!(governed.pressure.is_some(), "default budget must apply");
+    assert_eq!(governed.counters.flushes, 1);
+    let exempt = stats("exempt");
+    assert!(exempt.pressure.is_none(), "opt-out must stick");
+    assert!(exempt.table_bytes > 1);
 }

@@ -3,7 +3,7 @@
 //! graceful shutdown with pinned labelings straddling a compaction —
 //! every successful labeling cross-checked **bit-identically** (full
 //! instruction sequence + total cost) against a fresh [`DpLabeler`]
-//! oracle, exactly as `tests/service_fuzz.rs` does for the batch path.
+//! oracle, exactly as `tests/service_fuzz.rs` does for uncapped batches.
 //!
 //! The conservation law under test everywhere: every submitted job is
 //! either completed, typed-rejected (`QueueFull`), or deadline-expired
@@ -24,41 +24,7 @@ use odburg::service::{
 };
 use odburg::workloads::TreeSampler;
 
-use common::random_grammar;
-
-/// The oracle: a fresh iburg-style dynamic-programming labeler, built
-/// from scratch for one forest, reduced to instructions.
-fn dp_reduction(forest: &Forest, normal: &Arc<NormalGrammar>) -> Reduction {
-    let mut dp = DpLabeler::new(Arc::clone(normal));
-    let labeling = dp.label_forest(forest).expect("dp labels sampled trees");
-    odburg::codegen::reduce_forest(forest, normal, &labeling).expect("dp reduces")
-}
-
-/// A grammar whose dynamic cost depends on the constant's value, so
-/// distinct constants keep minting signatures — the compaction churn
-/// driver.
-fn churn_grammar() -> Arc<NormalGrammar> {
-    let mut g = odburg::grammar::parse_grammar(
-        r#"
-        %grammar churn
-        %start stmt
-        %dyncost val
-        reg: ConstI8 [val]
-        reg: AddI8(reg, reg) (1)
-        stmt: StoreI8(reg, reg) (1)
-        "#,
-    )
-    .unwrap();
-    g.bind_dyncost(
-        "val",
-        Arc::new(|forest: &Forest, node: odburg::ir::NodeId| {
-            let v = forest.node(node).payload().as_int().unwrap_or(0);
-            RuleCost::Finite((v.unsigned_abs() % 911) as u16)
-        }),
-    )
-    .unwrap();
-    Arc::new(g.normalize())
-}
+use common::{churn_grammar, dp_reduction, random_grammar};
 
 fn churn_forest(k: i64) -> Forest {
     let mut f = Forest::new();

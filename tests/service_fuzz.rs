@@ -1,6 +1,7 @@
 //! Differential fuzzing of the selection service: proptest-generated
-//! random grammars and forests go through [`SelectorService`]'s batch
-//! path (worker pool, snapshot pinning, registry), and every result is
+//! random grammars and forests go through a [`SelectorServer`] batch
+//! (uncapped queue, worker pool, snapshot pinning, registry), and every
+//! result is
 //! cross-checked **bit-identically** — full instruction sequence and
 //! total cost — against a fresh [`DpLabeler`] oracle built for just
 //! that job. The service is allowed no deviation at all: the concurrent
@@ -14,24 +15,17 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use odburg::prelude::*;
-use odburg::service::SelectorService;
 use odburg::workloads::TreeSampler;
 
-use common::random_grammar;
+use common::{dp_reduction, random_grammar};
 
-/// The oracle: a fresh iburg-style dynamic-programming labeler, built
-/// from scratch for one forest, reduced to instructions.
-fn dp_reduction(forest: &Forest, normal: &Arc<NormalGrammar>) -> Reduction {
-    let mut dp = DpLabeler::new(Arc::clone(normal));
-    let labeling = dp.label_forest(forest).expect("dp labels sampled trees");
-    odburg::codegen::reduce_forest(forest, normal, &labeling).expect("dp reduces")
-}
-
-fn two_workers() -> ServiceConfig {
-    ServiceConfig {
+/// A two-worker batch server: uncapped, so every job is accepted.
+fn batch_server() -> SelectorServer {
+    SelectorServer::new(ServerConfig {
         workers: 2,
-        ..ServiceConfig::default()
-    }
+        queue_cap: usize::MAX,
+        ..ServerConfig::default()
+    })
 }
 
 proptest! {
@@ -41,63 +35,58 @@ proptest! {
 
     #[test]
     fn service_batches_agree_bit_identically_with_dp(seed in 0u64..1_000_000) {
-        let svc = SelectorService::new(two_workers());
+        let server = batch_server();
         let alpha = Arc::new(random_grammar(seed).normalize());
         let beta = Arc::new(random_grammar(seed ^ 0x5EED).normalize());
-        svc.register_normal("alpha", Arc::clone(&alpha)).unwrap();
+        server.register_normal("alpha", Arc::clone(&alpha)).unwrap();
         // One projection-mode master per batch: lazy representer states
         // must be just as invisible as the direct tables.
-        svc.register_with_mode(
+        server.register_with_mode(
             "beta",
             Arc::clone(&beta),
             OnDemandConfig { project_children: true, ..OnDemandConfig::default() },
         )
         .unwrap();
 
-        let mut expected: Vec<(Ticket, Arc<NormalGrammar>, Forest)> = Vec::new();
-        let mut enqueue = |svc: &SelectorService, name: &str, normal: &Arc<NormalGrammar>, salt: u64| {
+        let mut expected: Vec<(JobHandle, Arc<NormalGrammar>, Forest)> = Vec::new();
+        let mut enqueue = |server: &SelectorServer, name: &str, normal: &Arc<NormalGrammar>, salt: u64| {
             let mut sampler = TreeSampler::new(normal, seed ^ salt);
             let forest = sampler.sample_forest(8);
-            let ticket = svc.submit(name, forest.clone()).unwrap();
-            expected.push((ticket, Arc::clone(normal), forest));
+            let handle = server.try_submit(name, forest.clone()).unwrap();
+            expected.push((handle, Arc::clone(normal), forest));
         };
-        enqueue(&svc, "alpha", &alpha, 0xA1);
-        enqueue(&svc, "beta", &beta, 0xB2);
+        enqueue(&server, "alpha", &alpha, 0xA1);
+        enqueue(&server, "beta", &beta, 0xB2);
         // Mid-batch registration: a third grammar joins while jobs are
         // already queued, and serves the same batch.
         let gamma = Arc::new(random_grammar(seed ^ 0xC0C0).normalize());
-        svc.register_normal("gamma", Arc::clone(&gamma)).unwrap();
-        enqueue(&svc, "gamma", &gamma, 0xC3);
+        server.register_normal("gamma", Arc::clone(&gamma)).unwrap();
+        enqueue(&server, "gamma", &gamma, 0xC3);
         // And the first target again, now against warmed tables.
-        enqueue(&svc, "alpha", &alpha, 0xA4);
+        enqueue(&server, "alpha", &alpha, 0xA4);
 
-        let report = svc.drain();
-        prop_assert_eq!(report.results.len(), expected.len());
-        prop_assert_eq!(report.failed(), 0);
-        prop_assert_eq!(svc.pending(), 0);
-
-        for (result, (ticket, normal, forest)) in report.results.iter().zip(&expected) {
-            prop_assert_eq!(result.ticket, *ticket);
-            prop_assert_eq!(result.forest.len(), forest.len());
-            let got = result.reduce().expect("service job reduces");
-            let want = dp_reduction(forest, normal);
+        let jobs = expected.len() as u64;
+        for (handle, normal, forest) in expected {
+            let ticket = handle.ticket();
+            let done = handle.wait();
+            prop_assert_eq!(done.ticket, ticket);
+            prop_assert_eq!(done.forest.len(), forest.len());
+            prop_assert!(done.epoch().is_some());
+            let got = done.reduce().expect("service job reduces");
+            let want = dp_reduction(&forest, &normal);
             prop_assert_eq!(
                 &got.instructions,
                 &want.instructions,
                 "seed {}: service and dp chose different code for {}",
                 seed,
-                result.ticket
+                ticket
             );
             prop_assert_eq!(got.total_cost, want.total_cost, "seed {}", seed);
         }
 
-        // The per-target accounting covers exactly the submitted jobs.
-        let jobs_accounted: usize = report.per_target.iter().map(|t| t.jobs).sum();
-        prop_assert_eq!(jobs_accounted, expected.len());
-        for t in &report.per_target {
-            prop_assert_eq!(t.failed, 0);
-            prop_assert!(t.epochs.is_some());
-        }
+        // The server's accounting covers exactly the submitted jobs.
+        let report = server.shutdown();
+        prop_assert_eq!((report.accepted, report.completed, report.failed), (jobs, jobs, 0));
     }
 
     #[test]
@@ -105,27 +94,27 @@ proptest! {
         // A forest using an operator the grammar has no rule for must
         // come back as a per-job NoCover, while every other job in the
         // same batch still matches the oracle.
-        let svc = SelectorService::new(two_workers());
+        let server = batch_server();
         let normal = Arc::new(random_grammar(seed).normalize());
-        svc.register_normal("only", Arc::clone(&normal)).unwrap();
+        server.register_normal("only", Arc::clone(&normal)).unwrap();
 
         let mut sampler = TreeSampler::new(&normal, seed ^ 0x0DD);
         let good = sampler.sample_forest(6);
-        svc.submit("only", good.clone()).unwrap();
+        let good_job = server.try_submit("only", good.clone()).unwrap();
 
         let mut bad = Forest::new();
         let root = parse_sexpr(&mut bad, "(MulF8 (ConstF8 #1.5) (ConstF8 #2.5))").unwrap();
         bad.add_root(root);
-        svc.submit("only", bad).unwrap();
+        let bad_job = server.try_submit("only", bad).unwrap();
 
-        let report = svc.drain();
-        prop_assert_eq!(report.failed(), 1);
-        prop_assert!(report.results[0].outcome.is_ok());
+        let good_done = good_job.wait();
+        prop_assert!(good_done.outcome.is_ok());
         prop_assert!(matches!(
-            report.results[1].outcome,
-            Err(LabelError::NoCover { .. })
+            bad_job.wait().outcome,
+            Err(JobError::Label(LabelError::NoCover { .. }))
         ));
-        let got = report.results[0].reduce().expect("good job reduces");
+        prop_assert_eq!(server.shutdown().failed, 1);
+        let got = good_done.reduce().expect("good job reduces");
         let want = dp_reduction(&good, &normal);
         prop_assert_eq!(&got.instructions, &want.instructions);
         prop_assert_eq!(got.total_cost, want.total_cost);
