@@ -1,20 +1,22 @@
-//! **The warm labeling hot path: dense index vs. the FxHashMap
+//! **The warm labeling hot path: slot tables vs. the FxHashMap
 //! baseline.**
 //!
-//! Every snapshot publication now additionally builds a dense warm-path
-//! index — per-operator grouped, open-addressed transition slots plus
-//! structure-of-arrays state facts — and the lock-free fast path labels
-//! forests by topological levels against it. This binary measures what
-//! that buys on a **fully warm** snapshot: ns/node for the dense
-//! level-batched walk (`AutomatonSnapshot::label_warm`) against the
-//! retained per-node `FxHashMap` walk (`label_warm_hash`, the exact
-//! pre-dense fast path) across the six built-in targets.
+//! The automaton's tables are per-operator grouped, open-addressed
+//! transition slots (plus a projection and a signature slot table),
+//! shared copy-on-write by the master and its snapshots, and the
+//! lock-free fast path labels forests by topological levels against
+//! them. This binary measures what that layout buys on a **fully warm**
+//! snapshot: ns/node for the level-batched slot-table walk
+//! (`AutomatonSnapshot::label_warm`, reported as `dense`) against a
+//! per-node `FxHashMap` walk (reported as `hash`, the fast path before
+//! the slot tables) across the six built-in targets. The baseline's
+//! maps are built here from the snapshot's raw entries.
 //!
 //! Both walks run over the same published snapshot and the same
 //! sampled forest, and are asserted to resolve identical states with
 //! **zero** warm misses — the comparison is purely the lookup
 //! structures. The summary is written to `target/label_hot.json` for
-//! the CI hot-path smoke job; absolute numbers come from a single-CPU
+//! the CI hot-path smoke job; absolute numbers come from a small shared
 //! dev container, so read the ratios, not the nanoseconds.
 //!
 //! Regenerate with: `cargo run --release -p odburg_bench --bin label_hot`
@@ -23,12 +25,149 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use odburg_bench::{f, median_time, row, rule_line};
-use odburg_core::{OnDemandAutomaton, SharedOnDemand, WorkCounters};
+use odburg_core::fxhash::FxHashMap;
+use odburg_core::{AutomatonSnapshot, OnDemandAutomaton, SharedOnDemand, StateId, WorkCounters};
+use odburg_grammar::{CostExpr, DynCostFn, NormalGrammar, RuleCost};
+use odburg_ir::{Forest, NodeId, Op, OpId, NUM_OPS};
 use odburg_workloads::TreeSampler;
 
 const TREES: usize = 400;
 const SEED: u64 = 0x0dbu64 * 1_000_003;
 const REPS: usize = 17;
+
+/// The `FxHashMap` warm walk — the fast path before the slot tables,
+/// moved here as the baseline: arena order, one hash-map probe per node
+/// keyed by `(op, kids, sig)` (plus a hashed projection resolution per
+/// child in projection mode), signatures resolved through a second hash
+/// map over the cost vectors, and the dead check through the snapshot's
+/// state arena. The maps are built from the snapshot's raw entries, and
+/// dynamic costs go through a flattened per-operator function table as
+/// in the snapshot's own walk, so the two walks differ only in their
+/// lookup structures.
+struct HashWalk {
+    project_children: bool,
+    transitions: FxHashMap<(u16, [u32; 2], u32), StateId>,
+    projections: FxHashMap<(StateId, u16, u8), StateId>,
+    signatures: FxHashMap<Box<[RuleCost]>, u32>,
+    /// `base[op]`: cost functions of the op's dynamic base rules.
+    base: Vec<Vec<DynCostFn>>,
+    chains: Vec<DynCostFn>,
+}
+
+impl HashWalk {
+    fn new(snap: &AutomatonSnapshot) -> Self {
+        let grammar: &NormalGrammar = snap.grammar();
+        let resolve = |&r: &odburg_grammar::NormalRuleId| -> DynCostFn {
+            match grammar.rule(r).cost {
+                CostExpr::Dynamic(id) => grammar.dyncosts()[id.0 as usize].func.clone(),
+                CostExpr::Fixed(c) => Arc::new(move |_: &Forest, _| RuleCost::Finite(c)),
+            }
+        };
+        HashWalk {
+            project_children: snap.config().project_children,
+            transitions: snap
+                .raw_transitions()
+                .into_iter()
+                .map(|t| ((t.op, t.kids, t.sig), t.state))
+                .collect(),
+            projections: snap
+                .raw_projections()
+                .into_iter()
+                .map(|p| ((p.full, p.op, p.pos), p.projection))
+                .collect(),
+            signatures: snap
+                .raw_signatures()
+                .into_iter()
+                .enumerate()
+                .map(|(id, costs)| (costs.into_boxed_slice(), id as u32))
+                .collect(),
+            base: (0..NUM_OPS as u16)
+                .map(|id| match Op::from_id(OpId(id)) {
+                    Some(op) => grammar.dynamic_base_rules(op).iter().map(resolve).collect(),
+                    None => Vec::new(),
+                })
+                .collect(),
+            chains: grammar.dynamic_chain_rules().iter().map(resolve).collect(),
+        }
+    }
+
+    /// Evaluates the node's dynamic costs into `scratch`; `false` when
+    /// the op has none (the signature is empty).
+    fn dyn_costs(
+        &self,
+        forest: &Forest,
+        node: NodeId,
+        op: Op,
+        counters: &mut WorkCounters,
+        scratch: &mut Vec<RuleCost>,
+    ) -> bool {
+        let base = &self.base[op.id().0 as usize];
+        if base.is_empty() && self.chains.is_empty() {
+            return false;
+        }
+        scratch.clear();
+        for f in base {
+            scratch.push(f(forest, node));
+        }
+        for f in &self.chains {
+            scratch.push(f(forest, node));
+        }
+        counters.dyncost_evals += (base.len() + self.chains.len()) as u64;
+        true
+    }
+
+    /// The transition of `op` over `kid_states` (resolved through the
+    /// projection map in projection mode) under signature `sig`.
+    fn lookup(&self, op: Op, kid_states: &[StateId], sig: u32) -> Option<StateId> {
+        let mut kids = [u32::MAX; 2];
+        for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
+            kids[i] = if self.project_children {
+                self.projections.get(&(k, op.id().0, i as u8))?.0
+            } else {
+                k.0
+            };
+        }
+        self.transitions.get(&(op.id().0, kids, sig)).copied()
+    }
+
+    /// The resolved arena prefix; `None` if it reached a dead state.
+    fn walk(
+        &self,
+        snap: &AutomatonSnapshot,
+        forest: &Forest,
+        counters: &mut WorkCounters,
+    ) -> Option<Vec<StateId>> {
+        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
+        let mut scratch: Vec<RuleCost> = Vec::new();
+        for (id, node) in forest.iter() {
+            let mut kids = [StateId(0); 2];
+            for (i, &c) in node.children().iter().enumerate() {
+                kids[i] = states[c.index()];
+            }
+            counters.nodes += 1;
+            counters.hash_lookups += 1;
+            let sig = if !self.dyn_costs(forest, id, node.op(), counters, &mut scratch) {
+                0
+            } else {
+                match self.signatures.get(&scratch[..]) {
+                    Some(&s) => s,
+                    None => break,
+                }
+            };
+            match self.lookup(node.op(), &kids[..node.op().arity()], sig) {
+                Some(sid) => {
+                    if snap.state(sid).is_dead() {
+                        return None;
+                    }
+                    counters.memo_hits += 1;
+                    states.push(sid);
+                }
+                None => break,
+            }
+        }
+        Some(states)
+    }
+}
 
 struct Target {
     name: String,
@@ -45,7 +184,7 @@ fn main() {
     let mut targets: Vec<Target> = Vec::new();
 
     let widths = [9, 7, 10, 10, 8, 7];
-    println!("Warm labeling hot path: dense-indexed level-batched walk vs FxHashMap walk\n");
+    println!("Warm labeling hot path: slot-table level-batched walk vs FxHashMap walk\n");
     row(
         &[
             "target".into(),
@@ -89,10 +228,12 @@ fn main() {
             "{name}: warm walk hit NoCover"
         );
         assert_eq!(warm_misses, 0, "{name}: dense warm walk missed");
+        let hash = HashWalk::new(&snap);
         let mut hash_counters = WorkCounters::new();
-        let hash_walk = snap.label_warm_hash(&forest, &mut hash_counters);
+        let hash_walk = hash.walk(&snap, &forest, &mut hash_counters);
         assert_eq!(
-            hash_walk.states, dense_walk.states,
+            hash_walk.as_ref(),
+            Some(&dense_walk.states),
             "{name}: dense and hash walks disagree"
         );
 
@@ -113,7 +254,7 @@ fn main() {
             let hash_t = median_time(1, || {
                 for _ in 0..iters {
                     let mut c = WorkCounters::new();
-                    std::hint::black_box(snap.label_warm_hash(&forest, &mut c).states.len());
+                    std::hint::black_box(hash.walk(&snap, &forest, &mut c).map(|s| s.len()));
                 }
             });
             if rep == 0 {
@@ -166,7 +307,7 @@ fn main() {
     );
     println!("shape check: a warm node costs one bounded probe of a flat slot array");
     println!("instead of a hash + bucket walk + Arc chase — the paper's pure-table-");
-    println!("lookup warm path, finally shaped like one for the hardware.");
+    println!("lookup warm path, shaped like one for the hardware.");
 
     // The hot path must never be slower than the baseline it replaced,
     // and the warm workload must be answered entirely from the index.

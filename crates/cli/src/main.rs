@@ -772,10 +772,6 @@ fn tables_stats(path: &str) -> Result<(), String> {
         info.signatures, info.bytes.signatures
     );
     println!(
-        "dense index:         derived   ({} bytes, rebuilt at import)",
-        info.bytes.dense_index
-    );
-    println!(
         "accounted bytes:     {:>8}  (file payload {} bytes)",
         info.bytes.total(),
         info.payload_bytes
@@ -1329,15 +1325,14 @@ fn serve(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
     let report = server.shutdown();
     for t in &report.per_target {
         println!(
-            "target {}: {} misses, {} states built, {}, {} table bytes \
-             ({} dense index), {} maintenance quanta, {} deadline misses, \
+            "target {}: {} misses, {} states built, {}, {} table bytes, \
+             {} maintenance quanta, {} deadline misses, \
              {} rejected, {} shed{}{}",
             t.target,
             t.counters.memo_misses,
             t.counters.states_built,
             if t.warm_started { "warm" } else { "cold" },
             t.table_bytes,
-            t.dense_index_bytes,
             t.counters.maintenance_runs,
             t.counters.deadline_misses,
             t.counters.rejected_submits,

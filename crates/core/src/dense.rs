@@ -1,50 +1,48 @@
-//! The dense warm-path index: flat, cache-friendly mirrors of a
-//! snapshot's tables, built once at publication.
+//! The automaton's tables: flat, open-addressed slot tables shared
+//! copy-on-write by the master automaton and its snapshots.
 //!
-//! The published [`AutomatonSnapshot`](crate::AutomatonSnapshot) answers
-//! the warm path from an `FxHashMap<TransKey, StateId>` — correct, but
-//! every node pays a SipHash-free-yet-still-real hash of a 16-byte key,
-//! a bucket probe through `hashbrown`-style control bytes, and (for the
-//! dead-state check) an `Arc` dereference plus a scan of the state's
-//! cost vector. The paper's bet is that the warm path is a *pure table
-//! lookup*; this module makes the lookup look like one to the hardware:
+//! The paper's bet is that the warm path is a *pure table lookup*; this
+//! module is the one table layout that makes the lookup look like one to
+//! the hardware, and it is the only layout the tables have:
 //!
-//! * **Per-operator grouped transition slots** — all transitions of one
-//!   operator live in a contiguous, open-addressed, power-of-two region
-//!   of a single flat slot array. The hash seed is fixed at build time
-//!   and each group records the longest displacement any of its keys
-//!   needed, so a lookup is one bounded linear probe: typically the
-//!   home slot, worst-case `probe_cap + 1` adjacent 16-byte slots.
-//! * **Structure-of-arrays state arena** — the per-state facts the read
-//!   paths touch (the per-nonterminal optimal rule) are copied out of
-//!   the `Arc<StateData>` arena into flat arrays indexed by `StateId`,
-//!   so the hot loop never chases a pointer. Deadness is folded into
-//!   the transition slots themselves ([`DEAD_BIT`]), so the warm walk
-//!   needs no separate per-state load at all.
-//! * **Dense projection table** — in projection mode the child-state →
+//! * **Per-operator transition groups** — all transitions of one
+//!   operator live in their own open-addressed, power-of-two slot array
+//!   (load factor at most one half, fixed hash seed). Each group records
+//!   the longest displacement any of its keys needed, so a lookup is one
+//!   bounded linear probe: typically the home slot, worst case
+//!   `probe_cap + 1` adjacent 16-byte slots. The target's deadness is
+//!   folded into the slot word ([`DEAD_BIT`]) when the transition is
+//!   inserted, so the warm walk's `NoCover` check needs no further load.
+//! * **Projection table** — in projection mode the child-state →
 //!   projection resolution is one probe of a flat `(packed key, value)`
-//!   table instead of a second `FxHashMap` hash per child.
+//!   table.
+//! * **Signature table** — the dynamic-cost signature interner
+//!   ([`SignatureInterner`](crate::signature::SignatureInterner)) is a
+//!   slot table of `(hash, id)` pairs over flattened cost vectors.
 //!
-//! The index is **derived, never serialized**: it is rebuilt from the
-//! canonical tables at every snapshot publication and at
-//! [`persist`](crate::persist) import, and its footprint is a
-//! deterministic function of the table contents ([`IndexShape`]) so the
-//! memory governor can account for it without materializing anything
-//! (see [`ComponentBytes::dense_index`](crate::ComponentBytes)).
+//! Every slot array sits behind an `Arc`. The master inserts in place
+//! when it owns an array outright and copies it first when a published
+//! snapshot still shares it; an insert that would push an array's load
+//! past one half rehashes that array alone into one twice the size.
+//! Publication ([`OnDemandAutomaton::snapshot`](crate::OnDemandAutomaton::snapshot))
+//! therefore clones array *pointers*, never slots — O(groups) for the
+//! tables — and the copying happens in the grow path, once per
+//! publication, for the arrays a forest actually grew.
 //!
-//! The `FxHashMap` tables stay on the snapshot as the canonical (and
-//! benchmark-baseline) representation; the index never disagrees with
-//! them — `tests/dense_index.rs` property-checks exact hit/miss
-//! agreement, including across compaction rebuilds that remap ids.
+//! Slot counts are always [`slots_for`] of the entry count, so the
+//! accounted bytes ([`transition_bytes`], [`projection_bytes`],
+//! [`signature_bytes`]) are a pure function of entry counts: a live
+//! master, its snapshots and a persisted file of the same tables report
+//! the same figure, and compaction can predict the footprint of tables
+//! it has not built yet.
 
 use std::sync::Arc;
 
-use odburg_grammar::{NormalRuleId, NtId, RuleCost};
+use odburg_grammar::RuleCost;
 
-use crate::fxhash::FxHashMap;
 use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::TransKey;
-use crate::state::{StateData, StateId};
+use crate::snapshot::{RawProjection, RawTransition, MAX_ARITY};
+use crate::state::StateId;
 
 /// Sentinel for an empty transition slot (`state` field). Safe because
 /// state ids are arena indices and the arena is budget-bounded far below
@@ -52,148 +50,299 @@ use crate::state::{StateData, StateId};
 const EMPTY_STATE: u32 = u32::MAX;
 /// Top bit of an occupied slot's `state` field: the target state is
 /// dead (`NoCover`). Folding the flag into the probe result spares the
-/// warm walk a dependent load of the dead array per node. State ids are
-/// arena indices bounded far below `2^31` (asserted at build), and the
-/// encoding cannot collide with [`EMPTY_STATE`] — that would need id
-/// `2^31 - 1`, excluded by the same bound.
+/// warm walk a dependent load per node. State ids are arena indices
+/// bounded far below `2^31`, and the encoding cannot collide with
+/// [`EMPTY_STATE`] — that would need id `2^31 - 1`; inserts assert both
+/// bounds.
 pub(crate) const DEAD_BIT: u32 = 1 << 31;
 /// Sentinel for an empty projection slot (`key` field). No packed key
-/// can collide with it: the low byte of a real key is a child position
-/// (`< MAX_ARITY`), never `0xFF`.
+/// can collide with it: [`pack_proj`] leaves the top byte clear.
 const EMPTY_PROJ_KEY: u64 = u64::MAX;
-/// "No rule" sentinel in the flat rule array (mirrors `StateData`).
-const NO_RULE: u32 = u32::MAX;
+/// Sentinel for an empty signature slot (`id` field); real signature
+/// ids are interner indices, bounded far below `u32::MAX`.
+const EMPTY_SIG_ID: u32 = u32::MAX;
 
 /// Accounted bytes of one transition slot: `{kid0, kid1, sig, state}`.
-pub(crate) const TRANS_SLOT_BYTES: usize = 16;
+const TRANS_SLOT_BYTES: usize = std::mem::size_of::<TransSlot>();
 /// Accounted bytes of one projection slot: packed key + value + padding.
-pub(crate) const PROJ_SLOT_BYTES: usize = 16;
+const PROJ_SLOT_BYTES: usize = std::mem::size_of::<ProjSlot>();
 /// Accounted bytes of one per-operator group header.
-pub(crate) const GROUP_HEADER_BYTES: usize = 12;
+const GROUP_HEADER_BYTES: usize = std::mem::size_of::<Slots<TransSlot>>();
 /// Accounted bytes of one signature slot: 64-bit hash + id + padding.
-pub(crate) const SIG_SLOT_BYTES: usize = 16;
+const SIG_SLOT_BYTES: usize = std::mem::size_of::<SigSlot>();
 /// Accounted bytes per signature offset (`sigs + 1` entries).
-pub(crate) const SIG_OFFSET_BYTES: usize = 4;
+const SIG_OFFSET_BYTES: usize = 4;
 /// Accounted bytes per flattened signature cost word.
-pub(crate) const SIG_COST_BYTES: usize = 4;
+const SIG_COST_BYTES: usize = std::mem::size_of::<RuleCost>();
 
-/// One open-addressed transition slot. The operator is implicit in the
-/// group, so the key compare is `(kid0, kid1, sig)`.
+/// Slot count for an open-addressed table holding `n` entries: the next
+/// power of two of `2n`, so the load factor never exceeds one half and
+/// every probe sequence terminates at an empty slot.
+pub(crate) fn slots_for(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (2 * n).next_power_of_two()
+    }
+}
+
+/// Accounted bytes of the transition groups holding `per_op[op]` entries
+/// per operator: one header per operator id up to the highest one with
+/// an entry, plus every group's slots.
+pub(crate) fn transition_bytes(per_op: impl Iterator<Item = usize>) -> usize {
+    let (mut groups, mut slots) = (0, 0);
+    for (op, n) in per_op.enumerate() {
+        if n > 0 {
+            groups = op + 1;
+            slots += slots_for(n);
+        }
+    }
+    groups * GROUP_HEADER_BYTES + slots * TRANS_SLOT_BYTES
+}
+
+/// Accounted bytes of a projection table holding `n` entries.
+pub(crate) fn projection_bytes(n: usize) -> usize {
+    slots_for(n) * PROJ_SLOT_BYTES
+}
+
+/// Accounted bytes of a signature table holding `sigs` signatures (the
+/// empty one included: it takes an offset but no slot) with `words`
+/// cost words in total.
+pub(crate) fn signature_bytes(sigs: usize, words: usize) -> usize {
+    slots_for(sigs.saturating_sub(1)) * SIG_SLOT_BYTES
+        + (sigs + 1) * SIG_OFFSET_BYTES
+        + words * SIG_COST_BYTES
+}
+
+/// A slot of an open-addressed table.
+pub(crate) trait Slot: Copy {
+    /// The empty slot.
+    const EMPTY: Self;
+    /// `true` for [`Slot::EMPTY`].
+    fn is_empty(&self) -> bool;
+    /// The fixed-seed hash of the slot's key (its home position).
+    fn hash(&self) -> u64;
+}
+
+/// One open-addressed, power-of-two slot table behind an `Arc`, shared
+/// copy-on-write (see the [module docs](self)). An empty table holds no
+/// array at all, so cloning one costs nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Slots<S> {
+    slots: Option<Arc<[S]>>,
+    len: u32,
+    /// Longest displacement any key needed (lookups probe at most that
+    /// many + 1 adjacent slots).
+    probe_cap: u32,
+}
+
+impl<S> Default for Slots<S> {
+    fn default() -> Self {
+        Slots {
+            slots: None,
+            len: 0,
+            probe_cap: 0,
+        }
+    }
+}
+
+impl<S: Slot> Slots<S> {
+    /// Entries held.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// One bounded probe from `hash`'s home slot: the first occupied
+    /// slot `eq` accepts, or `None` at an empty slot or past the probe
+    /// cap.
+    #[inline(always)]
+    pub fn find(&self, hash: u64, eq: impl Fn(&S) -> bool) -> Option<&S> {
+        let slots = self.slots.as_deref()?;
+        // `i & mask` is always in bounds: `mask == slots.len() - 1`.
+        let mask = slots.len() - 1;
+        let home = hash as usize & mask;
+        for i in home..=home + self.probe_cap as usize {
+            let slot = &slots[i & mask];
+            if slot.is_empty() {
+                return None;
+            }
+            if eq(slot) {
+                return Some(slot);
+            }
+        }
+        None
+    }
+
+    /// Inserts a slot whose key is absent. Rehashes into a table twice
+    /// the size when the load would pass one half, so the slot count
+    /// stays `slots_for(len)`; otherwise writes in place, after copying
+    /// the slots if a snapshot still shares them.
+    pub fn insert(&mut self, slot: S) {
+        let len = self.len as usize + 1;
+        let slots = match &mut self.slots {
+            Some(slots) if slots.len() == slots_for(len) => {
+                if Arc::get_mut(slots).is_none() {
+                    *slots = Arc::from(&slots[..]);
+                }
+                slots
+            }
+            _ => {
+                let mut fresh = vec![S::EMPTY; slots_for(len)];
+                let mut probe_cap = 0;
+                for &old in self.iter() {
+                    place(&mut fresh, old, &mut probe_cap);
+                }
+                self.probe_cap = probe_cap;
+                self.slots.insert(fresh.into())
+            }
+        };
+        let slots = Arc::get_mut(slots).expect("slots were just made unique");
+        place(slots, slot, &mut self.probe_cap);
+        self.len = len as u32;
+    }
+
+    /// The occupied slots, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &S> + '_ {
+        self.slots
+            .iter()
+            .flat_map(|s| s.iter())
+            .filter(|s| !s.is_empty())
+    }
+
+    /// `true` when `self` and `other` share one slot array (no copy was
+    /// made between them).
+    #[cfg(test)]
+    pub fn shares_storage_with(&self, other: &Self) -> bool {
+        match (&self.slots, &other.slots) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+
+    /// Slots allocated.
+    #[cfg(test)]
+    pub fn slot_count(&self) -> usize {
+        self.slots.as_deref().map_or(0, <[S]>::len)
+    }
+}
+
+/// Linear-probes `slot` into the first empty position from its home,
+/// widening `probe_cap` to the displacement it needed.
+fn place<S: Slot>(slots: &mut [S], slot: S, probe_cap: &mut u32) {
+    let mask = slots.len() - 1;
+    let mut i = slot.hash() as usize & mask;
+    let mut displacement = 0u32;
+    while !slots[i].is_empty() {
+        i = (i + 1) & mask;
+        displacement += 1;
+    }
+    slots[i] = slot;
+    *probe_cap = (*probe_cap).max(displacement);
+}
+
+/// One transition slot. The operator is implicit in the group, so the
+/// key compare is `(kid0, kid1, sig)`.
 #[derive(Debug, Clone, Copy)]
-struct TransSlot {
+pub(crate) struct TransSlot {
     kid0: u32,
     kid1: u32,
     sig: u32,
     state: u32,
 }
 
-const EMPTY_SLOT: TransSlot = TransSlot {
-    kid0: 0,
-    kid1: 0,
-    sig: 0,
-    state: EMPTY_STATE,
-};
-
-/// One operator's region of the slot array. `mask == 0` marks an
-/// operator with no memoized transitions (every lookup misses).
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    offset: u32,
-    mask: u32,
-    /// Longest displacement any key in the group needed at build time
-    /// (lookups probe at most that many + 1 adjacent slots), with the
-    /// top bit carrying [`SIG_STATIC_BIT`]: the operator has no dynamic
-    /// rules, so a warm node's signature is statically
-    /// [`SigId::EMPTY`](crate::SigId::EMPTY) and the walk can skip the
-    /// grammar's dynamic-rule machinery entirely.
-    probe_cap: u32,
+impl Slot for TransSlot {
+    const EMPTY: Self = TransSlot {
+        kid0: 0,
+        kid1: 0,
+        sig: 0,
+        state: EMPTY_STATE,
+    };
+    #[inline(always)]
+    fn is_empty(&self) -> bool {
+        self.state == EMPTY_STATE
+    }
+    fn hash(&self) -> u64 {
+        mix(self.kid0, self.kid1, self.sig)
+    }
 }
 
-/// Top bit of [`Group::probe_cap`]: this operator's dynamic-cost
-/// signature is statically empty. Displacements are bounded by the slot
-/// count, far below `2^31`.
-const SIG_STATIC_BIT: u32 = 1 << 31;
-
-const EMPTY_GROUP: Group = Group {
-    offset: 0,
-    mask: 0,
-    probe_cap: 0,
-};
-
-/// An opaque, copyable handle to one operator's group header (see
-/// [`DenseIndex::group`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GroupRef(Group);
-
-impl GroupRef {
-    /// The precomputed statically-empty-signature bit (see
-    /// [`DenseIndex::build`]'s `sig_static`).
+impl Slots<TransSlot> {
+    /// The probe itself, returning the slot's encoded `state` word: the
+    /// target [`StateId`] with [`DEAD_BIT`] set when the target is dead.
+    /// Kid slots beyond the operator's arity must be
+    /// [`NO_CHILD`](crate::snapshot::NO_CHILD).
     #[inline(always)]
-    pub fn sig_static(self) -> bool {
-        self.0.probe_cap & SIG_STATIC_BIT != 0
+    pub fn lookup_enc(&self, kid0: u32, kid1: u32, sig: u32) -> Option<u32> {
+        self.find(mix(kid0, kid1, sig), |s| {
+            s.kid0 == kid0 && s.kid1 == kid1 && s.sig == sig
+        })
+        .map(|s| s.state)
     }
 }
 
 /// One projection slot: `(full state, op, position)` packed into a
 /// `u64`, mapping to a projection id.
 #[derive(Debug, Clone, Copy)]
-struct ProjSlot {
+pub(crate) struct ProjSlot {
     key: u64,
     val: u32,
 }
 
-const EMPTY_PROJ_SLOT: ProjSlot = ProjSlot {
-    key: EMPTY_PROJ_KEY,
-    val: 0,
-};
+impl Slot for ProjSlot {
+    const EMPTY: Self = ProjSlot {
+        key: EMPTY_PROJ_KEY,
+        val: 0,
+    };
+    #[inline(always)]
+    fn is_empty(&self) -> bool {
+        self.key == EMPTY_PROJ_KEY
+    }
+    fn hash(&self) -> u64 {
+        mix_proj(self.key)
+    }
+}
 
 /// One signature slot: the fixed-seed hash of an interned cost vector
 /// and its [`SigId`]. The hash screens out almost every non-match; the
-/// flattened cost words confirm the rest exactly.
+/// interner's flattened cost words confirm the rest exactly.
 #[derive(Debug, Clone, Copy)]
-struct SigSlot {
-    hash: u64,
-    id: u32,
+pub(crate) struct SigSlot {
+    pub hash: u64,
+    pub id: u32,
 }
 
-/// Sentinel for an empty signature slot (`id` field); real signature
-/// ids are interner indices, bounded far below `u32::MAX`.
-const EMPTY_SIG_ID: u32 = u32::MAX;
-
-const EMPTY_SIG_SLOT: SigSlot = SigSlot {
-    hash: 0,
-    id: EMPTY_SIG_ID,
-};
-
-/// Injective 32-bit encoding of a [`RuleCost`] for the flattened
-/// signature storage: finite costs are `u16`, so `u32::MAX` is free for
-/// `Infinite`.
-#[inline(always)]
-fn encode_cost(c: RuleCost) -> u32 {
-    match c {
-        RuleCost::Finite(v) => v as u32,
-        RuleCost::Infinite => u32::MAX,
+impl Slot for SigSlot {
+    const EMPTY: Self = SigSlot {
+        hash: 0,
+        id: EMPTY_SIG_ID,
+    };
+    #[inline(always)]
+    fn is_empty(&self) -> bool {
+        self.id == EMPTY_SIG_ID
+    }
+    fn hash(&self) -> u64 {
+        self.hash
     }
 }
 
-/// Fixed-seed hash of a dynamic-cost vector (FNV-1a over the encoded
-/// words, with a final avalanche). Like [`mix`], the seed is a
-/// compile-time constant so the slot layout is a pure function of the
-/// interned signatures.
+/// Fixed-seed hash of a dynamic-cost vector: one multiply per cost word
+/// (FxHash-style), with the high half folded into the low bits the slot
+/// index uses. Cheap because it runs at every dynamic-cost node of the
+/// warm walk; the stored costs confirm every hit exactly.
 #[inline(always)]
-fn mix_sig(costs: &[RuleCost]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+pub(crate) fn mix_sig(costs: &[RuleCost]) -> u64 {
+    let mut h = costs.len() as u64;
     for &c in costs {
-        h = (h ^ encode_cost(c) as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        let word = match c {
+            RuleCost::Finite(v) => v as u64,
+            RuleCost::Infinite => u32::MAX as u64,
+        };
+        h = (h.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
     }
-    h ^= h >> 32;
-    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    h ^ (h >> 29)
+    h ^ (h >> 32)
 }
 
-/// Fixed-seed mix of a transition key's non-operator half. The seed is
-/// a compile-time constant: the slot layout is reproducible for a given
-/// table, which keeps the index a pure function of the snapshot.
+/// Fixed-seed mix of a transition key's non-operator half.
 #[inline(always)]
 fn mix(kid0: u32, kid1: u32, sig: u32) -> u64 {
     let mut x = (kid0 as u64) ^ ((kid1 as u64) << 21) ^ ((sig as u64) << 42);
@@ -215,501 +364,247 @@ fn pack_proj(full: u32, op: u16, pos: u8) -> u64 {
     ((full as u64) << 24) | ((op as u64) << 8) | (pos as u64)
 }
 
-/// Slot count for an open-addressed region holding `n` entries: the
-/// next power of two of `2n`, so the load factor never exceeds one half
-/// and every probe sequence terminates at an empty slot.
-pub(crate) fn slots_for(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        (2 * n).next_power_of_two()
-    }
+/// The transition groups, projection table and signature interner of
+/// one automaton; cloning them is publication (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tables {
+    /// Transition groups indexed by operator id, up to the highest
+    /// operator with a transition.
+    groups: Vec<Slots<TransSlot>>,
+    /// Total transitions across the groups.
+    transitions: usize,
+    projections: Slots<ProjSlot>,
+    pub signatures: SignatureInterner,
 }
 
-/// The deterministic shape (and therefore byte footprint) a dense index
-/// has for given table entry counts. The memory governor computes this
-/// from the canonical tables *without* building the index — the builder
-/// produces exactly this shape, which `AutomatonSnapshot::new`
-/// debug-asserts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IndexShape {
-    /// Per-operator group headers: `max op id + 1` (0 with no
-    /// transitions).
-    pub groups: usize,
-    /// Total transition slots across all groups.
-    pub trans_slots: usize,
-    /// Projection-table slots.
-    pub proj_slots: usize,
-    /// Full states (flat rule-array rows).
-    pub states: usize,
-    /// Nonterminal slots per state (flat rule array stride).
-    pub num_nts: usize,
-    /// Interned signatures, including the empty one (which occupies no
-    /// slot but one offset entry).
-    pub sigs: usize,
-    /// Total cost words across all interned signatures.
-    pub sig_cost_words: usize,
-}
-
-impl IndexShape {
-    pub fn bytes(&self) -> usize {
-        self.groups * GROUP_HEADER_BYTES
-            + self.trans_slots * TRANS_SLOT_BYTES
-            + self.proj_slots * PROJ_SLOT_BYTES
-            + self.states * self.num_nts * 4
-            + slots_for(self.sigs.saturating_sub(1)) * SIG_SLOT_BYTES
-            + (self.sigs + 1) * SIG_OFFSET_BYTES
-            + self.sig_cost_words * SIG_COST_BYTES
-    }
-}
-
-/// The shape an index over the given tables will have. Shared by the
-/// accounting path (which never builds an index) and the builder.
-pub(crate) fn shape_of<'a>(
-    trans_ops: impl Iterator<Item = u16>,
-    cache_entries: usize,
-    states: impl Iterator<Item = &'a Arc<StateData>>,
-    sigs: usize,
-    sig_cost_words: usize,
-) -> IndexShape {
-    let mut per_op: FxHashMap<u16, usize> = FxHashMap::default();
-    let mut max_op: Option<u16> = None;
-    for op in trans_ops {
-        *per_op.entry(op).or_insert(0) += 1;
-        max_op = Some(max_op.map_or(op, |m| m.max(op)));
-    }
-    let mut num_states = 0usize;
-    let mut num_nts = 0usize;
-    for s in states {
-        if num_states == 0 {
-            num_nts = s.len();
-        }
-        num_states += 1;
-    }
-    IndexShape {
-        groups: max_op.map_or(0, |m| m as usize + 1),
-        trans_slots: per_op.values().map(|&n| slots_for(n)).sum(),
-        proj_slots: slots_for(cache_entries),
-        states: num_states,
-        num_nts,
-        sigs,
-        sig_cost_words,
-    }
-}
-
-/// The dense warm-path index of one snapshot. See the [module
-/// docs](self).
-#[derive(Debug)]
-pub(crate) struct DenseIndex {
-    groups: Box<[Group]>,
-    slots: Box<[TransSlot]>,
-    proj_slots: Box<[ProjSlot]>,
-    proj_mask: u64,
-    proj_probe_cap: u32,
-    /// Open-addressed `(hash, SigId)` table over the non-empty interned
-    /// signatures, verified against the flattened cost words.
-    sig_slots: Box<[SigSlot]>,
-    sig_mask: u64,
-    sig_probe_cap: u32,
-    /// `sig_offsets[id]..sig_offsets[id + 1]` bounds signature `id`'s
-    /// encoded costs in `sig_costs`.
-    sig_offsets: Box<[u32]>,
-    sig_costs: Box<[u32]>,
-    /// Flat `states × num_nts` optimal-rule array (`u32::MAX` = none).
-    rules: Box<[u32]>,
-    num_nts: usize,
-}
-
-impl DenseIndex {
-    /// Builds the index from a snapshot's canonical tables. Cold path:
-    /// runs once per publication / import.
-    ///
-    /// `sig_static(op)` must return `true` only when a node with that
-    /// operator provably has the empty dynamic-cost signature (no
-    /// dynamic base rules for the op, no dynamic chain rules in the
-    /// grammar); `false` is always safe and routes the walk through the
-    /// full signature evaluation.
-    pub fn build(
-        states: &[Arc<StateData>],
-        transitions: &FxHashMap<TransKey, StateId>,
-        projection_cache: &FxHashMap<(StateId, u16, u8), StateId>,
-        signatures: &SignatureInterner,
-        sig_static: impl Fn(u16) -> bool,
-    ) -> DenseIndex {
-        debug_assert!(
-            states.len() < DEAD_BIT as usize,
-            "state arena too large for the slot sentinel and dead-bit encoding"
-        );
-        let shape = shape_of(
-            transitions.keys().map(|k| k.op),
-            projection_cache.len(),
-            states.iter(),
-            signatures.len(),
-            signatures.iter().map(|s| s.len()).sum(),
-        );
-
-        // Group headers: per-op slot counts -> contiguous regions.
-        let mut per_op: Vec<usize> = vec![0; shape.groups];
-        for key in transitions.keys() {
-            per_op[key.op as usize] += 1;
-        }
-        let mut groups: Vec<Group> = vec![EMPTY_GROUP; shape.groups];
-        let mut offset = 0usize;
-        for (op, &n) in per_op.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let cap = slots_for(n);
-            groups[op] = Group {
-                offset: offset as u32,
-                mask: (cap - 1) as u32,
-                probe_cap: 0,
-            };
-            offset += cap;
-        }
-        debug_assert_eq!(offset, shape.trans_slots);
-
-        // Insert every transition with linear probing, recording the
-        // longest displacement per group.
-        let mut slots: Vec<TransSlot> = vec![EMPTY_SLOT; shape.trans_slots];
-        for (key, &target) in transitions.iter() {
-            let g = &mut groups[key.op as usize];
-            let mask = g.mask as u64;
-            let mut i = mix(key.kids[0], key.kids[1], key.sig.0) & mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut slots[g.offset as usize + i as usize];
-                if slot.state == EMPTY_STATE {
-                    let dead = states.get(target.0 as usize).is_some_and(|s| s.is_dead());
-                    *slot = TransSlot {
-                        kid0: key.kids[0],
-                        kid1: key.kids[1],
-                        sig: key.sig.0,
-                        state: target.0 | if dead { DEAD_BIT } else { 0 },
-                    };
-                    g.probe_cap = g.probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & mask;
-                displacement += 1;
-            }
-        }
-        for (op, g) in groups.iter_mut().enumerate() {
-            if sig_static(op as u16) {
-                g.probe_cap |= SIG_STATIC_BIT;
-            }
-        }
-
-        // Projection table: one flat region for every (full, op, pos).
-        let mut proj_slots: Vec<ProjSlot> = vec![EMPTY_PROJ_SLOT; shape.proj_slots];
-        let proj_mask = (shape.proj_slots.max(1) - 1) as u64;
-        let mut proj_probe_cap = 0u32;
-        for (&(full, op, pos), &proj) in projection_cache.iter() {
-            let key = pack_proj(full.0, op, pos);
-            let mut i = mix_proj(key) & proj_mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut proj_slots[i as usize];
-                if slot.key == EMPTY_PROJ_KEY {
-                    *slot = ProjSlot { key, val: proj.0 };
-                    proj_probe_cap = proj_probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & proj_mask;
-                displacement += 1;
-            }
-        }
-
-        // Signature table: non-empty interned signatures in id order
-        // (the id-0 empty signature is shortcut by `find_sig` and only
-        // contributes its offset entry), plus the flattened cost words
-        // the probe verifies against.
-        let sig_slot_count = slots_for(shape.sigs.saturating_sub(1));
-        let mut sig_slots: Vec<SigSlot> = vec![EMPTY_SIG_SLOT; sig_slot_count];
-        let sig_mask = (sig_slot_count.max(1) - 1) as u64;
-        let mut sig_probe_cap = 0u32;
-        let mut sig_offsets: Vec<u32> = Vec::with_capacity(shape.sigs + 1);
-        let mut sig_costs: Vec<u32> = Vec::with_capacity(shape.sig_cost_words);
-        sig_offsets.push(0);
-        for (id, costs) in signatures.iter().enumerate() {
-            sig_costs.extend(costs.iter().map(|&c| encode_cost(c)));
-            sig_offsets.push(sig_costs.len() as u32);
-            if id == 0 {
-                continue;
-            }
-            let hash = mix_sig(costs);
-            let mut i = hash & sig_mask;
-            let mut displacement = 0u32;
-            loop {
-                let slot = &mut sig_slots[i as usize];
-                if slot.id == EMPTY_SIG_ID {
-                    *slot = SigSlot {
-                        hash,
-                        id: id as u32,
-                    };
-                    sig_probe_cap = sig_probe_cap.max(displacement);
-                    break;
-                }
-                i = (i + 1) & sig_mask;
-                displacement += 1;
-            }
-        }
-
-        // Structure-of-arrays state facts.
-        let mut rules: Vec<u32> = Vec::with_capacity(states.len() * shape.num_nts);
-        for s in states {
-            rules.extend_from_slice(s.raw_parts().1);
-        }
-
-        let built = DenseIndex {
-            groups: groups.into_boxed_slice(),
-            slots: slots.into_boxed_slice(),
-            proj_slots: proj_slots.into_boxed_slice(),
-            proj_mask,
-            proj_probe_cap,
-            sig_slots: sig_slots.into_boxed_slice(),
-            sig_mask,
-            sig_probe_cap,
-            sig_offsets: sig_offsets.into_boxed_slice(),
-            sig_costs: sig_costs.into_boxed_slice(),
-            rules: rules.into_boxed_slice(),
-            num_nts: shape.num_nts,
-        };
-        debug_assert_eq!(built.byte_size(), shape.bytes());
-        built
-    }
-
-    /// Accounted bytes — by construction equal to
-    /// [`IndexShape::bytes`] for this index's table counts.
-    pub fn byte_size(&self) -> usize {
-        self.groups.len() * GROUP_HEADER_BYTES
-            + self.slots.len() * TRANS_SLOT_BYTES
-            + self.proj_slots.len() * PROJ_SLOT_BYTES
-            + self.rules.len() * 4
-            + self.sig_slots.len() * SIG_SLOT_BYTES
-            + self.sig_offsets.len() * SIG_OFFSET_BYTES
-            + self.sig_costs.len() * SIG_COST_BYTES
-    }
-
-    /// The operator's group header, fetched once per node by the warm
-    /// walk: it carries everything per-op the walk needs — the
-    /// statically-empty-signature bit consulted before the probe and
-    /// the slot region the probe then runs in. Unknown operators get
-    /// the empty group (every lookup misses, signature conservatively
-    /// dynamic).
+impl Tables {
+    /// The operator's transition group, fetched once per node by the
+    /// warm walk; `None` for an operator with no transitions.
     #[inline(always)]
-    pub fn group(&self, op: u16) -> GroupRef {
-        GroupRef(self.groups.get(op as usize).copied().unwrap_or(EMPTY_GROUP))
+    pub fn group(&self, op: u16) -> Option<&Slots<TransSlot>> {
+        self.groups.get(op as usize)
     }
 
-    /// One bounded probe of the grouped transition slots. Kid slots
-    /// beyond the operator's arity must be
-    /// [`NO_CHILD`](crate::snapshot::NO_CHILD), exactly as in
-    /// [`TransKey`].
-    #[inline(always)]
-    pub fn lookup(&self, op: u16, kid0: u32, kid1: u32, sig: u32) -> Option<StateId> {
-        self.lookup_in(self.group(op), kid0, kid1, sig)
-    }
-
-    /// [`DenseIndex::lookup`] with the group header already in hand.
-    #[inline(always)]
-    pub fn lookup_in(&self, g: GroupRef, kid0: u32, kid1: u32, sig: u32) -> Option<StateId> {
-        self.lookup_enc(g, kid0, kid1, sig)
+    /// One bounded transition probe; `kids` beyond the operator's arity
+    /// must be [`NO_CHILD`](crate::snapshot::NO_CHILD).
+    #[inline]
+    pub fn lookup(&self, op: u16, kids: [u32; MAX_ARITY], sig: SigId) -> Option<StateId> {
+        self.group(op)?
+            .lookup_enc(kids[0], kids[1], sig.0)
             .map(|enc| StateId(enc & !DEAD_BIT))
     }
 
-    /// The probe itself, returning the slot's encoded `state` word: the
-    /// target [`StateId`] with [`DEAD_BIT`] set when the target is dead,
-    /// so the warm walk's `NoCover` check needs no further load.
-    #[inline(always)]
-    pub(crate) fn lookup_enc(&self, g: GroupRef, kid0: u32, kid1: u32, sig: u32) -> Option<u32> {
-        let g = g.0;
-        if g.mask == 0 {
-            return None;
+    /// Memoizes an absent transition, recording whether its target is
+    /// dead in the slot word.
+    pub fn insert_transition(
+        &mut self,
+        op: u16,
+        kids: [u32; MAX_ARITY],
+        sig: SigId,
+        target: StateId,
+        dead: bool,
+    ) {
+        assert!(
+            target.0 < DEAD_BIT - 1,
+            "state id collides with the dead bit or the empty sentinel"
+        );
+        debug_assert!(self.lookup(op, kids, sig).is_none(), "duplicate transition");
+        let op = op as usize;
+        if self.groups.len() <= op {
+            self.groups.resize_with(op + 1, Slots::default);
         }
-        let mask = g.mask as u64;
-        // Re-slicing to the group's region bounds-checks once; inside
-        // the loop `i & mask < region.len()` is provable, so each probe
-        // is a bare load.
-        let region = &self.slots[g.offset as usize..g.offset as usize + mask as usize + 1];
-        let home = mix(kid0, kid1, sig) & mask;
-        for i in home..=home + (g.probe_cap & !SIG_STATIC_BIT) as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.state == EMPTY_STATE {
-                return None;
-            }
-            if slot.kid0 == kid0 && slot.kid1 == kid1 && slot.sig == sig {
-                return Some(slot.state);
-            }
-        }
-        None
+        self.groups[op].insert(TransSlot {
+            kid0: kids[0],
+            kid1: kids[1],
+            sig: sig.0,
+            state: target.0 | if dead { DEAD_BIT } else { 0 },
+        });
+        self.transitions += 1;
     }
 
     /// One bounded probe of the projection table.
     #[inline(always)]
-    pub fn project(&self, full: u32, op: u16, pos: u8) -> Option<StateId> {
-        if self.proj_slots.is_empty() {
-            return None;
-        }
-        let key = pack_proj(full, op, pos);
-        let mask = self.proj_mask;
-        let region = &self.proj_slots[..mask as usize + 1];
-        let home = mix_proj(key) & mask;
-        for i in home..=home + self.proj_probe_cap as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.key == EMPTY_PROJ_KEY {
-                return None;
-            }
-            if slot.key == key {
-                return Some(StateId(slot.val));
-            }
-        }
-        None
+    pub fn project(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
+        let key = pack_proj(full.0, op, pos);
+        self.projections
+            .find(mix_proj(key), |s| s.key == key)
+            .map(|s| StateId(s.val))
     }
 
-    /// One bounded probe of the signature table: the [`SigId`] of an
-    /// interned cost vector, or `None` if this vector was never
-    /// interned (a miss — the writer interns it). The 64-bit hash
-    /// screens candidates; the flattened cost words confirm exactly.
-    #[inline(always)]
-    pub fn find_sig(&self, costs: &[RuleCost]) -> Option<SigId> {
-        if costs.is_empty() {
-            return Some(SigId::EMPTY);
-        }
-        if self.sig_slots.is_empty() {
-            return None;
-        }
-        let hash = mix_sig(costs);
-        let mask = self.sig_mask;
-        let region = &self.sig_slots[..mask as usize + 1];
-        let home = hash & mask;
-        for i in home..=home + self.sig_probe_cap as u64 {
-            let slot = &region[(i & mask) as usize];
-            if slot.id == EMPTY_SIG_ID {
-                return None;
-            }
-            if slot.hash == hash && self.sig_matches(slot.id, costs) {
-                return Some(SigId(slot.id));
-            }
-        }
-        None
+    /// Memoizes an absent projection-cache entry.
+    pub fn insert_projection(&mut self, full: StateId, op: u16, pos: u8, projection: StateId) {
+        debug_assert!(
+            self.project(full, op, pos).is_none(),
+            "duplicate projection"
+        );
+        self.projections.insert(ProjSlot {
+            key: pack_proj(full.0, op, pos),
+            val: projection.0,
+        });
     }
 
-    /// Exact compare of interned signature `id` against `costs`.
-    #[inline]
-    fn sig_matches(&self, id: u32, costs: &[RuleCost]) -> bool {
-        let lo = self.sig_offsets[id as usize] as usize;
-        let hi = self.sig_offsets[id as usize + 1] as usize;
-        hi - lo == costs.len()
-            && self.sig_costs[lo..hi]
-                .iter()
-                .zip(costs)
-                .all(|(&w, &c)| w == encode_cost(c))
+    /// Entries across the transition groups, the projection table and
+    /// the signature interner; append-only within an epoch.
+    pub fn entries(&self) -> usize {
+        self.transitions + self.projections.len() + self.signatures.len()
     }
 
-    /// Flat-array twin of [`StateData::rule`]; bounds-checked so stale
-    /// ids degrade to `None`, never panic.
-    #[inline(always)]
-    pub fn rule(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
-        if nt.0 as usize >= self.num_nts {
-            return None;
-        }
-        let idx = (state.0 as usize).checked_mul(self.num_nts)? + (nt.0 as usize);
-        match self.rules.get(idx).copied() {
-            Some(r) if r != NO_RULE => Some(NormalRuleId(r)),
-            _ => None,
-        }
+    /// Memoized transitions.
+    pub fn transition_count(&self) -> usize {
+        self.transitions
+    }
+
+    /// Projection-cache entries.
+    pub fn projection_count(&self) -> usize {
+        self.projections.len()
+    }
+
+    /// Every memoized transition, in group then slot order.
+    pub fn transitions(&self) -> impl Iterator<Item = RawTransition> + '_ {
+        self.groups.iter().enumerate().flat_map(|(op, g)| {
+            g.iter().map(move |s| RawTransition {
+                op: op as u16,
+                kids: [s.kid0, s.kid1],
+                sig: s.sig,
+                state: StateId(s.state & !DEAD_BIT),
+            })
+        })
+    }
+
+    /// Every projection-cache entry, in slot order.
+    pub fn projections(&self) -> impl Iterator<Item = RawProjection> + '_ {
+        self.projections.iter().map(|s| RawProjection {
+            full: StateId((s.key >> 24) as u32),
+            op: (s.key >> 8) as u16,
+            pos: s.key as u8,
+            projection: StateId(s.val),
+        })
+    }
+
+    /// Accounted bytes of the transition groups.
+    pub fn transition_bytes(&self) -> usize {
+        transition_bytes(self.groups.iter().map(Slots::len))
+    }
+
+    /// Accounted bytes of the projection table.
+    pub fn projection_bytes(&self) -> usize {
+        projection_bytes(self.projections.len())
+    }
+
+    /// The operator's group, for the copy-on-write tests.
+    #[cfg(test)]
+    pub fn group_storage(&self, op: u16) -> &Slots<TransSlot> {
+        &self.groups[op as usize]
+    }
+
+    /// Operators with a group.
+    #[cfg(test)]
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signature::SigId;
-    use crate::snapshot::{MAX_ARITY, NO_CHILD};
-
-    fn key(op: u16, kids: [u32; MAX_ARITY], sig: u32) -> TransKey {
-        TransKey {
-            op,
-            kids,
-            sig: SigId(sig),
-        }
-    }
+    use crate::fxhash::FxHashMap;
+    use crate::snapshot::NO_CHILD;
 
     #[test]
     fn dense_lookup_agrees_with_map() {
-        let mut transitions: FxHashMap<TransKey, StateId> = FxHashMap::default();
+        let mut tables = Tables::default();
+        let mut map: FxHashMap<(u16, [u32; 2], u32), StateId> = FxHashMap::default();
         // A few operators with skewed group sizes, including colliding
-        // leaf keys distinguished only by signature.
+        // leaf keys distinguished only by signature; every insert runs
+        // through the in-place and the rehash paths.
         for i in 0..100u32 {
-            transitions.insert(key(3, [i, i / 2], 0), StateId(i));
+            map.insert((3, [i, i / 2], 0), StateId(i));
+            tables.insert_transition(3, [i, i / 2], SigId(0), StateId(i), i % 7 == 0);
         }
         for s in 0..5u32 {
-            transitions.insert(key(7, [NO_CHILD; MAX_ARITY], s), StateId(200 + s));
+            map.insert((7, [NO_CHILD; 2], s), StateId(200 + s));
+            tables.insert_transition(7, [NO_CHILD; 2], SigId(s), StateId(200 + s), false);
         }
-        let cache = FxHashMap::default();
-        let sigs = SignatureInterner::new();
-        let idx = DenseIndex::build(&[], &transitions, &cache, &sigs, |_| false);
-        for (k, &v) in transitions.iter() {
-            assert_eq!(idx.lookup(k.op, k.kids[0], k.kids[1], k.sig.0), Some(v));
+        for (&(op, kids, sig), &v) in &map {
+            assert_eq!(tables.lookup(op, kids, SigId(sig)), Some(v));
         }
+        // The dead bit rides in the slot word, not in the state id.
+        let enc = tables.group(3).unwrap().lookup_enc(7, 3, 0).unwrap();
+        assert_eq!(enc, 7 | DEAD_BIT);
         // Unseen keys miss, including unseen operators beyond any group.
-        assert_eq!(idx.lookup(3, 555, 555, 0), None);
-        assert_eq!(idx.lookup(4, 0, 0, 0), None);
-        assert_eq!(idx.lookup(9999, 0, 0, 0), None);
-        assert_eq!(idx.lookup(7, NO_CHILD, NO_CHILD, 42), None);
+        assert_eq!(tables.lookup(3, [555, 555], SigId(0)), None);
+        assert_eq!(tables.lookup(4, [0, 0], SigId(0)), None);
+        assert_eq!(tables.lookup(9999, [0, 0], SigId(0)), None);
+        assert_eq!(tables.lookup(7, [NO_CHILD; 2], SigId(42)), None);
+        let mut raw: Vec<_> = tables
+            .transitions()
+            .map(|t| ((t.op, t.kids, t.sig), t.state))
+            .collect();
+        raw.sort_by_key(|&(k, _)| k);
+        let mut expected: Vec<_> = map.into_iter().collect();
+        expected.sort_by_key(|&(k, _)| k);
+        assert_eq!(raw, expected);
     }
 
     #[test]
     fn projection_probe_agrees_with_map() {
-        let mut cache: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
+        let mut tables = Tables::default();
+        let mut map: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
         for i in 0..64u32 {
-            cache.insert(
-                (StateId(i), (i % 7) as u16, (i % 2) as u8),
-                StateId(1000 + i),
-            );
+            let key = (StateId(i), (i % 7) as u16, (i % 2) as u8);
+            map.insert(key, StateId(1000 + i));
+            tables.insert_projection(key.0, key.1, key.2, StateId(1000 + i));
         }
-        let sigs = SignatureInterner::new();
-        let idx = DenseIndex::build(&[], &FxHashMap::default(), &cache, &sigs, |_| false);
-        for (&(full, op, pos), &v) in cache.iter() {
-            assert_eq!(idx.project(full.0, op, pos), Some(v));
+        for (&(full, op, pos), &v) in &map {
+            assert_eq!(tables.project(full, op, pos), Some(v));
         }
-        assert_eq!(idx.project(64, 0, 0), None);
+        assert_eq!(tables.project(StateId(64), 0, 0), None);
         assert_eq!(
-            idx.project(0, 6, 1),
-            cache.get(&(StateId(0), 6, 1)).copied()
+            tables.project(StateId(0), 6, 1),
+            map.get(&(StateId(0), 6, 1)).copied()
         );
+        assert_eq!(tables.projections().count(), map.len());
+        for p in tables.projections() {
+            assert_eq!(map[&(p.full, p.op, p.pos)], p.projection);
+        }
     }
 
     #[test]
     fn shape_predicts_built_bytes() {
-        let mut transitions: FxHashMap<TransKey, StateId> = FxHashMap::default();
+        let mut tables = Tables::default();
         for i in 0..33u32 {
-            transitions.insert(key(2, [i, NO_CHILD], 0), StateId(i));
+            tables.insert_transition(2, [i, NO_CHILD], SigId(0), StateId(i), false);
+            // Bytes are a function of entry counts alone at every size,
+            // across every rehash.
+            assert_eq!(
+                tables.transition_bytes(),
+                transition_bytes([0, 0, i as usize + 1].into_iter())
+            );
         }
-        transitions.insert(key(5, [NO_CHILD; MAX_ARITY], 0), StateId(40));
-        let mut cache: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
-        cache.insert((StateId(1), 2, 0), StateId(0));
+        tables.insert_transition(5, [NO_CHILD; 2], SigId(0), StateId(40), false);
+        tables.insert_projection(StateId(1), 2, 0, StateId(0));
+        // Group slots: 33 entries -> 128 slots, 1 entry -> 2 slots; six
+        // headers (operators 0..=5).
+        assert_eq!(tables.group_count(), 6);
+        assert_eq!(
+            tables.transition_bytes(),
+            6 * GROUP_HEADER_BYTES + (128 + 2) * TRANS_SLOT_BYTES
+        );
+        assert_eq!(tables.projection_bytes(), 2 * PROJ_SLOT_BYTES);
         let mut sigs = SignatureInterner::new();
         sigs.intern(&[RuleCost::Finite(1), RuleCost::Infinite]);
-        let shape = shape_of(
-            transitions.keys().map(|k| k.op),
-            cache.len(),
-            [].iter(),
-            sigs.len(),
-            sigs.iter().map(|s| s.len()).sum(),
+        assert_eq!(
+            sigs.byte_size(),
+            2 * SIG_SLOT_BYTES + 3 * SIG_OFFSET_BYTES + 2 * SIG_COST_BYTES
         );
-        let idx = DenseIndex::build(&[], &transitions, &cache, &sigs, |_| false);
-        assert_eq!(idx.byte_size(), shape.bytes());
-        // Group regions: 33 entries -> 128 slots, 1 entry -> 2 slots.
-        assert_eq!(shape.trans_slots, 128 + 2);
-        assert_eq!(shape.groups, 6);
     }
 
     #[test]
     fn sig_probe_agrees_with_interner() {
         let mut sigs = SignatureInterner::new();
-        let mut vecs: Vec<Vec<RuleCost>> = vec![vec![]];
+        let mut map: FxHashMap<Vec<RuleCost>, SigId> = FxHashMap::default();
+        map.insert(Vec::new(), SigId::EMPTY);
         for i in 0..40u16 {
             let v = vec![
                 RuleCost::Finite(i),
@@ -719,23 +614,18 @@ mod tests {
                     RuleCost::Finite(i / 2)
                 },
             ];
-            sigs.intern(&v);
-            vecs.push(v);
+            let id = sigs.intern(&v);
+            assert_eq!(*map.entry(v).or_insert(id), id);
         }
-        let idx = DenseIndex::build(
-            &[],
-            &FxHashMap::default(),
-            &FxHashMap::default(),
-            &sigs,
-            |_| false,
-        );
-        for v in &vecs {
-            assert_eq!(idx.find_sig(v), sigs.find(v));
+        for (v, &id) in &map {
+            assert_eq!(sigs.find(v), Some(id));
+            assert_eq!(sigs.get(id), &v[..]);
         }
-        assert_eq!(idx.find_sig(&[]), Some(SigId::EMPTY));
-        assert_eq!(idx.find_sig(&[RuleCost::Finite(999)]), None);
+        assert_eq!(sigs.len(), map.len());
+        assert_eq!(sigs.find(&[]), Some(SigId::EMPTY));
+        assert_eq!(sigs.find(&[RuleCost::Finite(999)]), None);
         assert_eq!(
-            idx.find_sig(&[
+            sigs.find(&[
                 RuleCost::Finite(1),
                 RuleCost::Finite(0),
                 RuleCost::Finite(0)
@@ -751,5 +641,44 @@ mod tests {
             assert!(slots_for(n).is_power_of_two());
         }
         assert_eq!(slots_for(0), 0);
+    }
+
+    #[test]
+    fn inserts_copy_shared_groups_and_leave_clones_frozen() {
+        let key = |i: u32| [i, NO_CHILD];
+        let mut master = Tables::default();
+        for i in 0..5u32 {
+            master.insert_transition(1, key(i), SigId(0), StateId(i), false);
+            master.insert_transition(2, key(i), SigId(0), StateId(i), false);
+        }
+        let published = master.clone();
+        assert_eq!(published.group_storage(1).slot_count(), 16);
+        // An in-place insert (5 -> 6 entries keeps 16 slots) into a
+        // shared group copies that group only.
+        master.insert_transition(1, key(5), SigId(0), StateId(5), false);
+        assert!(!master
+            .group_storage(1)
+            .shares_storage_with(published.group_storage(1)));
+        assert!(master
+            .group_storage(2)
+            .shares_storage_with(published.group_storage(2)));
+        assert_eq!(published.lookup(1, key(5), SigId(0)), None);
+        assert_eq!(published.transition_count(), 10);
+        // Further inserts into the now-unshared group write in place.
+        let storage = |t: &Tables| Arc::as_ptr(t.group_storage(1).slots.as_ref().unwrap());
+        let before = storage(&master);
+        master.insert_transition(1, key(6), SigId(0), StateId(6), false);
+        master.insert_transition(1, key(7), SigId(0), StateId(7), false);
+        assert_eq!(storage(&master), before);
+        // A rehash (9 entries need 32 slots) replaces the array; the
+        // published clone keeps answering from its own.
+        master.insert_transition(1, key(8), SigId(0), StateId(8), false);
+        assert_eq!(master.group_storage(1).slot_count(), 32);
+        assert_eq!(published.group_storage(1).slot_count(), 16);
+        for i in 0..9u32 {
+            let expected = (i < 5).then_some(StateId(i));
+            assert_eq!(published.lookup(1, key(i), SigId(0)), expected);
+            assert_eq!(master.lookup(1, key(i), SigId(0)), Some(StateId(i)));
+        }
     }
 }

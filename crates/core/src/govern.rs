@@ -12,8 +12,7 @@
 //!
 //! * **Accounting** — [`ComponentBytes`] breaks an automaton's footprint
 //!   down per component (state arena, projection arena, transition
-//!   table, projection cache, signature interner, plus the derived
-//!   dense warm-path index a publication builds), computed identically
+//!   groups, projection table, signature interner), computed identically
 //!   for live masters, published snapshots and persisted table files, so
 //!   a budget means the same thing everywhere.
 //! * **Heat** — the labeling hot paths keep cheap per-state touch
@@ -26,7 +25,7 @@
 //!   [`OnDemandAutomaton::compact`](crate::OnDemandAutomaton::compact))
 //!   rebuilds the tables retaining only the hottest states that fit a
 //!   byte target, remapping `StateId`s, projection ids and `SigId`s
-//!   across the transition table, projection cache and signature
+//!   across the transition groups, projection table and signature
 //!   interner. Everything evicted is merely forgotten memoization: a
 //!   future miss recomputes it, so labelings stay bit-identical.
 //! * **Budgets** — [`MemoryBudget`] names a byte ceiling plus the
@@ -44,66 +43,46 @@
 
 use std::sync::Arc;
 
-use crate::dense;
-use crate::fxhash::FxHashMap;
-use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::{TransKey, MAX_ARITY, NO_CHILD};
+use crate::dense::{self, Tables};
+use crate::signature::SigId;
+use crate::snapshot::{MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId};
 
 /// Fixed per-entry overhead charged for a state: the arena's `Arc` slot,
 /// the refcount block, and the hash-consing index entry.
 const STATE_ENTRY_OVERHEAD: usize = 48;
-/// Per-entry cost of a transition-table slot: key, value, hash overhead.
-const TRANS_ENTRY_BYTES: usize =
-    std::mem::size_of::<TransKey>() + std::mem::size_of::<StateId>() + 8;
-/// Per-entry cost of a projection-cache slot.
-const CACHE_ENTRY_BYTES: usize =
-    std::mem::size_of::<(StateId, u16, u8)>() + std::mem::size_of::<StateId>() + 8;
-/// Fixed per-signature overhead: the boxed slice header plus the
-/// interner's index entry.
-const SIG_ENTRY_OVERHEAD: usize = 48;
 
 /// Per-component byte accounting of an automaton's tables.
 ///
 /// The numbers are deterministic functions of the table *contents*
-/// (entry counts and state widths), not of allocator or hash-map
-/// capacity — so exporting and re-importing a snapshot reports identical
-/// bytes, and a budget compares the same way against a live master, a
-/// published snapshot, or a `tables stats` inspection of a file.
+/// (entry counts and state widths), not of allocator capacity: every
+/// slot table holds exactly `slots_for(entries)` slots (see `dense.rs`),
+/// so exporting and re-importing a snapshot reports identical bytes, and
+/// a budget compares the same way against a live master, a published
+/// snapshot, or a `tables stats` inspection of a file. A master and the
+/// snapshots it published share their slot arrays copy-on-write, so each
+/// reports the footprint of the tables it reads, not of the copies made.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComponentBytes {
     /// The hash-consed state arena.
     pub states: usize,
     /// The projected-state arena (projection mode only).
     pub projections: usize,
-    /// The memoized transition table.
+    /// The per-operator transition groups: one header per operator id
+    /// up to the highest one with a transition, plus the open-addressed
+    /// slots.
     pub transitions: usize,
-    /// The `(state, op, position) -> projection` cache.
+    /// The `(state, op, position) -> projection` slot table.
     pub projection_cache: usize,
-    /// The dynamic-cost signature interner.
+    /// The dynamic-cost signature interner: its slots, offsets and
+    /// flattened cost words.
     pub signatures: usize,
-    /// The dense warm-path index a published snapshot carries (see
-    /// [`crate::dense`](crate) module docs in `dense.rs`): grouped
-    /// transition slots, the flat projection table, and the
-    /// structure-of-arrays state facts. The index is *derived* — built
-    /// at publication or import, never serialized — but its footprint
-    /// is a deterministic function of the table entry counts, so it is
-    /// accounted identically for live masters (as the index the next
-    /// publication will carry), published snapshots (the index actually
-    /// built) and persisted files (the index an import will build).
-    /// Budgets therefore see the true snapshot footprint.
-    pub dense_index: usize,
 }
 
 impl ComponentBytes {
     /// Total accounted bytes across all components.
     pub fn total(&self) -> usize {
-        self.states
-            + self.projections
-            + self.transitions
-            + self.projection_cache
-            + self.signatures
-            + self.dense_index
+        self.states + self.projections + self.transitions + self.projection_cache + self.signatures
     }
 }
 
@@ -205,48 +184,32 @@ pub(crate) fn compact_target_bytes(byte_budget: usize, retain_fraction: f32) -> 
     (byte_budget as f64 * fraction as f64) as usize
 }
 
-/// A borrowed view of one automaton's tables, shared by the accounting
-/// and compaction passes (master automata, snapshots and the persist
-/// inspector all present themselves this way).
+/// A borrowed view of one master automaton's tables, for compaction.
 pub(crate) struct TableView<'a> {
     pub states: &'a [Arc<StateData>],
     pub projections: &'a [Arc<StateData>],
-    pub transitions: &'a FxHashMap<TransKey, StateId>,
-    pub projection_cache: &'a FxHashMap<(StateId, u16, u8), StateId>,
-    pub signatures: &'a SignatureInterner,
+    pub tables: &'a Tables,
     pub project_children: bool,
 }
 
-/// Accounted bytes of a full table set, including the dense warm-path
-/// index these tables imply (a pure function of the entry counts — no
-/// index is materialized here).
-pub(crate) fn account_tables(view: &TableView<'_>) -> ComponentBytes {
-    let dense_shape = dense::shape_of(
-        view.transitions.keys().map(|k| k.op),
-        view.projection_cache.len(),
-        view.states.iter(),
-        view.signatures.len(),
-        view.signatures.iter().map(|s| s.len()).sum(),
-    );
+/// Accounted bytes of a state arena.
+fn arena_bytes<'a>(arena: impl Iterator<Item = &'a Arc<StateData>>) -> usize {
+    arena.map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD).sum()
+}
+
+/// Accounted bytes of a full table set — master automata, snapshots and
+/// the persist inspector all account this way.
+pub(crate) fn account_tables(
+    states: &[Arc<StateData>],
+    projections: &[Arc<StateData>],
+    tables: &Tables,
+) -> ComponentBytes {
     ComponentBytes {
-        states: view
-            .states
-            .iter()
-            .map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        projections: view
-            .projections
-            .iter()
-            .map(|s| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        transitions: view.transitions.len() * TRANS_ENTRY_BYTES,
-        projection_cache: view.projection_cache.len() * CACHE_ENTRY_BYTES,
-        signatures: view
-            .signatures
-            .iter()
-            .map(|sig| std::mem::size_of_val(sig) + SIG_ENTRY_OVERHEAD)
-            .sum(),
-        dense_index: dense_shape.bytes(),
+        states: arena_bytes(states.iter()),
+        projections: arena_bytes(projections.iter()),
+        transitions: tables.transition_bytes(),
+        projection_cache: tables.projection_bytes(),
+        signatures: tables.signatures.byte_size(),
     }
 }
 
@@ -255,9 +218,7 @@ pub(crate) fn account_tables(view: &TableView<'_>) -> ComponentBytes {
 pub(crate) struct CompactedTables {
     pub states: Vec<Arc<StateData>>,
     pub projections: Vec<Arc<StateData>>,
-    pub transitions: FxHashMap<TransKey, StateId>,
-    pub projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-    pub signatures: SignatureInterner,
+    pub tables: Tables,
     /// Heat carried into the new epoch (indexed by new id, halved).
     pub heat: Vec<u64>,
     pub stats: CompactionStats,
@@ -278,9 +239,9 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
     // them through the projection cache.
     let mut keep_proj = vec![false; view.projections.len()];
     let mut cache_kept = 0usize;
-    for (&(full, _, _), &proj) in view.projection_cache.iter() {
-        if keep_state[full.0 as usize] {
-            keep_proj[proj.0 as usize] = true;
+    for p in view.tables.projections() {
+        if keep_state[p.full.0 as usize] {
+            keep_proj[p.projection.0 as usize] = true;
             cache_kept += 1;
         }
     }
@@ -296,65 +257,49 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
             keep_state[kid as usize]
         }
     };
-    let mut keep_sig = vec![false; view.signatures.len()];
+    let signatures = &view.tables.signatures;
+    let mut keep_sig = vec![false; signatures.len()];
     keep_sig[SigId::EMPTY.0 as usize] = true;
     let mut trans_kept = 0usize;
-    // Per-operator retained counts: the dense index's slot regions are
-    // sized per operator, so predicting its post-compaction footprint
-    // needs the retained key set broken down by op.
-    let mut kept_ops: FxHashMap<u16, usize> = FxHashMap::default();
-    for (key, &target) in view.transitions.iter() {
-        if keep_state[target.0 as usize] && key.kids.iter().all(|&k| kid_kept(k)) {
-            keep_sig[key.sig.0 as usize] = true;
+    // Per-operator retained counts: transition groups are sized per
+    // operator, so predicting their post-compaction footprint needs the
+    // retained key set broken down by op.
+    let mut kept_per_op: Vec<usize> = Vec::new();
+    for t in view.tables.transitions() {
+        if keep_state[t.state.0 as usize] && t.kids.iter().all(|&k| kid_kept(k)) {
+            keep_sig[t.sig as usize] = true;
             trans_kept += 1;
-            *kept_ops.entry(key.op).or_insert(0) += 1;
+            let op = t.op as usize;
+            if kept_per_op.len() <= op {
+                kept_per_op.resize(op + 1, 0);
+            }
+            kept_per_op[op] += 1;
         }
     }
-    let states_kept = keep_state.iter().filter(|&&k| k).count();
-    let dense_shape = dense::IndexShape {
-        groups: kept_ops.keys().max().map_or(0, |&m| m as usize + 1),
-        trans_slots: kept_ops.values().map(|&n| dense::slots_for(n)).sum(),
-        proj_slots: dense::slots_for(cache_kept),
-        states: states_kept,
-        num_nts: if states_kept == 0 {
-            0
-        } else {
-            view.states.first().map_or(0, |s| s.len())
-        },
-        sigs: keep_sig.iter().filter(|&&k| k).count(),
-        sig_cost_words: view
-            .signatures
-            .iter()
-            .zip(&keep_sig)
-            .filter(|(_, &keep)| keep)
-            .map(|(sig, _)| sig.len())
-            .sum(),
-    };
     let bytes = ComponentBytes {
-        states: view
-            .states
-            .iter()
-            .zip(keep_state)
-            .filter(|(_, &keep)| keep)
-            .map(|(s, _)| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        projections: view
-            .projections
-            .iter()
-            .zip(&keep_proj)
-            .filter(|(_, &keep)| keep)
-            .map(|(s, _)| s.byte_size() + STATE_ENTRY_OVERHEAD)
-            .sum(),
-        transitions: trans_kept * TRANS_ENTRY_BYTES,
-        projection_cache: cache_kept * CACHE_ENTRY_BYTES,
-        signatures: view
-            .signatures
-            .iter()
-            .zip(&keep_sig)
-            .filter(|(_, &keep)| keep)
-            .map(|(sig, _)| std::mem::size_of_val(sig) + SIG_ENTRY_OVERHEAD)
-            .sum(),
-        dense_index: dense_shape.bytes(),
+        states: arena_bytes(
+            view.states
+                .iter()
+                .zip(keep_state)
+                .filter_map(|(s, &keep)| keep.then_some(s)),
+        ),
+        projections: arena_bytes(
+            view.projections
+                .iter()
+                .zip(&keep_proj)
+                .filter_map(|(s, &keep)| keep.then_some(s)),
+        ),
+        transitions: dense::transition_bytes(kept_per_op.into_iter()),
+        projection_cache: dense::projection_bytes(cache_kept),
+        signatures: dense::signature_bytes(
+            keep_sig.iter().filter(|&&k| k).count(),
+            signatures
+                .iter()
+                .zip(&keep_sig)
+                .filter(|(_, &keep)| keep)
+                .map(|(sig, _)| sig.len())
+                .sum(),
+        ),
     };
     RetentionPlan {
         keep_proj,
@@ -388,7 +333,7 @@ pub(crate) fn compact_tables(
     target_bytes: usize,
 ) -> CompactedTables {
     let n = view.states.len();
-    let bytes_before = account_tables(view).total();
+    let bytes_before = account_tables(view.states, view.projections, view.tables).total();
 
     // Heat-descending order, id-ascending for determinism on ties.
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -443,17 +388,13 @@ pub(crate) fn compact_tables(
             projections.push(Arc::clone(&view.projections[old]));
         }
     }
-    let mut sig_remap: Vec<u32> = vec![NO_CHILD; view.signatures.len()];
-    let mut signatures = SignatureInterner::new();
-    for (old, (costs, keep)) in view.signatures.iter().zip(&plan.keep_sig).enumerate() {
-        if !*keep {
-            continue;
+    let mut tables = Tables::default();
+    let old_sigs = &view.tables.signatures;
+    let mut sig_remap: Vec<u32> = vec![NO_CHILD; old_sigs.len()];
+    for (old, (costs, keep)) in old_sigs.iter().zip(&plan.keep_sig).enumerate() {
+        if *keep {
+            sig_remap[old] = tables.signatures.intern(costs).0;
         }
-        if old == 0 {
-            sig_remap[0] = SigId::EMPTY.0;
-            continue;
-        }
-        sig_remap[old] = signatures.intern(costs).0;
     }
 
     let kid_remap = |kid: u32| -> u32 {
@@ -465,15 +406,14 @@ pub(crate) fn compact_tables(
             state_remap[kid as usize]
         }
     };
-    let mut transitions: FxHashMap<TransKey, StateId> = FxHashMap::default();
-    for (key, &target) in view.transitions.iter() {
-        let new_target = state_remap[target.0 as usize];
+    for t in view.tables.transitions() {
+        let new_target = state_remap[t.state.0 as usize];
         if new_target == NO_CHILD {
             continue;
         }
         let mut kids = [NO_CHILD; MAX_ARITY];
         let mut alive = true;
-        for (slot, &kid) in kids.iter_mut().zip(&key.kids) {
+        for (slot, &kid) in kids.iter_mut().zip(&t.kids) {
             let mapped = kid_remap(kid);
             if kid != NO_CHILD && mapped == NO_CHILD {
                 alive = false;
@@ -484,43 +424,44 @@ pub(crate) fn compact_tables(
         if !alive {
             continue;
         }
-        transitions.insert(
-            TransKey {
-                op: key.op,
-                kids,
-                sig: SigId(sig_remap[key.sig.0 as usize]),
-            },
+        tables.insert_transition(
+            t.op,
+            kids,
+            SigId(sig_remap[t.sig as usize]),
             StateId(new_target),
+            view.states[t.state.0 as usize].is_dead(),
         );
     }
-    let mut projection_cache: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
-    for (&(full, op, pos), &proj) in view.projection_cache.iter() {
-        let new_full = state_remap[full.0 as usize];
+    for p in view.tables.projections() {
+        let new_full = state_remap[p.full.0 as usize];
         if new_full == NO_CHILD {
             continue;
         }
-        let new_proj = proj_remap[proj.0 as usize];
+        let new_proj = proj_remap[p.projection.0 as usize];
         debug_assert_ne!(
             new_proj, NO_CHILD,
             "retained cache entry lost its projection"
         );
-        projection_cache.insert((StateId(new_full), op, pos), StateId(new_proj));
+        tables.insert_projection(StateId(new_full), p.op, p.pos, StateId(new_proj));
     }
 
     let stats = CompactionStats {
         retained_states: k,
         evicted_states: n - k,
         retained_transitions: plan.retained_transitions,
-        evicted_transitions: view.transitions.len() - plan.retained_transitions,
+        evicted_transitions: view.tables.transition_count() - plan.retained_transitions,
         bytes_before,
         bytes_after: plan.bytes.total(),
     };
+    debug_assert_eq!(
+        account_tables(&states, &projections, &tables),
+        plan.bytes,
+        "compaction must build exactly the tables it planned"
+    );
     CompactedTables {
         states,
         projections,
-        transitions,
-        projection_cache,
-        signatures,
+        tables,
         heat: new_heat,
         stats,
     }
@@ -538,9 +479,8 @@ mod tests {
             transitions: 3,
             projection_cache: 4,
             signatures: 5,
-            dense_index: 6,
         };
-        assert_eq!(b.total(), 21);
+        assert_eq!(b.total(), 15);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! The automaton starts empty. To label a node the labeler forms the
 //! transition key *(operator, child states, dynamic-cost signature)* and
-//! looks it up in a hash table:
+//! looks it up in the operator's slot table (see `dense.rs`):
 //!
 //! * **hit** (the overwhelmingly common case once the automaton has
 //!   warmed up): the node's state is the cached one — labeling cost is a
-//!   single hash probe, like an offline automaton;
+//!   single bounded probe, like an offline automaton;
 //! * **miss**: the state is computed right here with one
 //!   dynamic-programming step ([`compute_state`]), hash-consed, memoized,
 //!   and used — the cost of an iburg-style labeler, paid once per
@@ -25,11 +25,11 @@ use odburg_ir::{Forest, NodeId, Op};
 
 use crate::compute::compute_state;
 use crate::counters::WorkCounters;
-use crate::fxhash::FxHashMap;
+use crate::dense::Tables;
 use crate::govern::{self, CompactionStats, ComponentBytes};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
-use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::{AutomatonSnapshot, TransKey, NO_CHILD};
+use crate::signature::SigId;
+use crate::snapshot::{AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId, StateSet};
 
 /// What to do when the automaton outgrows its budget.
@@ -200,9 +200,14 @@ pub struct OnDemandAutomaton {
     config: OnDemandConfig,
     states: StateSet,
     projections: StateSet,
-    transitions: FxHashMap<TransKey, StateId>,
-    projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-    signatures: SignatureInterner,
+    /// Transition groups, projection table and signature interner, in
+    /// the slot layout snapshots share copy-on-write (see `dense.rs`).
+    tables: Tables,
+    /// Flattened dynamic-cost dispatch, built once and shared with every
+    /// snapshot.
+    dyn_eval: Arc<DynEvalTable>,
+    /// Reused buffer for a node's dynamic costs.
+    scratch: Vec<RuleCost>,
     counters: WorkCounters,
     /// Current epoch: bumped by every flush *and* every compaction;
     /// state ids are only meaningful within one epoch.
@@ -226,13 +231,13 @@ impl OnDemandAutomaton {
     /// Creates an empty automaton with an explicit configuration.
     pub fn with_config(grammar: Arc<NormalGrammar>, config: OnDemandConfig) -> Self {
         OnDemandAutomaton {
+            dyn_eval: Arc::new(DynEvalTable::build(&grammar)),
             grammar,
             config,
             states: StateSet::new(),
             projections: StateSet::new(),
-            transitions: FxHashMap::default(),
-            projection_cache: FxHashMap::default(),
-            signatures: SignatureInterner::new(),
+            tables: Tables::default(),
+            scratch: Vec::new(),
             counters: WorkCounters::new(),
             epoch: 0,
             flushes: 0,
@@ -248,9 +253,7 @@ impl OnDemandAutomaton {
     pub fn clear(&mut self) {
         self.states = StateSet::new();
         self.projections = StateSet::new();
-        self.transitions = FxHashMap::default();
-        self.projection_cache = FxHashMap::default();
-        self.signatures = SignatureInterner::new();
+        self.tables = Tables::default();
         self.heat.clear();
         self.epoch += 1;
         self.flushes += 1;
@@ -274,11 +277,12 @@ impl OnDemandAutomaton {
     /// Freezes the automaton's current tables into an immutable
     /// [`AutomatonSnapshot`].
     ///
-    /// The snapshot shares the state data by reference count; the
-    /// transition table, projection cache and signature interner are
-    /// copied. Publication cost is therefore proportional to table
-    /// *size*, paid only when the automaton grew — never on the warm
-    /// path.
+    /// Nothing is copied: the snapshot shares the state data and every
+    /// slot array of the transition groups, projection table and
+    /// signature interner by reference count, so publication costs
+    /// O(operator groups + states). The master copies a shared slot
+    /// array the next time it grows it — in the grow path, once per
+    /// snapshot, for the arrays a forest actually touched.
     pub fn snapshot(&self) -> AutomatonSnapshot {
         AutomatonSnapshot::new(
             self.epoch(),
@@ -286,9 +290,8 @@ impl OnDemandAutomaton {
             self.config,
             self.states.share_arena(),
             self.projections.share_arena(),
-            self.transitions.clone(),
-            self.projection_cache.clone(),
-            self.signatures.clone(),
+            self.tables.clone(),
+            Arc::clone(&self.dyn_eval),
         )
     }
 
@@ -308,9 +311,9 @@ impl OnDemandAutomaton {
             config: snapshot.config(),
             states: StateSet::from_arena(snapshot.states_arena().to_vec()),
             projections: StateSet::from_arena(snapshot.projections_arena().to_vec()),
-            transitions: snapshot.transitions().clone(),
-            projection_cache: snapshot.projection_cache().clone(),
-            signatures: snapshot.signatures().clone(),
+            tables: snapshot.tables().clone(),
+            dyn_eval: Arc::clone(snapshot.dyn_eval()),
+            scratch: Vec::new(),
             counters: WorkCounters::new(),
             epoch: snapshot.epoch(),
             flushes: 0,
@@ -328,8 +331,8 @@ impl OnDemandAutomaton {
     pub fn stats(&self) -> OnDemandStats {
         OnDemandStats {
             states: self.states.len(),
-            transitions: self.transitions.len(),
-            signatures: self.signatures.len(),
+            transitions: self.tables.transition_count(),
+            signatures: self.tables.signatures.len(),
             bytes: self.accounted_bytes().total(),
             flushes: self.flushes,
             compactions: self.compactions,
@@ -343,18 +346,7 @@ impl OnDemandAutomaton {
     /// (crate::SnapshotStats)) and persisted table files
     /// ([`persist::inspect_tables`](crate::persist::inspect_tables)).
     pub fn accounted_bytes(&self) -> ComponentBytes {
-        govern::account_tables(&self.table_view())
-    }
-
-    fn table_view(&self) -> govern::TableView<'_> {
-        govern::TableView {
-            states: self.states.arena(),
-            projections: self.projections.arena(),
-            transitions: &self.transitions,
-            projection_cache: &self.projection_cache,
-            signatures: &self.signatures,
-            project_children: self.config.project_children,
-        }
+        govern::account_tables(self.states.arena(), self.projections.arena(), &self.tables)
     }
 
     /// Rebuilds the tables retaining only the hottest states that fit
@@ -376,12 +368,19 @@ impl OnDemandAutomaton {
                     + extra_heat.get(i).copied().unwrap_or(0) as u64
             })
             .collect();
-        let compacted = govern::compact_tables(&self.table_view(), &combined, target_bytes);
+        let compacted = govern::compact_tables(
+            &govern::TableView {
+                states: self.states.arena(),
+                projections: self.projections.arena(),
+                tables: &self.tables,
+                project_children: self.config.project_children,
+            },
+            &combined,
+            target_bytes,
+        );
         self.states = StateSet::from_arena(compacted.states);
         self.projections = StateSet::from_arena(compacted.projections);
-        self.transitions = compacted.transitions;
-        self.projection_cache = compacted.projection_cache;
-        self.signatures = compacted.signatures;
+        self.tables = compacted.tables;
         self.heat = compacted.heat;
         self.epoch += 1;
         self.compactions += 1;
@@ -399,15 +398,15 @@ impl OnDemandAutomaton {
     /// interning. Used by the lock-free fast path of
     /// [`SharedOnDemand`](crate::SharedOnDemand).
     pub fn find_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.signatures.find(costs)
+        self.tables.signatures.find(costs)
     }
 
     /// Non-mutating transition lookup: `Some(state)` if the transition for
     /// `(op, kids, sig)` is already memoized, `None` on a miss.
     pub fn peek_transition(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
         debug_assert!(
-            op.arity() <= crate::snapshot::MAX_ARITY,
-            "operator {op} has arity {} beyond what TransKey can hold",
+            op.arity() <= MAX_ARITY,
+            "operator {op} has arity {} beyond what a transition key can hold",
             op.arity()
         );
         debug_assert!(
@@ -416,19 +415,15 @@ impl OnDemandAutomaton {
             op.arity(),
             kid_states.len()
         );
-        let mut key = TransKey {
-            op: op.id().0,
-            kids: [NO_CHILD; crate::snapshot::MAX_ARITY],
-            sig,
-        };
+        let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            key.kids[i] = if self.config.project_children {
-                self.projection_cache.get(&(k, op.id().0, i as u8))?.0
+            kids[i] = if self.config.project_children {
+                self.tables.project(k, op.id().0, i as u8)?.0
             } else {
                 k.0
             };
         }
-        self.transitions.get(&key).copied()
+        self.tables.lookup(op.id().0, kids, sig)
     }
 
     /// Labels a single node given its children's states.
@@ -449,11 +444,11 @@ impl OnDemandAutomaton {
         kid_states: &[StateId],
     ) -> Result<StateId, LabelError> {
         let op = forest.node(node).op();
-        // TransKey invariant (see `snapshot::MAX_ARITY`): a wider
+        // Transition-key invariant (see `snapshot::MAX_ARITY`): a wider
         // operator would silently truncate the key and alias transitions.
         debug_assert!(
-            op.arity() <= crate::snapshot::MAX_ARITY,
-            "operator {op} has arity {} beyond what TransKey can hold",
+            op.arity() <= MAX_ARITY,
+            "operator {op} has arity {} beyond what a transition key can hold",
             op.arity()
         );
         debug_assert_eq!(
@@ -463,25 +458,22 @@ impl OnDemandAutomaton {
         );
         self.counters.nodes += 1;
 
-        // 1. Evaluate dynamic costs and intern the signature (fast: most
-        //    grammars have no dynamic rules at most operators).
-        let (sig, dyn_rules) = self.evaluate_signature(forest, node, op);
+        // 1. Evaluate dynamic costs into the scratch buffer and intern
+        //    the signature (fast: most grammars have no dynamic rules at
+        //    most operators).
+        let sig = self.evaluate_signature(forest, node, op);
 
-        // 2. The fast path: one hash lookup.
-        let mut key = TransKey {
-            op: op.id().0,
-            kids: [NO_CHILD; crate::snapshot::MAX_ARITY],
-            sig,
-        };
+        // 2. The fast path: one bounded probe.
+        let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().enumerate() {
-            key.kids[i] = if self.config.project_children {
+            kids[i] = if self.config.project_children {
                 self.project_child(op, i, k).0
             } else {
                 k.0
             };
         }
         self.counters.hash_lookups += 1;
-        if let Some(&state) = self.transitions.get(&key) {
+        if let Some(state) = self.tables.lookup(op.id().0, kids, sig) {
             self.counters.memo_hits += 1;
             self.touch(state);
             return Ok(state);
@@ -489,8 +481,10 @@ impl OnDemandAutomaton {
 
         // 3. The slow path: compute, intern, memoize.
         self.counters.memo_misses += 1;
-        let state = self.build_state(op, &key, kid_states, &dyn_rules)?;
-        self.transitions.insert(key, state);
+        let state = self.build_state(op, kids, kid_states)?;
+        let dead = self.states.get(state).is_dead();
+        self.tables
+            .insert_transition(op.id().0, kids, sig, state, dead);
         self.touch(state);
         Ok(state)
     }
@@ -499,11 +493,7 @@ impl OnDemandAutomaton {
     /// signal (entries are append-only within an epoch, so equality
     /// means the accounted bytes are unchanged too).
     fn table_entries(&self) -> usize {
-        self.states.len()
-            + self.projections.len()
-            + self.transitions.len()
-            + self.projection_cache.len()
-            + self.signatures.len()
+        self.states.len() + self.projections.len() + self.tables.entries()
     }
 
     /// Bumps the epoch-scoped touch counter of `state` (one array write
@@ -517,71 +507,66 @@ impl OnDemandAutomaton {
         self.heat[i] += 1;
     }
 
-    /// Evaluates the dynamic rules relevant at `node`, returning the
-    /// interned signature and the (rule, cost) pairs for the slow path.
-    fn evaluate_signature(
-        &mut self,
-        forest: &Forest,
-        node: NodeId,
-        op: Op,
-    ) -> (SigId, Vec<(NormalRuleId, RuleCost)>) {
-        if !self.grammar.has_dynamic_rules() {
-            return (SigId::EMPTY, Vec::new());
+    /// Evaluates the dynamic rules relevant at `node` into the scratch
+    /// buffer (where the slow path reads them back) and interns their
+    /// signature.
+    fn evaluate_signature(&mut self, forest: &Forest, node: NodeId, op: Op) -> SigId {
+        if !self.dyn_eval.eval(forest, node, op, &mut self.scratch) {
+            return SigId::EMPTY;
         }
-        let base = self.grammar.dynamic_base_rules(op);
-        let chains = self.grammar.dynamic_chain_rules();
-        if base.is_empty() && chains.is_empty() {
-            return (SigId::EMPTY, Vec::new());
-        }
-        let mut pairs = Vec::with_capacity(base.len() + chains.len());
-        let mut costs = Vec::with_capacity(base.len() + chains.len());
-        for &rule in base.iter().chain(chains) {
-            self.counters.dyncost_evals += 1;
-            let c = self.grammar.rule_cost_at(rule, forest, node);
-            pairs.push((rule, c));
-            costs.push(c);
-        }
+        self.counters.dyncost_evals += self.scratch.len() as u64;
         self.counters.hash_lookups += 1;
-        (self.signatures.intern(&costs), pairs)
+        self.tables.signatures.intern(&self.scratch)
     }
 
     fn project_child(&mut self, op: Op, pos: usize, kid: StateId) -> StateId {
-        let cache_key = (kid, op.id().0, pos as u8);
+        let (opid, pos) = (op.id().0, pos as u8);
         self.counters.hash_lookups += 1;
-        if let Some(&p) = self.projection_cache.get(&cache_key) {
+        if let Some(p) = self.tables.project(kid, opid, pos) {
             return p;
         }
         let projected = self
             .states
             .get(kid)
-            .project(self.grammar.operand_nts(op, pos));
+            .project(self.grammar.operand_nts(op, pos as usize));
         let (pid, _) = self.projections.intern(projected);
-        self.projection_cache.insert(cache_key, pid);
+        self.tables.insert_projection(kid, opid, pos, pid);
         pid
     }
 
+    /// Computes, interns and budget-checks the state of a node whose
+    /// signature was just evaluated: its dynamic costs are still in the
+    /// scratch buffer.
     fn build_state(
         &mut self,
         op: Op,
-        key: &TransKey,
+        kids: [u32; MAX_ARITY],
         kid_states: &[StateId],
-        dyn_rules: &[(NormalRuleId, RuleCost)],
     ) -> Result<StateId, LabelError> {
         // Gather child state data (projected or full, matching the key).
         let kid_data: Vec<&StateData> = if self.config.project_children {
-            key.kids[..op.arity()]
+            kids[..op.arity()]
                 .iter()
                 .map(|&k| self.projections.get(StateId(k)))
                 .collect()
         } else {
             kid_states.iter().map(|&k| self.states.get(k)).collect()
         };
+        // The scratch buffer holds one cost per dynamic base rule of the
+        // op, then per dynamic chain rule, in exactly that order (and is
+        // stale only when there are no such rules to zip it with).
+        let costs = &self.scratch;
+        let dyn_rules = self
+            .grammar
+            .dynamic_base_rules(op)
+            .iter()
+            .chain(self.grammar.dynamic_chain_rules());
         let dyn_cost = |rule: NormalRuleId| {
             dyn_rules
-                .iter()
-                .find(|(r, _)| *r == rule)
-                .map(|&(_, c)| c)
-                .unwrap_or(RuleCost::Infinite)
+                .clone()
+                .zip(costs)
+                .find(|&(&r, _)| r == rule)
+                .map_or(RuleCost::Infinite, |(_, &c)| c)
         };
         let state = compute_state(&self.grammar, op, &kid_data, dyn_cost, &mut self.counters);
         let (id, new) = self.states.intern(state);

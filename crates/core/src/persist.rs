@@ -69,14 +69,11 @@
 //! are not resurrected (state ids never cross process boundaries except
 //! through the snapshot itself).
 //!
-//! The dense warm-path index (see `dense.rs`) is **not** part of this
-//! format and never will be: it is a pure function of the canonical
-//! tables, rebuilt by [`AutomatonSnapshot`]'s constructor at import
-//! exactly as at publication — which is why [`FORMAT_VERSION`] stays at
-//! 2 even though snapshots now carry the index. Its accounted bytes
-//! ([`ComponentBytes::dense_index`]) *are* reported by
-//! [`inspect_tables`], computed from the entry counts, so `tables
-//! stats` shows the footprint an import will actually have.
+//! The format lists table *entries*, not the in-memory slot layout (see
+//! `dense.rs`): import inserts every entry into fresh slot tables, and
+//! since slot counts are a function of entry counts, [`inspect_tables`]
+//! reports exactly the [`ComponentBytes`] the imported snapshot will
+//! have.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -84,12 +81,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odburg_grammar::{Cost, NormalGrammar, RuleCost};
+use odburg_ir::NUM_OPS;
 
-use crate::fxhash::FxHashMap;
+use crate::dense::Tables;
 use crate::govern::{self, ComponentBytes};
 use crate::ondemand::{BudgetPolicy, OnDemandConfig};
-use crate::signature::{SigId, SignatureInterner};
-use crate::snapshot::{AutomatonSnapshot, TransKey, MAX_ARITY, NO_CHILD};
+use crate::signature::SigId;
+use crate::snapshot::{AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId};
 
 /// The current table-file format version. Version 2 added the
@@ -257,7 +255,8 @@ pub fn export_snapshot<W: Write>(
     e.u64(snapshot.epoch());
     e.u32(snapshot.grammar().num_nts() as u32);
 
-    let sigs = snapshot.signatures();
+    let tables = snapshot.tables();
+    let sigs = &tables.signatures;
     e.u32(sigs.len() as u32);
     for sig in sigs.iter() {
         e.u32(sig.len() as u32);
@@ -273,27 +272,26 @@ pub fn export_snapshot<W: Write>(
         }
     }
 
-    let mut transitions: Vec<(&TransKey, &StateId)> = snapshot.transitions().iter().collect();
-    transitions.sort_unstable_by_key(|(k, _)| (k.op, k.kids, k.sig));
+    let mut transitions: Vec<_> = tables.transitions().collect();
+    transitions.sort_unstable_by_key(|t| (t.op, t.kids, t.sig));
     e.u32(transitions.len() as u32);
-    for (key, state) in transitions {
-        e.u16(key.op);
-        for kid in key.kids {
+    for t in transitions {
+        e.u16(t.op);
+        for kid in t.kids {
             e.u32(kid);
         }
-        e.u32(key.sig.0);
-        e.u32(state.0);
+        e.u32(t.sig);
+        e.u32(t.state.0);
     }
 
-    let mut cache: Vec<(&(StateId, u16, u8), &StateId)> =
-        snapshot.projection_cache().iter().collect();
-    cache.sort_unstable_by_key(|(k, _)| **k);
+    let mut cache: Vec<_> = tables.projections().collect();
+    cache.sort_unstable_by_key(|p| (p.full, p.op, p.pos));
     e.u32(cache.len() as u32);
-    for (&(state, op, pos), projected) in cache {
-        e.u32(state.0);
-        e.u16(op);
-        e.u8(pos);
-        e.u32(projected.0);
+    for p in cache {
+        e.u32(p.full.0);
+        e.u16(p.op);
+        e.u8(p.pos);
+        e.u32(p.projection.0);
     }
 
     writer.write_all(&MAGIC)?;
@@ -389,11 +387,9 @@ struct RawTables {
     config: OnDemandConfig,
     epoch: u64,
     num_nts: usize,
-    signatures: SignatureInterner,
     states: Vec<Arc<StateData>>,
     projections: Vec<Arc<StateData>>,
-    transitions: FxHashMap<TransKey, StateId>,
-    projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
+    tables: Tables,
 }
 
 /// Reads and verifies the file header, returning the checksummed
@@ -483,7 +479,7 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
             "signature section lost the empty signature".into(),
         ));
     }
-    let mut signatures = SignatureInterner::new();
+    let mut tables = Tables::default();
     for i in 0..num_sigs {
         let len = d.count("signature entry", 4)?;
         let mut costs = Vec::with_capacity(len);
@@ -496,9 +492,9 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
                     "signature 0 must be the empty signature".into(),
                 ));
             }
-            continue; // pre-interned by SignatureInterner::new
+            continue; // pre-interned by every signature interner
         }
-        if costs.is_empty() || signatures.intern(&costs) != SigId(i as u32) {
+        if costs.is_empty() || tables.signatures.intern(&costs) != SigId(i as u32) {
             return Err(PersistError::Malformed(format!(
                 "signature {i} is empty or a duplicate"
             )));
@@ -532,9 +528,13 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     } as u32;
 
     let num_transitions = d.count("transition", 2 + 4 * MAX_ARITY + 8)?;
-    let mut transitions = FxHashMap::default();
     for _ in 0..num_transitions {
         let op = d.u16()?;
+        if op as usize >= NUM_OPS {
+            return Err(PersistError::Malformed(format!(
+                "transition operator {op} of {NUM_OPS}"
+            )));
+        }
         let mut kids = [NO_CHILD; MAX_ARITY];
         for kid in kids.iter_mut() {
             *kid = d.u32()?;
@@ -557,23 +557,15 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
                 states.len()
             )));
         }
-        if transitions
-            .insert(
-                TransKey {
-                    op,
-                    kids,
-                    sig: SigId(sig),
-                },
-                StateId(state),
-            )
-            .is_some()
-        {
+        let (sig, state) = (SigId(sig), StateId(state));
+        if tables.lookup(op, kids, sig).is_some() {
             return Err(PersistError::Malformed("duplicate transition key".into()));
         }
+        let dead = states[state.0 as usize].is_dead();
+        tables.insert_transition(op, kids, sig, state, dead);
     }
 
     let num_cached = d.count("projection cache entry", 11)?;
-    let mut projection_cache = FxHashMap::default();
     for _ in 0..num_cached {
         let state = d.u32()?;
         let op = d.u16()?;
@@ -584,14 +576,12 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
                 "projection cache id out of range".into(),
             ));
         }
-        if projection_cache
-            .insert((StateId(state), op, pos), StateId(projected))
-            .is_some()
-        {
+        if tables.project(StateId(state), op, pos).is_some() {
             return Err(PersistError::Malformed(
                 "duplicate projection cache key".into(),
             ));
         }
+        tables.insert_projection(StateId(state), op, pos, StateId(projected));
     }
 
     if d.pos != payload.len() {
@@ -606,11 +596,9 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
         config,
         epoch,
         num_nts,
-        signatures,
         states,
         projections,
-        transitions,
-        projection_cache,
+        tables,
     })
 }
 
@@ -661,15 +649,15 @@ pub fn import_snapshot<R: Read>(
         }
     }
 
+    let dyn_eval = Arc::new(DynEvalTable::build(&grammar));
     Ok(AutomatonSnapshot::new(
         raw.epoch,
         grammar,
         raw.config,
         raw.states,
         raw.projections,
-        raw.transitions,
-        raw.projection_cache,
-        raw.signatures,
+        raw.tables,
+        dyn_eval,
     ))
 }
 
@@ -717,14 +705,6 @@ pub struct TableFileInfo {
 pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistError> {
     let payload = read_payload(reader)?;
     let raw = parse_payload(&payload)?;
-    let bytes = govern::account_tables(&govern::TableView {
-        states: &raw.states,
-        projections: &raw.projections,
-        transitions: &raw.transitions,
-        projection_cache: &raw.projection_cache,
-        signatures: &raw.signatures,
-        project_children: raw.config.project_children,
-    });
     Ok(TableFileInfo {
         fingerprint: raw.fingerprint,
         config: raw.config,
@@ -732,10 +712,10 @@ pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistErro
         num_nts: raw.num_nts,
         states: raw.states.len(),
         projections: raw.projections.len(),
-        transitions: raw.transitions.len(),
-        cached_projections: raw.projection_cache.len(),
-        signatures: raw.signatures.len(),
-        bytes,
+        transitions: raw.tables.transition_count(),
+        cached_projections: raw.tables.projection_count(),
+        signatures: raw.tables.signatures.len(),
+        bytes: govern::account_tables(&raw.states, &raw.projections, &raw.tables),
         payload_bytes: payload.len(),
     })
 }
@@ -1062,6 +1042,28 @@ mod tests {
                 "bit flip at byte {i} must be detected"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_operator_is_rejected() {
+        let (auto, _) = warmed();
+        let mut bytes = Vec::new();
+        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        // The payload ends with the transitions (18 bytes each, op
+        // first) and an empty projection cache (a zero count). Point the
+        // first transition at an operator id no IR operator has, and
+        // re-seal the checksum so only the range check can object.
+        let transitions = auto.stats().transitions;
+        let first_op = bytes.len() - 4 - 18 * transitions;
+        bytes[first_op..first_op + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        let checksum = fnv1a(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        let err =
+            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(what) if what.contains("operator")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //!   merge at the end). Only a forest that contains a transition the
 //!   snapshot has not seen enters the single-writer grow path: the
 //!   mutable master automaton behind a mutex, which computes the missing
-//!   states and publishes a fresh snapshot. The warmer the automaton, the
-//!   closer every thread is to private table lookups — which is the
-//!   paper's convergence argument carried over to the memory system.
+//!   states and publishes a fresh snapshot. Publication copies no table:
+//!   the snapshot shares the master's slot arrays, and the master copies
+//!   an array only when it next grows one a snapshot still holds (see
+//!   `dense.rs`), so a publication costs O(operator groups + states) and
+//!   the grow path copies only what a forest touched. The warmer the
+//!   automaton, the closer every thread is to private table lookups —
+//!   which is the paper's convergence argument carried over to the
+//!   memory system.
 //! * [`CoarseSharedOnDemand`] — the previous design: one `RwLock` around
 //!   the whole automaton, readers under the read lock, upgrade to the
 //!   write lock on a miss. Kept as the comparison baseline for the
@@ -78,13 +83,16 @@ pub enum InstallError {
         found: OnDemandConfig,
     },
     /// The shipped snapshot is not strictly newer than what is already
-    /// published: its `(epoch, states)` pair is `<=` ours. Within an
-    /// epoch the arena is append-only, so more states means newer;
-    /// across epochs the epoch counter decides.
+    /// published: its `(epoch, entries)` pair is `<=` ours, where
+    /// `entries` totals the states, projections, transitions,
+    /// projection-cache entries and signatures. Within an epoch every
+    /// table is append-only, so more entries means newer — tables that
+    /// grew only transitions or signatures count as newer too; across
+    /// epochs the epoch counter decides.
     Stale {
-        /// `(epoch, states)` of the currently published snapshot.
+        /// `(epoch, entries)` of the currently published snapshot.
         current: (u64, usize),
-        /// `(epoch, states)` of the refused shipment.
+        /// `(epoch, entries)` of the refused shipment.
         shipped: (u64, usize),
     },
 }
@@ -102,8 +110,8 @@ impl std::fmt::Display for InstallError {
             ),
             InstallError::Stale { current, shipped } => write!(
                 f,
-                "shipped snapshot (epoch {}, {} states) is not newer than \
-                 published (epoch {}, {} states)",
+                "shipped snapshot (epoch {}, {} table entries) is not newer than \
+                 published (epoch {}, {} table entries)",
                 shipped.0, shipped.1, current.0, current.1
             ),
         }
@@ -276,7 +284,7 @@ impl SharedOnDemand {
     ) -> Result<(Vec<StateId>, Option<Arc<AutomatonSnapshot>>), LabelError> {
         let mut local = WorkCounters::new();
 
-        // Fast path: level-batched walk over the snapshot's dense index
+        // Fast path: level-batched walk over the snapshot's slot tables
         // — no locks, no hashing, one bounded probe per node (see
         // [`AutomatonSnapshot::label_warm`]). A miss hands the longest
         // resolved arena prefix to the grow path, exactly as the
@@ -384,9 +392,10 @@ impl SharedOnDemand {
         Ok((states, Some(result?)))
     }
 
-    /// Freezes and publishes the master's tables, carrying the replaced
-    /// snapshot's fast-path heat forward when both belong to the same
-    /// epoch (the arena is append-only within an epoch, so ids line up).
+    /// Publishes the master's tables — sharing, not copying, their slot
+    /// arrays — carrying the replaced snapshot's fast-path heat forward
+    /// when both belong to the same epoch (the arena is append-only
+    /// within an epoch, so ids line up).
     fn publish(&self, master: &OnDemandAutomaton) -> Arc<AutomatonSnapshot> {
         let snap = Arc::new(master.snapshot());
         snap.adopt_heat(&self.current.load());
@@ -407,10 +416,10 @@ impl SharedOnDemand {
     ///
     /// The shipment is fenced, not trusted: it must carry our grammar
     /// fingerprint and configuration, and must be *strictly newer* than
-    /// the published snapshot under the lexicographic `(epoch, states)`
-    /// order — a late broadcast from a deposed writer, or a re-delivered
-    /// duplicate, is rejected as [`InstallError::Stale`] without
-    /// disturbing the published tables.
+    /// the published snapshot under the lexicographic `(epoch, entries)`
+    /// order (see [`InstallError::Stale`]) — a late broadcast from a
+    /// deposed writer, or a re-delivered duplicate, is rejected as
+    /// [`InstallError::Stale`] without disturbing the published tables.
     ///
     /// Returns the installed snapshot's epoch.
     ///
@@ -435,8 +444,8 @@ impl SharedOnDemand {
             });
         }
         let fence = |cur: &AutomatonSnapshot| {
-            let current_key = (cur.epoch(), cur.states_arena().len());
-            let shipped_key = (snapshot.epoch(), snapshot.states_arena().len());
+            let current_key = (cur.epoch(), cur.entries());
+            let shipped_key = (snapshot.epoch(), snapshot.entries());
             if shipped_key <= current_key {
                 Err(InstallError::Stale {
                     current: current_key,
@@ -634,10 +643,8 @@ fn label_rest(
 
 /// Read-only view of an automaton's transition tables; the coarse-lock
 /// baseline's fast-path lookup [`peek`] is written against this. (The
-/// snapshot core used to share it; it now walks the dense index via
-/// [`AutomatonSnapshot::label_warm`], whose hash-path twin
-/// `label_warm_hash` keeps the same key construction alive as the
-/// benchmark baseline.)
+/// snapshot core walks its slot tables via
+/// [`AutomatonSnapshot::label_warm`] instead.)
 trait TransitionView {
     fn view_grammar(&self) -> &odburg_grammar::NormalGrammar;
     fn view_signature(&self, costs: &[RuleCost]) -> Option<SigId>;
@@ -1190,6 +1197,37 @@ mod tests {
             governed.maybe_compact().is_none(),
             "a roomy budget must not compact"
         );
+    }
+
+    #[test]
+    fn install_accepts_tables_that_grew_only_transitions() {
+        // Within an epoch a writer's tables can grow transitions (and
+        // signatures) without a new state; the replica's fence must
+        // still see the newer snapshot as newer.
+        let writer = SharedOnDemand::new(demo_automaton());
+        let replica = SharedOnDemand::new(demo_automaton());
+        writer
+            .label_forest(&forest("(AddI8 (ConstI8 1) (ConstI8 2))"))
+            .unwrap();
+        replica.install_snapshot(writer.snapshot()).unwrap();
+        let nested = forest("(AddI8 (AddI8 (ConstI8 1) (ConstI8 2)) (ConstI8 3))");
+        writer.label_forest(&nested).unwrap();
+        let shipped = writer.snapshot();
+        assert_eq!(
+            shipped.stats().states,
+            replica.snapshot().stats().states,
+            "the second forest adds a transition but no state"
+        );
+        assert_eq!(replica.install_snapshot(Arc::clone(&shipped)), Ok(0));
+        let before = replica.counters();
+        replica.label_forest(&nested).unwrap();
+        let after = replica.counters();
+        assert_eq!(after.memo_misses, before.memo_misses, "replica missed");
+        assert_eq!(replica.snapshots_published(), 2, "no grow publication");
+        // Re-delivering the same tables is stale, and says why.
+        let err = replica.install_snapshot(shipped).unwrap_err();
+        assert!(matches!(err, InstallError::Stale { current, shipped } if current == shipped));
+        assert!(err.to_string().contains("table entries"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! *compute all dynamic costs, then one hash lookup per node* — the
 //! structure the PLDI 2006 paper describes.
 
+use std::sync::Arc;
+
 use odburg_grammar::RuleCost;
 
-use crate::fxhash::FxHashMap;
+use crate::dense::{self, SigSlot, Slots};
 
 /// Id of an interned dynamic-cost signature.
 ///
@@ -24,72 +26,98 @@ impl SigId {
     pub const EMPTY: SigId = SigId(0);
 }
 
-/// Interner for dynamic-cost vectors.
+/// Interner for dynamic-cost vectors: an open-addressed slot table of
+/// `(hash, id)` pairs over the cost vectors, which are stored flattened
+/// in id order (the slot layout of `dense.rs`).
 ///
-/// `Clone` is cheap relative to publication frequency and is used to
-/// freeze the interner into an [`AutomatonSnapshot`]
-/// (crate::AutomatonSnapshot).
+/// Both halves sit behind `Arc`s, so `Clone` is a pair of pointer copies:
+/// a snapshot shares its master's interner and the master copies it only
+/// when it interns a new signature while a snapshot still holds it.
 #[derive(Debug, Clone)]
 pub struct SignatureInterner {
-    sigs: Vec<Box<[RuleCost]>>,
-    ids: FxHashMap<Box<[RuleCost]>, SigId>,
+    /// Slots over the non-empty signatures.
+    index: Slots<SigSlot>,
+    costs: Arc<FlatCosts>,
+}
+
+/// Every interned cost vector, flattened: `offsets[id]..offsets[id + 1]`
+/// bounds signature `id` in `words`.
+#[derive(Debug, Clone)]
+struct FlatCosts {
+    offsets: Vec<u32>,
+    words: Vec<RuleCost>,
 }
 
 impl SignatureInterner {
     /// Creates an interner with the empty signature pre-interned as
     /// [`SigId::EMPTY`].
     pub fn new() -> Self {
-        let empty: Box<[RuleCost]> = Vec::new().into_boxed_slice();
-        let mut ids = FxHashMap::default();
-        ids.insert(empty.clone(), SigId::EMPTY);
         SignatureInterner {
-            sigs: vec![empty],
-            ids,
+            index: Slots::default(),
+            costs: Arc::new(FlatCosts {
+                offsets: vec![0, 0],
+                words: Vec::new(),
+            }),
         }
     }
 
     /// Interns a cost vector.
     pub fn intern(&mut self, costs: &[RuleCost]) -> SigId {
-        if costs.is_empty() {
-            return SigId::EMPTY;
-        }
-        if let Some(&id) = self.ids.get(costs) {
+        if let Some(id) = self.find(costs) {
             return id;
         }
-        let id = SigId(self.sigs.len() as u32);
-        let boxed: Box<[RuleCost]> = costs.to_vec().into_boxed_slice();
-        self.sigs.push(boxed.clone());
-        self.ids.insert(boxed, id);
-        id
+        let flat = Arc::make_mut(&mut self.costs);
+        let id = (flat.offsets.len() - 1) as u32;
+        flat.words.extend_from_slice(costs);
+        flat.offsets.push(flat.words.len() as u32);
+        self.index.insert(SigSlot {
+            hash: dense::mix_sig(costs),
+            id,
+        });
+        SigId(id)
     }
 
     /// The cost vector of an interned signature.
     pub fn get(&self, id: SigId) -> &[RuleCost] {
-        &self.sigs[id.0 as usize]
+        let flat = &*self.costs;
+        let i = id.0 as usize;
+        &flat.words[flat.offsets[i] as usize..flat.offsets[i + 1] as usize]
     }
 
-    /// Looks up a cost vector without interning it.
+    /// Looks up a cost vector without interning it: one bounded probe,
+    /// the 64-bit hash screening candidates and the stored costs
+    /// confirming exactly.
+    #[inline]
     pub fn find(&self, costs: &[RuleCost]) -> Option<SigId> {
         if costs.is_empty() {
             return Some(SigId::EMPTY);
         }
-        self.ids.get(costs).copied()
+        let hash = dense::mix_sig(costs);
+        self.index
+            .find(hash, |s| s.hash == hash && self.get(SigId(s.id)) == costs)
+            .map(|s| SigId(s.id))
     }
 
     /// Number of distinct signatures (including the empty one).
     pub fn len(&self) -> usize {
-        self.sigs.len()
+        self.costs.offsets.len() - 1
     }
 
     /// Iterates over all interned cost vectors in id order (the empty
     /// signature first).
     pub fn iter(&self) -> impl Iterator<Item = &[RuleCost]> {
-        self.sigs.iter().map(|s| &**s)
+        (0..self.len()).map(|i| self.get(SigId(i as u32)))
     }
 
     /// `true` if only the empty signature exists.
     pub fn is_empty(&self) -> bool {
-        self.sigs.len() == 1
+        self.len() == 1
+    }
+
+    /// Accounted bytes (a function of the signature and cost-word
+    /// counts).
+    pub(crate) fn byte_size(&self) -> usize {
+        dense::signature_bytes(self.len(), self.costs.words.len())
     }
 }
 
@@ -121,5 +149,11 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(s.len(), 3);
         assert_eq!(s.get(c), &[RuleCost::Finite(1), RuleCost::Infinite]);
+        // A clone taken before an intern keeps its own view.
+        let frozen = s.clone();
+        let d = s.intern(&[RuleCost::Finite(2)]);
+        assert_eq!(frozen.find(&[RuleCost::Finite(2)]), None);
+        assert_eq!(frozen.len(), 3);
+        assert_eq!(s.find(&[RuleCost::Finite(2)]), Some(d));
     }
 }

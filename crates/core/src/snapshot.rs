@@ -4,8 +4,8 @@
 //! separates the automaton into two halves:
 //!
 //! * an **immutable snapshot** (this module): state arena, transition
-//!   table, projection cache and signature interner, frozen at a point in
-//!   time and published behind an atomically swappable pointer. Reader
+//!   groups, projection table and signature interner, frozen at a point
+//!   in time and published behind an atomically swappable pointer. Reader
 //!   threads label whole forests against a snapshot with *zero* locks and
 //!   zero shared-memory writes — every operation is a read of immutable
 //!   data;
@@ -13,6 +13,12 @@
 //!   mutex, entered only when a forest contains a transition the current
 //!   snapshot has not seen. The writer computes the missing states and
 //!   publishes a fresh snapshot.
+//!
+//! Master and snapshot keep their tables in one layout, the slot tables
+//! of [`crate::dense`], and share the slot arrays copy-on-write: taking a
+//! snapshot clones array pointers and the state arena's `Arc`s, and the
+//! master copies an array only when it next grows one a snapshot still
+//! holds.
 //!
 //! Because the master automaton is append-only within an epoch (state,
 //! transition and signature ids are never reassigned until a
@@ -29,39 +35,29 @@ use odburg_grammar::{CostExpr, DynCostFn, NormalGrammar, NormalRuleId, NtId, Rul
 use odburg_ir::{Forest, NodeId, Op, OpId, NUM_OPS};
 
 use crate::counters::WorkCounters;
-use crate::dense::{self, DenseIndex};
-use crate::fxhash::FxHashMap;
+use crate::dense::{self, Tables};
 use crate::govern::{self, ComponentBytes};
 use crate::label::StateLookup;
 use crate::ondemand::OnDemandConfig;
-use crate::signature::{SigId, SignatureInterner};
+use crate::signature::SigId;
 use crate::state::{StateData, StateId};
 
 pub(crate) const NO_CHILD: u32 = u32::MAX;
 
-/// The maximum operator arity a [`TransKey`] can represent.
+/// The maximum operator arity a transition key can represent.
 ///
 /// **Invariant:** every [`Op`] in the IR has `arity() <= MAX_ARITY`.
-/// `TransKey.kids` is a fixed array of this size, and both the lookup and
-/// the insert paths take exactly `op.arity()` child states — an operator
-/// with more children would silently truncate the key and alias unrelated
-/// transitions. The labeling entry points `debug_assert!` this bound, and
+/// A transition key — `(operator, child states, dynamic-cost
+/// signature)`, the lookup the paper performs per node — holds a fixed
+/// array of this many child ids (unused slots are [`NO_CHILD`]), and both
+/// the lookup and the insert paths take exactly `op.arity()` child
+/// states: an operator with more children would silently truncate the
+/// key and alias unrelated transitions. The labeling entry points
+/// `debug_assert!` this bound, and
 /// `snapshot::tests::all_ops_fit_the_transition_key` locks it in against
-/// future IR extensions (growing `kids` is the fix if one ever exceeds
-/// it).
+/// future IR extensions (growing the kid array is the fix if one ever
+/// exceeds it).
 pub(crate) const MAX_ARITY: usize = 2;
-
-/// Transition-table key: `(operator, child states, dynamic-cost
-/// signature)` — the lookup the paper performs per node.
-///
-/// `kids` holds exactly `op.arity()` child states (see [`MAX_ARITY`]);
-/// unused slots are [`NO_CHILD`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct TransKey {
-    pub op: u16,
-    pub kids: [u32; MAX_ARITY],
-    pub sig: SigId,
-}
 
 /// Size statistics of a snapshot, including the per-component byte
 /// accounting the memory governor budgets against (see
@@ -103,35 +99,31 @@ pub struct AutomatonSnapshot {
     /// consistently — so it is part of the snapshot and of the persisted
     /// format.
     projections: Vec<Arc<StateData>>,
-    transitions: FxHashMap<TransKey, StateId>,
-    projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-    signatures: SignatureInterner,
-    /// The dense warm-path index (see [`crate::dense`]): flat
-    /// per-operator transition slots, a flat projection table, and
-    /// structure-of-arrays state facts, derived from the canonical
-    /// tables above at construction. Never serialized — rebuilt at
-    /// every publication and at [`persist`](crate::persist) import.
-    dense: DenseIndex,
+    /// Transition groups, projection table and signature interner (see
+    /// [`crate::dense`]). Their slot arrays are shared with the master
+    /// that published them, which copies an array before it next grows
+    /// it, so these stay frozen.
+    tables: Tables,
     /// Per-state touch counters for this epoch, bumped (relaxed) by the
     /// lock-free fast path once per forest and folded into the writer's
     /// heat at compaction time. Not part of the persisted format and
     /// not compared by [`SnapshotStats`].
     heat: Box<[AtomicU32]>,
-    /// Flattened dynamic-cost dispatch (see [`DynEvalTable`]).
-    dyn_eval: DynEvalTable,
+    /// Flattened dynamic-cost dispatch, built once per master and shared
+    /// (see [`DynEvalTable`]).
+    dyn_eval: Arc<DynEvalTable>,
 }
 
-/// Flattened warm-path dispatch for dynamic-cost evaluation: the
-/// resolved cost function of every dynamic base rule, grouped by
-/// operator id, plus the dynamic chain rules' functions. Derived from
-/// the grammar at snapshot construction (a cold path) so a warm eval is
-/// one sequential slice read and the indirect call itself — the per-eval
-/// walk through the fat [`NormalRule`] and
-/// [`DynCost`](odburg_grammar::DynCost) tables (two dependent cache
-/// lines each) happens once per publication instead of once per node.
-/// Constant grammar-derived metadata, outside the byte accounting like
-/// the grammar `Arc` itself.
-struct DynEvalTable {
+/// Flattened dynamic-cost dispatch: the resolved cost function of every
+/// dynamic base rule, grouped by operator id, plus the dynamic chain
+/// rules' functions. Built from the grammar once per master automaton
+/// (or import) and shared by `Arc` with every snapshot it publishes, so
+/// an eval is one sequential slice read and the indirect call itself —
+/// the walk through the fat [`NormalRule`](odburg_grammar::NormalRule)
+/// and [`DynCost`](odburg_grammar::DynCost) tables (two dependent cache
+/// lines each) never happens per node. Constant grammar-derived
+/// metadata, outside the byte accounting like the grammar `Arc` itself.
+pub(crate) struct DynEvalTable {
     /// `base[op]` — cost functions of the op's dynamic base rules, in
     /// the same order `dynamic_base_rules` reports them.
     base: Box<[Box<[DynCostFn]>]>,
@@ -149,7 +141,7 @@ impl std::fmt::Debug for DynEvalTable {
 }
 
 impl DynEvalTable {
-    fn build(grammar: &NormalGrammar) -> Self {
+    pub(crate) fn build(grammar: &NormalGrammar) -> Self {
         let resolve = |&r: &NormalRuleId| -> DynCostFn {
             match grammar.rule(r).cost {
                 CostExpr::Dynamic(id) => grammar.dyncosts()[id.0 as usize].func.clone(),
@@ -167,6 +159,32 @@ impl DynEvalTable {
                 .collect(),
             chains: grammar.dynamic_chain_rules().iter().map(resolve).collect(),
         }
+    }
+
+    /// Evaluates the dynamic-cost rules applicable at `node` — the op's
+    /// dynamic base rules, then the dynamic chain rules, in
+    /// `dynamic_base_rules`/`dynamic_chain_rules` order — into `scratch`,
+    /// returning `false` when there are none: the node's signature is
+    /// then statically [`SigId::EMPTY`] and `scratch` is left untouched.
+    /// `scratch` is a caller-owned buffer reused across nodes, so
+    /// labeling never allocates per node.
+    #[inline]
+    pub(crate) fn eval(
+        &self,
+        forest: &Forest,
+        node: NodeId,
+        op: Op,
+        scratch: &mut Vec<RuleCost>,
+    ) -> bool {
+        let base = &*self.base[op.id().0 as usize];
+        if base.is_empty() && self.chains.is_empty() {
+            return false;
+        }
+        scratch.clear();
+        for f in base.iter().chain(&*self.chains) {
+            scratch.push(f(forest, node));
+        }
+        true
     }
 }
 
@@ -187,7 +205,7 @@ pub struct WarmWalk {
 }
 
 /// One memoized transition in raw `(op, kids, sig)` form, for
-/// diagnostics and differential tests against the dense index.
+/// diagnostics, persistence and differential tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawTransition {
     /// Operator id (`Op::id`).
@@ -215,45 +233,23 @@ pub struct RawProjection {
 }
 
 impl AutomatonSnapshot {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         epoch: u64,
         grammar: Arc<NormalGrammar>,
         config: OnDemandConfig,
         states: Vec<Arc<StateData>>,
         projections: Vec<Arc<StateData>>,
-        transitions: FxHashMap<TransKey, StateId>,
-        projection_cache: FxHashMap<(StateId, u16, u8), StateId>,
-        signatures: SignatureInterner,
+        tables: Tables,
+        dyn_eval: Arc<DynEvalTable>,
     ) -> Self {
         let heat = (0..states.len()).map(|_| AtomicU32::new(0)).collect();
-        // The dense warm-path index is derived here — publication and
-        // import are the cold paths that pay the build. An operator's
-        // signature is statically empty exactly when the grammar has no
-        // dynamic chain rules and no dynamic base rules for the op.
-        let chains_empty = grammar.dynamic_chain_rules().is_empty();
-        let dense = DenseIndex::build(
-            &states,
-            &transitions,
-            &projection_cache,
-            &signatures,
-            |op| {
-                chains_empty
-                    && Op::from_id(OpId(op))
-                        .is_some_and(|o| grammar.dynamic_base_rules(o).is_empty())
-            },
-        );
-        let dyn_eval = DynEvalTable::build(&grammar);
         AutomatonSnapshot {
             epoch,
             grammar,
             config,
             states,
             projections,
-            transitions,
-            projection_cache,
-            signatures,
-            dense,
+            tables,
             heat,
             dyn_eval,
         }
@@ -300,16 +296,19 @@ impl AutomatonSnapshot {
         &self.projections
     }
 
-    pub(crate) fn transitions(&self) -> &FxHashMap<TransKey, StateId> {
-        &self.transitions
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.tables
     }
 
-    pub(crate) fn projection_cache(&self) -> &FxHashMap<(StateId, u16, u8), StateId> {
-        &self.projection_cache
+    pub(crate) fn dyn_eval(&self) -> &Arc<DynEvalTable> {
+        &self.dyn_eval
     }
 
-    pub(crate) fn signatures(&self) -> &SignatureInterner {
-        &self.signatures
+    /// Total entries across all tables. Within an epoch every table is
+    /// append-only, so this count strictly increases with every table
+    /// that grew — the freshness order replicas fence installs on.
+    pub(crate) fn entries(&self) -> usize {
+        self.states.len() + self.projections.len() + self.tables.entries()
     }
 
     /// The flush epoch this snapshot belongs to. State ids are only
@@ -332,27 +331,14 @@ impl AutomatonSnapshot {
 
     /// Size statistics, including per-component byte accounting.
     pub fn stats(&self) -> SnapshotStats {
-        let bytes = govern::account_tables(&govern::TableView {
-            states: &self.states,
-            projections: &self.projections,
-            transitions: &self.transitions,
-            projection_cache: &self.projection_cache,
-            signatures: &self.signatures,
-            project_children: self.config.project_children,
-        });
-        debug_assert_eq!(
-            bytes.dense_index,
-            self.dense.byte_size(),
-            "accounted dense-index bytes must equal the built index"
-        );
         SnapshotStats {
             epoch: self.epoch,
             states: self.states.len(),
             projections: self.projections.len(),
-            transitions: self.transitions.len(),
-            cached_projections: self.projection_cache.len(),
-            signatures: self.signatures.len(),
-            bytes,
+            transitions: self.tables.transition_count(),
+            cached_projections: self.tables.projection_count(),
+            signatures: self.tables.signatures.len(),
+            bytes: govern::account_tables(&self.states, &self.projections, &self.tables),
         }
     }
 
@@ -365,7 +351,7 @@ impl AutomatonSnapshot {
     /// the signature is unknown to this snapshot — a miss that must go to
     /// the writer.
     pub fn find_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.signatures.find(costs)
+        self.tables.signatures.find(costs)
     }
 
     /// Non-mutating transition lookup: `Some(state)` if `(op, kids, sig)`
@@ -377,7 +363,7 @@ impl AutomatonSnapshot {
     pub fn lookup(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
         debug_assert!(
             op.arity() <= MAX_ARITY,
-            "operator {op} has arity {} > MAX_ARITY={MAX_ARITY}: TransKey would truncate",
+            "operator {op} has arity {} > MAX_ARITY={MAX_ARITY}: the key would truncate",
             op.arity()
         );
         debug_assert!(
@@ -386,75 +372,37 @@ impl AutomatonSnapshot {
             op.arity(),
             kid_states.len()
         );
-        let mut key = TransKey {
-            op: op.id().0,
-            kids: [NO_CHILD; MAX_ARITY],
-            sig,
-        };
+        let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            key.kids[i] = if self.config.project_children {
-                self.projection_cache.get(&(k, op.id().0, i as u8))?.0
+            kids[i] = if self.config.project_children {
+                self.tables.project(k, op.id().0, i as u8)?.0
             } else {
                 k.0
             };
         }
-        self.transitions.get(&key).copied()
+        self.tables.lookup(op.id().0, kids, sig)
     }
 
-    /// Evaluates the dynamic-cost rules applicable at `node` into
-    /// `scratch`, returning `false` when there are none — the node's
-    /// signature is statically [`SigId::EMPTY`]. Shared by both warm
-    /// walks (the dyncost evaluation is identical work); each walk then
-    /// resolves the filled scratch through its own signature structure
-    /// — the dense probe or the interner's hash map. `scratch` is a
-    /// caller-owned buffer reused across nodes so the warm loops never
-    /// allocate per node, and dispatch goes through the flattened
-    /// [`DynEvalTable`]: per eval, one sequential function-pointer read
-    /// and the cost function itself.
-    #[inline]
-    fn node_dyn_costs(
-        &self,
-        forest: &Forest,
-        node: NodeId,
-        op: Op,
-        counters: &mut WorkCounters,
-        scratch: &mut Vec<RuleCost>,
-    ) -> bool {
-        let base = &*self.dyn_eval.base[op.id().0 as usize];
-        let chains = &*self.dyn_eval.chains;
-        if base.is_empty() && chains.is_empty() {
-            return false;
-        }
-        scratch.clear();
-        for f in base {
-            scratch.push(f(forest, node));
-        }
-        for f in chains {
-            scratch.push(f(forest, node));
-        }
-        counters.dyncost_evals += (base.len() + chains.len()) as u64;
-        true
-    }
-
-    /// Labels as much of `forest` as this snapshot can answer, using
-    /// the dense index and a **level-batched** walk over the arena.
-    /// The arena order is itself a level schedule — every child is
-    /// created (and therefore resolved) strictly before its parent — so
-    /// the walk consumes the forest as one in-place run of ascending
-    /// levels: sequential, prefetch-friendly reads of the node arena
-    /// and of the growing state buffer, with the whole previous level's
-    /// states already sitting contiguously when a parent is reached.
-    /// (An explicit counting-sort into per-level runs was measured and
-    /// rejected: the scatter pass plus the reordered — i.e. random —
-    /// arena reads cost more than the batching saved, since the slot
-    /// regions it tried to keep hot already fit in cache.)
+    /// Labels as much of `forest` as this snapshot can answer, with a
+    /// **level-batched** walk over the arena. The arena order is itself
+    /// a level schedule — every child is created (and therefore
+    /// resolved) strictly before its parent — so the walk consumes the
+    /// forest as one in-place run of ascending levels: sequential,
+    /// prefetch-friendly reads of the node arena and of the growing
+    /// state buffer, with the whole previous level's states already
+    /// sitting contiguously when a parent is reached. (An explicit
+    /// counting-sort into per-level runs was measured and rejected: the
+    /// scatter pass plus the reordered — i.e. random — arena reads cost
+    /// more than the batching saved, since the slot regions it tried to
+    /// keep hot already fit in cache.)
     ///
-    /// Per node the walk is exactly the dense probes: a bounded
-    /// flat-slot probe per transition (plus one per child in projection
-    /// mode) and a flat dead-flag read — no hashing, no `Arc` chase.
-    /// Misses stop the walk (the grow path recomputes from the returned
-    /// arena prefix, exactly as with the hash walk); dense probes are
-    /// counted as [`WorkCounters::table_lookups`].
+    /// Per node the walk is exactly the slot-table probes: a bounded
+    /// probe of the operator's transition group (plus one projection
+    /// probe per child in projection mode, and one signature probe at
+    /// dynamic-cost operators), with the dead flag read from the probed
+    /// slot — no `Arc` chase. Misses stop the walk (the grow path
+    /// recomputes from the returned arena prefix); probes are counted as
+    /// [`WorkCounters::table_lookups`].
     pub fn label_warm(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
         if self.config.project_children {
             self.label_warm_impl::<true>(forest, counters)
@@ -470,53 +418,55 @@ impl AutomatonSnapshot {
         forest: &Forest,
         counters: &mut WorkCounters,
     ) -> WarmWalk {
-        let dense = &self.dense;
+        let tables = &self.tables;
+        let dyn_eval = &*self.dyn_eval;
         let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
         let mut scratch: Vec<RuleCost> = Vec::new();
         // Per-node tallies accumulate in locals and flush once — the
         // loop writes no memory but the states vector.
         let mut nodes = 0u64;
         let mut hits = 0u64;
+        let mut evals = 0u64;
         let mut nocover = None;
         'walk: for (id, node) in forest.iter() {
             let op = node.op();
             let opid = op.id().0;
             nodes += 1;
-            // One group-header load per node serves both the
-            // statically-empty-signature bit and the probe below.
-            let g = dense.group(opid);
+            // An operator without a group has no transitions: a miss.
+            let Some(group) = tables.group(opid) else {
+                break 'walk;
+            };
             // Child-state gather with a compile-time trip count
             // (`MAX_ARITY == 2`), fully unrolled by the optimizer.
             let mut kids = [NO_CHILD; MAX_ARITY];
             let ch = node.children();
             for (i, kid) in kids.iter_mut().enumerate() {
                 let Some(&c) = ch.get(i) else { break };
-                let s = states[c.index()].0;
+                let s = states[c.index()];
                 *kid = if PROJECT {
-                    match dense.project(s, opid, i as u8) {
+                    match tables.project(s, opid, i as u8) {
                         Some(p) => p.0,
                         None => break 'walk,
                     }
                 } else {
-                    s
+                    s.0
                 };
             }
-            // A node of an all-fixed-cost operator never touches the
-            // grammar's dynamic-rule tables; dynamic nodes resolve
-            // their cost vector through the dense signature probe
-            // instead of the interner's hash map.
-            let sig =
-                if g.sig_static() || !self.node_dyn_costs(forest, id, op, counters, &mut scratch) {
-                    SigId::EMPTY
-                } else {
-                    match dense.find_sig(&scratch) {
-                        Some(s) => s,
-                        None => break 'walk,
-                    }
-                };
+            // A node of an all-fixed-cost operator never leaves the
+            // empty signature; dynamic nodes resolve their cost vector
+            // through the signature probe.
+            let sig = if dyn_eval.eval(forest, id, op, &mut scratch) {
+                evals += scratch.len() as u64;
+                match tables.signatures.find(&scratch) {
+                    Some(s) => s,
+                    None => break 'walk,
+                }
+            } else {
+                SigId::EMPTY
+            };
             // The probe result carries the dead flag in its top bit, so
             // the `NoCover` check costs no extra load.
-            match dense.lookup_enc(g, kids[0], kids[1], sig.0) {
+            match group.lookup_enc(kids[0], kids[1], sig.0) {
                 Some(enc) => {
                     if enc & dense::DEAD_BIT != 0 {
                         nocover = Some(id);
@@ -531,131 +481,47 @@ impl AutomatonSnapshot {
         counters.nodes += nodes;
         counters.table_lookups += nodes;
         counters.memo_hits += hits;
+        counters.dyncost_evals += evals;
         WarmWalk { states, nocover }
     }
 
-    /// The retained `FxHashMap` warm walk: arena order, one hash-map
-    /// probe per node (plus a hashed projection resolution per child in
-    /// projection mode), dead check through the `Arc` state arena. This
-    /// is the pre-dense-index fast path, kept as the `label_hot`
-    /// benchmark baseline and as the differential oracle for the dense
-    /// index.
-    pub fn label_warm_hash(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut scratch: Vec<RuleCost> = Vec::new();
-        for (id, node) in forest.iter() {
-            let mut kids = [StateId(0); MAX_ARITY];
-            for (i, &c) in node.children().iter().enumerate() {
-                kids[i] = states[c.index()];
-            }
-            counters.nodes += 1;
-            counters.hash_lookups += 1;
-            let sig = if !self.node_dyn_costs(forest, id, node.op(), counters, &mut scratch) {
-                SigId::EMPTY
-            } else {
-                match self.find_signature(&scratch) {
-                    Some(s) => s,
-                    None => break,
-                }
-            };
-            match self.lookup(node.op(), &kids[..node.op().arity()], sig) {
-                Some(sid) => {
-                    if self.state(sid).is_dead() {
-                        return WarmWalk {
-                            states,
-                            nocover: Some(id),
-                        };
-                    }
-                    counters.memo_hits += 1;
-                    states.push(sid);
-                }
-                None => break,
-            }
-        }
-        WarmWalk {
-            states,
-            nocover: None,
-        }
-    }
-
     /// Every memoized transition in raw form (unspecified order), for
-    /// diagnostics and the dense-index differential tests.
+    /// diagnostics and differential tests.
     pub fn raw_transitions(&self) -> Vec<RawTransition> {
-        self.transitions
-            .iter()
-            .map(|(k, &v)| RawTransition {
-                op: k.op,
-                kids: k.kids,
-                sig: k.sig.0,
-                state: v,
-            })
-            .collect()
+        self.tables.transitions().collect()
     }
 
     /// Every projection-cache entry in raw form (unspecified order).
     pub fn raw_projections(&self) -> Vec<RawProjection> {
-        self.projection_cache
-            .iter()
-            .map(|(&(full, op, pos), &proj)| RawProjection {
-                full,
-                op,
-                pos,
-                projection: proj,
-            })
-            .collect()
+        self.tables.projections().collect()
     }
 
-    /// Raw transition probe through the canonical `FxHashMap` (no
-    /// projection resolution — `kids` are the key's own child ids).
-    pub fn lookup_raw_hash(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
-        self.transitions
-            .get(&TransKey {
-                op,
-                kids,
-                sig: SigId(sig),
-            })
-            .copied()
+    /// Every interned dynamic-cost signature, indexed by signature id
+    /// (the empty signature first).
+    pub fn raw_signatures(&self) -> Vec<Vec<RuleCost>> {
+        self.tables.signatures.iter().map(<[_]>::to_vec).collect()
     }
 
-    /// Raw transition probe through the dense index; must agree with
-    /// [`lookup_raw_hash`](Self::lookup_raw_hash) on every key, seen or
-    /// unseen.
-    pub fn lookup_raw_dense(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
-        self.dense.lookup(op, kids[0], kids[1], sig)
+    /// Raw transition probe (no projection resolution — `kids` are the
+    /// key's own child ids), the probe [`label_warm`](Self::label_warm)
+    /// runs per node.
+    pub fn lookup_raw(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
+        self.tables.lookup(op, kids, SigId(sig))
     }
 
-    /// Raw projection-cache probe through the canonical `FxHashMap`.
-    pub fn project_raw_hash(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
-        self.projection_cache.get(&(full, op, pos)).copied()
-    }
-
-    /// Raw projection-cache probe through the dense index; must agree
-    /// with [`project_raw_hash`](Self::project_raw_hash) everywhere.
-    pub fn project_raw_dense(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
-        self.dense.project(full.0, op, pos)
-    }
-
-    /// Signature probe through the dense table; must agree with
-    /// [`find_signature`](Self::find_signature) (the interner's hash
-    /// map) on every cost vector, interned or not.
-    pub fn find_signature_dense(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.dense.find_sig(costs)
+    /// Raw projection-cache probe.
+    pub fn project_raw(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
+        self.tables.project(full, op, pos)
     }
 }
 
 impl StateLookup for AutomatonSnapshot {
-    /// Answered from the dense index's flat rule array (no `Arc`
-    /// chase). Bounds-checked: a stale id from an earlier flush epoch
-    /// can exceed this snapshot's arena; it must degrade to "no rule"
-    /// (the reducer reports `MissingRule`), never panic. Ids valid for
-    /// this snapshot's epoch are unaffected.
+    /// Bounds-checked: a stale id from an earlier flush epoch can exceed
+    /// this snapshot's arena; it must degrade to "no rule" (the reducer
+    /// reports `MissingRule`), never panic. Ids valid for this
+    /// snapshot's epoch are unaffected.
     fn rule_in_state(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
-        debug_assert_eq!(
-            self.dense.rule(state, nt),
-            self.states.get(state.0 as usize).and_then(|s| s.rule(nt)),
-            "dense rule array must mirror the state arena"
-        );
-        self.dense.rule(state, nt)
+        self.states.get(state.0 as usize).and_then(|s| s.rule(nt))
     }
 }
 
@@ -665,7 +531,7 @@ mod tests {
     use crate::label::Labeler;
     use crate::ondemand::OnDemandAutomaton;
     use odburg_grammar::parse_grammar;
-    use odburg_ir::{parse_sexpr, Forest};
+    use odburg_ir::parse_sexpr;
 
     fn warmed() -> (OnDemandAutomaton, Forest) {
         let g = parse_grammar(
@@ -727,10 +593,10 @@ mod tests {
 
     #[test]
     fn all_ops_fit_the_transition_key() {
-        // Locks in the TransKey invariant: every operator the IR can
-        // express has arity <= MAX_ARITY, so the fixed `kids` array never
-        // truncates. If a future IR extension adds a wider operator,
-        // this test fails and `kids: [u32; MAX_ARITY]` must grow with it.
+        // Locks in the transition-key invariant: every operator the IR
+        // can express has arity <= MAX_ARITY, so the fixed kid array
+        // never truncates. If a future IR extension adds a wider
+        // operator, this test fails and the kid array must grow with it.
         use odburg_ir::{ALL_KINDS, ALL_TYPE_TAGS};
         for kind in ALL_KINDS {
             for ty in ALL_TYPE_TAGS {
@@ -789,6 +655,135 @@ mod tests {
         let other_epoch = flushed.snapshot();
         other_epoch.adopt_heat(&snap);
         assert!(other_epoch.heat_counts().iter().all(|&h| h == 0));
+    }
+
+    /// A grammar whose dynamic cost depends on the constant's value:
+    /// every distinct constant interns a signature and memoizes a
+    /// `ConstI8` transition, all into the same state.
+    fn churn() -> OnDemandAutomaton {
+        let mut g = parse_grammar(
+            r#"
+            %start stmt
+            %dyncost val
+            reg: ConstI8 [val]
+            reg: AddI8(reg, reg) (1)
+            stmt: StoreI8(reg, reg) (1)
+            "#,
+        )
+        .unwrap();
+        g.bind_dyncost(
+            "val",
+            Arc::new(|forest: &Forest, node| {
+                let v = forest.node(node).payload().as_int().unwrap_or(0);
+                RuleCost::Finite((v.unsigned_abs() % 1000) as u16)
+            }),
+        )
+        .unwrap();
+        OnDemandAutomaton::new(Arc::new(g.normalize()))
+    }
+
+    fn forest(src: &str) -> Forest {
+        let mut f = Forest::new();
+        let root = parse_sexpr(&mut f, src).unwrap();
+        f.add_root(root);
+        f
+    }
+
+    fn sorted(mut raw: Vec<RawTransition>) -> Vec<RawTransition> {
+        raw.sort_by_key(|t| (t.op, t.kids, t.sig));
+        raw
+    }
+
+    fn per_op(snap: &AutomatonSnapshot) -> Vec<usize> {
+        let mut counts = vec![0; snap.tables().group_count()];
+        for t in snap.raw_transitions() {
+            counts[t.op as usize] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn pinned_snapshot_is_isolated_from_copy_on_write_growth() {
+        let mut auto = churn();
+        auto.label_forest(&forest(
+            "(StoreI8 (ConstI8 1) (AddI8 (ConstI8 2) (ConstI8 3)))",
+        ))
+        .unwrap();
+        let pinned = auto.snapshot();
+        let frozen = sorted(pinned.raw_transitions());
+        let const_op = "ConstI8".parse::<Op>().unwrap().id().0;
+        let const_slots = pinned.tables().group_storage(const_op).slot_count();
+
+        // Grow every group the snapshot shares: new constants insert
+        // into the `ConstI8` group in place, then rehash it repeatedly;
+        // new shapes grow the `AddI8` and `StoreI8` groups.
+        for k in 10..40 {
+            auto.label_forest(&forest(&format!(
+                "(StoreI8 (AddI8 (ConstI8 {k}) (AddI8 (ConstI8 1) (ConstI8 2))) (ConstI8 {k}))"
+            )))
+            .unwrap();
+        }
+        let grown = auto.snapshot();
+        let master_const = grown.tables().group_storage(const_op);
+        assert!(master_const.slot_count() > const_slots, "ConstI8 rehashed");
+        assert!(!master_const.shares_storage_with(pinned.tables().group_storage(const_op)));
+        assert!(grown.stats().transitions > frozen.len() + 30);
+
+        // The pinned snapshot answers exactly as before: same raw
+        // entries, same lookups, and every key the master added misses.
+        assert_eq!(sorted(pinned.raw_transitions()), frozen);
+        for t in &frozen {
+            assert_eq!(pinned.lookup_raw(t.op, t.kids, t.sig), Some(t.state));
+        }
+        for t in grown.raw_transitions() {
+            let expected = frozen
+                .iter()
+                .any(|f| (f.op, f.kids, f.sig) == (t.op, t.kids, t.sig))
+                .then_some(t.state);
+            assert_eq!(pinned.lookup_raw(t.op, t.kids, t.sig), expected);
+        }
+        assert_eq!(pinned.stats().signatures, 4, "empty + three constants");
+        assert_eq!(pinned.find_signature(&[RuleCost::Finite(10)]), None);
+    }
+
+    #[test]
+    fn publication_shares_every_group_the_forest_did_not_grow() {
+        let shared = crate::SharedOnDemand::new(churn());
+        shared
+            .label_forest(&forest(
+                "(StoreI8 (ConstI8 1) (AddI8 (ConstI8 2) (ConstI8 3)))",
+            ))
+            .unwrap();
+        shared
+            .label_forest(&forest(
+                "(AddI8 (AddI8 (ConstI8 1) (ConstI8 2)) (ConstI8 3))",
+            ))
+            .unwrap();
+        let before = shared.snapshot();
+        // A fresh constant grows the `ConstI8` group alone (its state,
+        // and every `AddI8`/`StoreI8` transition above it, already exist).
+        shared
+            .label_forest(&forest(
+                "(StoreI8 (ConstI8 1) (AddI8 (ConstI8 2) (ConstI8 77)))",
+            ))
+            .unwrap();
+        let after = shared.snapshot();
+        assert_eq!(after.epoch(), before.epoch());
+        let (old, new) = (per_op(&before), per_op(&after));
+        assert_eq!(old.len(), new.len());
+        let const_op = "ConstI8".parse::<Op>().unwrap().id().0 as usize;
+        let grown: Vec<usize> = (0..new.len()).filter(|&op| new[op] != old[op]).collect();
+        assert_eq!(grown, [const_op], "only the ConstI8 group grew");
+        for op in 0..new.len() {
+            assert_eq!(
+                after
+                    .tables()
+                    .group_storage(op as u16)
+                    .shares_storage_with(before.tables().group_storage(op as u16)),
+                op != const_op,
+                "group of op {op}: shared exactly when it did not grow"
+            );
+        }
     }
 
     #[test]

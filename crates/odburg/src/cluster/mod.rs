@@ -663,7 +663,7 @@ impl ShardCluster {
     /// epoch. This is where every fence lives, in order: the
     /// writer-lease epoch (zombie broadcast), shard liveness, persist
     /// validation (checksum, grammar fingerprint, configuration), and
-    /// the receiving core's `(epoch, states)` monotonic fence. Public
+    /// the receiving core's `(epoch, table entries)` monotonic fence. Public
     /// because the socket serving path ([`SocketTransport`]) and the
     /// differential tests inject frames directly.
     ///

@@ -1554,10 +1554,6 @@ pub struct TargetServerStats {
     pub counters: WorkCounters,
     /// Accounted bytes of the target's tables.
     pub table_bytes: usize,
-    /// The slice of `table_bytes` that is the derived dense warm-path
-    /// index (the flat tables every worker's warm labeling probes; see
-    /// [`odburg_core::ComponentBytes::dense_index`]).
-    pub dense_index_bytes: usize,
     /// Whether the master was warm-started from persisted tables.
     pub warm_started: bool,
     /// The most recent maintenance pressure event, if any fired.
@@ -2174,12 +2170,10 @@ impl SelectorServer {
             .into_iter()
             .filter_map(|entry| {
                 let (master, warm_started) = entry.built_master()?;
-                let bytes = master.accounted_bytes();
                 Some(TargetServerStats {
                     target: entry.name.clone(),
                     counters: entry.counters(),
-                    table_bytes: bytes.total(),
-                    dense_index_bytes: bytes.dense_index,
+                    table_bytes: master.accounted_bytes().total(),
                     warm_started,
                     pressure: *entry.last_pressure.lock().expect("pressure lock"),
                     service_ewma: entry.estimated_service(),

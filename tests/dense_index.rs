@@ -1,28 +1,37 @@
-//! Differential properties of the dense warm-path index against the
-//! canonical `FxHashMap` tables it is derived from.
+//! Differential properties of the automaton's slot tables.
 //!
-//! The dense index (per-operator open-addressed transition slots, flat
-//! projection table, signature probe — see `odburg_core::dense`) is a
-//! *pure projection* of a snapshot's hash tables: every memoized key
-//! must resolve to the same state through both structures, every unseen
-//! key must miss through both, and the two warm walks built on top of
-//! them must agree node for node. These properties are checked over
-//! random grammars and random forests, in both child-projection modes,
-//! and — because compaction rebuilds the index from remapped state ids
-//! — across a `BudgetPolicy::Compact` epoch change.
+//! Master and snapshots keep their transitions, projections and
+//! signatures in one layout — per-operator open-addressed transition
+//! groups, a projection slot table and a signature slot table, shared
+//! copy-on-write (`dense.rs` in `odburg_core`). These properties check
+//! that layout against test-local hash tables built from a snapshot's
+//! raw entries: every memoized key hits, near-miss mutations of memoized
+//! keys and random unseen keys hit exactly when the hash tables say so,
+//! and the signature probe agrees with a hash map over the raw
+//! signatures. On top of the probes, the warm walk must agree node for
+//! node with the master automaton's labeling and with the snapshot's
+//! per-node lookups, and its selections must match the `DpLabeler`
+//! oracle. All of it is checked over random grammars and random forests,
+//! in both child-projection modes, and — because compaction rebuilds the
+//! tables from remapped ids — across a `BudgetPolicy::Compact` epoch
+//! change.
 
 mod common;
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use odburg::grammar::{NormalRuleId, NtId};
 use odburg::prelude::*;
+use odburg::select::signature::SigId;
+use odburg::select::{StateId, StateLookup};
 use odburg::workloads::TreeSampler;
 
-use common::random_grammar;
+use common::{dp_reduction, random_grammar};
 
 /// Labels `trees` sampled forests through a fresh shared automaton so
 /// its snapshot memoizes a realistic mix of transitions, projections
@@ -48,130 +57,273 @@ fn warmed(
     (normal, forests, shared)
 }
 
-/// Every memoized transition and projection resolves identically
-/// through the dense index and the hash tables, and single-component
+/// Transition key in raw form: `(op, kids, sig)`.
+type RawKey = (u16, [u32; 2], u32);
+
+/// Test-local hash tables over a snapshot's raw entries.
+struct HashTables {
+    transitions: HashMap<RawKey, StateId>,
+    projections: HashMap<(StateId, u16, u8), StateId>,
+    signatures: HashMap<Vec<RuleCost>, SigId>,
+}
+
+impl HashTables {
+    fn of(snap: &AutomatonSnapshot) -> Self {
+        let stats = snap.stats();
+        let tables = HashTables {
+            transitions: snap
+                .raw_transitions()
+                .iter()
+                .map(|t| ((t.op, t.kids, t.sig), t.state))
+                .collect(),
+            projections: snap
+                .raw_projections()
+                .iter()
+                .map(|p| ((p.full, p.op, p.pos), p.projection))
+                .collect(),
+            signatures: snap
+                .raw_signatures()
+                .into_iter()
+                .enumerate()
+                .map(|(id, costs)| (costs, SigId(id as u32)))
+                .collect(),
+        };
+        // Raw entries are distinct and complete.
+        assert_eq!(tables.transitions.len(), stats.transitions);
+        assert_eq!(tables.projections.len(), stats.cached_projections);
+        assert_eq!(tables.signatures.len(), stats.signatures);
+        tables
+    }
+
+    fn transition(&self, (op, kids, sig): RawKey) -> Option<StateId> {
+        self.transitions.get(&(op, kids, sig)).copied()
+    }
+}
+
+/// Every memoized transition and projection hits, and single-component
 /// mutations of every memoized key (a near-collision stress for the
-/// open-addressed probe) miss or hit identically.
-fn assert_index_agrees(snap: &AutomatonSnapshot) {
-    let transitions = snap.raw_transitions();
-    assert!(!transitions.is_empty(), "warmed snapshot has transitions");
-    for t in &transitions {
+/// open-addressed probe) hit exactly when the hash tables hold them.
+fn assert_tables_agree(snap: &AutomatonSnapshot, hash: &HashTables) {
+    assert!(
+        !hash.transitions.is_empty(),
+        "warmed snapshot has transitions"
+    );
+    for (&(op, kids, sig), &state) in &hash.transitions {
         assert_eq!(
-            snap.lookup_raw_dense(t.op, t.kids, t.sig),
-            Some(t.state),
-            "memoized key missed the dense probe"
+            snap.lookup_raw(op, kids, sig),
+            Some(state),
+            "memoized key missed the slot probe"
         );
-        assert_eq!(snap.lookup_raw_hash(t.op, t.kids, t.sig), Some(t.state));
         for (dop, dk0, dk1, ds) in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)] {
-            let op = t.op.wrapping_add(dop);
-            let kids = [t.kids[0].wrapping_add(dk0), t.kids[1].wrapping_add(dk1)];
-            let sig = t.sig.wrapping_add(ds);
+            let key = (
+                op.wrapping_add(dop),
+                [kids[0].wrapping_add(dk0), kids[1].wrapping_add(dk1)],
+                sig.wrapping_add(ds),
+            );
             assert_eq!(
-                snap.lookup_raw_dense(op, kids, sig),
-                snap.lookup_raw_hash(op, kids, sig),
-                "mutated key ({op}, {kids:?}, {sig}) disagrees"
+                snap.lookup_raw(key.0, key.1, key.2),
+                hash.transition(key),
+                "mutated key {key:?} disagrees"
             );
         }
     }
-    for p in snap.raw_projections() {
-        assert_eq!(
-            snap.project_raw_dense(p.full, p.op, p.pos),
-            Some(p.projection)
+    for (&(full, op, pos), &projection) in &hash.projections {
+        assert_eq!(snap.project_raw(full, op, pos), Some(projection));
+        for key in [
+            (StateId(full.0.wrapping_add(1)), op, pos),
+            (full, op.wrapping_add(1), pos),
+            (full, op, pos.wrapping_add(1)),
+        ] {
+            assert_eq!(
+                snap.project_raw(key.0, key.1, key.2),
+                hash.projections.get(&key).copied(),
+                "mutated projection key {key:?} disagrees"
+            );
+        }
+    }
+    for (costs, &id) in &hash.signatures {
+        assert_eq!(snap.find_signature(costs), Some(id));
+    }
+}
+
+/// Random keys and cost vectors — nearly all unseen — hit exactly when
+/// the hash tables hold them.
+fn assert_random_keys_agree(snap: &AutomatonSnapshot, hash: &HashTables, rng: &mut StdRng) {
+    for _ in 0..32 {
+        let key = (
+            rng.gen_range(0..u16::MAX),
+            [rng.gen_range(0..u32::MAX), rng.gen_range(0..u32::MAX)],
+            rng.gen_range(0..u32::MAX),
+        );
+        assert_eq!(snap.lookup_raw(key.0, key.1, key.2), hash.transition(key));
+        // Small ids land on the memoized ones far more often.
+        let small = (
+            rng.gen_range(0..64u16),
+            [rng.gen_range(0..8u32), rng.gen_range(0..8u32)],
+            rng.gen_range(0..4u32),
         );
         assert_eq!(
-            snap.project_raw_hash(p.full, p.op, p.pos),
-            Some(p.projection)
+            snap.lookup_raw(small.0, small.1, small.2),
+            hash.transition(small)
         );
-        let missed = (
-            odburg::select::StateId(p.full.0.wrapping_add(1)),
-            p.op,
-            p.pos.wrapping_add(1),
+        let proj = (
+            StateId(rng.gen_range(0..8u32)),
+            rng.gen_range(0..64u16),
+            rng.gen_range(0..2u8),
         );
         assert_eq!(
-            snap.project_raw_dense(missed.0, missed.1, missed.2),
-            snap.project_raw_hash(missed.0, missed.1, missed.2)
+            snap.project_raw(proj.0, proj.1, proj.2),
+            hash.projections.get(&proj).copied()
+        );
+    }
+    for _ in 0..16 {
+        let costs: Vec<RuleCost> = (0..rng.gen_range(0..4usize))
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    RuleCost::Infinite
+                } else {
+                    RuleCost::Finite(rng.gen_range(0..8))
+                }
+            })
+            .collect();
+        assert_eq!(
+            snap.find_signature(&costs),
+            hash.signatures.get(&costs).copied(),
+            "signature probe disagrees on {costs:?}"
         );
     }
 }
 
-/// Both warm walks answer the same forest with the same state prefix
-/// and the same `NoCover` outcome; a fully warmed forest resolves
-/// completely with zero misses through both.
-fn assert_walks_agree(snap: &AutomatonSnapshot, forest: &Forest, fully_warm: bool) {
-    let mut dense_counters = WorkCounters::new();
-    let dense = snap.label_warm(forest, &mut dense_counters);
-    let mut hash_counters = WorkCounters::new();
-    let hash = snap.label_warm_hash(forest, &mut hash_counters);
-    assert_eq!(dense.states, hash.states, "walk states diverge");
-    assert_eq!(dense.nocover, hash.nocover, "walk NoCover outcomes diverge");
+/// The warm walk over `forest` agrees node for node with the master
+/// automaton's labeling of the same forest (the master rebuilt from the
+/// snapshot, so both speak the snapshot's ids), and stops exactly where
+/// the snapshot's own per-node lookups — signature probe, then
+/// transition lookup — first miss or reach a dead state. A fully warm
+/// forest resolves completely, and the master relabels it without a
+/// miss.
+fn assert_walk_agrees(
+    normal: &NormalGrammar,
+    snap: &AutomatonSnapshot,
+    forest: &Forest,
+    fully_warm: bool,
+) {
+    let walk = snap.label_warm(forest, &mut WorkCounters::new());
+    let mut master = OnDemandAutomaton::from_snapshot(snap);
+    let labeled = master.label_forest(forest).expect("sampled forests label");
+    let labeled = labeled.states();
+
+    let mut expected = Vec::new();
+    let mut nocover = None;
+    for (id, node) in forest.iter() {
+        let op = node.op();
+        let kids: Vec<StateId> = node.children().iter().map(|c| labeled[c.index()]).collect();
+        let costs: Vec<RuleCost> = normal
+            .dynamic_base_rules(op)
+            .iter()
+            .chain(normal.dynamic_chain_rules())
+            .map(|&r| normal.rule_cost_at(r, forest, id))
+            .collect();
+        let Some(sig) = snap.find_signature(&costs) else {
+            break;
+        };
+        let Some(state) = snap.lookup(op, &kids, sig) else {
+            break;
+        };
+        if snap.state(state).is_dead() {
+            nocover = Some(id);
+            break;
+        }
+        assert_eq!(state, labeled[id.index()], "snapshot and master disagree");
+        expected.push(state);
+    }
+    assert_eq!(walk.states, expected, "walk prefix diverges");
+    assert_eq!(walk.nocover, nocover, "walk NoCover outcomes diverge");
     if fully_warm {
-        assert_eq!(dense.states.len(), forest.len(), "warm forest missed");
-        assert!(dense.nocover.is_none());
+        assert_eq!(walk.states.len(), forest.len(), "warm forest missed");
+        assert!(walk.nocover.is_none());
+        assert_eq!(master.counters().memo_misses, 0, "master missed");
+    }
+}
+
+/// Selections read from a warm walk's states through the snapshot.
+struct WalkChooser<'a> {
+    snap: &'a AutomatonSnapshot,
+    states: &'a [StateId],
+}
+
+impl RuleChooser for WalkChooser<'_> {
+    fn rule_for(&self, node: NodeId, nt: NtId) -> Option<NormalRuleId> {
+        self.snap.rule_in_state(self.states[node.index()], nt)
+    }
+}
+
+/// The warm walk's selections match the `DpLabeler` oracle: identical
+/// instructions at identical total cost.
+fn assert_selections_match_dp(
+    normal: &Arc<NormalGrammar>,
+    snap: &AutomatonSnapshot,
+    forest: &Forest,
+) {
+    let walk = snap.label_warm(forest, &mut WorkCounters::new());
+    assert_eq!(walk.states.len(), forest.len(), "warm forest missed");
+    let chooser = WalkChooser {
+        snap,
+        states: &walk.states,
+    };
+    let got = reduce_forest(forest, normal, &chooser).expect("warm walk reduces");
+    let expected = dp_reduction(forest, normal);
+    assert_eq!(got.instructions, expected.instructions);
+    assert_eq!(got.total_cost, expected.total_cost);
+}
+
+/// Everything above, on one snapshot and its warm forests.
+fn assert_snapshot_agrees(
+    normal: &Arc<NormalGrammar>,
+    snap: &AutomatonSnapshot,
+    warm: &[Forest],
+    rng: &mut StdRng,
+) {
+    let hash = HashTables::of(snap);
+    assert_tables_agree(snap, &hash);
+    assert_random_keys_agree(snap, &hash, rng);
+    for forest in warm {
+        assert_walk_agrees(normal, snap, forest, true);
+        assert_selections_match_dp(normal, snap, forest);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Dense/hash agreement on every memoized key, near-miss mutations
-    /// of them, random unseen keys, whole-forest walks and the
-    /// signature probe — in both projection modes.
+    /// Slot tables vs hash tables on every memoized key, near-miss
+    /// mutations of them, random unseen keys and the signature probe;
+    /// warm walks vs the master and the DP oracle — in both projection
+    /// modes.
     #[test]
     fn dense_index_agrees_with_hash_tables(seed in 0u64..(1u64 << 48)) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA9EE);
         let project = rng.gen_bool(0.5);
-        let (_, forests, shared) = warmed(seed, project, 10);
-        let snap = shared.snapshot();
-        assert_index_agrees(&snap);
-        for forest in &forests {
-            assert_walks_agree(&snap, forest, true);
-        }
-        for _ in 0..32 {
-            let (op, kid0, kid1, sig) = (
-                rng.gen_range(0..u16::MAX),
-                rng.gen_range(0..u32::MAX),
-                rng.gen_range(0..u32::MAX),
-                rng.gen_range(0..u32::MAX),
-            );
-            prop_assert_eq!(
-                snap.lookup_raw_dense(op, [kid0, kid1], sig),
-                snap.lookup_raw_hash(op, [kid0, kid1], sig)
-            );
-        }
-        for _ in 0..16 {
-            let costs: Vec<RuleCost> = (0..rng.gen_range(0..4usize))
-                .map(|_| {
-                    if rng.gen_bool(0.3) {
-                        RuleCost::Infinite
-                    } else {
-                        RuleCost::Finite(rng.gen_range(0..8))
-                    }
-                })
-                .collect();
-            prop_assert_eq!(
-                snap.find_signature_dense(&costs),
-                snap.find_signature(&costs),
-                "signature probe disagrees on {:?}", costs
-            );
-        }
+        let (normal, forests, shared) = warmed(seed, project, 10);
+        assert_snapshot_agrees(&normal, &shared.snapshot(), &forests, &mut rng);
     }
 
-    /// A forest the snapshot has never seen stops both walks at the
-    /// same node with the same prefix (the resume contract of the grow
-    /// path does not depend on which structure answered).
+    /// A forest the snapshot has never seen stops the warm walk exactly
+    /// where the snapshot's per-node lookups first miss, with the
+    /// master's states as the prefix (the resume contract of the grow
+    /// path) — in both projection modes.
     #[test]
     fn unseen_forests_miss_identically(seed in 0u64..(1u64 << 48)) {
-        let (normal, _, shared) = warmed(seed, false, 4);
+        let (normal, _, shared) = warmed(seed, seed % 2 == 1, 4);
         let snap = shared.snapshot();
         let mut sampler = TreeSampler::new(&normal, seed ^ 0xF4E57);
         for _ in 0..6 {
             let fresh = sampler.sample_forest(6);
-            assert_walks_agree(&snap, &fresh, false);
+            assert_walk_agrees(&normal, &snap, &fresh, false);
         }
     }
 
-    /// Compaction rebuilds the dense index over a remapped state arena
-    /// (new `StateId`s, retained-entry subsets): the rebuilt index must
+    /// Compaction rebuilds the tables over a remapped state arena (new
+    /// `StateId`s, retained-entry subsets): the rebuilt tables must
     /// satisfy exactly the same agreement properties as the original.
     #[test]
     fn dense_index_survives_compact_rebuild(seed in 0u64..(1u64 << 48)) {
@@ -198,18 +350,17 @@ proptest! {
             compacting.label_forest(&forest).expect("labels under budget");
         }
         // Tiny grammars can stay under the floor budget; the rebuilt
-        // index is only observable when compaction actually ran.
+        // tables are only observable when compaction actually ran.
         if compacting.counters().compactions > 0 {
             let snap = compacting.snapshot();
-            assert!(snap.epoch() > 0, "compaction advances the epoch");
-            assert_index_agrees(&snap);
+            prop_assert!(snap.epoch() > 0, "compaction advances the epoch");
             // Forests labeled through the compacting automaton most
-            // recently are warm in the fresh epoch; both walks must
-            // agree on them against the rebuilt index.
+            // recently are warm in the fresh epoch.
             let warm = sampler.sample_forest(8);
             compacting.label_forest(&warm).expect("labels");
             let snap = compacting.snapshot();
-            assert_walks_agree(&snap, &warm, true);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0);
+            assert_snapshot_agrees(&normal, &snap, &[warm], &mut rng);
         }
     }
 }

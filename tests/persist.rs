@@ -163,3 +163,52 @@ fn socket_shipped_bytes_match_a_file_export_bit_identically() {
         assert_eq!(relabeled.state_of(id), original.state_of(id));
     }
 }
+
+/// FNV-1a, as the table-file header uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The persisted format lists table entries, not their in-memory
+/// layout: labeling the MiniC suite on x86ish must export the same bytes
+/// whichever way the tables are kept. The golden length and checksum
+/// were taken from format-v2 exports of this exact sequence; the direct
+/// automaton, the shared automaton (which publishes after every grow)
+/// and an import → re-export round trip must all reproduce them, in
+/// both projection modes.
+#[test]
+fn minic_export_matches_the_golden_bytes() {
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    let forests: Vec<Forest> = odburg::frontend::programs::all()
+        .iter()
+        .map(|p| p.compile().expect("MiniC compiles"))
+        .collect();
+    for (project_children, golden) in [
+        (false, (27_794, 0x3bc0_7802_7ea1_be97)),
+        (true, (29_862, 0xdf64_a518_c5be_733d)),
+    ] {
+        let config = OnDemandConfig {
+            project_children,
+            ..OnDemandConfig::default()
+        };
+        let mut direct = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
+        let shared =
+            SharedOnDemand::new(OnDemandAutomaton::with_config(Arc::clone(&normal), config));
+        for forest in &forests {
+            direct.label_forest(forest).expect("labels");
+            shared.label_forest(forest).expect("labels");
+        }
+        let bytes = exported(&direct);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), golden, "{config:?}");
+        let mut from_shared = Vec::new();
+        persist::export_snapshot(&shared.snapshot(), &mut from_shared).expect("export");
+        assert_eq!(from_shared, bytes, "shared export differs");
+        let imported =
+            persist::import_snapshot(&bytes[..], Arc::clone(&normal), config).expect("import");
+        let mut again = Vec::new();
+        persist::export_snapshot(&imported, &mut again).expect("export");
+        assert_eq!(again, bytes, "round trip differs");
+    }
+}
