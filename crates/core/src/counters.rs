@@ -149,8 +149,7 @@ impl WorkCounters {
 /// The snapshot-based [`SharedOnDemand`](crate::SharedOnDemand) merges
 /// each forest's locally accumulated [`WorkCounters`] into one of these
 /// with relaxed atomic adds — counters are statistics, not
-/// synchronization, so no ordering is needed and the stats `Mutex` of the
-/// coarse-lock design disappears.
+/// synchronization, so no ordering is needed and no lock guards them.
 #[derive(Debug, Default)]
 pub struct AtomicWorkCounters {
     nodes: AtomicU64,

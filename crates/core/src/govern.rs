@@ -21,8 +21,8 @@
 //!   [`SharedOnDemand`](crate::SharedOnDemand) fast path, merged once
 //!   per forest). Heat is scoped to an epoch: a flush drops it, a
 //!   compaction carries it across — halved, so stale heat decays.
-//! * **Compaction** — [`compact_tables`] (driving
-//!   [`OnDemandAutomaton::compact`](crate::OnDemandAutomaton::compact))
+//! * **Compaction** —
+//!   [`OnDemandAutomaton::compact`](crate::OnDemandAutomaton::compact)
 //!   rebuilds the tables retaining only the hottest states that fit a
 //!   byte target, remapping `StateId`s, projection ids and `SigId`s
 //!   across the transition groups, projection table and signature
@@ -30,9 +30,12 @@
 //!   future miss recomputes it, so labelings stay bit-identical.
 //! * **Budgets** — [`MemoryBudget`] names a byte ceiling plus the
 //!   [`PressureAction`] to take when it is crossed; the selection
-//!   service enforces one per target at the end of every drain, and
-//!   [`BudgetPolicy::Compact`](crate::BudgetPolicy) wires the same
-//!   mechanism into the automaton's own grow path.
+//!   service enforces one per target in the worker maintenance quanta
+//!   between jobs
+//!   ([`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)),
+//!   and [`BudgetPolicy::Compact`](crate::BudgetPolicy) wires the same
+//!   mechanism into the automaton's own grow path. Both relieve the
+//!   tables through one flush-or-compact step.
 //!
 //! The lifecycle, end to end: traffic grows the tables → touch counters
 //! accumulate per epoch → the budget trips → a single-writer compaction
@@ -116,7 +119,7 @@ impl PressureAction {
 
 /// A byte ceiling for one automaton's tables plus the action that
 /// enforces it; see
-/// [`SharedOnDemand::enforce_budget`](crate::SharedOnDemand::enforce_budget)
+/// [`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)
 /// and the selection service's per-target budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBudget {

@@ -86,7 +86,7 @@ pub use label::{LabelError, Labeler, Labeling, RuleChooser, StateChooser, StateL
 pub use offline::{DynCostMode, OfflineAutomaton, OfflineConfig, OfflineLabeler, OfflineStats};
 pub use ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig, OnDemandStats};
 pub use persist::PersistError;
-pub use shared::{CoarseSharedOnDemand, InstallError, PinnedLabeling, SharedOnDemand};
+pub use shared::{InstallError, PinnedLabeling, SharedOnDemand};
 pub use snapshot::{AutomatonSnapshot, RawProjection, RawTransition, SnapshotStats, WarmWalk};
 pub use state::{StateData, StateId, StateSet};
 pub use telemetry::{

@@ -26,13 +26,18 @@ use odburg_ir::{Forest, NodeId, Op};
 use crate::compute::compute_state;
 use crate::counters::WorkCounters;
 use crate::dense::Tables;
-use crate::govern::{self, CompactionStats, ComponentBytes};
+use crate::govern::{self, CompactionStats, ComponentBytes, MemoryBudget, PressureAction};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
 use crate::signature::SigId;
-use crate::snapshot::{AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
+use crate::snapshot::{self, AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId, StateSet};
 
 /// What to do when the automaton outgrows its budget.
+///
+/// One ladder applies the policy to every forest, on the single-threaded
+/// [`OnDemandAutomaton`] and the shared
+/// [`SharedOnDemand`](crate::SharedOnDemand) alike, so both take the same
+/// flushes and compactions for the same forests.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum BudgetPolicy {
     /// Fail with [`LabelError::StateBudgetExceeded`].
@@ -41,10 +46,10 @@ pub enum BudgetPolicy {
     /// Flush every state, transition and signature and relabel the
     /// current forest from scratch — bounded memory at the price of
     /// re-warming (the memory-management strategy a long-running JIT
-    /// wants). Applies to [`OnDemandAutomaton::label_forest`]; the
-    /// incremental [`OnDemandAutomaton::label_node`] path still reports
-    /// the error because its caller holds state ids a flush would
-    /// invalidate.
+    /// wants). Applies to whole forests
+    /// ([`label_forest`](Labeler::label_forest)); the incremental
+    /// [`OnDemandAutomaton::label_node`] path still reports the error
+    /// because its caller holds state ids a flush would invalidate.
     ///
     /// # Epoch semantics under the snapshot-based shared automaton
     ///
@@ -65,17 +70,18 @@ pub enum BudgetPolicy {
     ///   with the master's and restarts the forest from scratch on a
     ///   mismatch (labelings never mix state ids across epochs);
     /// * callers that hold labelings across forests should use
-    ///   [`SharedOnDemand::label_forest_pinned`]
-    ///   (crate::SharedOnDemand::label_forest_pinned), which returns the
-    ///   labeling together with the exact snapshot it refers to.
+    ///   [`SharedOnDemand::label_forest_pinned`](crate::SharedOnDemand::label_forest_pinned),
+    ///   which returns the labeling together with the exact snapshot it
+    ///   refers to.
     Flush,
     /// Keep the tables under a **byte budget** by evicting cold states
-    /// instead of wiping everything: when the accounted bytes
-    /// ([`OnDemandAutomaton::accounted_bytes`]) exceed `byte_budget`, a
-    /// single-writer [compaction](crate::govern) pass rebuilds the
-    /// tables retaining only the hottest states that fit
+    /// instead of wiping everything: when a forest leaves the accounted
+    /// bytes ([`OnDemandAutomaton::accounted_bytes`]) above
+    /// `byte_budget`, a single-writer [compaction](crate::govern) pass
+    /// rebuilds the tables retaining only the hottest states that fit
     /// `retain_fraction * byte_budget` bytes, remapping state,
-    /// projection and signature ids into a **new epoch**.
+    /// projection and signature ids into a **new epoch**, and the forest
+    /// is relabeled in it.
     ///
     /// Epoch semantics are exactly [`BudgetPolicy::Flush`]'s — a
     /// compaction bumps the epoch, in-flight readers of the shared
@@ -83,7 +89,8 @@ pub enum BudgetPolicy {
     /// labelings keep their epoch's tables alive — but warm states
     /// survive, so steady-state miss rates stay close to the unbounded
     /// automaton's. A state-budget overflow under this policy also
-    /// compacts (and retries the forest once), mirroring `Flush`.
+    /// compacts and retries the forest once, mirroring `Flush`; the
+    /// byte check then runs on the retry's tables.
     Compact {
         /// Accounted table bytes above which the automaton compacts.
         byte_budget: usize,
@@ -92,6 +99,22 @@ pub enum BudgetPolicy {
         /// before the next pass.
         retain_fraction: f32,
     },
+}
+
+impl BudgetPolicy {
+    /// The relief step the grow path runs when the automaton outgrows
+    /// this policy; `None` under `Error`. `Flush` has no byte ceiling:
+    /// only the state budget trips it.
+    fn relief(self) -> Option<MemoryBudget> {
+        match self {
+            BudgetPolicy::Error => None,
+            BudgetPolicy::Flush => Some(MemoryBudget::flush(usize::MAX)),
+            BudgetPolicy::Compact {
+                byte_budget,
+                retain_fraction,
+            } => Some(MemoryBudget::compact(byte_budget, retain_fraction)),
+        }
+    }
 }
 
 // Manual impls because `retain_fraction` is an `f32`: two policies are
@@ -267,9 +290,9 @@ impl OnDemandAutomaton {
 
     /// The current epoch. State ids are only meaningful within one
     /// epoch; a [`clear`](OnDemandAutomaton::clear) (or a
-    /// [`BudgetPolicy::Flush`]) and a [`compact`]
-    /// (OnDemandAutomaton::compact) (or [`BudgetPolicy::Compact`]) each
-    /// start the next one.
+    /// [`BudgetPolicy::Flush`]) and a
+    /// [`compact`](OnDemandAutomaton::compact) (or a
+    /// [`BudgetPolicy::Compact`]) each start the next one.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -340,10 +363,10 @@ impl OnDemandAutomaton {
     }
 
     /// Per-component byte accounting of the current tables — the number
-    /// [`BudgetPolicy::Compact`] and service [`MemoryBudget`]
-    /// (crate::MemoryBudget)s compare against. Computed the same way for
-    /// live masters, published snapshots ([`SnapshotStats::bytes`]
-    /// (crate::SnapshotStats)) and persisted table files
+    /// [`BudgetPolicy::Compact`] and service [`MemoryBudget`]s compare
+    /// against. Computed the same way for live masters, published
+    /// snapshots ([`SnapshotStats::bytes`](crate::SnapshotStats::bytes))
+    /// and persisted table files
     /// ([`persist::inspect_tables`](crate::persist::inspect_tables)).
     pub fn accounted_bytes(&self) -> ComponentBytes {
         govern::account_tables(self.states.arena(), self.projections.arena(), &self.tables)
@@ -392,38 +415,6 @@ impl OnDemandAutomaton {
     /// The data of a state.
     pub fn state(&self, id: StateId) -> &StateData {
         self.states.get(id)
-    }
-
-    /// Looks up an already-interned dynamic-cost signature without
-    /// interning. Used by the lock-free fast path of
-    /// [`SharedOnDemand`](crate::SharedOnDemand).
-    pub fn find_signature(&self, costs: &[RuleCost]) -> Option<SigId> {
-        self.tables.signatures.find(costs)
-    }
-
-    /// Non-mutating transition lookup: `Some(state)` if the transition for
-    /// `(op, kids, sig)` is already memoized, `None` on a miss.
-    pub fn peek_transition(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
-        debug_assert!(
-            op.arity() <= MAX_ARITY,
-            "operator {op} has arity {} beyond what a transition key can hold",
-            op.arity()
-        );
-        debug_assert!(
-            kid_states.len() >= op.arity(),
-            "peek_transition needs all {} child states of {op}, got {}",
-            op.arity(),
-            kid_states.len()
-        );
-        let mut kids = [NO_CHILD; MAX_ARITY];
-        for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            kids[i] = if self.config.project_children {
-                self.tables.project(k, op.id().0, i as u8)?.0
-            } else {
-                k.0
-            };
-        }
-        self.tables.lookup(op.id().0, kids, sig)
     }
 
     /// Labels a single node given its children's states.
@@ -489,11 +480,16 @@ impl OnDemandAutomaton {
         Ok(state)
     }
 
-    /// Total entries across all tables — an O(1) "did anything grow?"
-    /// signal (entries are append-only within an epoch, so equality
-    /// means the accounted bytes are unchanged too).
-    fn table_entries(&self) -> usize {
-        self.states.len() + self.projections.len() + self.tables.entries()
+    /// The `(epoch, entries)` freshness key of the tables (see
+    /// [`snapshot::freshness`]): an O(1) "did anything grow?" signal, since
+    /// an unchanged key means unchanged accounted bytes.
+    fn freshness(&self) -> (u64, usize) {
+        snapshot::freshness(
+            self.epoch,
+            self.states.len(),
+            self.projections.len(),
+            &self.tables,
+        )
     }
 
     /// Bumps the epoch-scoped touch counter of `state` (one array write
@@ -583,14 +579,80 @@ impl OnDemandAutomaton {
 }
 
 impl OnDemandAutomaton {
-    fn label_forest_once(&mut self, forest: &Forest) -> Result<Labeling, LabelError> {
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut kid_buf: Vec<StateId> = Vec::with_capacity(2);
-        for (id, node) in forest.iter() {
-            kid_buf.clear();
-            for &c in node.children() {
-                kid_buf.push(states[c.index()]);
+    /// The grow path — the one labeling loop of every master automaton,
+    /// single-threaded or [shared](crate::SharedOnDemand). Labels
+    /// `forest` from node `states.len()` onward (the caller may hand in
+    /// a prefix already resolved in the current epoch) and applies the
+    /// [`BudgetPolicy`]:
+    ///
+    /// 1. a state-budget overflow returns the error under `Error`; under
+    ///    `Flush` and `Compact` it [relieves](Self::relieve) the tables
+    ///    and relabels the forest from scratch once (a second overflow
+    ///    means the forest alone exceeds the budget);
+    /// 2. then, under `Compact`, a forest that moved the freshness key
+    ///    and left the accounted bytes above `byte_budget` compacts and
+    ///    relabels once more, so the ids handed back belong to the epoch
+    ///    the automaton is left in. The key gate keeps forests that
+    ///    added no entry from paying the O(tables) accounting sweep.
+    ///
+    /// `heat(epoch)` supplies touch counts gathered outside the master
+    /// for a compaction in `epoch`; it is called only when one runs.
+    pub(crate) fn grow(
+        &mut self,
+        forest: &Forest,
+        states: &mut Vec<StateId>,
+        heat: impl Fn(u64) -> Vec<u32>,
+    ) -> Result<(), LabelError> {
+        let entry = self.freshness();
+        let mut outcome = self.label_from(forest, states);
+        let Some(relief) = self.config.budget_policy.relief() else {
+            return outcome;
+        };
+        if matches!(outcome, Err(LabelError::StateBudgetExceeded { .. })) {
+            self.relieve(&relief, &heat);
+            states.clear();
+            outcome = self.label_from(forest, states);
+        }
+        if outcome.is_ok()
+            && matches!(relief.action, PressureAction::Compact { .. })
+            && self.freshness() != entry
+            && self.accounted_bytes().total() > relief.byte_budget
+        {
+            // This forest's states are at peak heat, so its working set
+            // survives the compaction and the relabel is cheap.
+            self.relieve(&relief, &heat);
+            states.clear();
+            outcome = self.label_from(forest, states);
+        }
+        outcome
+    }
+
+    /// The one budget-relief step, shared by the grow path and the
+    /// shared automaton's maintenance quanta: flushes, or compacts down
+    /// to `retain_fraction` of `budget.byte_budget` folding in
+    /// `heat(epoch)`. Either way a new epoch starts.
+    pub(crate) fn relieve(&mut self, budget: &MemoryBudget, heat: impl FnOnce(u64) -> Vec<u32>) {
+        match budget.action {
+            PressureAction::Flush => self.clear(),
+            PressureAction::Compact { retain_fraction } => {
+                let heat = heat(self.epoch);
+                self.compact(
+                    govern::compact_target_bytes(budget.byte_budget, retain_fraction),
+                    &heat,
+                );
             }
+        }
+    }
+
+    /// Labels `forest` from node `states.len()` onward, one
+    /// [`label_node`](Self::label_node) per node.
+    fn label_from(&mut self, forest: &Forest, states: &mut Vec<StateId>) -> Result<(), LabelError> {
+        let mut kid_buf: Vec<StateId> = Vec::with_capacity(MAX_ARITY);
+        for idx in states.len()..forest.len() {
+            let id = NodeId(idx as u32);
+            let node = forest.node(id);
+            kid_buf.clear();
+            kid_buf.extend(node.children().iter().map(|c| states[c.index()]));
             let state = self.label_node(forest, id, &kid_buf)?;
             if self.states.get(state).is_dead() {
                 return Err(LabelError::NoCover {
@@ -600,7 +662,7 @@ impl OnDemandAutomaton {
             }
             states.push(state);
         }
-        Ok(Labeling::from_states(states))
+        Ok(())
     }
 }
 
@@ -608,65 +670,9 @@ impl Labeler for OnDemandAutomaton {
     type Output = Labeling;
 
     fn label_forest(&mut self, forest: &Forest) -> Result<Labeling, LabelError> {
-        // Bytes only move when a table gained an entry; this count is
-        // the O(1) gate that keeps warm (all-hit) forests from paying
-        // the O(tables) accounting sweep below.
-        let entries_before = self.table_entries();
-        match self.label_forest_once(forest) {
-            Err(LabelError::StateBudgetExceeded { .. })
-                if self.config.budget_policy == BudgetPolicy::Flush =>
-            {
-                // Bounded-memory mode: drop the whole automaton and give
-                // this forest one fresh start. A second overflow means
-                // the single forest alone exceeds the budget.
-                self.clear();
-                self.label_forest_once(forest)
-            }
-            Err(LabelError::StateBudgetExceeded { .. })
-                if matches!(self.config.budget_policy, BudgetPolicy::Compact { .. }) =>
-            {
-                // Governed mode: evict the cold tail instead of wiping
-                // everything, then give this forest one fresh start (its
-                // prefix is hot by construction — it was just touched).
-                let BudgetPolicy::Compact {
-                    byte_budget,
-                    retain_fraction,
-                } = self.config.budget_policy
-                else {
-                    unreachable!("guarded by the match arm");
-                };
-                self.compact(
-                    govern::compact_target_bytes(byte_budget, retain_fraction),
-                    &[],
-                );
-                self.label_forest_once(forest)
-            }
-            Ok(labeling) => {
-                if let BudgetPolicy::Compact {
-                    byte_budget,
-                    retain_fraction,
-                } = self.config.budget_policy
-                {
-                    if self.table_entries() != entries_before
-                        && self.accounted_bytes().total() > byte_budget
-                    {
-                        // The forest grew the tables past the budget:
-                        // compact (this forest's states are at peak
-                        // heat, so its working set survives) and
-                        // relabel, so the ids handed back belong to the
-                        // post-compaction epoch the automaton is left
-                        // in.
-                        self.compact(
-                            govern::compact_target_bytes(byte_budget, retain_fraction),
-                            &[],
-                        );
-                        return self.label_forest_once(forest);
-                    }
-                }
-                Ok(labeling)
-            }
-            result => result,
-        }
+        let mut states = Vec::with_capacity(forest.len());
+        self.grow(forest, &mut states, |_| Vec::new())?;
+        Ok(Labeling::from_states(states))
     }
 
     fn counters(&self) -> WorkCounters {

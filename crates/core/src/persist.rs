@@ -11,7 +11,8 @@
 //! traffic, the bridge between "on-demand" and "offline" is to persist
 //! the learned tables: export a snapshot before shutdown, import it at
 //! startup, and label at warm hit rates from the first request. The
-//! warm-started master ([`OnDemandAutomaton::from_snapshot`],
+//! warm-started master
+//! ([`OnDemandAutomaton::from_snapshot`](crate::OnDemandAutomaton::from_snapshot),
 //! [`SharedOnDemand::with_seed_snapshot`](crate::SharedOnDemand::with_seed_snapshot))
 //! keeps growing from wherever the tables left off.
 //!

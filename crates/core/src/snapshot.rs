@@ -59,6 +59,21 @@ pub(crate) const NO_CHILD: u32 = u32::MAX;
 /// exceeds it).
 pub(crate) const MAX_ARITY: usize = 2;
 
+/// The `(epoch, entries)` freshness key of a table set, where `entries`
+/// totals the states, projections, transitions, projection-cache entries
+/// and signatures. Within an epoch every table is append-only, so the key
+/// strictly increases with every table that grew; across epochs the
+/// epoch counter decides. Replicas fence installs on it, and the grow
+/// path skips its byte check when a forest left it unchanged.
+pub(crate) fn freshness(
+    epoch: u64,
+    states: usize,
+    projections: usize,
+    tables: &Tables,
+) -> (u64, usize) {
+    (epoch, states + projections + tables.entries())
+}
+
 /// Size statistics of a snapshot, including the per-component byte
 /// accounting the memory governor budgets against (see
 /// [`govern`](crate::govern)).
@@ -304,11 +319,14 @@ impl AutomatonSnapshot {
         &self.dyn_eval
     }
 
-    /// Total entries across all tables. Within an epoch every table is
-    /// append-only, so this count strictly increases with every table
-    /// that grew — the freshness order replicas fence installs on.
-    pub(crate) fn entries(&self) -> usize {
-        self.states.len() + self.projections.len() + self.tables.entries()
+    /// The `(epoch, entries)` freshness key (see [`freshness`]).
+    pub(crate) fn freshness(&self) -> (u64, usize) {
+        freshness(
+            self.epoch,
+            self.states.len(),
+            self.projections.len(),
+            &self.tables,
+        )
     }
 
     /// The flush epoch this snapshot belongs to. State ids are only

@@ -160,8 +160,9 @@ impl StateData {
 /// [`AutomatonSnapshot`](crate::AutomatonSnapshot) can be published from
 /// a set with reference-count bumps instead of deep copies. Ids are
 /// append-only: once assigned, a `StateId` never changes meaning for the
-/// lifetime of the set (until [`OnDemandAutomaton::clear`]
-/// (crate::OnDemandAutomaton::clear) replaces the whole set).
+/// lifetime of the set (until
+/// [`OnDemandAutomaton::clear`](crate::OnDemandAutomaton::clear)
+/// replaces the whole set).
 #[derive(Debug, Default)]
 pub struct StateSet {
     states: Vec<Arc<StateData>>,

@@ -307,8 +307,17 @@ impl<S: Read + Write + Send> ShipTransport for SocketTransport<S> {
                 format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
             ));
         }
-        let mut frame = vec![0u8; len as usize];
-        self.stream.read_exact(&mut frame)?;
+        // Grow the buffer with the bytes that actually arrive: a length
+        // prefix alone, from a peer nothing has authenticated yet, must
+        // not buy an allocation of up to the cap.
+        let mut frame = Vec::new();
+        (&mut self.stream).take(len).read_to_end(&mut frame)?;
+        if (frame.len() as u64) < len {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("stream closed after {} of a {len}-byte frame", frame.len()),
+            ));
+        }
         Ok(Some(frame))
     }
 }
@@ -374,5 +383,25 @@ mod tests {
         assert_eq!(b.recv().unwrap().unwrap(), b"second");
         drop(a);
         assert!(b.recv().unwrap().is_none());
+    }
+
+    #[test]
+    fn socket_transport_refuses_a_frame_cut_short() {
+        // The peer declares the largest frame the cap allows, sends four
+        // bytes of it and closes: a typed EOF, not a 1 GiB buffer.
+        let (mut sa, sb) = std::os::unix::net::UnixStream::pair().unwrap();
+        sa.write_all(&MAX_FRAME_BYTES.to_le_bytes()).unwrap();
+        sa.write_all(b"abcd").unwrap();
+        drop(sa);
+        let err = SocketTransport::new(sb).recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn socket_transport_refuses_a_length_above_the_cap() {
+        let (mut sa, sb) = std::os::unix::net::UnixStream::pair().unwrap();
+        sa.write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes()).unwrap();
+        let err = SocketTransport::new(sb).recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`ir`] | typed expression-tree IR (operators, forests, s-exprs) |
 //! | [`grammar`] | tree grammars, the burg-style DSL, normal form |
-//! | [`select`] | the labelers: on-demand automaton, offline automaton, dynamic programming, macro expansion |
+//! | [`select`](mod@select) | the labelers: on-demand automaton, offline automaton, dynamic programming, macro expansion |
 //! | [`codegen`] | the reducer and template-based emission |
 //! | [`targets`] | built-in machine descriptions (x86ish, riscish, …) |
 //! | [`frontend`] | MiniC: a small language lowered to IR forests |
@@ -67,7 +67,7 @@ use odburg_core::{LabelError, Labeler};
 use odburg_grammar::Grammar;
 use odburg_ir::Forest;
 
-/// Error of the one-shot [`select`] convenience function.
+/// Error of the one-shot [`select()`] convenience function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectError {
     /// Labeling failed (uncovered node, budget, …).
@@ -110,8 +110,9 @@ impl From<ReduceError> for SelectError {
 /// `grammar`, labels `forest`, and reduces every root to instructions.
 ///
 /// Convenient for single compilations; for compiler/JIT use, keep an
-/// [`OnDemandAutomaton`] alive across calls instead — its whole point is
-/// that it gets faster the longer it lives.
+/// [`OnDemandAutomaton`](odburg_core::OnDemandAutomaton) alive across
+/// calls instead — its whole point is that it gets faster the longer it
+/// lives.
 ///
 /// # Errors
 ///
@@ -134,7 +135,7 @@ pub fn select(grammar: &Grammar, forest: &Forest) -> Result<Reduction, SelectErr
     select_with(strategy::Strategy::OnDemand, grammar, forest)
 }
 
-/// Like [`select`], but with the labeling strategy chosen at runtime —
+/// Like [`select()`], but with the labeling strategy chosen at runtime —
 /// everything routes through the unified [`Labeler`] trait.
 ///
 /// # Errors
@@ -190,10 +191,10 @@ pub mod prelude {
         Histogram, JobCounts, TargetMetrics, Telemetry,
     };
     pub use odburg_core::{
-        AutomatonSnapshot, BudgetPolicy, CoarseSharedOnDemand, CompactionStats, ComponentBytes,
-        DynCostMode, InstallError, LabelError, Labeler, Labeling, MemoryBudget, OfflineAutomaton,
-        OfflineConfig, OfflineLabeler, OnDemandAutomaton, OnDemandConfig, PinnedLabeling,
-        PressureAction, PressureEvent, RuleChooser, SharedOnDemand, WorkCounters,
+        AutomatonSnapshot, BudgetPolicy, CompactionStats, ComponentBytes, DynCostMode,
+        InstallError, LabelError, Labeler, Labeling, MemoryBudget, OfflineAutomaton, OfflineConfig,
+        OfflineLabeler, OnDemandAutomaton, OnDemandConfig, PinnedLabeling, PressureAction,
+        PressureEvent, RuleChooser, SharedOnDemand, WorkCounters,
     };
     pub use odburg_dp::{DpLabeler, MacroExpander};
     pub use odburg_grammar::{

@@ -13,7 +13,7 @@
 //!   projection-mode masters coexist with direct-table ones.
 //! * **Warm start** — with a tables directory configured, a master is
 //!   seeded from `<dir>/<target>.odbt` (the
-//!   [`persist`](odburg_core::persist) format written by
+//!   [`odburg_core::persist`] format written by
 //!   `odburg tables export`). A missing file means a cold start; a
 //!   *mismatched* file is a hard [`ServiceError::Tables`] carrying the
 //!   target name — never a silent cold start, never a mislabel.

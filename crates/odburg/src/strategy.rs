@@ -320,10 +320,10 @@ impl AnyLabeler {
 
     /// Builds an on-demand-backed selector with an explicit automaton
     /// configuration — the way the CLI's `--memory-budget` and
-    /// `--budget-policy` flags reach [`BudgetPolicy`]
-    /// (odburg_core::BudgetPolicy). The strategy still dictates the
-    /// projection mode (`mode.project_children` is overridden to match,
-    /// so persisted-table compatibility via
+    /// `--budget-policy` flags reach
+    /// [`BudgetPolicy`](odburg_core::BudgetPolicy). The strategy still
+    /// dictates the projection mode (`mode.project_children` is
+    /// overridden to match, so persisted-table compatibility via
     /// [`Strategy::ondemand_config`] is preserved).
     ///
     /// # Errors

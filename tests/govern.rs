@@ -179,6 +179,90 @@ fn service_budget_enforcement_is_bit_identical_to_dp() {
     }
 }
 
+/// `(StoreI8 (ConstI8 base) chain)` where `chain` left-nests `adds`
+/// `AddI8`s over the fresh constants `base + 1 ..= base + adds + 1`.
+fn add_chain_forest(adds: usize, base: u64) -> Forest {
+    let mut chain = format!("(ConstI8 {})", base + 1);
+    for i in 0..adds as u64 {
+        chain = format!("(AddI8 {chain} (ConstI8 {}))", base + i + 2);
+    }
+    let mut f = Forest::new();
+    let root = parse_sexpr(&mut f, &format!("(StoreI8 (ConstI8 {base}) {chain})")).unwrap();
+    f.add_root(root);
+    f
+}
+
+#[test]
+fn single_threaded_and_shared_ladders_agree() {
+    // One grow path means one budget-policy ladder: fed the same config
+    // and the same forests, the single-threaded automaton and the shared
+    // one must take the same flushes and compactions, answer with the
+    // same result, and stay oracle-identical, under every policy.
+    let normal = churn_grammar();
+    let mut policies = vec![BudgetPolicy::Error, BudgetPolicy::Flush];
+    for kib in [1, 2, 4, 8, 16] {
+        for retain_fraction in [0.05, 0.25, 0.5] {
+            policies.push(BudgetPolicy::Compact {
+                byte_budget: kib * 1024,
+                retain_fraction,
+            });
+        }
+    }
+    for adds in [3, 6, 10] {
+        // Fresh constants per forest; every fifth forest revisits an
+        // earlier one, so warm hits mix with the churn.
+        let mut forests: Vec<Forest> = Vec::new();
+        for i in 0..30u64 {
+            let forest = if i % 5 == 4 {
+                forests[(i / 2) as usize].clone()
+            } else {
+                add_chain_forest(adds, i * (adds as u64 + 2))
+            };
+            forests.push(forest);
+        }
+        let expected: Vec<Reduction> = forests.iter().map(|f| dp_reduction(f, &normal)).collect();
+        for state_budget in [6, 8, 12, 16, 24, 32, 48, usize::MAX] {
+            for &budget_policy in &policies {
+                let config = OnDemandConfig {
+                    state_budget,
+                    budget_policy,
+                    ..OnDemandConfig::default()
+                };
+                let case = format!("{adds} adds, state budget {state_budget}, {budget_policy:?}");
+                let mut single = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
+                let shared = SharedOnDemand::new(OnDemandAutomaton::with_config(
+                    Arc::clone(&normal),
+                    config,
+                ));
+                for (k, (forest, expected)) in forests.iter().zip(&expected).enumerate() {
+                    let result = single.label_forest(forest);
+                    assert_eq!(result, shared.label_forest(forest), "{case}: forest {k}");
+                    assert_eq!(single.stats(), shared.stats(), "{case}: forest {k}");
+                    assert_eq!(
+                        single.epoch(),
+                        shared.with_read(OnDemandAutomaton::epoch),
+                        "{case}: forest {k}"
+                    );
+                    if let Ok(labeling) = result {
+                        // The same ids, resolved against each automaton's
+                        // own tables.
+                        for got in [
+                            reduce_forest(forest, &normal, &labeling.chooser(&single)).unwrap(),
+                            reduce_forest(forest, &normal, &labeling.chooser(&shared)).unwrap(),
+                        ] {
+                            assert_eq!(
+                                got.instructions, expected.instructions,
+                                "{case}: forest {k}"
+                            );
+                            assert_eq!(got.total_cost, expected.total_cost, "{case}: forest {k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `(StoreI8 (ConstI8 a) (ConstI8 b))`: two fresh constants per job.
 fn store_forest(a: u64, b: u64) -> Forest {
     let mut f = Forest::new();
