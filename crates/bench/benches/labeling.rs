@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use odburg_core::{
-    Labeler, OfflineAutomaton, OfflineConfig, OfflineLabeler, OnDemandAutomaton, OnDemandConfig,
-};
+use odburg_core::{Labeler, OfflineAutomaton, OfflineConfig, OfflineLabeler, OnDemandAutomaton};
 use odburg_dp::{DpLabeler, MacroExpander};
 use odburg_workloads::combined_workload;
 
@@ -40,20 +38,6 @@ fn bench_labelers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ondemand_warm", name), &suite, |b, w| {
             b.iter(|| od.label_forest(&w.forest).expect("labels"))
         });
-
-        let mut odp = OnDemandAutomaton::with_config(
-            normal.clone(),
-            OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            },
-        );
-        odp.label_forest(&suite.forest).expect("warmup");
-        group.bench_with_input(
-            BenchmarkId::new("ondemand_projected", name),
-            &suite,
-            |b, w| b.iter(|| odp.label_forest(&w.forest).expect("labels")),
-        );
 
         let mut off = OfflineLabeler::new(offline);
         group.bench_with_input(BenchmarkId::new("offline", name), &suite, |b, w| {

@@ -1,69 +1,20 @@
 //! **A9 — Ablation of on-demand design choices.**
 //!
-//! Two knobs DESIGN.md calls out:
+//! A9.2, **automaton persistence**: keeping one automaton across the
+//! whole method stream (the paper's deployment) vs resetting it per
+//! method (every method pays warmup again).
 //!
-//! 1. **Transition-key projection** — projecting child states onto the
-//!    operand nonterminals of the operator before forming the key (the
-//!    offline automaton's representer compression, applied lazily). More
-//!    sharing, but an extra cache probe per child.
-//! 2. **Automaton persistence** — keeping one automaton across the whole
-//!    method stream (the paper's deployment) vs resetting it per method
-//!    (every method pays warmup again).
-//!
-//! Regenerate with: `cargo run --release -p odburg-bench --bin ablation9_design`
+//! Regenerate with: `cargo run --release -p odburg_bench --bin ablation9_design`
 
 use std::sync::Arc;
 
 use odburg_bench::{f, median_time, row, rule_line};
-use odburg_core::{Labeler, OnDemandAutomaton, OnDemandConfig};
+use odburg_core::{Labeler, OnDemandAutomaton};
 use odburg_frontend::programs;
-use odburg_workloads::{combined_workload, random_workload, replicate};
-
-const REPS: usize = 7;
 
 fn main() {
-    let grammar = odburg::targets::x86ish();
-    let normal = Arc::new(grammar.normalize());
-    let suite = combined_workload();
-    let mut mixed = replicate(&suite.forest, 5);
-    mixed.append(&random_workload(&normal, 0xA9, 1000).forest);
-
-    println!("A9.1: transition-key projection (x86ish, suite x5 + random trees)\n");
-    let widths = [11, 8, 9, 7, 9, 9];
-    row(
-        &["key", "states", "trans", "hit%", "ns/node", "bytes"].map(String::from),
-        &widths,
-    );
-    rule_line(&widths);
-    for (label, project) in [("direct", false), ("projected", true)] {
-        let config = OnDemandConfig {
-            project_children: project,
-            ..OnDemandConfig::default()
-        };
-        let mut od = OnDemandAutomaton::with_config(normal.clone(), config);
-        od.label_forest(&mixed).expect("labels");
-        let c = od.counters();
-        let hit = 100.0 * c.memo_hits as f64 / (c.memo_hits + c.memo_misses) as f64;
-        let stats = od.stats();
-        // Warm timing.
-        od.reset_counters();
-        let t = median_time(REPS, || {
-            od.label_forest(&mixed).expect("labels");
-        });
-        row(
-            &[
-                label.to_owned(),
-                stats.states.to_string(),
-                stats.transitions.to_string(),
-                f(hit, 2),
-                f(t.as_nanos() as f64 / mixed.len() as f64, 1),
-                stats.bytes.to_string(),
-            ],
-            &widths,
-        );
-    }
-
-    println!("\nA9.2: persistent automaton vs per-method reset (method stream x20)\n");
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    println!("A9.2: persistent automaton vs per-method reset (method stream x20)\n");
     let widths = [11, 9, 9, 9];
     row(
         &["automaton", "misses", "states*", "ns/node"].map(String::from),
@@ -135,7 +86,6 @@ fn main() {
     );
     println!("  (*persistent: final size; per-method: largest single-method automaton)");
     println!();
-    println!("shape check: projection trades a probe per child for fewer transitions —");
-    println!("its value grows with grammar ambiguity; persistence is what amortizes");
-    println!("state construction, exactly the paper's deployment argument.");
+    println!("shape check: persistence is what amortizes state construction,");
+    println!("exactly the paper's deployment argument.");
 }

@@ -2,8 +2,9 @@
 //! baseline.**
 //!
 //! The automaton's tables are per-operator grouped, open-addressed
-//! transition slots (plus a projection and a signature slot table),
-//! shared copy-on-write by the master and its snapshots, and the
+//! transition slots (plus per-operand-class projection arrays and a
+//! signature slot table), shared copy-on-write by the master and its
+//! snapshots, and the
 //! lock-free fast path labels forests by topological levels against
 //! them. This binary measures what that layout buys on a **fully warm**
 //! snapshot: ns/node for the level-batched slot-table walk
@@ -36,18 +37,18 @@ const SEED: u64 = 0x0dbu64 * 1_000_003;
 const REPS: usize = 17;
 
 /// The `FxHashMap` warm walk — the fast path before the slot tables,
-/// moved here as the baseline: arena order, one hash-map probe per node
-/// keyed by `(op, kids, sig)` (plus a hashed projection resolution per
-/// child in projection mode), signatures resolved through a second hash
+/// moved here as the baseline: arena order, one hash-map probe per child
+/// keyed by `(state, operand class)` for its projection, one per node
+/// keyed by `(op, kids, sig)`, signatures resolved through another hash
 /// map over the cost vectors, and the dead check through the snapshot's
 /// state arena. The maps are built from the snapshot's raw entries, and
 /// dynamic costs go through a flattened per-operator function table as
 /// in the snapshot's own walk, so the two walks differ only in their
 /// lookup structures.
 struct HashWalk {
-    project_children: bool,
+    grammar: Arc<NormalGrammar>,
     transitions: FxHashMap<(u16, [u32; 2], u32), StateId>,
-    projections: FxHashMap<(StateId, u16, u8), StateId>,
+    projections: FxHashMap<(StateId, u32), StateId>,
     signatures: FxHashMap<Box<[RuleCost]>, u32>,
     /// `base[op]`: cost functions of the op's dynamic base rules.
     base: Vec<Vec<DynCostFn>>,
@@ -64,7 +65,7 @@ impl HashWalk {
             }
         };
         HashWalk {
-            project_children: snap.config().project_children,
+            grammar: Arc::clone(snap.grammar()),
             transitions: snap
                 .raw_transitions()
                 .into_iter()
@@ -73,7 +74,7 @@ impl HashWalk {
             projections: snap
                 .raw_projections()
                 .into_iter()
-                .map(|p| ((p.full, p.op, p.pos), p.projection))
+                .map(|p| ((p.full, p.class), p.projection))
                 .collect(),
             signatures: snap
                 .raw_signatures()
@@ -117,15 +118,12 @@ impl HashWalk {
     }
 
     /// The transition of `op` over `kid_states` (resolved through the
-    /// projection map in projection mode) under signature `sig`.
+    /// projection map) under signature `sig`.
     fn lookup(&self, op: Op, kid_states: &[StateId], sig: u32) -> Option<StateId> {
         let mut kids = [u32::MAX; 2];
         for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            kids[i] = if self.project_children {
-                self.projections.get(&(k, op.id().0, i as u8))?.0
-            } else {
-                k.0
-            };
+            let class = self.grammar.operand_class(op, i);
+            kids[i] = self.projections.get(&(k, class))?.0;
         }
         self.transitions.get(&(op.id().0, kids, sig)).copied()
     }

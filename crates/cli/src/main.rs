@@ -36,7 +36,7 @@
 //! declared but unbound, i.e. never applicable).
 //!
 //! `label`, `emit`, `compile` and `bench` accept `--labeler=<name>`
-//! (ondemand, ondemand-projected, shared, offline, dp, macro); every
+//! (ondemand, shared, offline, dp, macro); every
 //! strategy is constructed and driven through the unified
 //! [`Labeler`](odburg_core::Labeler) trait via
 //! [`odburg::strategy::AnyLabeler`]. They also accept `--tables=<path>`
@@ -741,12 +741,7 @@ fn tables_stats(path: &str) -> Result<(), String> {
     println!("tables:              {path}");
     println!("grammar fingerprint: {:#018x}", info.fingerprint);
     println!(
-        "config:              {}, state budget {}, policy {policy}",
-        if info.config.project_children {
-            "projected"
-        } else {
-            "direct"
-        },
+        "config:              state budget {}, policy {policy}",
         info.config.state_budget,
     );
     println!("epoch:               {}", info.epoch);

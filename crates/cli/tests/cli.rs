@@ -1,6 +1,9 @@
 //! End-to-end tests of the `odburg` command-line tool.
 
 use std::process::Command;
+use std::sync::Arc;
+
+use odburg::prelude::{Labeler, OnDemandAutomaton, OnDemandConfig};
 
 fn odburg(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_odburg"))
@@ -98,14 +101,7 @@ fn labeler_flag_selects_strategies() {
     // Every strategy is constructible through the flag and produces the
     // same optimal cost on this tree (macro included: it is optimal on
     // the plain store).
-    for strategy in [
-        "ondemand",
-        "ondemand-projected",
-        "shared",
-        "offline",
-        "dp",
-        "macro",
-    ] {
+    for strategy in ["ondemand", "shared", "offline", "dp", "macro"] {
         let (ok, stdout, stderr) = odburg(&[
             "emit",
             "demo",
@@ -212,14 +208,20 @@ fn bad_table_files_are_rejected_not_mislabeled() {
     assert!(!ok);
     assert!(stderr.contains("different grammar"), "{stderr}");
 
-    // Wrong configuration (projection mode vs direct tables).
-    let (ok, _, stderr) = odburg(&[
-        "tables",
-        "import",
-        "x86ish",
-        tables.to_str().unwrap(),
-        "--labeler=ondemand-projected",
-    ]);
+    // Wrong configuration: tables grown under another state budget.
+    let budgeted = dir.join("budgeted.odbt");
+    let normal = Arc::new(odburg::targets::x86ish().normalize());
+    let mut auto = OnDemandAutomaton::with_config(
+        normal,
+        OnDemandConfig {
+            state_budget: 4096,
+            ..OnDemandConfig::default()
+        },
+    );
+    auto.label_forest(&odburg::workloads::combined_workload().forest)
+        .unwrap();
+    odburg::select::persist::save_tables(&auto.snapshot(), &budgeted).unwrap();
+    let (ok, _, stderr) = odburg(&["tables", "import", "x86ish", budgeted.to_str().unwrap()]);
     assert!(!ok);
     assert!(
         stderr.contains("different automaton configuration"),
@@ -936,7 +938,7 @@ fn service_flags_and_labeler_flags_do_not_mix() {
 
     // batch x --labeler: only `shared` is accepted (it is what the
     // service runs); everything else is an error, not a silent ignore.
-    for labeler in ["ondemand", "ondemand-projected", "offline", "dp", "macro"] {
+    for labeler in ["ondemand", "offline", "dp", "macro"] {
         let (ok, _, stderr) = odburg(&["batch", manifest, &format!("--labeler={labeler}")]);
         assert!(!ok, "{labeler} must be rejected");
         assert!(

@@ -1,10 +1,17 @@
-//! The automaton's tables: flat, open-addressed slot tables shared
-//! copy-on-write by the master automaton and its snapshots.
+//! The automaton's tables: flat arrays shared copy-on-write by the
+//! master automaton and its snapshots.
 //!
 //! The paper's bet is that the warm path is a *pure table lookup*; this
 //! module is the one table layout that makes the lookup look like one to
-//! the hardware, and it is the only layout the tables have:
+//! the hardware:
 //!
+//! * **Operand-class arrays** — transitions are keyed by the children's
+//!   representer (projected) states, burg's table compression grown on
+//!   demand. Operand positions with equal operand nonterminals share one
+//!   class ([`NormalGrammar::operand_class`](odburg_grammar::NormalGrammar::operand_class)),
+//!   and each class keeps one `u32` array indexed by full state id
+//!   ([`UNSEEN`] until the state first appears under the class), so a
+//!   child's representer is one array load.
 //! * **Per-operator transition groups** — all transitions of one
 //!   operator live in their own open-addressed, power-of-two slot array
 //!   (load factor at most one half, fixed hash seed). Each group records
@@ -13,28 +20,27 @@
 //!   `probe_cap + 1` adjacent 16-byte slots. The target's deadness is
 //!   folded into the slot word ([`DEAD_BIT`]) when the transition is
 //!   inserted, so the warm walk's `NoCover` check needs no further load.
-//! * **Projection table** — in projection mode the child-state →
-//!   projection resolution is one probe of a flat `(packed key, value)`
-//!   table.
 //! * **Signature table** — the dynamic-cost signature interner
 //!   ([`SignatureInterner`](crate::signature::SignatureInterner)) is a
 //!   slot table of `(hash, id)` pairs over flattened cost vectors.
 //!
-//! Every slot array sits behind an `Arc`. The master inserts in place
-//! when it owns an array outright and copies it first when a published
-//! snapshot still shares it; an insert that would push an array's load
-//! past one half rehashes that array alone into one twice the size.
-//! Publication ([`OnDemandAutomaton::snapshot`](crate::OnDemandAutomaton::snapshot))
-//! therefore clones array *pointers*, never slots — O(groups) for the
-//! tables — and the copying happens in the grow path, once per
+//! Every array sits behind an `Arc`. The master writes in place when it
+//! owns an array outright and copies it first when a published snapshot
+//! still shares it; an insert that would push a slot table's load past
+//! one half rehashes that table alone into one twice the size, and one
+//! past a class array's end regrows that array alone. Publication
+//! ([`OnDemandAutomaton::snapshot`](crate::OnDemandAutomaton::snapshot))
+//! therefore clones array *pointers*, never contents — O(groups +
+//! classes) — and the copying happens in the grow path, once per
 //! publication, for the arrays a forest actually grew.
 //!
-//! Slot counts are always [`slots_for`] of the entry count, so the
-//! accounted bytes ([`transition_bytes`], [`projection_bytes`],
-//! [`signature_bytes`]) are a pure function of entry counts: a live
-//! master, its snapshots and a persisted file of the same tables report
-//! the same figure, and compaction can predict the footprint of tables
-//! it has not built yet.
+//! Slot counts are always [`slots_for`] of the entry count and a class
+//! array is accounted up to the highest state it covers, so the
+//! accounted bytes ([`transition_bytes`], [`class_bytes`],
+//! [`signature_bytes`]) are a pure function of the table contents: a
+//! live master, its snapshots and a persisted file of the same tables
+//! report the same figure, and compaction can predict the footprint of
+//! tables it has not built yet.
 
 use std::sync::Arc;
 
@@ -55,17 +61,15 @@ const EMPTY_STATE: u32 = u32::MAX;
 /// [`EMPTY_STATE`] — that would need id `2^31 - 1`; inserts assert both
 /// bounds.
 pub(crate) const DEAD_BIT: u32 = 1 << 31;
-/// Sentinel for an empty projection slot (`key` field). No packed key
-/// can collide with it: [`pack_proj`] leaves the top byte clear.
-const EMPTY_PROJ_KEY: u64 = u64::MAX;
+/// A class-array word for a state not yet projected under the class.
+/// Projection ids are arena indices, bounded far below `u32::MAX`.
+pub(crate) const UNSEEN: u32 = u32::MAX;
 /// Sentinel for an empty signature slot (`id` field); real signature
 /// ids are interner indices, bounded far below `u32::MAX`.
 const EMPTY_SIG_ID: u32 = u32::MAX;
 
 /// Accounted bytes of one transition slot: `{kid0, kid1, sig, state}`.
 const TRANS_SLOT_BYTES: usize = std::mem::size_of::<TransSlot>();
-/// Accounted bytes of one projection slot: packed key + value + padding.
-const PROJ_SLOT_BYTES: usize = std::mem::size_of::<ProjSlot>();
 /// Accounted bytes of one per-operator group header.
 const GROUP_HEADER_BYTES: usize = std::mem::size_of::<Slots<TransSlot>>();
 /// Accounted bytes of one signature slot: 64-bit hash + id + padding.
@@ -100,9 +104,11 @@ pub(crate) fn transition_bytes(per_op: impl Iterator<Item = usize>) -> usize {
     groups * GROUP_HEADER_BYTES + slots * TRANS_SLOT_BYTES
 }
 
-/// Accounted bytes of a projection table holding `n` entries.
-pub(crate) fn projection_bytes(n: usize) -> usize {
-    slots_for(n) * PROJ_SLOT_BYTES
+/// Accounted bytes of class arrays covering `words` states in total.
+/// (The class vector itself is bounded by the grammar's class count,
+/// grammar-derived metadata like the dynamic-cost dispatch table.)
+pub(crate) fn class_bytes(words: usize) -> usize {
+    words * std::mem::size_of::<u32>()
 }
 
 /// Accounted bytes of a signature table holding `sigs` signatures (the
@@ -280,28 +286,6 @@ impl Slots<TransSlot> {
     }
 }
 
-/// One projection slot: `(full state, op, position)` packed into a
-/// `u64`, mapping to a projection id.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProjSlot {
-    key: u64,
-    val: u32,
-}
-
-impl Slot for ProjSlot {
-    const EMPTY: Self = ProjSlot {
-        key: EMPTY_PROJ_KEY,
-        val: 0,
-    };
-    #[inline(always)]
-    fn is_empty(&self) -> bool {
-        self.key == EMPTY_PROJ_KEY
-    }
-    fn hash(&self) -> u64 {
-        mix_proj(self.key)
-    }
-}
-
 /// One signature slot: the fixed-seed hash of an interned cost vector
 /// and its [`SigId`]. The hash screens out almost every non-match; the
 /// interner's flattened cost words confirm the rest exactly.
@@ -352,21 +336,8 @@ fn mix(kid0: u32, kid1: u32, sig: u32) -> u64 {
     x ^ (x >> 29)
 }
 
-#[inline(always)]
-fn mix_proj(key: u64) -> u64 {
-    let mut x = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 31;
-    x.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
-#[inline(always)]
-fn pack_proj(full: u32, op: u16, pos: u8) -> u64 {
-    ((full as u64) << 24) | ((op as u64) << 8) | (pos as u64)
-}
-
-/// The transition groups, projection table and signature interner of
-/// one automaton; cloning them is publication (see the
-/// [module docs](self)).
+/// The class arrays, transition groups and signature interner of one
+/// automaton; cloning them is publication (see the [module docs](self)).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tables {
     /// Transition groups indexed by operator id, up to the highest
@@ -374,7 +345,12 @@ pub(crate) struct Tables {
     groups: Vec<Slots<TransSlot>>,
     /// Total transitions across the groups.
     transitions: usize,
-    projections: Slots<ProjSlot>,
+    /// Projection arrays indexed by operand class, up to the highest
+    /// class with a projection; each maps a full state id to its
+    /// projection id, or [`UNSEEN`].
+    classes: Vec<Option<Arc<[u32]>>>,
+    /// Projections memoized across the class arrays.
+    projections: usize,
     pub signatures: SignatureInterner,
 }
 
@@ -423,31 +399,65 @@ impl Tables {
         self.transitions += 1;
     }
 
-    /// One bounded probe of the projection table.
+    /// The words of a class array, slack included.
     #[inline(always)]
-    pub fn project(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
-        let key = pack_proj(full.0, op, pos);
-        self.projections
-            .find(mix_proj(key), |s| s.key == key)
-            .map(|s| StateId(s.val))
+    fn words(&self, class: u32) -> &[u32] {
+        self.classes
+            .get(class as usize)
+            .and_then(Option::as_deref)
+            .unwrap_or(&[])
     }
 
-    /// Memoizes an absent projection-cache entry.
-    pub fn insert_projection(&mut self, full: StateId, op: u16, pos: u8, projection: StateId) {
-        debug_assert!(
-            self.project(full, op, pos).is_none(),
-            "duplicate projection"
-        );
-        self.projections.insert(ProjSlot {
-            key: pack_proj(full.0, op, pos),
-            val: projection.0,
-        });
+    /// The projection array of an operand class, up to the highest state
+    /// it covers (empty for a class with no projection yet).
+    pub fn class(&self, class: u32) -> &[u32] {
+        let words = self.words(class);
+        &words[..words
+            .iter()
+            .rposition(|&w| w != UNSEEN)
+            .map_or(0, |i| i + 1)]
     }
 
-    /// Entries across the transition groups, the projection table and
-    /// the signature interner; append-only within an epoch.
+    /// The projection of `full` under `class`: one array load.
+    #[inline(always)]
+    pub fn project(&self, full: StateId, class: u32) -> Option<StateId> {
+        match self.words(class).get(full.0 as usize) {
+            Some(&p) if p != UNSEEN => Some(StateId(p)),
+            _ => None,
+        }
+    }
+
+    /// Memoizes an absent projection, regrowing the class array to cover
+    /// `full` if needed. Regrowth at least doubles the array, so covering
+    /// states one by one stays linear; the [`UNSEEN`] slack past the
+    /// highest covered state is capacity, not accounted. Inserting a
+    /// class's projections highest state first allocates exactly once.
+    pub fn insert_projection(&mut self, full: StateId, class: u32, projection: StateId) {
+        assert!(projection.0 != UNSEEN, "projection id collides with UNSEEN");
+        debug_assert!(self.project(full, class).is_none(), "duplicate projection");
+        let (class, full) = (class as usize, full.0 as usize);
+        if self.classes.len() <= class {
+            self.classes.resize(class + 1, None);
+        }
+        let words = self.classes[class].get_or_insert_with(|| Arc::from([]));
+        if words.len() <= full || Arc::get_mut(words).is_none() {
+            let len = match words.len() {
+                len if len <= full => (full + 1).max(2 * len),
+                len => len,
+            };
+            let mut copy = Vec::with_capacity(len);
+            copy.extend_from_slice(words);
+            copy.resize(len, UNSEEN);
+            *words = copy.into();
+        }
+        Arc::get_mut(words).expect("words were just made unique")[full] = projection.0;
+        self.projections += 1;
+    }
+
+    /// Entries across the transition groups, the class arrays and the
+    /// signature interner; append-only within an epoch.
     pub fn entries(&self) -> usize {
-        self.transitions + self.projections.len() + self.signatures.len()
+        self.transitions + self.projections + self.signatures.len()
     }
 
     /// Memoized transitions.
@@ -455,9 +465,9 @@ impl Tables {
         self.transitions
     }
 
-    /// Projection-cache entries.
+    /// Projections memoized across the class arrays.
     pub fn projection_count(&self) -> usize {
-        self.projections.len()
+        self.projections
     }
 
     /// Every memoized transition, in group then slot order.
@@ -472,13 +482,19 @@ impl Tables {
         })
     }
 
-    /// Every projection-cache entry, in slot order.
+    /// Every memoized projection, in class then state order.
     pub fn projections(&self) -> impl Iterator<Item = RawProjection> + '_ {
-        self.projections.iter().map(|s| RawProjection {
-            full: StateId((s.key >> 24) as u32),
-            op: (s.key >> 8) as u16,
-            pos: s.key as u8,
-            projection: StateId(s.val),
+        self.classes.iter().enumerate().flat_map(|(class, words)| {
+            words
+                .iter()
+                .flat_map(|w| w.iter())
+                .enumerate()
+                .filter(|&(_, &p)| p != UNSEEN)
+                .map(move |(full, &p)| RawProjection {
+                    full: StateId(full as u32),
+                    class: class as u32,
+                    projection: StateId(p),
+                })
         })
     }
 
@@ -487,9 +503,13 @@ impl Tables {
         transition_bytes(self.groups.iter().map(Slots::len))
     }
 
-    /// Accounted bytes of the projection table.
+    /// Accounted bytes of the class arrays.
     pub fn projection_bytes(&self) -> usize {
-        projection_bytes(self.projections.len())
+        class_bytes(
+            (0..self.classes.len() as u32)
+                .map(|c| self.class(c).len())
+                .sum(),
+        )
     }
 
     /// The operator's group, for the copy-on-write tests.
@@ -550,23 +570,39 @@ mod tests {
     #[test]
     fn projection_probe_agrees_with_map() {
         let mut tables = Tables::default();
-        let mut map: FxHashMap<(StateId, u16, u8), StateId> = FxHashMap::default();
+        let mut map: FxHashMap<(StateId, u32), StateId> = FxHashMap::default();
+        // Out-of-order state ids across a few classes: every insert
+        // either regrows its array to cover a higher id or fills a hole
+        // below the array's end.
         for i in 0..64u32 {
-            let key = (StateId(i), (i % 7) as u16, (i % 2) as u8);
+            let key = (StateId((i * 37) % 67), i % 5);
+            if map.contains_key(&key) {
+                continue;
+            }
             map.insert(key, StateId(1000 + i));
-            tables.insert_projection(key.0, key.1, key.2, StateId(1000 + i));
+            tables.insert_projection(key.0, key.1, StateId(1000 + i));
+            for (&(full, class), &v) in &map {
+                assert_eq!(tables.project(full, class), Some(v));
+            }
         }
-        for (&(full, op, pos), &v) in &map {
-            assert_eq!(tables.project(full, op, pos), Some(v));
+        for full in 0..70u32 {
+            for class in 0..7u32 {
+                let key = (StateId(full), class);
+                assert_eq!(tables.project(key.0, key.1), map.get(&key).copied());
+            }
         }
-        assert_eq!(tables.project(StateId(64), 0, 0), None);
-        assert_eq!(
-            tables.project(StateId(0), 6, 1),
-            map.get(&(StateId(0), 6, 1)).copied()
-        );
+        assert_eq!(tables.projection_count(), map.len());
         assert_eq!(tables.projections().count(), map.len());
         for p in tables.projections() {
-            assert_eq!(map[&(p.full, p.op, p.pos)], p.projection);
+            assert_eq!(map[&(p.full, p.class)], p.projection);
+        }
+        // Each array is as long as its highest state id plus one.
+        for class in 0..5u32 {
+            let highest = map.keys().filter(|k| k.1 == class).map(|k| k.0 .0).max();
+            assert_eq!(
+                tables.class(class).len(),
+                highest.map_or(0, |h| h as usize + 1)
+            );
         }
     }
 
@@ -583,7 +619,10 @@ mod tests {
             );
         }
         tables.insert_transition(5, [NO_CHILD; 2], SigId(0), StateId(40), false);
-        tables.insert_projection(StateId(1), 2, 0, StateId(0));
+        // Class arrays: state 9 under class 2 makes a 10-word array; a
+        // lower id fills it in place.
+        tables.insert_projection(StateId(9), 2, StateId(0));
+        tables.insert_projection(StateId(3), 2, StateId(1));
         // Group slots: 33 entries -> 128 slots, 1 entry -> 2 slots; six
         // headers (operators 0..=5).
         assert_eq!(tables.group_count(), 6);
@@ -591,7 +630,7 @@ mod tests {
             tables.transition_bytes(),
             6 * GROUP_HEADER_BYTES + (128 + 2) * TRANS_SLOT_BYTES
         );
-        assert_eq!(tables.projection_bytes(), 2 * PROJ_SLOT_BYTES);
+        assert_eq!(tables.projection_bytes(), 10 * 4);
         let mut sigs = SignatureInterner::new();
         sigs.intern(&[RuleCost::Finite(1), RuleCost::Infinite]);
         assert_eq!(
@@ -680,5 +719,57 @@ mod tests {
             assert_eq!(published.lookup(1, key(i), SigId(0)), expected);
             assert_eq!(master.lookup(1, key(i), SigId(0)), Some(StateId(i)));
         }
+    }
+
+    #[test]
+    fn class_arrays_regrow_geometrically() {
+        // Covering states one by one must not copy the array per state:
+        // 1000 states take at most 11 allocations (1, 2, 4, ..., 1024
+        // words), and the slack stays out of the accounting.
+        let mut tables = Tables::default();
+        let (mut allocations, mut at) = (0, std::ptr::null());
+        for i in 0..1000u32 {
+            tables.insert_projection(StateId(i), 0, StateId(i));
+            if tables.words(0).as_ptr() != at {
+                (allocations, at) = (allocations + 1, tables.words(0).as_ptr());
+            }
+        }
+        assert!(allocations <= 11, "{allocations} allocations");
+        assert_eq!(tables.words(0).len(), 1024);
+        assert_eq!(tables.class(0).len(), 1000);
+        assert_eq!(tables.projection_bytes(), class_bytes(1000));
+    }
+
+    #[test]
+    fn projections_copy_shared_class_arrays_and_leave_clones_frozen() {
+        let mut master = Tables::default();
+        // Classes 1 and 2 cover the even states below 8.
+        for i in (0..8u32).step_by(2) {
+            master.insert_projection(StateId(i), 1, StateId(i));
+            master.insert_projection(StateId(i), 2, StateId(i));
+        }
+        let published = master.clone();
+        let storage = |t: &Tables, class| t.class(class).as_ptr();
+        // Filling a hole of a shared array copies that array only.
+        master.insert_projection(StateId(3), 1, StateId(3));
+        assert_ne!(storage(&master, 1), storage(&published, 1));
+        assert_eq!(storage(&master, 2), storage(&published, 2));
+        assert_eq!(published.projection_count(), 8);
+        // Further writes into the now-unshared array stay in place.
+        let before = storage(&master, 1);
+        master.insert_projection(StateId(5), 1, StateId(5));
+        assert_eq!(storage(&master, 1), before);
+        // Covering a higher state regrows the array; the published clone
+        // keeps answering from its own.
+        master.insert_projection(StateId(9), 2, StateId(9));
+        assert_eq!((master.class(2).len(), published.class(2).len()), (10, 7));
+        for i in 0..10u32 {
+            let old = (i % 2 == 0 && i < 8).then_some(StateId(i));
+            assert_eq!(published.project(StateId(i), 1), old);
+            assert_eq!(published.project(StateId(i), 2), old);
+            let grown = [3, 5].contains(&i).then_some(StateId(i));
+            assert_eq!(master.project(StateId(i), 1), old.or(grown));
+        }
+        assert_eq!(master.project(StateId(9), 2), Some(StateId(9)));
     }
 }

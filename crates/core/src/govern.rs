@@ -12,7 +12,7 @@
 //!
 //! * **Accounting** — [`ComponentBytes`] breaks an automaton's footprint
 //!   down per component (state arena, projection arena, transition
-//!   groups, projection table, signature interner), computed identically
+//!   groups, class arrays, signature interner), computed identically
 //!   for live masters, published snapshots and persisted table files, so
 //!   a budget means the same thing everywhere.
 //! * **Heat** — the labeling hot paths keep cheap per-state touch
@@ -25,7 +25,7 @@
 //!   [`OnDemandAutomaton::compact`](crate::OnDemandAutomaton::compact)
 //!   rebuilds the tables retaining only the hottest states that fit a
 //!   byte target, remapping `StateId`s, projection ids and `SigId`s
-//!   across the transition groups, projection table and signature
+//!   across the transition groups, class arrays and signature
 //!   interner. Everything evicted is merely forgotten memoization: a
 //!   future miss recomputes it, so labelings stay bit-identical.
 //! * **Budgets** — [`MemoryBudget`] names a byte ceiling plus the
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 use crate::dense::{self, Tables};
 use crate::signature::SigId;
-use crate::snapshot::{MAX_ARITY, NO_CHILD};
+use crate::snapshot::NO_CHILD;
 use crate::state::{StateData, StateId};
 
 /// Fixed per-entry overhead charged for a state: the arena's `Arc` slot,
@@ -58,10 +58,11 @@ const STATE_ENTRY_OVERHEAD: usize = 48;
 /// Per-component byte accounting of an automaton's tables.
 ///
 /// The numbers are deterministic functions of the table *contents*
-/// (entry counts and state widths), not of allocator capacity: every
-/// slot table holds exactly `slots_for(entries)` slots (see `dense.rs`),
-/// so exporting and re-importing a snapshot reports identical bytes, and
-/// a budget compares the same way against a live master, a published
+/// (entry counts, state widths and the highest state each class array
+/// covers), not of allocator capacity: every slot table holds exactly
+/// `slots_for(entries)` slots (see `dense.rs`), so exporting and
+/// re-importing a snapshot reports identical bytes, and a budget
+/// compares the same way against a live master, a published
 /// snapshot, or a `tables stats` inspection of a file. A master and the
 /// snapshots it published share their slot arrays copy-on-write, so each
 /// reports the footprint of the tables it reads, not of the copies made.
@@ -69,13 +70,14 @@ const STATE_ENTRY_OVERHEAD: usize = 48;
 pub struct ComponentBytes {
     /// The hash-consed state arena.
     pub states: usize,
-    /// The projected-state arena (projection mode only).
+    /// The projected-state arena.
     pub projections: usize,
     /// The per-operator transition groups: one header per operator id
     /// up to the highest one with a transition, plus the open-addressed
     /// slots.
     pub transitions: usize,
-    /// The `(state, op, position) -> projection` slot table.
+    /// The per-operand-class projection arrays: one word per state up
+    /// to the highest state each array covers.
     pub projection_cache: usize,
     /// The dynamic-cost signature interner: its slots, offsets and
     /// flattened cost words.
@@ -192,7 +194,6 @@ pub(crate) struct TableView<'a> {
     pub states: &'a [Arc<StateData>],
     pub projections: &'a [Arc<StateData>],
     pub tables: &'a Tables,
-    pub project_children: bool,
 }
 
 /// Accounted bytes of a state arena.
@@ -237,29 +238,27 @@ struct RetentionPlan {
     retained_transitions: usize,
 }
 
-fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
+/// Plans keeping the `k` states of lowest `rank` (a state's position in
+/// the eviction order, which is also its id after compaction).
+fn plan_retention(view: &TableView<'_>, rank: &[u32], k: usize) -> RetentionPlan {
+    let kept = |state: StateId| (rank[state.0 as usize] as usize) < k;
     // Projections stay exactly when a retained full state still maps to
-    // them through the projection cache.
+    // them through a class array, which then covers that state's new id.
     let mut keep_proj = vec![false; view.projections.len()];
-    let mut cache_kept = 0usize;
+    let mut class_len: Vec<usize> = Vec::new();
     for p in view.tables.projections() {
-        if keep_state[p.full.0 as usize] {
+        if kept(p.full) {
             keep_proj[p.projection.0 as usize] = true;
-            cache_kept += 1;
+            let class = p.class as usize;
+            if class_len.len() <= class {
+                class_len.resize(class + 1, 0);
+            }
+            class_len[class] = class_len[class].max(rank[p.full.0 as usize] as usize + 1);
         }
     }
-    // A transition survives when its target and every child id (full
-    // state ids, or projection ids in projection mode) survive.
-    let kid_kept = |kid: u32| -> bool {
-        if kid == NO_CHILD {
-            return true;
-        }
-        if view.project_children {
-            keep_proj[kid as usize]
-        } else {
-            keep_state[kid as usize]
-        }
-    };
+    // A transition survives when its target and every child projection
+    // survive.
+    let kid_kept = |kid: u32| kid == NO_CHILD || keep_proj[kid as usize];
     let signatures = &view.tables.signatures;
     let mut keep_sig = vec![false; signatures.len()];
     keep_sig[SigId::EMPTY.0 as usize] = true;
@@ -269,7 +268,7 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
     // retained key set broken down by op.
     let mut kept_per_op: Vec<usize> = Vec::new();
     for t in view.tables.transitions() {
-        if keep_state[t.state.0 as usize] && t.kids.iter().all(|&k| kid_kept(k)) {
+        if kept(t.state) && t.kids.iter().all(|&kid| kid_kept(kid)) {
             keep_sig[t.sig as usize] = true;
             trans_kept += 1;
             let op = t.op as usize;
@@ -283,8 +282,8 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
         states: arena_bytes(
             view.states
                 .iter()
-                .zip(keep_state)
-                .filter_map(|(s, &keep)| keep.then_some(s)),
+                .zip(rank)
+                .filter_map(|(s, &r)| ((r as usize) < k).then_some(s)),
         ),
         projections: arena_bytes(
             view.projections
@@ -293,7 +292,7 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
                 .filter_map(|(s, &keep)| keep.then_some(s)),
         ),
         transitions: dense::transition_bytes(kept_per_op.into_iter()),
-        projection_cache: dense::projection_bytes(cache_kept),
+        projection_cache: dense::class_bytes(class_len.iter().sum()),
         signatures: dense::signature_bytes(
             keep_sig.iter().filter(|&&k| k).count(),
             signatures
@@ -310,14 +309,6 @@ fn plan_retention(view: &TableView<'_>, keep_state: &[bool]) -> RetentionPlan {
         bytes,
         retained_transitions: trans_kept,
     }
-}
-
-fn membership(order: &[u32], k: usize, len: usize) -> Vec<bool> {
-    let mut keep = vec![false; len];
-    for &id in &order[..k] {
-        keep[id as usize] = true;
-    }
-    keep
 }
 
 /// Rebuilds the tables keeping only the hottest states whose rebuilt
@@ -347,11 +338,14 @@ pub(crate) fn compact_tables(
         )
     });
 
+    // A state's rank in that order is its id if it is retained.
+    let mut rank = vec![0u32; n];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+
     // Largest k whose rebuilt tables fit the target (monotonic in k).
-    let fits = |k: usize| -> bool {
-        let keep = membership(&order, k, n);
-        plan_retention(view, &keep).bytes.total() <= target_bytes
-    };
+    let fits = |k: usize| plan_retention(view, &rank, k).bytes.total() <= target_bytes;
     let k = if fits(n) {
         n
     } else {
@@ -368,21 +362,22 @@ pub(crate) fn compact_tables(
         lo
     };
 
-    let keep_state = membership(&order, k, n);
-    let plan = plan_retention(view, &keep_state);
+    let plan = plan_retention(view, &rank, k);
 
-    // Remaps: retained states ranked by heat order; projections and
+    // Remaps: retained states take their rank as id; projections and
     // signatures keep their relative order (SigId::EMPTY stays 0).
-    let mut state_remap: Vec<u32> = vec![NO_CHILD; n];
-    let mut states: Vec<Arc<StateData>> = Vec::with_capacity(k);
-    let mut new_heat: Vec<u64> = Vec::with_capacity(k);
-    for &old in &order[..k] {
-        state_remap[old as usize] = states.len() as u32;
-        states.push(Arc::clone(&view.states[old as usize]));
-        // Carry heat across the epoch, halved, so standing heat decays
-        // and a once-hot state must keep earning its place.
-        new_heat.push(heat.get(old as usize).copied().unwrap_or(0) / 2);
-    }
+    let state_remap = |old: StateId| Some(rank[old.0 as usize]).filter(|&r| (r as usize) < k);
+    let retained = &order[..k];
+    let states: Vec<Arc<StateData>> = retained
+        .iter()
+        .map(|&old| Arc::clone(&view.states[old as usize]))
+        .collect();
+    // Carry heat across the epoch, halved, so standing heat decays and
+    // a once-hot state must keep earning its place.
+    let new_heat: Vec<u64> = retained
+        .iter()
+        .map(|&old| heat.get(old as usize).copied().unwrap_or(0) / 2)
+        .collect();
     let mut proj_remap: Vec<u32> = vec![NO_CHILD; view.projections.len()];
     let mut projections: Vec<Arc<StateData>> = Vec::new();
     for (old, keep) in plan.keep_proj.iter().enumerate() {
@@ -400,52 +395,32 @@ pub(crate) fn compact_tables(
         }
     }
 
-    let kid_remap = |kid: u32| -> u32 {
-        if kid == NO_CHILD {
-            NO_CHILD
-        } else if view.project_children {
-            proj_remap[kid as usize]
-        } else {
-            state_remap[kid as usize]
-        }
-    };
     for t in view.tables.transitions() {
-        let new_target = state_remap[t.state.0 as usize];
-        if new_target == NO_CHILD {
+        let kids = t.kids.map(|kid| match kid {
+            NO_CHILD => NO_CHILD,
+            kid => proj_remap[kid as usize],
+        });
+        // Dropped with its target or with any child projection.
+        let evicted = kids
+            .iter()
+            .zip(&t.kids)
+            .any(|(&k, &old)| k == NO_CHILD && old != NO_CHILD);
+        let Some(target) = state_remap(t.state).filter(|_| !evicted) else {
             continue;
-        }
-        let mut kids = [NO_CHILD; MAX_ARITY];
-        let mut alive = true;
-        for (slot, &kid) in kids.iter_mut().zip(&t.kids) {
-            let mapped = kid_remap(kid);
-            if kid != NO_CHILD && mapped == NO_CHILD {
-                alive = false;
-                break;
-            }
-            *slot = mapped;
-        }
-        if !alive {
-            continue;
-        }
+        };
         tables.insert_transition(
             t.op,
             kids,
             SigId(sig_remap[t.sig as usize]),
-            StateId(new_target),
+            StateId(target),
             view.states[t.state.0 as usize].is_dead(),
         );
     }
     for p in view.tables.projections() {
-        let new_full = state_remap[p.full.0 as usize];
-        if new_full == NO_CHILD {
-            continue;
+        if let Some(full) = state_remap(p.full) {
+            let projection = StateId(proj_remap[p.projection.0 as usize]);
+            tables.insert_projection(StateId(full), p.class, projection);
         }
-        let new_proj = proj_remap[p.projection.0 as usize];
-        debug_assert_ne!(
-            new_proj, NO_CHILD,
-            "retained cache entry lost its projection"
-        );
-        tables.insert_projection(StateId(new_full), p.op, p.pos, StateId(new_proj));
     }
 
     let stats = CompactionStats {

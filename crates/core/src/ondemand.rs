@@ -2,8 +2,11 @@
 //! reproduced paper.
 //!
 //! The automaton starts empty. To label a node the labeler forms the
-//! transition key *(operator, child states, dynamic-cost signature)* and
-//! looks it up in the operator's slot table (see `dense.rs`):
+//! transition key *(operator, child representers, dynamic-cost
+//! signature)* — each child state projected onto the operand
+//! nonterminals of its position (burg's *representer states*, found with
+//! one array load per child) — and looks it up in the operator's slot
+//! table (see `dense.rs`):
 //!
 //! * **hit** (the overwhelmingly common case once the automaton has
 //!   warmed up): the node's state is the cached one — labeling cost is a
@@ -43,10 +46,10 @@ pub enum BudgetPolicy {
     /// Fail with [`LabelError::StateBudgetExceeded`].
     #[default]
     Error,
-    /// Flush every state, transition and signature and relabel the
-    /// current forest from scratch — bounded memory at the price of
-    /// re-warming (the memory-management strategy a long-running JIT
-    /// wants). Applies to whole forests
+    /// Flush every state, projection, transition and signature and
+    /// relabel the current forest from scratch — bounded memory at the
+    /// price of re-warming (the memory-management strategy a long-running
+    /// JIT wants). Applies to whole forests
     /// ([`label_forest`](Labeler::label_forest)); the incremental
     /// [`OnDemandAutomaton::label_node`] path still reports the error
     /// because its caller holds state ids a flush would invalidate.
@@ -54,9 +57,10 @@ pub enum BudgetPolicy {
     /// # Epoch semantics under the snapshot-based shared automaton
     ///
     /// A flush starts a new **epoch** (see
-    /// [`OnDemandAutomaton::epoch`]): the state arena, transition table
-    /// and signature interner are replaced, so state ids from different
-    /// epochs are unrelated values. The concurrent
+    /// [`OnDemandAutomaton::epoch`]): the state and projection arenas,
+    /// class arrays, transition groups and signature interner are
+    /// replaced, so state ids from different epochs are unrelated
+    /// values. The concurrent
     /// [`SharedOnDemand`](crate::SharedOnDemand) handles this without
     /// ever invalidating in-flight readers:
     ///
@@ -142,17 +146,10 @@ impl PartialEq for BudgetPolicy {
 
 impl Eq for BudgetPolicy {}
 
-/// Configuration of an [`OnDemandAutomaton`].
+/// Configuration of an [`OnDemandAutomaton`]: its budget. The transition
+/// key has one form, over the children's representer states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnDemandConfig {
-    /// Project child states onto the operand nonterminals of the operator
-    /// before forming the transition key.
-    ///
-    /// Projection adds one cache probe per child but makes more nodes
-    /// share transitions (the offline automaton's *representer state*
-    /// compression applied lazily). Default: `false` — the paper's direct
-    /// `(op, child states)` key.
-    pub project_children: bool,
     /// Maximum number of states before labeling fails with
     /// [`LabelError::StateBudgetExceeded`]. Guards against grammars whose
     /// automata do not converge.
@@ -164,7 +161,6 @@ pub struct OnDemandConfig {
 impl Default for OnDemandConfig {
     fn default() -> Self {
         OnDemandConfig {
-            project_children: false,
             state_budget: 1 << 20,
             budget_policy: BudgetPolicy::Error,
         }
@@ -223,8 +219,8 @@ pub struct OnDemandAutomaton {
     config: OnDemandConfig,
     states: StateSet,
     projections: StateSet,
-    /// Transition groups, projection table and signature interner, in
-    /// the slot layout snapshots share copy-on-write (see `dense.rs`).
+    /// Class arrays, transition groups and signature interner, in the
+    /// layout snapshots share copy-on-write (see `dense.rs`).
     tables: Tables,
     /// Flattened dynamic-cost dispatch, built once and shared with every
     /// snapshot.
@@ -301,9 +297,9 @@ impl OnDemandAutomaton {
     /// [`AutomatonSnapshot`].
     ///
     /// Nothing is copied: the snapshot shares the state data and every
-    /// slot array of the transition groups, projection table and
-    /// signature interner by reference count, so publication costs
-    /// O(operator groups + states). The master copies a shared slot
+    /// array of the class arrays, transition groups and signature
+    /// interner by reference count, so publication costs O(operator
+    /// groups + operand classes + states). The master copies a shared
     /// array the next time it grows it — in the grow path, once per
     /// snapshot, for the arrays a forest actually touched.
     pub fn snapshot(&self) -> AutomatonSnapshot {
@@ -396,7 +392,6 @@ impl OnDemandAutomaton {
                 states: self.states.arena(),
                 projections: self.projections.arena(),
                 tables: &self.tables,
-                project_children: self.config.project_children,
             },
             &combined,
             target_bytes,
@@ -454,16 +449,24 @@ impl OnDemandAutomaton {
         //    most operators).
         let sig = self.evaluate_signature(forest, node, op);
 
-        // 2. The fast path: one bounded probe.
+        // 2. The fast path: one array load per child for its projection
+        //    (interned and memoized the first time the child's state
+        //    appears under the position's operand class), one bounded
+        //    probe.
         let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().enumerate() {
-            kids[i] = if self.config.project_children {
-                self.project_child(op, i, k).0
-            } else {
-                k.0
+            let class = self.grammar.operand_class(op, i);
+            kids[i] = match self.tables.project(k, class) {
+                Some(p) => p.0,
+                None => {
+                    let projected = self.states.get(k).project(self.grammar.operand_nts(op, i));
+                    let (p, _) = self.projections.intern(projected);
+                    self.tables.insert_projection(k, class, p);
+                    p.0
+                }
             };
         }
-        self.counters.hash_lookups += 1;
+        self.counters.hash_lookups += 1 + kid_states.len() as u64;
         if let Some(state) = self.tables.lookup(op.id().0, kids, sig) {
             self.counters.memo_hits += 1;
             self.touch(state);
@@ -472,7 +475,7 @@ impl OnDemandAutomaton {
 
         // 3. The slow path: compute, intern, memoize.
         self.counters.memo_misses += 1;
-        let state = self.build_state(op, kids, kid_states)?;
+        let state = self.build_state(op, kids)?;
         let dead = self.states.get(state).is_dead();
         self.tables
             .insert_transition(op.id().0, kids, sig, state, dead);
@@ -515,39 +518,14 @@ impl OnDemandAutomaton {
         self.tables.signatures.intern(&self.scratch)
     }
 
-    fn project_child(&mut self, op: Op, pos: usize, kid: StateId) -> StateId {
-        let (opid, pos) = (op.id().0, pos as u8);
-        self.counters.hash_lookups += 1;
-        if let Some(p) = self.tables.project(kid, opid, pos) {
-            return p;
-        }
-        let projected = self
-            .states
-            .get(kid)
-            .project(self.grammar.operand_nts(op, pos as usize));
-        let (pid, _) = self.projections.intern(projected);
-        self.tables.insert_projection(kid, opid, pos, pid);
-        pid
-    }
-
     /// Computes, interns and budget-checks the state of a node whose
     /// signature was just evaluated: its dynamic costs are still in the
     /// scratch buffer.
-    fn build_state(
-        &mut self,
-        op: Op,
-        kids: [u32; MAX_ARITY],
-        kid_states: &[StateId],
-    ) -> Result<StateId, LabelError> {
-        // Gather child state data (projected or full, matching the key).
-        let kid_data: Vec<&StateData> = if self.config.project_children {
-            kids[..op.arity()]
-                .iter()
-                .map(|&k| self.projections.get(StateId(k)))
-                .collect()
-        } else {
-            kid_states.iter().map(|&k| self.states.get(k)).collect()
-        };
+    fn build_state(&mut self, op: Op, kids: [u32; MAX_ARITY]) -> Result<StateId, LabelError> {
+        let kid_data: Vec<&StateData> = kids[..op.arity()]
+            .iter()
+            .map(|&k| self.projections.get(StateId(k)))
+            .collect();
         // The scratch buffer holds one cost per dynamic base rule of the
         // op, then per dynamic chain rule, in exactly that order (and is
         // stale only when there are no such rules to zip it with).
@@ -777,24 +755,28 @@ mod tests {
     }
 
     #[test]
-    fn projection_mode_shares_more() {
-        let (f, _) = forest_of("(StoreI8 (ConstI8 0) (AddI8 (LoadI8 (ConstI8 0)) (ConstI8 5)))");
-        let g = Arc::new(parse_grammar(DEMO).unwrap().normalize());
-        let mut direct = OnDemandAutomaton::new(g.clone());
-        direct.label_forest(&f).unwrap();
-        let mut projected = OnDemandAutomaton::with_config(
-            g,
-            OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            },
-        );
-        projected.label_forest(&f).unwrap();
-        // Both must produce the same number of *states*; projection can
-        // only reduce the number of distinct transitions, never change
-        // the states' semantics.
-        assert_eq!(direct.stats().states, projected.stats().states);
-        assert!(projected.stats().transitions <= direct.stats().transitions);
+    fn operand_classes_share_projections() {
+        let mut auto = demo_automaton();
+        let [load, store, add] = ["LoadI8", "StoreI8", "AddI8"].map(|o| o.parse::<Op>().unwrap());
+        let g = Arc::clone(auto.grammar());
+        // `StoreI8` operand 0 and `LoadI8` operand 0 both take `addr`:
+        // one class. `AddI8` operand 0 takes `reg` and the RMW helper's
+        // load, so it has a class of its own.
+        assert_eq!(g.operand_class(store, 0), g.operand_class(load, 0));
+        assert_ne!(g.operand_class(store, 0), g.operand_class(add, 0));
+        let (f, _) = forest_of("(StoreI8 (ConstI8 0) (ConstI8 1))");
+        auto.label_forest(&f).unwrap();
+        let (projections, cached) = (auto.projections.len(), auto.tables.projection_count());
+        // The constant's state, projected as a store address, hits as a
+        // load address: no projection is interned, no entry memoized.
+        let (f, _) = forest_of("(LoadI8 (ConstI8 0))");
+        auto.label_forest(&f).unwrap();
+        assert_eq!(auto.projections.len(), projections);
+        assert_eq!(auto.tables.projection_count(), cached);
+        // Under another class the same state projects anew.
+        let (f, _) = forest_of("(AddI8 (ConstI8 0) (ConstI8 1))");
+        auto.label_forest(&f).unwrap();
+        assert!(auto.tables.projection_count() > cached);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! checksum u64      FNV-1a over the payload bytes
 //! payload:
 //!   grammar fingerprint   u64  (NormalGrammar::fingerprint)
-//!   config                project_children u8, budget_policy u8
+//!   config                budget_policy u8
 //!                         (0=error, 1=flush, 2=compact; compact is
 //!                         followed by byte_budget u64 +
 //!                         retain_fraction f32 bits u32),
@@ -38,11 +38,14 @@
 //!   state arena           count; per state: len + (cost, rule) pairs
 //!   projection arena      same encoding
 //!   transition table      count; per entry: op, kids[MAX_ARITY], sig, state
-//!   projection cache      count; per entry: (state, op, pos) -> projected
+//!                         (kids are projection ids)
+//!   class arrays          class count (NormalGrammar::num_operand_classes);
+//!                         per class: len + words, word i the projection
+//!                         of state i or u32::MAX (unseen)
 //! ```
 //!
-//! Table entries are written in sorted order, so exporting the same
-//! snapshot twice produces identical bytes.
+//! Transitions are written sorted and each class array up to its highest
+//! covered state, so exporting the same tables twice gives equal bytes.
 //!
 //! # Integrity
 //!
@@ -56,10 +59,12 @@
 //! * truncated files and payload corruption (checksum);
 //! * a grammar whose [`fingerprint`](odburg_grammar::NormalGrammar::fingerprint)
 //!   differs from the one the tables were exported under;
-//! * a configuration (projection mode, budget, budget policy) differing
-//!   from the expected one;
-//! * internally inconsistent tables (out-of-range ids) — defense in
-//!   depth behind the checksum.
+//! * a configuration (state budget, budget policy) differing from the
+//!   expected one;
+//! * internally inconsistent tables (out-of-range ids, a class array
+//!   longer than the state arena, a class count the grammar does not
+//!   have, a projection that does not fit its class) — defense in depth
+//!   behind the checksum.
 //!
 //! Two caveats. Dynamic-cost *functions* cannot be serialized; the
 //! fingerprint covers their names and rule positions, so rebinding a
@@ -70,11 +75,11 @@
 //! are not resurrected (state ids never cross process boundaries except
 //! through the snapshot itself).
 //!
-//! The format lists table *entries*, not the in-memory slot layout (see
-//! `dense.rs`): import inserts every entry into fresh slot tables, and
-//! since slot counts are a function of entry counts, [`inspect_tables`]
-//! reports exactly the [`ComponentBytes`] the imported snapshot will
-//! have.
+//! The format lists transitions and signatures as *entries*, not as the
+//! in-memory slot layout (see `dense.rs`): import inserts every entry
+//! into fresh slot tables. Slot counts are a function of entry counts and
+//! class arrays are stored at their accounted length, so [`inspect_tables`]
+//! reports exactly the [`ComponentBytes`] the imported snapshot will have.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -84,18 +89,19 @@ use std::sync::Arc;
 use odburg_grammar::{Cost, NormalGrammar, RuleCost};
 use odburg_ir::NUM_OPS;
 
-use crate::dense::Tables;
+use crate::dense::{Tables, UNSEEN};
 use crate::govern::{self, ComponentBytes};
 use crate::ondemand::{BudgetPolicy, OnDemandConfig};
 use crate::signature::SigId;
 use crate::snapshot::{AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId};
 
-/// The current table-file format version. Version 2 added the
-/// byte-budget fields of [`BudgetPolicy::Compact`] to the configuration
-/// section; version-1 files are rejected with
+/// The current table-file format version. Version 3 keys every
+/// transition by projection ids and stores the per-operand-class
+/// projection arrays in place of the projection-mode flag and the
+/// `(state, op, pos)` projection cache; older files are rejected with
 /// [`PersistError::UnsupportedVersion`] (re-export them).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 4] = *b"ODBT";
 
@@ -239,7 +245,6 @@ pub fn export_snapshot<W: Write>(
     let config = snapshot.config();
 
     e.u64(snapshot.grammar().fingerprint());
-    e.u8(config.project_children as u8);
     match config.budget_policy {
         BudgetPolicy::Error => e.u8(0),
         BudgetPolicy::Flush => e.u8(1),
@@ -285,14 +290,14 @@ pub fn export_snapshot<W: Write>(
         e.u32(t.state.0);
     }
 
-    let mut cache: Vec<_> = tables.projections().collect();
-    cache.sort_unstable_by_key(|p| (p.full, p.op, p.pos));
-    e.u32(cache.len() as u32);
-    for p in cache {
-        e.u32(p.full.0);
-        e.u16(p.op);
-        e.u8(p.pos);
-        e.u32(p.projection.0);
+    let classes = snapshot.grammar().operand_classes().len();
+    e.u32(classes as u32);
+    for class in 0..classes as u32 {
+        let words = tables.class(class);
+        e.u32(words.len() as u32);
+        for &word in words {
+            e.u32(word);
+        }
     }
 
     writer.write_all(&MAGIC)?;
@@ -388,6 +393,7 @@ struct RawTables {
     config: OnDemandConfig,
     epoch: u64,
     num_nts: usize,
+    num_classes: usize,
     states: Vec<Arc<StateData>>,
     projections: Vec<Arc<StateData>>,
     tables: Tables,
@@ -434,15 +440,6 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     };
 
     let fingerprint = d.u64()?;
-    let project_children = match d.u8()? {
-        0 => false,
-        1 => true,
-        v => {
-            return Err(PersistError::Malformed(format!(
-                "projection flag {v} out of range"
-            )))
-        }
-    };
     let budget_policy = match d.u8()? {
         0 => BudgetPolicy::Error,
         1 => BudgetPolicy::Flush,
@@ -467,7 +464,6 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     };
     let state_budget = d.u64()? as usize;
     let config = OnDemandConfig {
-        project_children,
         state_budget,
         budget_policy,
     };
@@ -520,13 +516,7 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     }
     let projections = arenas.pop().expect("two arenas");
     let states = arenas.pop().expect("two arenas");
-    // In projection mode transition keys reference the projection arena,
-    // otherwise the state arena.
-    let kid_arena_len = if project_children {
-        projections.len()
-    } else {
-        states.len()
-    } as u32;
+    let num_projections = projections.len() as u32;
 
     let num_transitions = d.count("transition", 2 + 4 * MAX_ARITY + 8)?;
     for _ in 0..num_transitions {
@@ -539,9 +529,9 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
         let mut kids = [NO_CHILD; MAX_ARITY];
         for kid in kids.iter_mut() {
             *kid = d.u32()?;
-            if *kid != NO_CHILD && *kid >= kid_arena_len {
+            if *kid != NO_CHILD && *kid >= num_projections {
                 return Err(PersistError::Malformed(format!(
-                    "transition child state {kid} of {kid_arena_len}"
+                    "transition child projection {kid} of {num_projections}"
                 )));
             }
         }
@@ -566,23 +556,25 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
         tables.insert_transition(op, kids, sig, state, dead);
     }
 
-    let num_cached = d.count("projection cache entry", 11)?;
-    for _ in 0..num_cached {
-        let state = d.u32()?;
-        let op = d.u16()?;
-        let pos = d.u8()?;
-        let projected = d.u32()?;
-        if state as usize >= states.len() || projected as usize >= projections.len() {
-            return Err(PersistError::Malformed(
-                "projection cache id out of range".into(),
-            ));
+    let num_classes = d.count("operand class", 4)?;
+    for class in 0..num_classes as u32 {
+        let len = d.count("class array word", 4)?;
+        if len > states.len() {
+            return Err(PersistError::Malformed(format!(
+                "class {class} array of {len} words covers more than {} states",
+                states.len()
+            )));
         }
-        if tables.project(StateId(state), op, pos).is_some() {
-            return Err(PersistError::Malformed(
-                "duplicate projection cache key".into(),
-            ));
+        let words = (0..len).map(|_| d.u32()).collect::<Result<Vec<_>, _>>()?;
+        // Highest state first, so the array is allocated once.
+        for (full, &word) in words.iter().enumerate().rev().filter(|(_, &w)| w != UNSEEN) {
+            if word >= num_projections {
+                return Err(PersistError::Malformed(format!(
+                    "class {class} projection {word} of {num_projections}"
+                )));
+            }
+            tables.insert_projection(StateId(full as u32), class, StateId(word));
         }
-        tables.insert_projection(StateId(state), op, pos, StateId(projected));
     }
 
     if d.pos != payload.len() {
@@ -597,6 +589,7 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
         config,
         epoch,
         num_nts,
+        num_classes,
         states,
         projections,
         tables,
@@ -637,6 +630,24 @@ pub fn import_snapshot<R: Read>(
             raw.num_nts,
             grammar.num_nts()
         )));
+    }
+    let classes = grammar.operand_classes();
+    if raw.num_classes != classes.len() {
+        return Err(PersistError::Malformed(format!(
+            "tables carry {} operand classes, grammar has {}",
+            raw.num_classes,
+            classes.len()
+        )));
+    }
+    // A projection narrower than its class would index past its costs
+    // when the grow path reads it.
+    for p in raw.tables.projections() {
+        if raw.projections[p.projection.0 as usize].len() != classes[p.class as usize].len() {
+            return Err(PersistError::Malformed(format!(
+                "projection {} does not fit operand class {}",
+                p.projection.0, p.class
+            )));
+        }
     }
     let num_rules = grammar.rules().len() as u32;
     for (name, arena) in [("state", &raw.states), ("projection", &raw.projections)] {
@@ -683,7 +694,7 @@ pub struct TableFileInfo {
     pub projections: usize,
     /// Memoized transitions.
     pub transitions: usize,
-    /// Projection-cache entries.
+    /// Projections memoized in the class arrays.
     pub cached_projections: usize,
     /// Interned dynamic-cost signatures.
     pub signatures: usize,
@@ -1013,12 +1024,20 @@ mod tests {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
         export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
-        let projected = OnDemandConfig {
-            project_children: true,
-            ..auto.config()
-        };
-        let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), projected).unwrap_err();
-        assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
+        let budgets = [
+            OnDemandConfig {
+                state_budget: auto.config().state_budget / 2,
+                ..auto.config()
+            },
+            OnDemandConfig {
+                budget_policy: BudgetPolicy::Flush,
+                ..auto.config()
+            },
+        ];
+        for other in budgets {
+            let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
+            assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -1045,26 +1064,99 @@ mod tests {
         }
     }
 
+    /// Byte offset of the class-array section, which ends the payload.
+    fn class_section(auto: &OnDemandAutomaton, bytes: &[u8]) -> usize {
+        let snap = auto.snapshot();
+        let words: usize = (0..auto.grammar().operand_classes().len() as u32)
+            .map(|class| 1 + snap.tables().class(class).len())
+            .sum();
+        bytes.len() - 4 - 4 * words
+    }
+
+    /// Re-seals the header's length and checksum over an edited payload,
+    /// so only the structural checks can object to the edit.
+    fn reseal(bytes: &mut [u8]) {
+        let (length, checksum) = ((bytes.len() - 24) as u64, fnv1a(&bytes[24..]));
+        bytes[8..16].copy_from_slice(&length.to_le_bytes());
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    fn malformed(auto: &OnDemandAutomaton, bytes: &[u8]) -> String {
+        match import_snapshot(bytes, Arc::clone(auto.grammar()), auto.config()) {
+            Err(PersistError::Malformed(what)) => what,
+            other => panic!("expected a malformed-file error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn out_of_range_operator_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
         export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
-        // The payload ends with the transitions (18 bytes each, op
-        // first) and an empty projection cache (a zero count). Point the
-        // first transition at an operator id no IR operator has, and
-        // re-seal the checksum so only the range check can object.
+        // The transitions (18 bytes each, op first) precede the class
+        // arrays. Point the first transition at an operator id no IR
+        // operator has.
         let transitions = auto.stats().transitions;
-        let first_op = bytes.len() - 4 - 18 * transitions;
+        let first_op = class_section(&auto, &bytes) - 18 * transitions;
         bytes[first_op..first_op + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-        let checksum = fnv1a(&bytes[24..]);
-        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
-        let err =
-            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
-        assert!(
-            matches!(&err, PersistError::Malformed(what) if what.contains("operator")),
-            "{err}"
-        );
+        reseal(&mut bytes);
+        assert!(malformed(&auto, &bytes).contains("operator"));
+    }
+
+    #[test]
+    fn inconsistent_class_arrays_are_rejected() {
+        let (auto, _) = warmed();
+        let mut bytes = Vec::new();
+        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        let snap = auto.snapshot();
+        let start = class_section(&auto, &bytes);
+        let classes = auto.grammar().operand_classes().len();
+        let (states, projections) = (snap.stats().states as u32, snap.stats().projections as u32);
+        // A class section of the given arrays in place of the real one.
+        let with_classes = |arrays: &[Vec<u32>]| {
+            let mut edited = bytes[..start].to_vec();
+            edited.extend((arrays.len() as u32).to_le_bytes());
+            for words in arrays {
+                edited.extend((words.len() as u32).to_le_bytes());
+                edited.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+            }
+            reseal(&mut edited);
+            edited
+        };
+        let real: Vec<Vec<u32>> = (0..classes as u32)
+            .map(|class| snap.tables().class(class).to_vec())
+            .collect();
+        assert_eq!(with_classes(&real), bytes, "the section is rebuilt exactly");
+
+        // A class count other than the grammar's.
+        let mut extra = real.clone();
+        extra.push(Vec::new());
+        assert!(malformed(&auto, &with_classes(&extra)).contains("operand classes"));
+        assert!(malformed(&auto, &with_classes(&real[1..])).contains("operand classes"));
+        // An array covering more states than the arena holds.
+        let mut long = real.clone();
+        long[0] = vec![UNSEEN; states as usize + 1];
+        assert!(malformed(&auto, &with_classes(&long)).contains("covers more than"));
+        // A word that is neither unseen nor a projection id.
+        let mut stray = real.clone();
+        stray[0] = vec![projections];
+        assert!(malformed(&auto, &with_classes(&stray)).contains("projection"));
+        // A projection narrower or wider than its class: the empty-set
+        // class pointed at a one-nonterminal projection.
+        let empty = auto
+            .grammar()
+            .operand_classes()
+            .iter()
+            .position(Vec::is_empty);
+        let mut misfit = real.clone();
+        misfit[empty.expect("the grammar has unused operators")] = vec![0];
+        assert!(malformed(&auto, &with_classes(&misfit)).contains("does not fit"));
+        // A transition child beyond the projection arena.
+        let mut bad_kid = bytes.clone();
+        let kid0 = start - 18 * snap.stats().transitions + 2;
+        bad_kid[kid0..kid0 + 4].copy_from_slice(&projections.to_le_bytes());
+        reseal(&mut bad_kid);
+        assert!(malformed(&auto, &bad_kid).contains("child projection"));
     }
 
     #[test]
@@ -1089,6 +1181,15 @@ mod tests {
             import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion { .. }),
+            "{err}"
+        );
+        // A version-2 file (projection flag, `(state, op, pos)` cache)
+        // must be re-exported, not decoded as version 3.
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let err =
+            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
+        assert!(
+            matches!(err, PersistError::UnsupportedVersion { found: 2 }),
             "{err}"
         );
     }

@@ -67,8 +67,8 @@ pub enum InstallError {
         found: u64,
     },
     /// The shipped tables were built under a different configuration
-    /// (projection mode or budget policy), so their state space is not
-    /// interchangeable with ours.
+    /// (state budget or budget policy), so they are not interchangeable
+    /// with ours.
     ConfigMismatch {
         /// Configuration this automaton runs.
         expected: OnDemandConfig,
@@ -77,8 +77,8 @@ pub enum InstallError {
     },
     /// The shipped snapshot is not strictly newer than what is already
     /// published: its `(epoch, entries)` pair is `<=` ours, where
-    /// `entries` totals the states, projections, transitions,
-    /// projection-cache entries and signatures. Within an epoch every
+    /// `entries` totals the states, projected states, transitions,
+    /// class-array projections and signatures. Within an epoch every
     /// table is append-only, so more entries means newer — tables that
     /// grew only transitions or signatures count as newer too; across
     /// epochs the epoch counter decides.
@@ -678,7 +678,6 @@ mod tests {
                 // flush that its solo relabel survives.
                 state_budget: 3,
                 budget_policy: BudgetPolicy::Flush,
-                ..OnDemandConfig::default()
             },
         );
         let shared = SharedOnDemand::new(auto);
@@ -959,7 +958,6 @@ mod tests {
             OnDemandConfig {
                 state_budget: 3,
                 budget_policy: BudgetPolicy::Flush,
-                ..OnDemandConfig::default()
             },
         );
         let shared = SharedOnDemand::new(auto);
@@ -1001,7 +999,6 @@ mod tests {
                 // flush that its solo relabel survives.
                 state_budget: 3,
                 budget_policy: BudgetPolicy::Flush,
-                ..OnDemandConfig::default()
             },
         );
         let shared = SharedOnDemand::new(auto);

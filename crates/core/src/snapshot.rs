@@ -3,8 +3,9 @@
 //! The concurrent labeling core ([`SharedOnDemand`](crate::SharedOnDemand))
 //! separates the automaton into two halves:
 //!
-//! * an **immutable snapshot** (this module): state arena, transition
-//!   groups, projection table and signature interner, frozen at a point
+//! * an **immutable snapshot** (this module): state and projection
+//!   arenas, class arrays, transition groups and signature interner,
+//!   frozen at a point
 //!   in time and published behind an atomically swappable pointer. Reader
 //!   threads label whole forests against a snapshot with *zero* locks and
 //!   zero shared-memory writes — every operation is a read of immutable
@@ -14,11 +15,10 @@
 //!   snapshot has not seen. The writer computes the missing states and
 //!   publishes a fresh snapshot.
 //!
-//! Master and snapshot keep their tables in one layout, the slot tables
-//! of [`crate::dense`], and share the slot arrays copy-on-write: taking a
-//! snapshot clones array pointers and the state arena's `Arc`s, and the
-//! master copies an array only when it next grows one a snapshot still
-//! holds.
+//! Master and snapshot keep their tables in one layout, the arrays of
+//! [`crate::dense`], and share them copy-on-write: taking a snapshot
+//! clones array pointers and the arenas' `Arc`s, and the master copies an
+//! array only when it next grows one a snapshot still holds.
 //!
 //! Because the master automaton is append-only within an epoch (state,
 //! transition and signature ids are never reassigned until a
@@ -60,8 +60,8 @@ pub(crate) const NO_CHILD: u32 = u32::MAX;
 pub(crate) const MAX_ARITY: usize = 2;
 
 /// The `(epoch, entries)` freshness key of a table set, where `entries`
-/// totals the states, projections, transitions, projection-cache entries
-/// and signatures. Within an epoch every table is append-only, so the key
+/// totals the states, projected states, transitions, projections and
+/// signatures. Within an epoch every table is append-only, so the key
 /// strictly increases with every table that grew; across epochs the
 /// epoch counter decides. Replicas fence installs on it, and the grow
 /// path skips its byte check when a forest left it unchanged.
@@ -83,11 +83,11 @@ pub struct SnapshotStats {
     pub epoch: u64,
     /// States in the arena.
     pub states: usize,
-    /// Projected states (projection mode only; 0 otherwise).
+    /// Projected (representer) states.
     pub projections: usize,
     /// Memoized transitions.
     pub transitions: usize,
-    /// `(state, op, position)` projection-cache entries.
+    /// `(state, operand class)` projections memoized in the class arrays.
     pub cached_projections: usize,
     /// Interned dynamic-cost signatures.
     pub signatures: usize,
@@ -108,16 +108,15 @@ pub struct AutomatonSnapshot {
     grammar: Arc<NormalGrammar>,
     config: OnDemandConfig,
     states: Vec<Arc<StateData>>,
-    /// The projected-state arena (projection mode only; empty otherwise).
-    /// Transition keys reference these ids through the projection cache,
-    /// and a warm-started master needs the arena to keep interning
-    /// consistently — so it is part of the snapshot and of the persisted
-    /// format.
+    /// The projected-state arena. Transition keys reference these ids
+    /// through the class arrays, and a warm-started master needs the
+    /// arena to keep interning consistently — so it is part of the
+    /// snapshot and of the persisted format.
     projections: Vec<Arc<StateData>>,
-    /// Transition groups, projection table and signature interner (see
-    /// [`crate::dense`]). Their slot arrays are shared with the master
-    /// that published them, which copies an array before it next grows
-    /// it, so these stay frozen.
+    /// Class arrays, transition groups and signature interner (see
+    /// [`crate::dense`]). Their arrays are shared with the master that
+    /// published them, which copies an array before it next grows it, so
+    /// these stay frozen.
     tables: Tables,
     /// Per-state touch counters for this epoch, bumped (relaxed) by the
     /// lock-free fast path once per forest and folded into the writer's
@@ -225,8 +224,7 @@ pub struct WarmWalk {
 pub struct RawTransition {
     /// Operator id (`Op::id`).
     pub op: u16,
-    /// Child keys (full state ids, or projection ids in projection
-    /// mode); unused slots are `u32::MAX`.
+    /// Child keys: projection ids; unused slots are `u32::MAX`.
     pub kids: [u32; 2],
     /// Dynamic-cost signature id.
     pub sig: u32,
@@ -234,15 +232,14 @@ pub struct RawTransition {
     pub state: StateId,
 }
 
-/// One memoized projection-cache entry in raw form.
+/// One memoized projection in raw form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawProjection {
     /// The full child state being projected.
     pub full: StateId,
-    /// Operator id of the parent.
-    pub op: u16,
-    /// Child position under the parent.
-    pub pos: u8,
+    /// The operand class it is projected under
+    /// ([`NormalGrammar::operand_class`]).
+    pub class: u32,
     /// The projected state.
     pub projection: StateId,
 }
@@ -375,9 +372,9 @@ impl AutomatonSnapshot {
     /// Non-mutating transition lookup: `Some(state)` if `(op, kids, sig)`
     /// is memoized in this snapshot, `None` on a miss.
     ///
-    /// In projection mode the child states are first resolved through the
-    /// frozen projection cache; an unseen `(child, op, position)` triple
-    /// is a miss like any other.
+    /// The child states are first resolved to their projections through
+    /// the frozen class arrays; a child not yet projected under its
+    /// operand class is a miss like any other.
     pub fn lookup(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
         debug_assert!(
             op.arity() <= MAX_ARITY,
@@ -392,11 +389,7 @@ impl AutomatonSnapshot {
         );
         let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
-            kids[i] = if self.config.project_children {
-                self.tables.project(k, op.id().0, i as u8)?.0
-            } else {
-                k.0
-            };
+            kids[i] = self.tables.project(k, self.grammar.operand_class(op, i))?.0;
         }
         self.tables.lookup(op.id().0, kids, sig)
     }
@@ -414,29 +407,16 @@ impl AutomatonSnapshot {
     /// more than the batching saved, since the slot regions it tried to
     /// keep hot already fit in cache.)
     ///
-    /// Per node the walk is exactly the slot-table probes: a bounded
-    /// probe of the operator's transition group (plus one projection
-    /// probe per child in projection mode, and one signature probe at
-    /// dynamic-cost operators), with the dead flag read from the probed
-    /// slot — no `Arc` chase. Misses stop the walk (the grow path
-    /// recomputes from the returned arena prefix); probes are counted as
+    /// Per node the walk is exactly the table reads: one class-array
+    /// load per child (its projection), one signature probe at
+    /// dynamic-cost operators, and a bounded probe of the operator's
+    /// transition group, with the dead flag read from the probed slot —
+    /// no `Arc` chase. Misses stop the walk (the grow path recomputes
+    /// from the returned arena prefix); transition probes are counted as
     /// [`WorkCounters::table_lookups`].
     pub fn label_warm(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
-        if self.config.project_children {
-            self.label_warm_impl::<true>(forest, counters)
-        } else {
-            self.label_warm_impl::<false>(forest, counters)
-        }
-    }
-
-    /// The warm walk, monomorphized per projection mode so the
-    /// non-projection loop carries no projection code at all.
-    fn label_warm_impl<const PROJECT: bool>(
-        &self,
-        forest: &Forest,
-        counters: &mut WorkCounters,
-    ) -> WarmWalk {
         let tables = &self.tables;
+        let grammar = &*self.grammar;
         let dyn_eval = &*self.dyn_eval;
         let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
         let mut scratch: Vec<RuleCost> = Vec::new();
@@ -454,21 +434,16 @@ impl AutomatonSnapshot {
             let Some(group) = tables.group(opid) else {
                 break 'walk;
             };
-            // Child-state gather with a compile-time trip count
+            // Child projections with a compile-time trip count
             // (`MAX_ARITY == 2`), fully unrolled by the optimizer.
             let mut kids = [NO_CHILD; MAX_ARITY];
             let ch = node.children();
             for (i, kid) in kids.iter_mut().enumerate() {
                 let Some(&c) = ch.get(i) else { break };
-                let s = states[c.index()];
-                *kid = if PROJECT {
-                    match tables.project(s, opid, i as u8) {
-                        Some(p) => p.0,
-                        None => break 'walk,
-                    }
-                } else {
-                    s.0
-                };
+                match tables.project(states[c.index()], grammar.operand_class(op, i)) {
+                    Some(p) => *kid = p.0,
+                    None => break 'walk,
+                }
             }
             // A node of an all-fixed-cost operator never leaves the
             // empty signature; dynamic nodes resolve their cost vector
@@ -509,7 +484,7 @@ impl AutomatonSnapshot {
         self.tables.transitions().collect()
     }
 
-    /// Every projection-cache entry in raw form (unspecified order).
+    /// Every memoized projection in raw form (unspecified order).
     pub fn raw_projections(&self) -> Vec<RawProjection> {
         self.tables.projections().collect()
     }
@@ -521,15 +496,19 @@ impl AutomatonSnapshot {
     }
 
     /// Raw transition probe (no projection resolution — `kids` are the
-    /// key's own child ids), the probe [`label_warm`](Self::label_warm)
-    /// runs per node.
+    /// key's own projection ids), the probe
+    /// [`label_warm`](Self::label_warm) runs per node.
     pub fn lookup_raw(&self, op: u16, kids: [u32; 2], sig: u32) -> Option<StateId> {
         self.tables.lookup(op, kids, SigId(sig))
     }
 
-    /// Raw projection-cache probe.
+    /// Raw projection probe: the projection of `full` as operand `pos`
+    /// of operator `op`, read from the array of that position's operand
+    /// class.
     pub fn project_raw(&self, full: StateId, op: u16, pos: u8) -> Option<StateId> {
-        self.tables.project(full, op, pos)
+        let op = Op::from_id(OpId(op)).filter(|_| pos < 2)?;
+        self.tables
+            .project(full, self.grammar.operand_class(op, pos as usize))
     }
 }
 
@@ -636,8 +615,8 @@ mod tests {
         assert!(stats.bytes.states > 0);
         assert!(stats.bytes.transitions > 0);
         assert!(stats.bytes.signatures > 0);
-        assert_eq!(stats.bytes.projections, 0, "direct mode has no projections");
-        assert_eq!(stats.bytes.projection_cache, 0);
+        assert!(stats.bytes.projections > 0, "children enter keys projected");
+        assert!(stats.bytes.projection_cache > 0);
         assert_eq!(stats.bytes.total(), auto.accounted_bytes().total());
         assert_eq!(stats.bytes, auto.accounted_bytes());
     }
@@ -700,6 +679,35 @@ mod tests {
         OnDemandAutomaton::new(Arc::new(g.normalize()))
     }
 
+    /// A grammar whose constants land in value-dependent states: against
+    /// the fixed-cost `imm`, `reg`'s dynamic cost keeps each constant's
+    /// relative costs, so every fresh constant mints a signature, a
+    /// state, a projection under `AddI8`'s `{reg, imm}` operand class and
+    /// an `AddI8` transition over that projection.
+    fn spread() -> OnDemandAutomaton {
+        let mut g = parse_grammar(
+            r#"
+            %start stmt
+            %dyncost val
+            imm: ConstI8 (0)
+            reg: ConstI8 [val]
+            reg: AddI8(reg, reg) (1)
+            reg: AddI8(reg, imm) (1)
+            stmt: StoreI8(reg, reg) (1)
+            "#,
+        )
+        .unwrap();
+        g.bind_dyncost(
+            "val",
+            Arc::new(|forest: &Forest, node| {
+                let v = forest.node(node).payload().as_int().unwrap_or(0);
+                RuleCost::Finite((v.unsigned_abs() % 1000) as u16)
+            }),
+        )
+        .unwrap();
+        OnDemandAutomaton::new(Arc::new(g.normalize()))
+    }
+
     fn forest(src: &str) -> Forest {
         let mut f = Forest::new();
         let root = parse_sexpr(&mut f, src).unwrap();
@@ -722,30 +730,37 @@ mod tests {
 
     #[test]
     fn pinned_snapshot_is_isolated_from_copy_on_write_growth() {
-        let mut auto = churn();
+        let mut auto = spread();
         auto.label_forest(&forest(
             "(StoreI8 (ConstI8 1) (AddI8 (ConstI8 2) (ConstI8 3)))",
         ))
         .unwrap();
         let pinned = auto.snapshot();
         let frozen = sorted(pinned.raw_transitions());
-        let const_op = "ConstI8".parse::<Op>().unwrap().id().0;
-        let const_slots = pinned.tables().group_storage(const_op).slot_count();
+        let frozen_projections = pinned.raw_projections();
+        let [const_op, add_op] = ["ConstI8", "AddI8"].map(|o| o.parse::<Op>().unwrap());
+        let const_slots = pinned.tables().group_storage(const_op.id().0).slot_count();
+        let class = auto.grammar().operand_class(add_op, 1);
 
-        // Grow every group the snapshot shares: new constants insert
-        // into the `ConstI8` group in place, then rehash it repeatedly;
-        // new shapes grow the `AddI8` and `StoreI8` groups.
+        // Grow the tables the snapshot shares: new constants insert into
+        // the `ConstI8` group in place, then rehash it repeatedly; their
+        // states regrow the `{reg, imm}` class array, and their
+        // projections grow the `AddI8` group.
         for k in 10..40 {
             auto.label_forest(&forest(&format!(
-                "(StoreI8 (AddI8 (ConstI8 {k}) (AddI8 (ConstI8 1) (ConstI8 2))) (ConstI8 {k}))"
+                "(StoreI8 (AddI8 (ConstI8 1) (ConstI8 {k})) (ConstI8 2))"
             )))
             .unwrap();
         }
         let grown = auto.snapshot();
-        let master_const = grown.tables().group_storage(const_op);
+        let master_const = grown.tables().group_storage(const_op.id().0);
         assert!(master_const.slot_count() > const_slots, "ConstI8 rehashed");
-        assert!(!master_const.shares_storage_with(pinned.tables().group_storage(const_op)));
+        assert!(!master_const.shares_storage_with(pinned.tables().group_storage(const_op.id().0)));
+        let storage = |s: &AutomatonSnapshot| s.tables().class(class).as_ptr();
+        assert_ne!(storage(&grown), storage(&pinned), "class array regrown");
         assert!(grown.stats().transitions > frozen.len() + 30);
+        assert!(grown.stats().cached_projections >= frozen_projections.len() + 30);
+        assert_eq!(pinned.raw_projections(), frozen_projections);
 
         // The pinned snapshot answers exactly as before: same raw
         // entries, same lookups, and every key the master added misses.
@@ -806,18 +821,19 @@ mod tests {
 
     #[test]
     fn snapshot_is_decoupled_from_master_growth() {
-        let (mut auto, _) = warmed();
-        let snap = auto.snapshot();
-        let before = snap.stats().states;
-        let mut f = Forest::new();
-        let root = parse_sexpr(
-            &mut f,
-            "(StoreI8 (ConstI8 0) (AddI8 (AddI8 (ConstI8 1) (ConstI8 2)) (ConstI8 3)))",
-        )
+        let mut auto = spread();
+        auto.label_forest(&forest(
+            "(StoreI8 (ConstI8 1) (AddI8 (ConstI8 2) (ConstI8 3)))",
+        ))
         .unwrap();
-        f.add_root(root);
-        auto.label_forest(&f).unwrap();
+        let snap = auto.snapshot();
+        let before = snap.stats();
+        auto.label_forest(&forest(
+            "(StoreI8 (ConstI8 0) (AddI8 (AddI8 (ConstI8 1) (ConstI8 4)) (ConstI8 5)))",
+        ))
+        .unwrap();
         assert!(auto.stats().transitions > snap.stats().transitions);
-        assert_eq!(snap.stats().states, before, "snapshot must stay frozen");
+        assert!(auto.stats().states > before.states);
+        assert_eq!(snap.stats(), before, "snapshot must stay frozen");
     }
 }

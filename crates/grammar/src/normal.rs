@@ -82,7 +82,10 @@ pub struct NormalGrammar {
     chain_by_from: Vec<Vec<NormalRuleId>>,
     dynamic_chain_rules: Vec<NormalRuleId>,
     dynamic_base_by_op: Vec<Vec<NormalRuleId>>,
-    operand_nts: Vec<[Vec<NtId>; 2]>,
+    /// `operand_class[op]` — the operand class of each operand position.
+    operand_class: Vec<[u32; 2]>,
+    /// The sorted operand-nonterminal set of each operand class.
+    operand_classes: Vec<Vec<NtId>>,
     ops_used: Vec<Op>,
 }
 
@@ -178,9 +181,26 @@ impl NormalGrammar {
     }
 
     /// The nonterminals that occur as operand `pos` of some base rule for
-    /// `op` — the "relevant" nonterminals for representer projection.
+    /// `op` — the "relevant" nonterminals for representer projection:
+    /// the set of [`operand_class`](Self::operand_class)`(op, pos)`.
     pub fn operand_nts(&self, op: Op, pos: usize) -> &[NtId] {
-        &self.operand_nts[op.id().0 as usize][pos]
+        &self.operand_classes[self.operand_class(op, pos) as usize]
+    }
+
+    /// The *operand class* of operand `pos` of `op`: positions with equal
+    /// [`operand_nts`](Self::operand_nts) share one class, so a child
+    /// state projects identically under all of them. Classes are numbered
+    /// by first appearance over both positions of every operator in
+    /// [`ops_used`](Self::ops_used), then of the others (whose empty sets
+    /// share one class).
+    pub fn operand_class(&self, op: Op, pos: usize) -> u32 {
+        self.operand_class[op.id().0 as usize][pos]
+    }
+
+    /// The sorted operand-nonterminal set of each operand class, indexed
+    /// by class id.
+    pub fn operand_classes(&self) -> &[Vec<NtId>] {
+        &self.operand_classes
     }
 
     /// Distinct operators used by any base rule, sorted by id.
@@ -387,9 +407,18 @@ pub(crate) fn normalize(grammar: &Grammar) -> NormalGrammar {
         }
     }
     ops_used.sort();
-    for sets in &mut operand_nts {
-        for set in sets.iter_mut() {
+    // One class per sorted operand set, numbered by first appearance.
+    let mut operand_classes: Vec<Vec<NtId>> = Vec::new();
+    let mut operand_class = vec![[0u32; 2]; NUM_OPS];
+    let used = ops_used.iter().map(|op| op.id().0 as usize);
+    for id in used.chain(0..NUM_OPS) {
+        for (pos, set) in operand_nts[id].iter_mut().enumerate() {
             set.sort();
+            let class = operand_classes.iter().position(|c| c == set);
+            operand_class[id][pos] = class.unwrap_or_else(|| {
+                operand_classes.push(set.clone());
+                operand_classes.len() - 1
+            }) as u32;
         }
     }
 
@@ -406,7 +435,8 @@ pub(crate) fn normalize(grammar: &Grammar) -> NormalGrammar {
         chain_by_from,
         dynamic_chain_rules,
         dynamic_base_by_op,
-        operand_nts,
+        operand_class,
+        operand_classes,
         ops_used,
     }
 }

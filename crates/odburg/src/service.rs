@@ -10,7 +10,7 @@
 //!   [`SharedOnDemand`] masters. The six built-in grammars come
 //!   pre-registered via `with_builtin_targets`; more targets can
 //!   register at any time, each with its own [`OnDemandConfig`], so
-//!   projection-mode masters coexist with direct-table ones.
+//!   masters with different state budgets and budget policies coexist.
 //! * **Warm start** — with a tables directory configured, a master is
 //!   seeded from `<dir>/<target>.odbt` (the
 //!   [`odburg_core::persist`] format written by
@@ -2398,7 +2398,11 @@ mod tests {
         // fingerprint-mismatch PersistError with the *target* name
         // attached — never silently fall back to a cold start and never
         // mislabel.
-        let dir = std::env::temp_dir().join("odburg-service-mismatch");
+        // A fresh directory: a table file left behind by an earlier run
+        // (or an older build) must not decide how `demo` starts.
+        let dir =
+            std::env::temp_dir().join(format!("odburg-service-mismatch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let normal = Arc::new(odburg_targets::demo().normalize());
         let mut trainer = OnDemandAutomaton::new(normal);
@@ -2409,7 +2413,7 @@ mod tests {
         persist::save_tables(&trainer.snapshot(), &dir.join("jvmish.odbt")).unwrap();
 
         let server = SelectorServer::with_builtin_targets(ServerConfig {
-            tables_dir: Some(dir),
+            tables_dir: Some(dir.clone()),
             ..batch_config(1)
         });
         let err = server
@@ -2434,32 +2438,31 @@ mod tests {
             .unwrap()
             .wait();
         assert!(done.outcome.is_ok());
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn projection_mode_master_per_target() {
+    fn configured_master_per_target() {
         let server = SelectorServer::new(batch_config(2));
         let normal = Arc::new(odburg_targets::demo().normalize());
+        let mode = OnDemandConfig {
+            state_budget: 64,
+            budget_policy: odburg_core::BudgetPolicy::Flush,
+        };
         server
-            .register_with_mode(
-                "demo-projected",
-                normal,
-                OnDemandConfig {
-                    project_children: true,
-                    ..OnDemandConfig::default()
-                },
-            )
+            .register_with_mode("demo-budgeted", Arc::clone(&normal), mode)
             .unwrap();
-        let done = server
-            .try_submit(
-                "demo-projected",
-                forest("(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))"),
-            )
-            .unwrap()
-            .wait();
-        // The projected master still selects the RMW fold.
-        let red = done.reduce().unwrap();
-        assert_eq!(red.total_cost, odburg_grammar::Cost::finite(2));
+        server.register_normal("demo", normal).unwrap();
+        let rmw = "(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))";
+        for (target, config) in [("demo-budgeted", mode), ("demo", OnDemandConfig::default())] {
+            let done = server.try_submit(target, forest(rmw)).unwrap().wait();
+            // Each master runs its own configuration and still selects
+            // the RMW fold.
+            let red = done.reduce().unwrap();
+            assert_eq!(red.total_cost, odburg_grammar::Cost::finite(2), "{target}");
+            assert_eq!(server.shared(target).unwrap().snapshot().config(), config);
+        }
     }
 
     #[test]

@@ -50,9 +50,6 @@ use odburg_ir::{Forest, NodeId};
 pub enum Strategy {
     /// The on-demand tree-parsing automaton (the paper's contribution).
     OnDemand,
-    /// On-demand with transition-key projection (lazy representer
-    /// states).
-    OnDemandProjected,
     /// The snapshot-based shared concurrent automaton.
     Shared,
     /// The offline (ahead-of-time) automaton; dynamic-cost rules are
@@ -66,9 +63,8 @@ pub enum Strategy {
 
 impl Strategy {
     /// All strategies, in presentation order.
-    pub const ALL: [Strategy; 6] = [
+    pub const ALL: [Strategy; 5] = [
         Strategy::OnDemand,
-        Strategy::OnDemandProjected,
         Strategy::Shared,
         Strategy::Offline,
         Strategy::Dp,
@@ -84,10 +80,6 @@ impl Strategy {
     pub fn ondemand_config(self) -> Option<OnDemandConfig> {
         match self {
             Strategy::OnDemand | Strategy::Shared => Some(OnDemandConfig::default()),
-            Strategy::OnDemandProjected => Some(OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            }),
             Strategy::Offline | Strategy::Dp | Strategy::Macro => None,
         }
     }
@@ -107,7 +99,6 @@ impl Strategy {
     pub fn name(self) -> &'static str {
         match self {
             Strategy::OnDemand => "ondemand",
-            Strategy::OnDemandProjected => "ondemand-projected",
             Strategy::Shared => "shared",
             Strategy::Offline => "offline",
             Strategy::Dp => "dp",
@@ -154,7 +145,7 @@ impl fmt::Display for WarmStartUnsupported {
         write!(
             f,
             "labeler `{}` cannot warm-start from persisted tables \
-             (only ondemand, ondemand-projected and shared can)",
+             (only ondemand and shared can)",
             self.strategy
         )
     }
@@ -207,8 +198,8 @@ impl fmt::Display for ConfigUnsupported {
         write!(
             f,
             "labeler `{}` is not backed by an on-demand automaton; budget \
-             policies and memory budgets only apply to ondemand, \
-             ondemand-projected and shared",
+             policies and memory budgets only apply to ondemand and \
+             shared",
             self.strategy
         )
     }
@@ -231,7 +222,7 @@ impl FromStr for Strategy {
 /// selector and exposes it through the [`Labeler`] trait.
 #[derive(Debug)]
 pub enum AnyLabeler {
-    /// See [`Strategy::OnDemand`] / [`Strategy::OnDemandProjected`].
+    /// See [`Strategy::OnDemand`].
     /// Boxed for the same reason as `Shared`: the automaton's inline
     /// tables dominate the enum's size.
     OnDemand(Box<OnDemandAutomaton>),
@@ -288,15 +279,6 @@ impl AnyLabeler {
     ) -> Result<AnyLabeler, LabelError> {
         Ok(match strategy {
             Strategy::OnDemand => AnyLabeler::OnDemand(Box::new(OnDemandAutomaton::new(normal))),
-            Strategy::OnDemandProjected => {
-                AnyLabeler::OnDemand(Box::new(OnDemandAutomaton::with_config(
-                    normal,
-                    OnDemandConfig {
-                        project_children: true,
-                        ..OnDemandConfig::default()
-                    },
-                )))
-            }
             Strategy::Shared => AnyLabeler::Shared(Box::new(SharedOnDemand::new(
                 OnDemandAutomaton::new(normal),
             ))),
@@ -321,10 +303,7 @@ impl AnyLabeler {
     /// Builds an on-demand-backed selector with an explicit automaton
     /// configuration — the way the CLI's `--memory-budget` and
     /// `--budget-policy` flags reach
-    /// [`BudgetPolicy`](odburg_core::BudgetPolicy). The strategy still
-    /// dictates the projection mode (`mode.project_children` is
-    /// overridden to match, so persisted-table compatibility via
-    /// [`Strategy::ondemand_config`] is preserved).
+    /// [`BudgetPolicy`](odburg_core::BudgetPolicy).
     ///
     /// # Errors
     ///
@@ -337,31 +316,10 @@ impl AnyLabeler {
     ) -> Result<AnyLabeler, ConfigUnsupported> {
         match strategy {
             Strategy::OnDemand => Ok(AnyLabeler::OnDemand(Box::new(
-                OnDemandAutomaton::with_config(
-                    normal,
-                    OnDemandConfig {
-                        project_children: false,
-                        ..mode
-                    },
-                ),
-            ))),
-            Strategy::OnDemandProjected => Ok(AnyLabeler::OnDemand(Box::new(
-                OnDemandAutomaton::with_config(
-                    normal,
-                    OnDemandConfig {
-                        project_children: true,
-                        ..mode
-                    },
-                ),
+                OnDemandAutomaton::with_config(normal, mode),
             ))),
             Strategy::Shared => Ok(AnyLabeler::Shared(Box::new(SharedOnDemand::new(
-                OnDemandAutomaton::with_config(
-                    normal,
-                    OnDemandConfig {
-                        project_children: false,
-                        ..mode
-                    },
-                ),
+                OnDemandAutomaton::with_config(normal, mode),
             )))),
             Strategy::Offline | Strategy::Dp | Strategy::Macro => {
                 Err(ConfigUnsupported { strategy })
@@ -384,7 +342,7 @@ impl AnyLabeler {
         snapshot: Arc<AutomatonSnapshot>,
     ) -> Result<AnyLabeler, WarmStartUnsupported> {
         match strategy {
-            Strategy::OnDemand | Strategy::OnDemandProjected => Ok(AnyLabeler::OnDemand(Box::new(
+            Strategy::OnDemand => Ok(AnyLabeler::OnDemand(Box::new(
                 OnDemandAutomaton::from_snapshot(&snapshot),
             ))),
             Strategy::Shared => Ok(AnyLabeler::Shared(Box::new(
@@ -533,7 +491,6 @@ impl Labeler for AnyLabeler {
 
     fn name(&self) -> &'static str {
         match self {
-            AnyLabeler::OnDemand(od) if od.config().project_children => "ondemand-projected",
             AnyLabeler::OnDemand(_) => "ondemand",
             AnyLabeler::Shared(_) => "shared",
             AnyLabeler::Offline { .. } => "offline",
@@ -656,20 +613,30 @@ mod tests {
             "{err:?}"
         );
 
-        // A mismatched configuration (projection tables vs direct) too.
-        let err = AnyLabeler::build_warm_from_tables(
-            Strategy::OnDemandProjected,
+        // A mismatched configuration (tables grown under another state
+        // budget) too, for both table-backed strategies.
+        let mut budgeted = OnDemandAutomaton::with_config(
             Arc::clone(&demo),
-            &path,
-        )
-        .expect_err("mismatched config must be rejected");
-        assert!(
-            matches!(
-                err,
-                WarmStartError::Persist(PersistError::ConfigMismatch { .. })
-            ),
-            "{err:?}"
+            OnDemandConfig {
+                state_budget: 64,
+                ..OnDemandConfig::default()
+            },
         );
+        budgeted.label_forest(&forest).unwrap();
+        let budgeted_path = dir.join("demo-budgeted.odbt");
+        odburg_core::persist::save_tables(&budgeted.snapshot(), &budgeted_path).unwrap();
+        for strategy in [Strategy::OnDemand, Strategy::Shared] {
+            let err =
+                AnyLabeler::build_warm_from_tables(strategy, Arc::clone(&demo), &budgeted_path)
+                    .expect_err("mismatched config must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    WarmStartError::Persist(PersistError::ConfigMismatch { .. })
+                ),
+                "{strategy}: {err:?}"
+            );
+        }
 
         // And strategies without tables never load the file at all.
         let err = AnyLabeler::build_warm_from_tables(Strategy::Dp, demo, &path)

@@ -177,7 +177,6 @@ fn concurrent_flushes_stay_correct() {
             // but the set keeps forcing flushes.
             state_budget: 36,
             budget_policy: BudgetPolicy::Flush,
-            ..OnDemandConfig::default()
         },
     );
     let shared = Arc::new(SharedOnDemand::new(auto));

@@ -1,20 +1,20 @@
 //! Differential properties of the automaton's slot tables.
 //!
 //! Master and snapshots keep their transitions, projections and
-//! signatures in one layout — per-operator open-addressed transition
-//! groups, a projection slot table and a signature slot table, shared
-//! copy-on-write (`dense.rs` in `odburg_core`). These properties check
-//! that layout against test-local hash tables built from a snapshot's
-//! raw entries: every memoized key hits, near-miss mutations of memoized
-//! keys and random unseen keys hit exactly when the hash tables say so,
-//! and the signature probe agrees with a hash map over the raw
-//! signatures. On top of the probes, the warm walk must agree node for
-//! node with the master automaton's labeling and with the snapshot's
-//! per-node lookups, and its selections must match the `DpLabeler`
-//! oracle. All of it is checked over random grammars and random forests,
-//! in both child-projection modes, and — because compaction rebuilds the
-//! tables from remapped ids — across a `BudgetPolicy::Compact` epoch
-//! change.
+//! signatures in one layout — per-operand-class projection arrays,
+//! per-operator open-addressed transition groups and a signature slot
+//! table, shared copy-on-write (`dense.rs` in `odburg_core`). These
+//! properties check that layout against test-local hash tables built
+//! from a snapshot's raw entries: every memoized key hits, near-miss
+//! mutations of memoized keys and random unseen keys hit exactly when
+//! the hash tables say so, and the signature probe agrees with a hash
+//! map over the raw signatures. On top of the probes, the warm walk must
+//! agree node for node with the master automaton's labeling and with the
+//! snapshot's per-node lookups, and its selections must match the
+//! `DpLabeler` oracle. All of it is checked over random grammars and
+//! random forests and — because compaction rebuilds the tables from
+//! remapped ids — across a `BudgetPolicy::Compact` epoch change. The
+//! operand classes themselves are checked on the built-in grammars.
 
 mod common;
 
@@ -26,6 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use odburg::grammar::{NormalRuleId, NtId};
+use odburg::ir::{OpId, NUM_OPS};
 use odburg::prelude::*;
 use odburg::select::signature::SigId;
 use odburg::select::{StateId, StateLookup};
@@ -36,19 +37,9 @@ use common::{dp_reduction, random_grammar};
 /// Labels `trees` sampled forests through a fresh shared automaton so
 /// its snapshot memoizes a realistic mix of transitions, projections
 /// and signatures.
-fn warmed(
-    seed: u64,
-    project_children: bool,
-    trees: usize,
-) -> (Arc<NormalGrammar>, Vec<Forest>, SharedOnDemand) {
+fn warmed(seed: u64, trees: usize) -> (Arc<NormalGrammar>, Vec<Forest>, SharedOnDemand) {
     let normal = Arc::new(random_grammar(seed).normalize());
-    let shared = SharedOnDemand::new(OnDemandAutomaton::with_config(
-        Arc::clone(&normal),
-        OnDemandConfig {
-            project_children,
-            ..OnDemandConfig::default()
-        },
-    ));
+    let shared = SharedOnDemand::new(OnDemandAutomaton::new(Arc::clone(&normal)));
     let mut sampler = TreeSampler::new(&normal, seed ^ 0xD15E);
     let forests: Vec<Forest> = (0..trees).map(|_| sampler.sample_forest(6)).collect();
     for forest in &forests {
@@ -63,7 +54,7 @@ type RawKey = (u16, [u32; 2], u32);
 /// Test-local hash tables over a snapshot's raw entries.
 struct HashTables {
     transitions: HashMap<RawKey, StateId>,
-    projections: HashMap<(StateId, u16, u8), StateId>,
+    projections: HashMap<(StateId, u32), StateId>,
     signatures: HashMap<Vec<RuleCost>, SigId>,
 }
 
@@ -79,7 +70,7 @@ impl HashTables {
             projections: snap
                 .raw_projections()
                 .iter()
-                .map(|p| ((p.full, p.op, p.pos), p.projection))
+                .map(|p| ((p.full, p.class), p.projection))
                 .collect(),
             signatures: snap
                 .raw_signatures()
@@ -98,12 +89,23 @@ impl HashTables {
     fn transition(&self, (op, kids, sig): RawKey) -> Option<StateId> {
         self.transitions.get(&(op, kids, sig)).copied()
     }
+
+    /// The projection of `full` as operand `pos` of operator `op`.
+    fn projection(&self, normal: &NormalGrammar, (full, op, pos): ProjKey) -> Option<StateId> {
+        let op = Op::from_id(OpId(op)).filter(|_| pos < 2)?;
+        let class = normal.operand_class(op, pos as usize);
+        self.projections.get(&(full, class)).copied()
+    }
 }
+
+/// Projection key in raw form: `(full state, op, pos)`.
+type ProjKey = (StateId, u16, u8);
 
 /// Every memoized transition and projection hits, and single-component
 /// mutations of every memoized key (a near-collision stress for the
-/// open-addressed probe) hit exactly when the hash tables hold them.
-fn assert_tables_agree(snap: &AutomatonSnapshot, hash: &HashTables) {
+/// open-addressed probe, an off-by-one for the class arrays) hit exactly
+/// when the hash tables hold them.
+fn assert_tables_agree(normal: &NormalGrammar, snap: &AutomatonSnapshot, hash: &HashTables) {
     assert!(
         !hash.transitions.is_empty(),
         "warmed snapshot has transitions"
@@ -127,18 +129,26 @@ fn assert_tables_agree(snap: &AutomatonSnapshot, hash: &HashTables) {
             );
         }
     }
-    for (&(full, op, pos), &projection) in &hash.projections {
-        assert_eq!(snap.project_raw(full, op, pos), Some(projection));
-        for key in [
-            (StateId(full.0.wrapping_add(1)), op, pos),
-            (full, op.wrapping_add(1), pos),
-            (full, op, pos.wrapping_add(1)),
-        ] {
-            assert_eq!(
-                snap.project_raw(key.0, key.1, key.2),
-                hash.projections.get(&key).copied(),
-                "mutated projection key {key:?} disagrees"
-            );
+    // Every memoized projection answers at every operand position of
+    // its class.
+    for &op in normal.ops_used() {
+        for pos in 0..op.arity() as u8 {
+            let class = normal.operand_class(op, pos as usize);
+            let op = op.id().0;
+            for (&(full, _), &projection) in hash.projections.iter().filter(|(k, _)| k.1 == class) {
+                assert_eq!(snap.project_raw(full, op, pos), Some(projection));
+                for key in [
+                    (StateId(full.0.wrapping_add(1)), op, pos),
+                    (full, op.wrapping_add(1), pos),
+                    (full, op, pos.wrapping_add(1)),
+                ] {
+                    assert_eq!(
+                        snap.project_raw(key.0, key.1, key.2),
+                        hash.projection(normal, key),
+                        "mutated projection key {key:?} disagrees"
+                    );
+                }
+            }
         }
     }
     for (costs, &id) in &hash.signatures {
@@ -148,7 +158,12 @@ fn assert_tables_agree(snap: &AutomatonSnapshot, hash: &HashTables) {
 
 /// Random keys and cost vectors — nearly all unseen — hit exactly when
 /// the hash tables hold them.
-fn assert_random_keys_agree(snap: &AutomatonSnapshot, hash: &HashTables, rng: &mut StdRng) {
+fn assert_random_keys_agree(
+    normal: &NormalGrammar,
+    snap: &AutomatonSnapshot,
+    hash: &HashTables,
+    rng: &mut StdRng,
+) {
     for _ in 0..32 {
         let key = (
             rng.gen_range(0..u16::MAX),
@@ -173,7 +188,7 @@ fn assert_random_keys_agree(snap: &AutomatonSnapshot, hash: &HashTables, rng: &m
         );
         assert_eq!(
             snap.project_raw(proj.0, proj.1, proj.2),
-            hash.projections.get(&proj).copied()
+            hash.projection(normal, proj)
         );
     }
     for _ in 0..16 {
@@ -284,8 +299,8 @@ fn assert_snapshot_agrees(
     rng: &mut StdRng,
 ) {
     let hash = HashTables::of(snap);
-    assert_tables_agree(snap, &hash);
-    assert_random_keys_agree(snap, &hash, rng);
+    assert_tables_agree(normal, snap, &hash);
+    assert_random_keys_agree(normal, snap, &hash, rng);
     for forest in warm {
         assert_walk_agrees(normal, snap, forest, true);
         assert_selections_match_dp(normal, snap, forest);
@@ -295,25 +310,23 @@ fn assert_snapshot_agrees(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Slot tables vs hash tables on every memoized key, near-miss
-    /// mutations of them, random unseen keys and the signature probe;
-    /// warm walks vs the master and the DP oracle — in both projection
-    /// modes.
+    /// Class arrays and slot tables vs hash tables on every memoized
+    /// key, near-miss mutations of them, random unseen keys and the
+    /// signature probe; warm walks vs the master and the DP oracle.
     #[test]
     fn dense_index_agrees_with_hash_tables(seed in 0u64..(1u64 << 48)) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA9EE);
-        let project = rng.gen_bool(0.5);
-        let (normal, forests, shared) = warmed(seed, project, 10);
+        let (normal, forests, shared) = warmed(seed, 10);
         assert_snapshot_agrees(&normal, &shared.snapshot(), &forests, &mut rng);
     }
 
     /// A forest the snapshot has never seen stops the warm walk exactly
     /// where the snapshot's per-node lookups first miss, with the
     /// master's states as the prefix (the resume contract of the grow
-    /// path) — in both projection modes.
+    /// path).
     #[test]
     fn unseen_forests_miss_identically(seed in 0u64..(1u64 << 48)) {
-        let (normal, _, shared) = warmed(seed, seed % 2 == 1, 4);
+        let (normal, _, shared) = warmed(seed, 4);
         let snap = shared.snapshot();
         let mut sampler = TreeSampler::new(&normal, seed ^ 0xF4E57);
         for _ in 0..6 {
@@ -329,7 +342,7 @@ proptest! {
     fn dense_index_survives_compact_rebuild(seed in 0u64..(1u64 << 48)) {
         // Measure how big the warm tables get, then replay the same
         // workload under half that budget so compaction must trigger.
-        let (normal, forests, shared) = warmed(seed, false, 14);
+        let (normal, forests, shared) = warmed(seed, 14);
         let full_bytes = shared.accounted_bytes().total();
         let compacting = SharedOnDemand::new(OnDemandAutomaton::with_config(
             Arc::clone(&normal),
@@ -361,6 +374,60 @@ proptest! {
             let snap = compacting.snapshot();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xC0);
             assert_snapshot_agrees(&normal, &snap, &[warm], &mut rng);
+        }
+    }
+}
+
+/// Operand classes partition the operand positions exactly by operand
+/// set: on every built-in grammar two `(op, pos)` pairs share a class if
+/// and only if their operand nonterminals are equal. Class ids follow
+/// first appearance over both positions of the used operators, and every
+/// other operator maps to the class of the empty set.
+#[test]
+fn operand_classes_follow_operand_sets() {
+    for grammar in odburg::targets::all() {
+        let normal = grammar.normalize();
+        let name = normal.name().to_owned();
+        let positions: Vec<(Op, usize)> = normal
+            .ops_used()
+            .iter()
+            .flat_map(|&op| [(op, 0), (op, 1)])
+            .collect();
+        let mut seen = 0u32;
+        for &(a, i) in &positions {
+            let class = normal.operand_class(a, i);
+            assert!(class <= seen, "{name}: class {class} out of order");
+            seen = seen.max(class + 1);
+            assert_eq!(
+                normal.operand_nts(a, i).is_empty(),
+                i >= a.arity(),
+                "{name}: {a}/{i}"
+            );
+            for &(b, j) in &positions {
+                assert_eq!(
+                    class == normal.operand_class(b, j),
+                    normal.operand_nts(a, i) == normal.operand_nts(b, j),
+                    "{name}: {a}/{i} vs {b}/{j}"
+                );
+            }
+        }
+        assert_eq!(normal.operand_classes().len(), seen as usize, "{name}");
+        let used = |id: usize| {
+            normal
+                .ops_used()
+                .iter()
+                .any(|op| usize::from(op.id().0) == id)
+        };
+        let empty = positions.iter().find(|&&(op, pos)| pos >= op.arity());
+        let empty = empty.map(|&(op, pos)| normal.operand_class(op, pos));
+        for id in 0..NUM_OPS as u16 {
+            match Op::from_id(OpId(id)) {
+                Some(op) if !used(id.into()) => {
+                    let classes = [0, 1].map(|pos| Some(normal.operand_class(op, pos)));
+                    assert_eq!(classes, [empty; 2], "{name}: op {op}");
+                }
+                _ => {}
+            }
         }
     }
 }

@@ -128,7 +128,6 @@ fn flush_policy_bounds_memory_and_stays_correct() {
         OnDemandConfig {
             state_budget: budget,
             budget_policy: BudgetPolicy::Flush,
-            ..OnDemandConfig::default()
         },
     );
     let mut dp = DpLabeler::new(normal.clone());

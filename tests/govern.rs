@@ -226,7 +226,6 @@ fn single_threaded_and_shared_ladders_agree() {
                 let config = OnDemandConfig {
                     state_budget,
                     budget_policy,
-                    ..OnDemandConfig::default()
                 };
                 let case = format!("{adds} adds, state budget {state_budget}, {budget_policy:?}");
                 let mut single = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
@@ -361,4 +360,45 @@ fn per_target_budget_overrides_the_server_default() {
     let exempt = stats("exempt");
     assert!(exempt.pressure.is_none(), "opt-out must stick");
     assert!(exempt.table_bytes > 1);
+}
+
+/// Compaction predicts the footprint of tables it has not built yet, and
+/// must report exactly what the rebuilt automaton then accounts — on
+/// every built-in target, over 20 random workloads, at byte targets from
+/// 0.9 down to 0.1 of the current footprint. A class array is as long
+/// as the highest remapped state id it covers, so the prediction rests
+/// on ranking the retained states exactly as the rebuild numbers them;
+/// the snapshot and a persisted file of the rebuilt tables must agree
+/// with the master too.
+#[test]
+fn compaction_reports_exactly_the_bytes_it_builds() {
+    for grammar in odburg::targets::all() {
+        let normal = Arc::new(grammar.normalize());
+        for seed in 0..20 {
+            let workload = odburg::workloads::random_workload(&normal, seed, 24);
+            let mut grown = OnDemandAutomaton::new(Arc::clone(&normal));
+            grown
+                .label_forest(&workload.forest)
+                .expect("workload labels");
+            let warm = grown.snapshot();
+            let full = grown.accounted_bytes().total();
+            for fraction in [0.9, 0.6, 0.3, 0.1] {
+                let case = format!("{} seed {seed} at {fraction}", normal.name());
+                // A warm relabel gives the copy its heat back.
+                let mut auto = OnDemandAutomaton::from_snapshot(&warm);
+                auto.label_forest(&workload.forest).expect("warm relabel");
+                let target = (full as f64 * fraction) as usize;
+                let stats = auto.compact(target, &[]);
+                let bytes = auto.accounted_bytes();
+                assert_eq!(stats.bytes_after, bytes.total(), "{case}");
+                assert!(stats.bytes_after <= target, "{case}");
+                let snapshot = auto.snapshot();
+                assert_eq!(snapshot.stats().bytes, bytes, "{case}");
+                let mut file = Vec::new();
+                odburg::select::persist::export_snapshot(&snapshot, &mut file).unwrap();
+                let info = odburg::select::persist::inspect_snapshot(&file[..]).unwrap();
+                assert_eq!(info.bytes, bytes, "{case}");
+            }
+        }
+    }
 }

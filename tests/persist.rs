@@ -1,7 +1,7 @@
 //! Property tests of the table-persistence format: round-trips must
-//! reproduce labelings bit-identically (including projection mode and a
-//! non-empty dynamic-cost signature interner), and damaged files must be
-//! rejected — never mislabeled, never a panic.
+//! reproduce labelings bit-identically (including a non-empty
+//! dynamic-cost signature interner), and damaged files must be rejected
+//! — never mislabeled, never a panic.
 
 use std::sync::Arc;
 
@@ -10,16 +10,11 @@ use odburg::select::persist;
 use proptest::prelude::*;
 
 /// Warms an automaton for x86ish (which has dynamic-cost rules, so the
-/// signature interner is exercised) on a seed-dependent random workload,
-/// in direct or projection mode.
+/// signature interner is exercised) on a seed-dependent random workload.
 fn warmed(seed: u64) -> (OnDemandAutomaton, Forest) {
     let grammar = odburg::targets::x86ish();
     let normal = Arc::new(grammar.normalize());
-    let config = OnDemandConfig {
-        project_children: seed % 2 == 1,
-        ..OnDemandConfig::default()
-    };
-    let mut auto = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
+    let mut auto = OnDemandAutomaton::new(Arc::clone(&normal));
     let workload = odburg::workloads::random_workload(&normal, seed, 40);
     auto.label_forest(&workload.forest)
         .expect("workload labels");
@@ -94,21 +89,31 @@ proptest! {
 
 #[test]
 fn cross_config_and_cross_grammar_imports_are_rejected() {
-    let (direct, _) = warmed(0);
-    let bytes = exported(&direct);
+    let (auto, _) = warmed(0);
+    let bytes = exported(&auto);
 
-    let projected = OnDemandConfig {
-        project_children: true,
-        ..direct.config()
-    };
-    assert!(matches!(
-        persist::import_snapshot(&bytes[..], Arc::clone(direct.grammar()), projected),
-        Err(persist::PersistError::ConfigMismatch { .. })
-    ));
+    for other in [
+        OnDemandConfig {
+            state_budget: 4096,
+            ..auto.config()
+        },
+        OnDemandConfig {
+            budget_policy: BudgetPolicy::Compact {
+                byte_budget: 1 << 20,
+                retain_fraction: 0.5,
+            },
+            ..auto.config()
+        },
+    ] {
+        assert!(matches!(
+            persist::import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other),
+            Err(persist::PersistError::ConfigMismatch { .. })
+        ));
+    }
 
     let other = Arc::new(odburg::targets::riscish().normalize());
     assert!(matches!(
-        persist::import_snapshot(&bytes[..], other, direct.config()),
+        persist::import_snapshot(&bytes[..], other, auto.config()),
         Err(persist::PersistError::GrammarMismatch { .. })
     ));
 }
@@ -171,13 +176,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The persisted format lists table entries, not their in-memory
-/// layout: labeling the MiniC suite on x86ish must export the same bytes
-/// whichever way the tables are kept. The golden length and checksum
-/// were taken from format-v2 exports of this exact sequence; the direct
-/// automaton, the shared automaton (which publishes after every grow)
-/// and an import → re-export round trip must all reproduce them, in
-/// both projection modes.
+/// The persisted format lists the tables' contents, not the order they
+/// were built in: labeling the MiniC suite on x86ish must export the
+/// same bytes whichever way the tables grew. The golden length and
+/// checksum were taken from the format-v3 export of this exact sequence;
+/// the direct automaton, the shared automaton (which publishes after
+/// every grow) and an import → re-export round trip must all reproduce
+/// them.
 #[test]
 fn minic_export_matches_the_golden_bytes() {
     let normal = Arc::new(odburg::targets::x86ish().normalize());
@@ -185,30 +190,23 @@ fn minic_export_matches_the_golden_bytes() {
         .iter()
         .map(|p| p.compile().expect("MiniC compiles"))
         .collect();
-    for (project_children, golden) in [
-        (false, (27_794, 0x3bc0_7802_7ea1_be97)),
-        (true, (29_862, 0xdf64_a518_c5be_733d)),
-    ] {
-        let config = OnDemandConfig {
-            project_children,
-            ..OnDemandConfig::default()
-        };
-        let mut direct = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
-        let shared =
-            SharedOnDemand::new(OnDemandAutomaton::with_config(Arc::clone(&normal), config));
-        for forest in &forests {
-            direct.label_forest(forest).expect("labels");
-            shared.label_forest(forest).expect("labels");
-        }
-        let bytes = exported(&direct);
-        assert_eq!((bytes.len(), fnv1a(&bytes)), golden, "{config:?}");
-        let mut from_shared = Vec::new();
-        persist::export_snapshot(&shared.snapshot(), &mut from_shared).expect("export");
-        assert_eq!(from_shared, bytes, "shared export differs");
-        let imported =
-            persist::import_snapshot(&bytes[..], Arc::clone(&normal), config).expect("import");
-        let mut again = Vec::new();
-        persist::export_snapshot(&imported, &mut again).expect("export");
-        assert_eq!(again, bytes, "round trip differs");
+    let mut direct = OnDemandAutomaton::new(Arc::clone(&normal));
+    let shared = SharedOnDemand::new(OnDemandAutomaton::new(Arc::clone(&normal)));
+    for forest in &forests {
+        direct.label_forest(forest).expect("labels");
+        shared.label_forest(forest).expect("labels");
     }
+    let bytes = exported(&direct);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (30_923, 0x49bb_6ed8_73c1_247f)
+    );
+    let mut from_shared = Vec::new();
+    persist::export_snapshot(&shared.snapshot(), &mut from_shared).expect("export");
+    assert_eq!(from_shared, bytes, "shared export differs");
+    let imported =
+        persist::import_snapshot(&bytes[..], Arc::clone(&normal), direct.config()).expect("import");
+    let mut again = Vec::new();
+    persist::export_snapshot(&imported, &mut again).expect("export");
+    assert_eq!(again, bytes, "round trip differs");
 }

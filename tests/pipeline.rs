@@ -35,13 +35,6 @@ fn every_selector_handles_every_program_on_every_target() {
 
         let mut dp = DpLabeler::new(normal.clone());
         let mut od = OnDemandAutomaton::new(normal.clone());
-        let mut od_proj = OnDemandAutomaton::with_config(
-            normal.clone(),
-            OnDemandConfig {
-                project_children: true,
-                ..OnDemandConfig::default()
-            },
-        );
         let mut off = OfflineLabeler::new(offline.clone());
         let mut mx = MacroExpander::new(normal.clone());
         let mut dp_stripped = DpLabeler::new(stripped.clone());
@@ -57,15 +50,10 @@ fn every_selector_handles_every_program_on_every_target() {
             let od_chooser = od_labeling.chooser(&od);
             let (od_cost, od_instrs) = run_reduction(&forest, &normal, &od_chooser);
 
-            let odp_labeling = od_proj.label_forest(&forest).expect(&name);
-            let odp_chooser = odp_labeling.chooser(&od_proj);
-            let (odp_cost, _) = run_reduction(&forest, &normal, &odp_chooser);
-
             // The on-demand automaton computes exactly the DP optimum —
             // same costs AND the same code.
             assert_eq!(dp_cost, od_cost, "{name}: dp vs ondemand cost");
             assert_eq!(dp_instrs, od_instrs, "{name}: dp vs ondemand code");
-            assert_eq!(dp_cost, odp_cost, "{name}: projection changes cost");
 
             // The offline automaton on the stripped grammar equals DP on
             // the stripped grammar, and can only be worse than full DP.

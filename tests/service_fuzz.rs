@@ -5,8 +5,8 @@
 //! cross-checked **bit-identically** — full instruction sequence and
 //! total cost — against a fresh [`DpLabeler`] oracle built for just
 //! that job. The service is allowed no deviation at all: the concurrent
-//! fast path, the grow path, projection-mode masters and mid-batch
-//! registration must all be invisible in the output.
+//! fast path, the grow path and mid-batch registration must all be
+//! invisible in the output.
 
 mod common;
 
@@ -39,14 +39,7 @@ proptest! {
         let alpha = Arc::new(random_grammar(seed).normalize());
         let beta = Arc::new(random_grammar(seed ^ 0x5EED).normalize());
         server.register_normal("alpha", Arc::clone(&alpha)).unwrap();
-        // One projection-mode master per batch: lazy representer states
-        // must be just as invisible as the direct tables.
-        server.register_with_mode(
-            "beta",
-            Arc::clone(&beta),
-            OnDemandConfig { project_children: true, ..OnDemandConfig::default() },
-        )
-        .unwrap();
+        server.register_normal("beta", Arc::clone(&beta)).unwrap();
 
         let mut expected: Vec<(JobHandle, Arc<NormalGrammar>, Forest)> = Vec::new();
         let mut enqueue = |server: &SelectorServer, name: &str, normal: &Arc<NormalGrammar>, salt: u64| {

@@ -50,10 +50,7 @@ fn all_strategies_run_through_the_trait_on_all_targets() {
 
             match strategy {
                 // The optimal selectors must agree with dp exactly.
-                Strategy::OnDemand
-                | Strategy::OnDemandProjected
-                | Strategy::Shared
-                | Strategy::Dp => {
+                Strategy::OnDemand | Strategy::Shared | Strategy::Dp => {
                     assert_eq!(cost, dp_cost, "{}/{strategy}", grammar.name());
                 }
                 // Offline (stripped) and macro are optimal-or-worse.
