@@ -82,8 +82,9 @@
 //! `lint` runs the grammar verifier
 //! ([`odburg::grammar::analysis::analyze_full`]) and prints every
 //! finding with its stable code (`G0001`…`G0008`) and severity, witness
-//! trees as s-expressions, and — when the achievable-state exploration
-//! converges — the static automaton table-size bound. `--format=json`
+//! trees as s-expressions, and — when the verifier's automaton closure
+//! converges — the state bound: the number of states of the automaton
+//! the grammar's fixed-cost rules build, per operator. `--format=json`
 //! emits a machine-readable report (used by the CI `analysis-smoke`
 //! job); `--deny=<severity>` picks the exit-code threshold: the default
 //! `--deny=error` fails only on error-severity findings, while
@@ -1582,7 +1583,7 @@ fn stats(grammar: &Grammar) -> Result<(), String> {
     }
     if let Some(bound) = &full.state_bound {
         println!(
-            "state bound:    {} achievable states (fixed-cost rules)",
+            "state bound:    {} automaton states (fixed-cost rules)",
             bound.states
         );
     }

@@ -1,11 +1,15 @@
 //! The state-computation core: one dynamic-programming step over the
-//! grammar, shared by the on-demand and offline automaton constructions.
+//! grammar, shared by every automaton construction.
 //!
 //! Given an operator and the states of the children, [`compute_state`]
 //! produces the (normalized) state of the parent node: per nonterminal,
 //! the cheapest applicable base rule, closed over chain rules. This is
 //! exactly the per-node work an iburg-style labeler performs — the
-//! automata differ only in *memoizing* its result.
+//! automata differ only in *memoizing* its result. The on-demand grow path
+//! calls it once per missed transition; the representer closure behind
+//! both the offline automaton and the grammar verifier
+//! ([`verify`](crate::verify)) calls it once per combination of operand
+//! representers, with [`fixed_only`].
 
 use odburg_grammar::{Cost, CostExpr, NormalGrammar, NormalRhs, NormalRuleId, RuleCost};
 use odburg_ir::Op;

@@ -24,7 +24,8 @@
 //!
 //! This crate also implements the offline baseline ([`OfflineAutomaton`])
 //! with representer-state table compression, the shared state-computation
-//! core ([`compute`]), and a thread-safe shared automaton
+//! core ([`compute`]), the grammar verifier ([`verify`]), which runs the
+//! offline automaton's own closure, and a thread-safe shared automaton
 //! ([`SharedOnDemand`]) for parallel JIT compilation. The
 //! dynamic-programming baseline lives in the `odburg-dp` crate; code
 //! emission in `odburg-codegen`.
@@ -63,6 +64,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod closure;
 pub mod compute;
 mod counters;
 mod dense;
@@ -78,6 +80,7 @@ pub mod signature;
 mod snapshot;
 mod state;
 pub mod telemetry;
+pub mod verify;
 
 pub use counters::{AtomicWorkCounters, WorkCounters};
 pub use generate::generate_rust;

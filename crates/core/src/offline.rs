@@ -1,13 +1,16 @@
 //! The offline (ahead-of-time) tree-parsing automaton — the burg-style
 //! baseline the paper compares against.
 //!
-//! All states and transition tables are computed up front by a worklist
-//! closure: seed with the states of all leaf operators, then for every new
-//! state enumerate the transitions it enables. Child states are first
-//! *projected* onto the operand nonterminals of each `(operator, position)`
-//! pair (the classic representer-state table compression), so the
-//! per-operator transition tables are indexed by small representer ids
-//! rather than by full states.
+//! All states and transition tables are computed up front by the one
+//! representer closure ([`closure`](crate::closure)), run to its end under
+//! the state budget. Child states are *projected* onto the operand
+//! nonterminals of each operand class (the classic representer-state table
+//! compression): operand positions with equal operand sets share one
+//! representer array, indexed by state, and each operator's transitions
+//! are keyed by the representer ids of its operands rather than by full
+//! states. A projection that derives none of its class's nonterminals
+//! still gets a representer id but is never enumerated, since every
+//! combination with it is uncovered.
 //!
 //! Labeling is then a pure table lookup per node — the fastest labeler in
 //! this workspace — but dynamic costs cannot be represented: the automaton
@@ -19,14 +22,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use odburg_grammar::{NormalGrammar, NormalRuleId, NtId};
-use odburg_ir::{Forest, Op, NUM_OPS};
+use odburg_grammar::{Cost, NormalGrammar, NormalRuleId, NtId};
+use odburg_ir::{Forest, Op};
 
-use crate::compute::{compute_state, fixed_only};
+use crate::closure::{close, Closure};
 use crate::counters::WorkCounters;
-use crate::fxhash::FxHashMap;
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
-use crate::state::{StateData, StateId, StateSet};
+use crate::state::{StateData, StateId};
 
 /// How the offline generator treats dynamic-cost rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,32 +68,18 @@ impl Default for OfflineConfig {
 pub struct OfflineStats {
     /// Number of states.
     pub states: usize,
-    /// Number of distinct representer (projected) states over all
-    /// `(op, position)` tables.
+    /// Number of distinct representer (projected) states, summed over the
+    /// operand positions of every operator.
     pub representers: usize,
     /// Total transition-table entries.
     pub transition_entries: usize,
     /// Approximate total table bytes (transition tables + representer
-    /// maps + state data).
+    /// arrays + state data).
     pub bytes: usize,
     /// Wall-clock construction time.
     pub build_time: Duration,
     /// Work units spent during construction.
     pub build_work: u64,
-}
-
-#[derive(Debug, Default)]
-struct OpTable {
-    used: bool,
-    arity: usize,
-    leaf_state: Option<StateId>,
-    /// `rep_of_state[pos][state]` — representer id of a state, per operand
-    /// position (dense, indexed by `StateId`).
-    rep_of_state: [Vec<u32>; 2],
-    /// `reps[pos]` — the projected state of each representer id.
-    reps: [Vec<StateData>; 2],
-    /// Transition map `(rep0, rep1) -> state` (rep1 = 0 for unary ops).
-    transitions: FxHashMap<(u32, u32), StateId>,
 }
 
 /// The fully built offline automaton.
@@ -101,8 +89,10 @@ struct OpTable {
 #[derive(Debug)]
 pub struct OfflineAutomaton {
     grammar: Arc<NormalGrammar>,
-    states: StateSet,
-    ops: Vec<OpTable>,
+    /// The closure run to its end: the states, one representer array
+    /// per operand class and each operator's transitions (leaf operators
+    /// under `(0, 0)`, unary ones under `(rep0, 0)`).
+    tables: Closure,
     stats: OfflineStats,
 }
 
@@ -133,157 +123,34 @@ impl OfflineAutomaton {
             grammar
         };
         let start = Instant::now();
-        let mut counters = WorkCounters::new();
-        let mut states = StateSet::new();
-        let mut ops: Vec<OpTable> = (0..NUM_OPS).map(|_| OpTable::default()).collect();
-        for &op in grammar.ops_used() {
-            let t = &mut ops[op.id().0 as usize];
-            t.used = true;
-            t.arity = op.arity();
+        let tables = close(&grammar, config.state_budget, Cost::INFINITE);
+        if tables.truncated {
+            return Err(LabelError::StateBudgetExceeded {
+                budget: config.state_budget,
+            });
         }
-
-        let mut queue: Vec<StateId> = Vec::new();
-
-        // Seed with leaf states.
-        for &op in grammar.ops_used() {
-            if op.arity() != 0 {
-                continue;
-            }
-            let state = compute_state(&grammar, op, &[], fixed_only, &mut counters);
-            if state.is_dead() {
-                continue;
-            }
-            let (id, new) = states.intern(state);
-            counters.states_built += new as u64;
-            if new {
-                queue.push(id);
-            }
-            ops[op.id().0 as usize].leaf_state = Some(id);
-        }
-
-        // Worklist closure.
-        let ops_used: Vec<Op> = grammar.ops_used().to_vec();
-        let mut cursor = 0;
-        while cursor < queue.len() {
-            let sid = queue[cursor];
-            cursor += 1;
-            for &op in &ops_used {
-                let arity = op.arity();
-                if arity == 0 {
-                    continue;
-                }
-                for pos in 0..arity {
-                    let rep = Self::rep_of(
-                        &grammar,
-                        &mut ops[op.id().0 as usize],
-                        &states,
-                        op,
-                        pos,
-                        sid,
-                    );
-                    let (is_new_rep, rep_id) = rep;
-                    if !is_new_rep {
-                        continue;
-                    }
-                    // Enumerate transitions enabled by the new representer.
-                    let combos: Vec<(u32, u32)> = if arity == 1 {
-                        vec![(rep_id, 0)]
-                    } else if pos == 0 {
-                        let n1 = ops[op.id().0 as usize].reps[1].len() as u32;
-                        (0..n1).map(|r1| (rep_id, r1)).collect()
-                    } else {
-                        let n0 = ops[op.id().0 as usize].reps[0].len() as u32;
-                        (0..n0).map(|r0| (r0, rep_id)).collect()
-                    };
-                    for combo in combos {
-                        let table = &ops[op.id().0 as usize];
-                        let kid_data: Vec<&StateData> = match arity {
-                            1 => vec![&table.reps[0][combo.0 as usize]],
-                            _ => vec![
-                                &table.reps[0][combo.0 as usize],
-                                &table.reps[1][combo.1 as usize],
-                            ],
-                        };
-                        let state =
-                            compute_state(&grammar, op, &kid_data, fixed_only, &mut counters);
-                        if state.is_dead() {
-                            continue;
-                        }
-                        let (id, new) = states.intern(state);
-                        counters.states_built += new as u64;
-                        if new {
-                            if states.len() > config.state_budget {
-                                return Err(LabelError::StateBudgetExceeded {
-                                    budget: config.state_budget,
-                                });
-                            }
-                            queue.push(id);
-                        }
-                        ops[op.id().0 as usize].transitions.insert(combo, id);
-                    }
-                }
-            }
-        }
-
-        let mut stats = OfflineStats {
-            states: states.len(),
-            representers: 0,
-            transition_entries: 0,
-            bytes: states.byte_size(),
-            build_time: start.elapsed(),
-            build_work: counters.work_units(),
-        };
-        for t in &ops {
-            if !t.used {
-                continue;
-            }
-            for pos in 0..t.arity {
-                stats.representers += t.reps[pos].len();
-                stats.bytes += t.rep_of_state[pos].len() * 4;
-            }
-            stats.transition_entries += t.transitions.len();
-            stats.bytes += t.transitions.len() * 12;
-        }
-
-        Ok(OfflineAutomaton {
+        let mut automaton = OfflineAutomaton {
+            stats: OfflineStats {
+                states: tables.states.len(),
+                representers: 0,
+                transition_entries: 0,
+                bytes: tables.states.byte_size()
+                    + tables.reps.iter().map(|r| r.len() * 4).sum::<usize>(),
+                build_time: start.elapsed(),
+                build_work: tables.counters.work_units(),
+            },
             grammar,
-            states,
-            ops,
-            stats,
-        })
-    }
-
-    /// Computes (or retrieves) the representer id of `sid` for
-    /// `(op, pos)`; returns `(is_new, rep_id)`.
-    fn rep_of(
-        grammar: &NormalGrammar,
-        table: &mut OpTable,
-        states: &StateSet,
-        op: Op,
-        pos: usize,
-        sid: StateId,
-    ) -> (bool, u32) {
-        let map = &mut table.rep_of_state[pos];
-        if map.len() <= sid.0 as usize {
-            map.resize(sid.0 as usize + 1, u32::MAX);
-        }
-        if map[sid.0 as usize] != u32::MAX {
-            return (false, map[sid.0 as usize]);
-        }
-        let projected = states.get(sid).project(grammar.operand_nts(op, pos));
-        // Linear scan over existing representers: tables are small and
-        // this runs only at construction time.
-        let reps = &mut table.reps[pos];
-        for (i, r) in reps.iter().enumerate() {
-            if *r == projected {
-                map[sid.0 as usize] = i as u32;
-                return (false, i as u32);
+            tables,
+        };
+        for &op in automaton.grammar.ops_used() {
+            if op.arity() > 0 {
+                let (n0, n1, entries) = automaton.transition_table(op);
+                automaton.stats.representers += (n0 + n1) as usize;
+                automaton.stats.transition_entries += entries.len();
+                automaton.stats.bytes += entries.len() * 12;
             }
         }
-        let rep_id = reps.len() as u32;
-        reps.push(projected);
-        map[sid.0 as usize] = rep_id;
-        (true, rep_id)
+        Ok(automaton)
     }
 
     /// The grammar this automaton selects for.
@@ -298,24 +165,26 @@ impl OfflineAutomaton {
 
     /// The data of a state.
     pub fn state(&self, id: StateId) -> &StateData {
-        self.states.get(id)
+        self.tables.states.get(id)
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.states.len()
+        self.tables.states.len()
     }
 
     /// The state of a leaf operator, if covered.
     pub fn leaf_state(&self, op: Op) -> Option<StateId> {
-        self.ops[op.id().0 as usize].leaf_state
+        self.tables.transitions[op.id().0 as usize]
+            .get(&(0, 0))
+            .copied()
     }
 
     /// The representer id of every state for `(op, pos)`, padded to
     /// `num_states` entries (`u32::MAX` = no representer). Used by the
     /// Rust code generator.
     pub fn rep_map(&self, op: Op, pos: usize, num_states: usize) -> Vec<u32> {
-        let mut v = self.ops[op.id().0 as usize].rep_of_state[pos].clone();
+        let mut v = self.tables.reps[self.grammar.operand_class(op, pos) as usize].clone();
         v.resize(num_states, u32::MAX);
         v
     }
@@ -324,49 +193,40 @@ impl OfflineAutomaton {
     /// entries `(rep0, rep1, state)` (rep1 = 0 for unary operators). Used
     /// by the Rust code generator.
     pub fn transition_table(&self, op: Op) -> (u32, u32, Vec<(u32, u32, u32)>) {
-        let t = &self.ops[op.id().0 as usize];
-        let n0 = t.reps[0].len() as u32;
-        let n1 = t.reps[1].len() as u32;
-        let entries = t
-            .transitions
+        let n = |pos: usize| {
+            if pos < op.arity() {
+                self.tables.exemplars[self.grammar.operand_class(op, pos) as usize].len() as u32
+            } else {
+                0
+            }
+        };
+        let entries = self.tables.transitions[op.id().0 as usize]
             .iter()
             .map(|(&(r0, r1), &s)| (r0, r1, s.0))
             .collect();
-        (n0, n1, entries)
+        (n(0), n(1), entries)
     }
 
     fn lookup(&self, op: Op, kids: &[StateId], counters: &mut WorkCounters) -> Option<StateId> {
-        let table = &self.ops[op.id().0 as usize];
-        if !table.used {
-            return None;
+        let mut key = [0u32; 2];
+        for (pos, kid) in kids.iter().enumerate() {
+            counters.table_lookups += 1;
+            let reps = &self.tables.reps[self.grammar.operand_class(op, pos) as usize];
+            key[pos] = *reps.get(kid.0 as usize)?;
         }
-        match op.arity() {
-            0 => table.leaf_state,
-            arity => {
-                let mut combo = (0u32, 0u32);
-                for (pos, kid) in kids.iter().take(arity).enumerate() {
-                    counters.table_lookups += 1;
-                    let map = &table.rep_of_state[pos];
-                    let rep = map.get(kid.0 as usize).copied()?;
-                    if rep == u32::MAX {
-                        return None;
-                    }
-                    if pos == 0 {
-                        combo.0 = rep;
-                    } else {
-                        combo.1 = rep;
-                    }
-                }
-                counters.table_lookups += 1;
-                table.transitions.get(&combo).copied()
-            }
+        // A leaf's state is a constant, not a probe.
+        if !kids.is_empty() {
+            counters.table_lookups += 1;
         }
+        self.tables.transitions[op.id().0 as usize]
+            .get(&(key[0], key[1]))
+            .copied()
     }
 }
 
 impl StateLookup for OfflineAutomaton {
     fn rule_in_state(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
-        self.states.get(state).rule(nt)
+        self.tables.states.get(state).rule(nt)
     }
 }
 
@@ -436,6 +296,7 @@ impl Labeler for OfflineLabeler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compute::{compute_state, fixed_only};
     use odburg_grammar::parse_grammar;
     use odburg_ir::parse_sexpr;
 
@@ -561,14 +422,14 @@ mod tests {
             auto.grammar(),
             "ConstI8".parse().unwrap(),
             &[],
-            crate::compute::fixed_only,
+            fixed_only,
             &mut c,
         );
         let s4 = compute_state(
             auto.grammar(),
             "ConstI4".parse().unwrap(),
             &[],
-            crate::compute::fixed_only,
+            fixed_only,
             &mut c,
         );
         assert_ne!(s8, s4, "full states differ");

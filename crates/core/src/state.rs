@@ -74,7 +74,8 @@ impl StateData {
     }
 
     /// The raw per-nonterminal arrays (costs, rule ids with `u32::MAX`
-    /// for "no rule"), for the persistence codec.
+    /// for "no rule"), for the persistence codec and the closure's
+    /// representer index.
     pub(crate) fn raw_parts(&self) -> (&[Cost], &[u32]) {
         (&self.costs, &self.rules)
     }
@@ -126,16 +127,18 @@ impl StateData {
     /// transitions, regardless of which rules they record. This is the
     /// *representer state* construction used for table compression.
     pub fn project(&self, nts: &[NtId]) -> StateData {
-        let mut costs = Vec::with_capacity(nts.len());
-        for &nt in nts {
-            costs.push(self.costs[nt.0 as usize]);
-        }
-        let mut s = StateData {
-            costs: costs.into_boxed_slice(),
-            rules: vec![NO_RULE; nts.len()].into_boxed_slice(),
-        };
-        s.normalize();
+        let mut s = StateData::empty(nts.len());
+        self.project_into(nts, &mut s);
         s
+    }
+
+    /// [`project`](StateData::project) into `out`, an earlier projection
+    /// onto as many nonterminals, sparing the allocation.
+    pub(crate) fn project_into(&self, nts: &[NtId], out: &mut StateData) {
+        for (slot, &nt) in out.costs.iter_mut().zip(nts) {
+            *slot = self.costs[nt.0 as usize];
+        }
+        out.normalize();
     }
 
     /// The maximum finite normalized cost, a measure of state "spread".

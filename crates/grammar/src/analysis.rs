@@ -5,24 +5,22 @@
 //! * **Fixpoints** ([`min_costs`], [`min_depths`], [`reachable`],
 //!   [`chain_reachability`]) used by validation, workload generation and
 //!   automaton construction.
-//! * The **grammar verifier** ([`analyze`] / [`analyze_full`]): a typed
-//!   diagnostics engine producing [`Diagnostic`]s with stable codes
-//!   (`G0001`…), severities, structured payloads, and — where a defect is
-//!   demonstrable on a concrete input — an executable [`Witness`] tree
-//!   that the DP labeler reproduces the defect on.
+//! * The **grammar verifier's** types and its grammar-only passes: typed
+//!   [`Diagnostic`]s with stable codes (`G0001`…), severities, structured
+//!   payloads, and — where a defect is demonstrable on a concrete input —
+//!   an executable [`Witness`] tree that the DP labeler reproduces the
+//!   defect on. [`grammar_diagnostics`] runs the passes that read the
+//!   rules alone (`G0001`, `G0002`, `G0004`–`G0006`).
 //!
-//! The verifier's core is an achievable-state exploration: the same
-//! cost-normalized state construction an *offline* BURS automaton performs,
-//! run over fixed-cost rules only, restricted to operand-plausible child
-//! combinations. An empty transition is a selection-completeness hole
-//! (`NoCover` is reachable); an unbounded normalized cost delta is the
-//! classic non-BURS-finite divergence; and on convergence the state count
-//! is a static table-size bound usable by the memory governor.
+//! The findings that need the automaton itself (`G0003`, `G0007`, `G0008`
+//! and the [`StateBound`]) come from `odburg_core::verify`, which runs the
+//! offline automaton's own closure over the grammar and merges both sets
+//! into one [`Analysis`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
-use odburg_ir::{Forest, NodeId, Op, OpKind, Payload, TypeTag};
+use odburg_ir::{Forest, NodeId, Op};
 
 use crate::cost::{Cost, CostExpr};
 use crate::normal::{NormalGrammar, NormalRhs, NormalRule, NormalRuleId};
@@ -324,7 +322,8 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    fn new(code: Code, severity: Severity, message: String) -> Self {
+    /// A finding with an empty payload and no witness.
+    pub fn new(code: Code, severity: Severity, message: String) -> Self {
         Diagnostic {
             code,
             severity,
@@ -344,16 +343,18 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A static table-size bound: the number of distinct automaton states the
-/// fixed-cost part of the grammar can reach, total and per operator.
+/// A static table-size bound: the number of states of the automaton the
+/// fixed-cost part of the grammar builds, total and per operator.
 ///
 /// Only produced when the exploration converges (no divergence, no
-/// truncation); the memory governor can size budgets from it.
+/// truncation). On a grammar without dynamic rules `states` is the state
+/// count of the complete offline automaton.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateBound {
-    /// Total distinct achievable states.
+    /// Total automaton states.
     pub states: usize,
-    /// Distinct result states per operator, sorted by operator id.
+    /// States per operator at the root of each state's smallest known
+    /// tree, sorted by operator id; the counts sum to `states`.
     pub per_op: Vec<(Op, usize)>,
 }
 
@@ -368,8 +369,33 @@ pub struct Analysis {
     pub state_bound: Option<StateBound>,
 }
 
-/// Runs every grammar analysis and returns the findings, deterministically
-/// ordered (most severe first, then by code, then by subject).
+impl Analysis {
+    /// Bundles findings with the state bound, ordering the findings
+    /// deterministically (most severe first, then by code, then by
+    /// subject).
+    pub fn new(mut diagnostics: Vec<Diagnostic>, state_bound: Option<StateBound>) -> Self {
+        diagnostics.sort_by(|x, y| {
+            (std::cmp::Reverse(x.severity), x.code)
+                .cmp(&(std::cmp::Reverse(y.severity), y.code))
+                .then_with(|| x.nonterminals.cmp(&y.nonterminals))
+                .then_with(|| x.rules.cmp(&y.rules))
+                .then_with(|| {
+                    let a = x.operators.iter().map(|o| o.id().0);
+                    let b = y.operators.iter().map(|o| o.id().0);
+                    a.cmp(b)
+                })
+                .then_with(|| x.message.cmp(&y.message))
+        });
+        Analysis {
+            diagnostics,
+            state_bound,
+        }
+    }
+}
+
+/// The verifier passes that read the rules alone, in pass order:
+/// underivable (`G0001`) and unreachable (`G0002`) nonterminals, dominated
+/// rules (`G0004`) and chain-rule cycles (`G0005`, `G0006`).
 ///
 /// # Examples
 ///
@@ -378,42 +404,19 @@ pub struct Analysis {
 /// use odburg_grammar::analysis::{Code, Severity};
 ///
 /// let g = parse_grammar("%start a\na: ConstI8 (1)\na: ConstI8 (3)\n")?;
-/// let diags = analysis::analyze(&g.normalize());
+/// let diags = analysis::grammar_diagnostics(&g.normalize());
 /// assert_eq!(diags.len(), 1);
 /// assert_eq!(diags[0].code, Code::DominatedRule);
 /// assert_eq!(diags[0].severity, Severity::Warning);
 /// # Ok::<(), odburg_grammar::GrammarError>(())
 /// ```
-pub fn analyze(grammar: &NormalGrammar) -> Vec<Diagnostic> {
-    analyze_full(grammar).diagnostics
-}
-
-/// Like [`analyze`], but also returns the [`StateBound`] when the
-/// achievable-state exploration converges.
-pub fn analyze_full(grammar: &NormalGrammar) -> Analysis {
+pub fn grammar_diagnostics(grammar: &NormalGrammar) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     derivability_diags(grammar, &mut diags);
     reachability_diags(grammar, &mut diags);
     dominance_diags(grammar, &mut diags);
     cycle_diags(grammar, &mut diags);
-    let exploration = explore(grammar);
-    let state_bound = exploration_diags(grammar, exploration, &mut diags);
-    diags.sort_by(|x, y| {
-        (std::cmp::Reverse(x.severity), x.code)
-            .cmp(&(std::cmp::Reverse(y.severity), y.code))
-            .then_with(|| x.nonterminals.cmp(&y.nonterminals))
-            .then_with(|| x.rules.cmp(&y.rules))
-            .then_with(|| {
-                let a = x.operators.iter().map(|o| o.id().0);
-                let b = y.operators.iter().map(|o| o.id().0);
-                a.cmp(b)
-            })
-            .then_with(|| x.message.cmp(&y.message))
-    });
-    Analysis {
-        diagnostics: diags,
-        state_bound,
-    }
+    diags
 }
 
 /// G0001: nonterminals that cannot derive any complete tree even when
@@ -485,12 +488,15 @@ fn fixed_cost(rule: &NormalRule) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// `cc[to][from]`: minimum fixed-chain-rule cost of deriving `to` from
-/// `from` (`Some(0)` on the diagonal, `None` when unconnected).
-fn chain_cost_matrix(grammar: &NormalGrammar) -> Vec<Vec<Option<u32>>> {
+/// `from` through at least one chain rule, or through none as well when
+/// `reflexive` (`Some(0)` on the diagonal); `None` when unconnected.
+fn chain_cost_matrix(grammar: &NormalGrammar, reflexive: bool) -> Vec<Vec<Option<u32>>> {
     let n = grammar.num_nts();
     let mut cc: Vec<Vec<Option<u32>>> = vec![vec![None; n]; n];
-    for (i, row) in cc.iter_mut().enumerate() {
-        row[i] = Some(0);
+    if reflexive {
+        for (i, row) in cc.iter_mut().enumerate() {
+            row[i] = Some(0);
+        }
     }
     for &rid in grammar.chain_rules() {
         let rule = grammar.rule(rid);
@@ -507,7 +513,7 @@ fn chain_cost_matrix(grammar: &NormalGrammar) -> Vec<Vec<Option<u32>>> {
         }
     }
     for mid in 0..n {
-        // Row `mid` cannot improve during its own phase (the diagonal is
+        // Row `mid` cannot improve during its own phase (costs are
         // non-negative), so a snapshot keeps the borrows disjoint.
         let via_mid = cc[mid].clone();
         for row in cc.iter_mut() {
@@ -524,38 +530,36 @@ fn chain_cost_matrix(grammar: &NormalGrammar) -> Vec<Vec<Option<u32>>> {
     cc
 }
 
-/// Minimum fixed-chain-path cost from `from` to `to`, excluding one rule.
-/// Used to decide whether a chain rule is dominated by the rest of the
-/// chain graph.
-fn chain_path_excluding(
+/// Cheapest fixed-chain derivations starting at `from`, without the
+/// `excluded` rule: the cost of reaching each nonterminal and the chain
+/// rule used last on the way.
+fn chain_paths(
     grammar: &NormalGrammar,
-    from: NtId,
-    to: NtId,
-    excluded: NormalRuleId,
-) -> Option<u32> {
+    from: usize,
+    excluded: Option<NormalRuleId>,
+) -> (Vec<Option<u32>>, Vec<Option<NormalRuleId>>) {
     let n = grammar.num_nts();
     let mut dist: Vec<Option<u32>> = vec![None; n];
-    dist[from.0 as usize] = Some(0);
+    let mut pred: Vec<Option<NormalRuleId>> = vec![None; n];
+    dist[from] = Some(0);
     for _ in 0..n {
         let mut changed = false;
         for &rid in grammar.chain_rules() {
-            if rid == excluded {
-                continue;
-            }
             let rule = grammar.rule(rid);
-            if !is_fixed(grammar, rule) {
+            if Some(rid) == excluded || !is_fixed(grammar, rule) {
                 continue;
             }
-            let NormalRhs::Chain { from: f } = rule.rhs else {
+            let NormalRhs::Chain { from } = rule.rhs else {
                 continue;
             };
-            let Some(base) = dist[f.0 as usize] else {
+            let Some(base) = dist[from.0 as usize] else {
                 continue;
             };
             let cand = base.saturating_add(fixed_cost(rule));
-            let slot = &mut dist[rule.lhs.0 as usize];
-            if slot.map(|old| cand < old).unwrap_or(true) {
-                *slot = Some(cand);
+            let lhs = rule.lhs.0 as usize;
+            if dist[lhs].map(|old| cand < old).unwrap_or(true) {
+                dist[lhs] = Some(cand);
+                pred[lhs] = Some(rid);
                 changed = true;
             }
         }
@@ -563,7 +567,7 @@ fn chain_path_excluding(
             break;
         }
     }
-    dist[to.0 as usize]
+    (dist, pred)
 }
 
 /// G0004: dead rules. Two passes:
@@ -610,7 +614,7 @@ fn dominance_diags(grammar: &NormalGrammar, diags: &mut Vec<Diagnostic>) {
     }
 
     // Generalized dominance over base rules.
-    let cc = chain_cost_matrix(grammar);
+    let cc = chain_cost_matrix(grammar, true);
     for &op in grammar.ops_used() {
         let rules = grammar.base_rules(op);
         for &ra in rules {
@@ -681,7 +685,7 @@ fn dominance_diags(grammar: &NormalGrammar, diags: &mut Vec<Diagnostic>) {
             continue;
         };
         let ca = fixed_cost(a);
-        if let Some(alt) = chain_path_excluding(grammar, from, a.lhs, rid) {
+        if let Some(alt) = chain_paths(grammar, from.0 as usize, Some(rid)).0[a.lhs.0 as usize] {
             if alt < ca {
                 reported.insert(rid.0);
                 let mut d = Diagnostic::new(
@@ -715,35 +719,7 @@ fn dominance_diags(grammar: &NormalGrammar, diags: &mut Vec<Diagnostic>) {
 fn cycle_diags(grammar: &NormalGrammar, diags: &mut Vec<Diagnostic>) {
     let n = grammar.num_nts();
     // pos[u][v] = min cost of a fixed-chain path v -> u with >= 1 edge.
-    let mut pos: Vec<Vec<Option<u32>>> = vec![vec![None; n]; n];
-    for &rid in grammar.chain_rules() {
-        let rule = grammar.rule(rid);
-        if !is_fixed(grammar, rule) {
-            continue;
-        }
-        let NormalRhs::Chain { from } = rule.rhs else {
-            continue;
-        };
-        let (to, from) = (rule.lhs.0 as usize, from.0 as usize);
-        let c = fixed_cost(rule);
-        if pos[to][from].map(|old| c < old).unwrap_or(true) {
-            pos[to][from] = Some(c);
-        }
-    }
-    for mid in 0..n {
-        // Same snapshot argument as in `chain_cost_matrix`.
-        let via_mid = pos[mid].clone();
-        for row in pos.iter_mut() {
-            let Some(a) = row[mid] else { continue };
-            for (from, b) in via_mid.iter().enumerate() {
-                let Some(b) = *b else { continue };
-                let via = a.saturating_add(b);
-                if row[from].map(|old| via < old).unwrap_or(true) {
-                    row[from] = Some(via);
-                }
-            }
-        }
-    }
+    let pos = chain_cost_matrix(grammar, false);
 
     // Group cyclic nonterminals into components by mutual reachability.
     let mut seen = vec![false; n];
@@ -804,34 +780,7 @@ fn reconstruct_cycle(grammar: &NormalGrammar, m: usize) -> (Vec<NtId>, Vec<Norma
     let n = grammar.num_nts();
     // Shortest fixed-chain derivation of each nt *from* m, with the rule
     // used last on the way.
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut pred: Vec<Option<NormalRuleId>> = vec![None; n];
-    dist[m] = Some(0);
-    for _ in 0..n {
-        let mut changed = false;
-        for &rid in grammar.chain_rules() {
-            let rule = grammar.rule(rid);
-            if !is_fixed(grammar, rule) {
-                continue;
-            }
-            let NormalRhs::Chain { from } = rule.rhs else {
-                continue;
-            };
-            let Some(base) = dist[from.0 as usize] else {
-                continue;
-            };
-            let cand = base.saturating_add(fixed_cost(rule));
-            let lhs = rule.lhs.0 as usize;
-            if dist[lhs].map(|old| cand < old).unwrap_or(true) {
-                dist[lhs] = Some(cand);
-                pred[lhs] = Some(rid);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let (dist, pred) = chain_paths(grammar, m, None);
     // Close the loop with the cheapest edge back into m.
     let mut best: Option<(u32, NormalRuleId, usize)> = None;
     for &rid in grammar.chain_rules() {
@@ -872,422 +821,6 @@ fn reconstruct_cycle(grammar: &NormalGrammar, m: usize) -> (Vec<NtId>, Vec<Norma
     nts.reverse();
     rules.reverse();
     (nts, rules)
-}
-
-// ---------------------------------------------------------------------------
-// Achievable-state exploration (G0003 / G0007 / G0008, state bound)
-// ---------------------------------------------------------------------------
-
-/// Hard cap on explored states. Hitting it without convergence yields
-/// `G0008` (info) instead of a state bound.
-const MAX_STATES: usize = 512;
-
-/// An achievable automaton state: the normalized relative cost of deriving
-/// each nonterminal at some concrete tree, plus the tree that got there
-/// (operator + child state indices), for witness synthesis.
-struct AState {
-    costs: Vec<Option<u32>>,
-    op: Op,
-    children: Vec<usize>,
-    size: u32,
-}
-
-struct IncompleteRec {
-    op: Op,
-    children: Vec<usize>,
-    size: u32,
-}
-
-struct DivergenceRec {
-    pair: (NtId, NtId),
-    op: Op,
-    children: Vec<usize>,
-    delta: u32,
-}
-
-struct Exploration {
-    states: Vec<AState>,
-    incomplete: BTreeMap<u16, IncompleteRec>,
-    divergences: Vec<DivergenceRec>,
-    truncated: bool,
-    per_op: BTreeMap<u16, (Op, BTreeSet<usize>)>,
-}
-
-/// Runs the achievable-state fixpoint: the offline-automaton construction
-/// of the paper restricted to fixed-cost rules, over operand-plausible
-/// child combinations only (each child must derive at least one
-/// nonterminal some rule wants at that position — the tree-language
-/// analogue of a type check).
-fn explore(grammar: &NormalGrammar) -> Exploration {
-    let max_rule_cost = grammar
-        .rules()
-        .iter()
-        .filter(|r| is_fixed(grammar, r))
-        .map(fixed_cost)
-        .max()
-        .unwrap_or(0);
-    // A converging grammar keeps normalized deltas within a small multiple
-    // of its own cost scale; beyond this the pair is diverging.
-    let delta_cap = 64 + 8 * max_rule_cost.min(1024);
-
-    let mut ops: Vec<Op> = grammar.ops_used().to_vec();
-    ops.sort_by_key(|op| op.id().0);
-
-    let mut out = Exploration {
-        states: Vec::new(),
-        incomplete: BTreeMap::new(),
-        divergences: Vec::new(),
-        truncated: false,
-        per_op: BTreeMap::new(),
-    };
-    let mut index: HashMap<Vec<Option<u32>>, usize> = HashMap::new();
-    let mut seen_pairs: BTreeSet<(u16, u16)> = BTreeSet::new();
-
-    let leaf_ops: Vec<Op> = ops.iter().copied().filter(|o| o.arity() == 0).collect();
-    let unary_ops: Vec<Op> = ops.iter().copied().filter(|o| o.arity() == 1).collect();
-    let binary_ops: Vec<Op> = ops.iter().copied().filter(|o| o.arity() == 2).collect();
-
-    for &op in &leaf_ops {
-        consider(
-            grammar,
-            op,
-            &[],
-            delta_cap,
-            &mut out,
-            &mut index,
-            &mut seen_pairs,
-        );
-    }
-    let mut next = 0usize;
-    while next < out.states.len() {
-        let s = next;
-        next += 1;
-        for &op in &unary_ops {
-            consider(
-                grammar,
-                op,
-                &[s],
-                delta_cap,
-                &mut out,
-                &mut index,
-                &mut seen_pairs,
-            );
-        }
-        for &op in &binary_ops {
-            for t in 0..next {
-                consider(
-                    grammar,
-                    op,
-                    &[s, t],
-                    delta_cap,
-                    &mut out,
-                    &mut index,
-                    &mut seen_pairs,
-                );
-                if t != s {
-                    consider(
-                        grammar,
-                        op,
-                        &[t, s],
-                        delta_cap,
-                        &mut out,
-                        &mut index,
-                        &mut seen_pairs,
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Processes one (operator, child states) combination.
-#[allow(clippy::too_many_arguments)]
-fn consider(
-    grammar: &NormalGrammar,
-    op: Op,
-    children: &[usize],
-    delta_cap: u32,
-    out: &mut Exploration,
-    index: &mut HashMap<Vec<Option<u32>>, usize>,
-    seen_pairs: &mut BTreeSet<(u16, u16)>,
-) {
-    // Operand plausibility: every child must derive something *some* rule
-    // for this operator wants at that position. Combinations violating
-    // this (e.g. a statement tree as an addend) are outside the grammar's
-    // tree language and say nothing about its health.
-    for (pos, &c) in children.iter().enumerate() {
-        let plausible = grammar
-            .operand_nts(op, pos)
-            .iter()
-            .any(|nt| out.states[c].costs[nt.0 as usize].is_some());
-        if !plausible {
-            return;
-        }
-    }
-
-    let size: u32 = 1 + children.iter().map(|&c| out.states[c].size).sum::<u32>();
-
-    // The transition: apply every fixed base rule for `op`, then close
-    // over fixed chain rules, then normalize to relative costs.
-    let mut costs: Vec<Option<u32>> = vec![None; grammar.num_nts()];
-    for &rid in grammar.base_rules(op) {
-        let rule = grammar.rule(rid);
-        if !is_fixed(grammar, rule) {
-            continue;
-        }
-        let NormalRhs::Base { operands, .. } = &rule.rhs else {
-            continue;
-        };
-        let mut total = fixed_cost(rule);
-        let mut ok = true;
-        for (pos, nt) in operands.iter().enumerate() {
-            match out.states[children[pos]].costs[nt.0 as usize] {
-                Some(k) => total = total.saturating_add(k),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            let slot = &mut costs[rule.lhs.0 as usize];
-            if slot.map(|old| total < old).unwrap_or(true) {
-                *slot = Some(total);
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for &rid in grammar.chain_rules() {
-            let rule = grammar.rule(rid);
-            if !is_fixed(grammar, rule) {
-                continue;
-            }
-            let NormalRhs::Chain { from } = rule.rhs else {
-                continue;
-            };
-            let Some(base) = costs[from.0 as usize] else {
-                continue;
-            };
-            let cand = base.saturating_add(fixed_cost(rule));
-            let slot = &mut costs[rule.lhs.0 as usize];
-            if slot.map(|old| cand < old).unwrap_or(true) {
-                *slot = Some(cand);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let Some(min) = costs.iter().filter_map(|c| *c).min() else {
-        // Empty state: a plausible input with no covering rule.
-        let rec = out.incomplete.entry(op.id().0).or_insert(IncompleteRec {
-            op,
-            children: children.to_vec(),
-            size,
-        });
-        if size < rec.size {
-            rec.children = children.to_vec();
-            rec.size = size;
-        }
-        return;
-    };
-    for c in costs.iter_mut().flatten() {
-        *c -= min;
-    }
-
-    let delta = costs.iter().filter_map(|c| *c).max().unwrap_or(0);
-    if delta > delta_cap {
-        // Divergence: the gap between the cheapest and the most expensive
-        // derivable nonterminal left the grammar's own cost scale behind.
-        let lo = costs.iter().position(|c| *c == Some(0)).unwrap_or(0);
-        let hi = costs.iter().position(|c| *c == Some(delta)).unwrap_or(0);
-        let (a, b) = if lo < hi { (lo, hi) } else { (hi, lo) };
-        if seen_pairs.insert((a as u16, b as u16)) {
-            out.divergences.push(DivergenceRec {
-                pair: (NtId(a as u16), NtId(b as u16)),
-                op,
-                children: children.to_vec(),
-                delta,
-            });
-        }
-        return;
-    }
-
-    let idx = match index.get(&costs) {
-        Some(&i) => i,
-        None => {
-            if out.states.len() >= MAX_STATES {
-                out.truncated = true;
-                return;
-            }
-            let i = out.states.len();
-            index.insert(costs.clone(), i);
-            out.states.push(AState {
-                costs,
-                op,
-                children: children.to_vec(),
-                size,
-            });
-            i
-        }
-    };
-    out.per_op
-        .entry(op.id().0)
-        .or_insert_with(|| (op, BTreeSet::new()))
-        .1
-        .insert(idx);
-}
-
-/// A payload that makes a synthesized witness node well-formed; payloads
-/// never affect fixed-rule labeling.
-fn witness_payload(forest: &mut Forest, op: Op) -> Payload {
-    match op.kind {
-        OpKind::Const => match op.ty {
-            TypeTag::F4 | TypeTag::F8 => Payload::FloatBits(0),
-            _ => Payload::Int(0),
-        },
-        OpKind::AddrGlobal | OpKind::AddrFrame | OpKind::AddrLocal => {
-            Payload::Sym(forest.intern("w"))
-        }
-        OpKind::Label
-        | OpKind::Jump
-        | OpKind::BrEq
-        | OpKind::BrNe
-        | OpKind::BrLt
-        | OpKind::BrLe
-        | OpKind::BrGt
-        | OpKind::BrGe => Payload::Sym(forest.intern("L")),
-        _ => Payload::None,
-    }
-}
-
-/// Materializes the tree `op(children...)` recorded during exploration
-/// into `forest`, returning its root.
-fn materialize(states: &[AState], op: Op, children: &[usize], forest: &mut Forest) -> NodeId {
-    let kids: Vec<NodeId> = children
-        .iter()
-        .map(|&c| {
-            let st = &states[c];
-            materialize(states, st.op, &st.children, forest)
-        })
-        .collect();
-    let payload = witness_payload(forest, op);
-    forest.push(op, &kids, payload)
-}
-
-/// Turns the exploration result into G0003/G0007/G0008 diagnostics and,
-/// when the exploration converged, the state bound.
-fn exploration_diags(
-    grammar: &NormalGrammar,
-    exploration: Exploration,
-    diags: &mut Vec<Diagnostic>,
-) -> Option<StateBound> {
-    let Exploration {
-        states,
-        incomplete,
-        divergences,
-        truncated,
-        per_op,
-    } = exploration;
-
-    for rec in incomplete.values() {
-        let mut forest = Forest::default();
-        let root = materialize(&states, rec.op, &rec.children, &mut forest);
-        forest.add_root(root);
-        let (severity, tail) = if grammar.has_dynamic_rules() {
-            (
-                Severity::Warning,
-                " when every dynamic-cost rule is inapplicable",
-            )
-        } else {
-            (Severity::Error, "")
-        };
-        let mut d = Diagnostic::new(
-            Code::IncompleteOperator,
-            severity,
-            format!(
-                "selection can fail at operator {}: no rule covers it for some achievable \
-                 operands (minimal witness: {}-node tree){tail}",
-                rec.op, rec.size
-            ),
-        );
-        d.operators.push(rec.op);
-        d.witness = Some(Witness::NoCover { forest, root });
-        diags.push(d);
-    }
-
-    for rec in divergences {
-        let (a, b) = rec.pair;
-        // An earlier tree where the pair coexists at a small delta, for
-        // the "grows from d1 to d2" half of the witness.
-        let prior = states
-            .iter()
-            .enumerate()
-            .filter_map(|(i, st)| {
-                let (ca, cb) = (st.costs[a.0 as usize]?, st.costs[b.0 as usize]?);
-                Some((i, ca.abs_diff(cb)))
-            })
-            .min_by_key(|&(i, delta)| (delta, i));
-        let witness = prior.map(|(i, d1)| {
-            let mut forest = Forest::default();
-            let st = &states[i];
-            let small = materialize(&states, st.op, &st.children, &mut forest);
-            let big = materialize(&states, rec.op, &rec.children, &mut forest);
-            forest.add_root(small);
-            forest.add_root(big);
-            (forest, small, big, d1)
-        });
-        let mut d = Diagnostic::new(
-            Code::CostDivergence,
-            Severity::Warning,
-            format!(
-                "the relative cost of `{}` and `{}` grows without bound with tree depth \
-                 (observed delta {}); the grammar is not BURS-finite and offline automaton \
-                 construction will diverge (the on-demand automaton still works per workload)",
-                grammar.nt_name(a),
-                grammar.nt_name(b),
-                rec.delta
-            ),
-        );
-        d.nonterminals = vec![a, b];
-        d.operators.push(rec.op);
-        if let Some((forest, small, big, d1)) = witness {
-            d.witness = Some(Witness::Divergence {
-                forest,
-                roots: (small, big),
-                nonterminals: (a, b),
-                deltas: (d1, rec.delta),
-            });
-        }
-        diags.push(d);
-    }
-
-    let converged = !truncated && diags.iter().all(|d| d.code != Code::CostDivergence);
-    if truncated && diags.iter().all(|d| d.code != Code::CostDivergence) {
-        diags.push(Diagnostic::new(
-            Code::AnalysisTruncated,
-            Severity::Info,
-            format!(
-                "achievable-state exploration stopped at {MAX_STATES} states without \
-                 converging; no divergence proved, but no table-size bound exists either"
-            ),
-        ));
-    }
-    if converged {
-        Some(StateBound {
-            states: states.len(),
-            per_op: per_op
-                .into_values()
-                .map(|(op, set)| (op, set.len()))
-                .collect(),
-        })
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -1354,7 +887,7 @@ mod tests {
     fn analyze_finds_shadowed_rules() {
         let g =
             parse_grammar("%start a\na: ConstI8 (1)\na: ConstI8 (3)\na: ConstI8 [dc]\n").unwrap();
-        let diags = analyze(&g.normalize());
+        let diags = grammar_diagnostics(&g.normalize());
         let shadowed: Vec<_> = diags
             .iter()
             .filter(|d| d.code == Code::DominatedRule)
@@ -1375,7 +908,7 @@ mod tests {
         )
         .unwrap();
         let n = g.normalize();
-        let diags = analyze(&n);
+        let diags = grammar_diagnostics(&n);
         let dom: Vec<_> = diags
             .iter()
             .filter(|d| d.code == Code::DominatedRule)
@@ -1390,7 +923,7 @@ mod tests {
     #[test]
     fn analyze_classifies_chain_cycles() {
         let zero = parse_grammar("%start a\na: b (0)\nb: a (0)\nb: ConstI8 (1)\n").unwrap();
-        let diags = analyze(&zero.normalize());
+        let diags = grammar_diagnostics(&zero.normalize());
         let cyc: Vec<_> = diags
             .iter()
             .filter(|d| d.code == Code::ZeroCostChainCycle)
@@ -1401,7 +934,7 @@ mod tests {
         assert_eq!(cyc[0].cycle.first(), cyc[0].cycle.last());
 
         let costly = parse_grammar("%start a\na: b (1)\nb: a (1)\nb: ConstI8 (1)\n").unwrap();
-        let diags = analyze(&costly.normalize());
+        let diags = grammar_diagnostics(&costly.normalize());
         let cyc: Vec<_> = diags
             .iter()
             .filter(|d| d.code == Code::CostIncreasingChainCycle)
@@ -1418,7 +951,7 @@ mod tests {
         )
         .unwrap();
         let n = g.normalize();
-        let diags = analyze(&n);
+        let diags = grammar_diagnostics(&n);
         assert_eq!(
             codes(&diags),
             vec![Code::UnderivableNonterminal, Code::UnreachableNonterminal],
@@ -1430,119 +963,12 @@ mod tests {
     #[test]
     fn underivable_start_is_an_error() {
         let g = parse_grammar("%start a\na: LoadI8(a) (1)\n").unwrap();
-        let diags = analyze(&g.normalize());
+        let diags = grammar_diagnostics(&g.normalize());
         assert!(
             diags
                 .iter()
                 .any(|d| d.code == Code::UnderivableNonterminal && d.severity == Severity::Error),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn analyze_detects_divergence_with_witness() {
-        // The canonical non-BURS-finite grammar: a and b compete at Store
-        // operands, their Load costs differ, no chain connects them.
-        let g = parse_grammar(
-            "%start s\na: ConstI8 (0)\na: LoadI8(a) (1)\nb: ConstI8 (0)\nb: LoadI8(b) (2)\ns: StoreI8(a, b) (1)\ns: StoreI8(b, a) (1)\n",
-        )
-        .unwrap();
-        let n = g.normalize();
-        let full = analyze_full(&n);
-        let div: Vec<_> = full
-            .diagnostics
-            .iter()
-            .filter(|d| d.code == Code::CostDivergence)
-            .collect();
-        assert_eq!(div.len(), 1, "{:?}", full.diagnostics);
-        assert!(full.state_bound.is_none());
-        let Some(Witness::Divergence { deltas, .. }) = &div[0].witness else {
-            panic!("divergence without witness: {:?}", div[0]);
-        };
-        assert!(deltas.1 > deltas.0, "{deltas:?}");
-
-        // Connecting the classes with a chain rule restores convergence.
-        let g2 = parse_grammar(
-            "%start s\na: ConstI8 (0)\na: LoadI8(a) (1)\nb: ConstI8 (0)\nb: LoadI8(b) (2)\nb: a (0)\ns: StoreI8(a, b) (1)\ns: StoreI8(b, a) (1)\n",
-        )
-        .unwrap();
-        let full2 = analyze_full(&g2.normalize());
-        assert!(
-            !codes(&full2.diagnostics).contains(&Code::CostDivergence),
-            "{:?}",
-            full2.diagnostics
-        );
-        let bound = full2.state_bound.expect("converged exploration");
-        assert!(bound.states > 0);
-    }
-
-    #[test]
-    fn analyze_finds_cross_product_incompleteness() {
-        // Store covers (a, b) and (b, a) but not (a, a): a two-leaf Store
-        // where both children only derive `a` has no covering rule.
-        let g = parse_grammar(
-            "%start s\na: ConstI8 (0)\nb: ConstI4 (0)\ns: StoreI8(a, b) (1)\ns: StoreI8(b, a) (1)\n",
-        )
-        .unwrap();
-        let n = g.normalize();
-        let diags = analyze(&n);
-        let inc: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == Code::IncompleteOperator)
-            .collect();
-        assert_eq!(inc.len(), 1, "{diags:?}");
-        assert_eq!(inc[0].severity, Severity::Error);
-        let Some(Witness::NoCover { forest, root }) = &inc[0].witness else {
-            panic!("incompleteness without witness: {:?}", inc[0]);
-        };
-        assert_eq!(forest.roots(), &[*root]);
-        assert_eq!(forest.len(), 3, "minimal witness is Store(leaf, leaf)");
-    }
-
-    #[test]
-    fn incompleteness_is_a_warning_with_dynamic_rules() {
-        // Dynamic-only coverage of ConstI8: conservatively incomplete, but
-        // only a warning because a dynamic rule may cover it at runtime.
-        let g = parse_grammar("%start reg\n%dyncost dc\nreg: ConstI8 [dc]\n").unwrap();
-        let diags = analyze(&g.normalize());
-        let inc: Vec<_> = diags
-            .iter()
-            .filter(|d| d.code == Code::IncompleteOperator)
-            .collect();
-        assert_eq!(inc.len(), 1, "{diags:?}");
-        assert_eq!(inc[0].severity, Severity::Warning);
-    }
-
-    #[test]
-    fn statement_trees_as_operands_are_not_flagged() {
-        // Nothing derives `stmt` at an AddI8 operand, so AddI8-over-Store
-        // is outside the tree language and must not count as a hole.
-        let g = parse_grammar(
-            "%start stmt\naddr: reg (0)\nreg: ConstI8 (1)\nreg: AddI8(reg, reg) (1)\nstmt: StoreI8(addr, reg) (1)\n",
-        )
-        .unwrap();
-        let full = analyze_full(&g.normalize());
-        assert!(full.diagnostics.is_empty(), "{:?}", full.diagnostics);
-        let bound = full.state_bound.expect("demo-like grammar converges");
-        assert!(bound.per_op.iter().all(|&(_, n)| n >= 1));
-    }
-
-    #[test]
-    fn diagnostics_are_deterministically_ordered() {
-        let g = parse_grammar(
-            "%start s\na: ConstI8 (0)\nb: ConstI4 (0)\ns: StoreI8(a, b) (1)\ns: StoreI8(b, a) (1)\ndead: ConstI2 (1)\n",
-        )
-        .unwrap();
-        let n = g.normalize();
-        let d1 = analyze(&n);
-        let d2 = analyze(&n);
-        let as_strings = |ds: &[Diagnostic]| ds.iter().map(|d| d.to_string()).collect::<Vec<_>>();
-        assert_eq!(as_strings(&d1), as_strings(&d2));
-        // Errors strictly precede warnings.
-        let first_warning = d1.iter().position(|d| d.severity < Severity::Error);
-        let last_error = d1.iter().rposition(|d| d.severity == Severity::Error);
-        if let (Some(w), Some(e)) = (first_warning, last_error) {
-            assert!(e < w, "{:?}", as_strings(&d1));
-        }
     }
 }

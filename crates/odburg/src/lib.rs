@@ -8,7 +8,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`ir`] | typed expression-tree IR (operators, forests, s-exprs) |
-//! | [`grammar`] | tree grammars, the burg-style DSL, normal form |
+//! | [`grammar`] | tree grammars, the burg-style DSL, normal form, the grammar verifier |
 //! | [`select`](mod@select) | the labelers: on-demand automaton, offline automaton, dynamic programming, macro expansion |
 //! | [`codegen`] | the reducer and template-based emission |
 //! | [`targets`] | built-in machine descriptions (x86ish, riscish, …) |
@@ -50,7 +50,6 @@
 pub use odburg_codegen as codegen;
 pub use odburg_core as select;
 pub use odburg_frontend as frontend;
-pub use odburg_grammar as grammar;
 pub use odburg_ir as ir;
 pub use odburg_targets as targets;
 pub use odburg_workloads as workloads;
@@ -58,6 +57,21 @@ pub use odburg_workloads as workloads;
 pub mod cluster;
 pub mod service;
 pub mod strategy;
+
+pub mod grammar {
+    //! Tree grammars, the burg-style DSL and normal form
+    //! ([`odburg_grammar`]), with the grammar verifier in [`analysis`].
+    pub use odburg_grammar::*;
+
+    pub mod analysis {
+        //! The grammar verifier and the analyses it builds on: everything
+        //! in [`odburg_grammar::analysis`], plus [`analyze`] and
+        //! [`analyze_full`] from [`odburg_core::verify`], which read the
+        //! automaton closure.
+        pub use odburg_core::verify::{analyze, analyze_full};
+        pub use odburg_grammar::analysis::*;
+    }
+}
 
 use std::error::Error;
 use std::fmt;

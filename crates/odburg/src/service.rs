@@ -129,17 +129,17 @@ use std::time::{Duration, Instant};
 use odburg_codegen::{reduce_forest, ReduceError, Reduction};
 use odburg_core::telemetry::{Event, EventKind, JobCounts, TargetMetrics, Telemetry};
 use odburg_core::{
-    persist, AtomicWorkCounters, LabelError, MemoryBudget, OnDemandAutomaton, OnDemandConfig,
-    PersistError, PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
+    persist, verify, AtomicWorkCounters, LabelError, MemoryBudget, OnDemandAutomaton,
+    OnDemandConfig, PersistError, PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
 };
-use odburg_grammar::{analysis, Diagnostic, Grammar, NormalGrammar, Severity};
+use odburg_grammar::{Diagnostic, Grammar, NormalGrammar, Severity};
 use odburg_ir::Forest;
 
 /// Queue capacity a [`ServerConfig`] of `queue_cap: 0` resolves to.
 pub const DEFAULT_QUEUE_CAP: usize = 256;
 
 /// What registration does with the grammar verifier's findings
-/// ([`odburg_grammar::analysis::analyze`]).
+/// ([`odburg_core::verify::analyze`]).
 ///
 /// The verifier runs once per registration, before the target becomes
 /// visible; its findings stay queryable afterwards via
@@ -154,8 +154,6 @@ pub enum AnalysisPolicy {
     /// everything. The default: a grammar with warnings still works.
     #[default]
     WarnOnly,
-    /// Skip analysis entirely (registration-latency-sensitive callers).
-    Off,
 }
 
 /// How each priority lane orders its waiting jobs.
@@ -514,8 +512,7 @@ struct TargetEntry {
     name: String,
     grammar: Arc<NormalGrammar>,
     mode: OnDemandConfig,
-    /// The grammar verifier's findings at registration time (empty when
-    /// the policy was [`AnalysisPolicy::Off`]).
+    /// The grammar verifier's findings at registration time.
     diagnostics: Vec<Diagnostic>,
     /// Per-target memory budget: `Some(Some(_))` overrides the service
     /// default, `Some(None)` opts the target out, `None` inherits.
@@ -641,10 +638,7 @@ impl Registry {
     ) -> Result<(), ServiceError> {
         // Run the verifier outside the registry lock: analysis is pure
         // and the duplicate check below stays authoritative.
-        let diagnostics = match self.analysis_policy {
-            AnalysisPolicy::Off => Vec::new(),
-            AnalysisPolicy::WarnOnly | AnalysisPolicy::Deny => analysis::analyze(&grammar),
-        };
+        let diagnostics = verify::analyze(&grammar);
         if self.analysis_policy == AnalysisPolicy::Deny
             && diagnostics.iter().any(|d| d.severity >= Severity::Error)
         {
@@ -1762,7 +1756,7 @@ impl SelectorServer {
     }
 
     /// The grammar verifier's findings for a registered target, recorded
-    /// at registration time (empty under [`AnalysisPolicy::Off`]).
+    /// at registration time.
     ///
     /// # Errors
     ///
@@ -2335,11 +2329,6 @@ mod tests {
         warn.register_normal("broken", broken()).unwrap();
         let diags = warn.diagnostics("broken").unwrap();
         assert!(diags.iter().any(|d| d.code.as_str() == "G0003"));
-
-        // Off: no analysis, no recorded findings.
-        let off = server(AnalysisPolicy::Off);
-        off.register_normal("broken", broken()).unwrap();
-        assert!(off.diagnostics("broken").unwrap().is_empty());
     }
 
     #[test]

@@ -162,6 +162,7 @@ pub fn by_name(name: &str) -> Option<Grammar> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odburg_core::verify;
     use odburg_grammar::analysis;
 
     #[test]
@@ -170,7 +171,7 @@ mod tests {
         // strength: no findings at warning severity or above (this backs
         // the CI analysis-smoke job).
         for g in all() {
-            let diags = analysis::analyze(&g.normalize());
+            let diags = verify::analyze(&g.normalize());
             let bad: Vec<String> = diags
                 .iter()
                 .filter(|d| d.severity >= analysis::Severity::Warning)
@@ -183,9 +184,10 @@ mod tests {
     #[test]
     fn all_targets_have_a_state_bound() {
         // Every shipped grammar is BURS-finite: the achievable-state
-        // exploration converges and yields a table-size bound.
+        // exploration converges and yields a table-size bound whose
+        // per-operator counts partition its states.
         for g in all() {
-            let full = analysis::analyze_full(&g.normalize());
+            let full = verify::analyze_full(&g.normalize());
             let bound = full
                 .state_bound
                 .unwrap_or_else(|| panic!("grammar {} did not converge", g.name()));
@@ -196,6 +198,8 @@ mod tests {
                 g.name(),
                 bound.per_op
             );
+            let per_op: usize = bound.per_op.iter().map(|&(_, n)| n).sum();
+            assert_eq!(per_op, bound.states, "grammar {}", g.name());
         }
     }
 

@@ -60,6 +60,57 @@ fn cross_product_hole_yields_an_executable_witness() {
     assert_witness_reproduces_nocover(&normal, g0003[0]);
 }
 
+/// Asserts that a converged bound counts the states of the offline
+/// automaton built from the same dynamic-free grammar, and that its
+/// per-operator counts partition them.
+fn assert_bound_is_the_offline_size(normal: &NormalGrammar, bound: &analysis::StateBound) {
+    let offline = OfflineAutomaton::build(Arc::new(normal.clone()), OfflineConfig::default())
+        .unwrap_or_else(|e| panic!("{}: offline build failed: {e}", normal.name()));
+    assert_eq!(bound.states, offline.num_states(), "{}", normal.name());
+    let per_op: usize = bound.per_op.iter().map(|&(_, n)| n).sum();
+    assert_eq!(
+        per_op,
+        bound.states,
+        "{}: {:?}",
+        normal.name(),
+        bound.per_op
+    );
+}
+
+#[test]
+fn state_bound_is_the_offline_automaton_size() {
+    // The verifier and the offline automaton run one closure: on a grammar
+    // without dynamic rules the bound is the automaton's state count.
+    let fixture = parse_grammar(include_str!("../fixtures/broken.burg")).unwrap();
+    let fixed: Vec<NormalGrammar> = odburg::targets::all()
+        .iter()
+        .map(|g| g.normalize().strip_dynamic().unwrap())
+        .chain([fixture.normalize()])
+        .collect();
+    for normal in &fixed {
+        let full = analysis::analyze_full(normal);
+        let bound = full
+            .state_bound
+            .unwrap_or_else(|| panic!("{} did not converge", normal.name()));
+        assert_bound_is_the_offline_size(normal, &bound);
+    }
+    let mut converged = 0;
+    for seed in 0..200 {
+        let normal = random_grammar(seed).normalize();
+        if normal.has_dynamic_rules() {
+            continue;
+        }
+        if let Some(bound) = analysis::analyze_full(&normal).state_bound {
+            assert_bound_is_the_offline_size(&normal, &bound);
+            converged += 1;
+        }
+    }
+    assert!(
+        converged >= 70,
+        "only {converged} dynamic-free seeds converged"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
