@@ -27,6 +27,35 @@
 //! Rules without a template pass their operand's value through (chain
 //! rules) or produce no value (statements, addressing modes folded into
 //! their consumer).
+//!
+//! # One pass, no recursion
+//!
+//! Templates are not parsed while reducing: normalization compiles every
+//! source rule's template once into a flat piece list
+//! ([`odburg_grammar::template`], read through
+//! [`NormalGrammar::templates`](odburg_grammar::NormalGrammar::templates)),
+//! and the reducer interprets those pieces as it walks the derivation.
+//!
+//! * **Bookkeeping is O(nodes + derivations).** Each node heads a list of
+//!   slots in one arena, one slot per `(node, nonterminal)` derivation,
+//!   whose state is "on the stack", "reduced without a value" or
+//!   "reduced into register *v*". There is no table with a column per
+//!   nonterminal and no hashing.
+//! * **No recursion.** The walk runs on an explicit stack of
+//!   `(node, derivation, rule, next operand)` frames, so a forest of any
+//!   depth reduces without overflowing the thread's stack. A slot is
+//!   looked up when its frame is pushed and filled when the frame is
+//!   popped, which fires actions in post-order and emits a derivation
+//!   shared by several parents (in a DAG) once. A chooser whose answers
+//!   loop at one node (`a: b`, `b: a`) finds its own slot still on the
+//!   stack and fails with [`ReduceError::CyclicDerivation`].
+//! * **One allocation per instruction.** Each instruction is rendered
+//!   into one scratch buffer kept for the whole reduction and then
+//!   copied out at its exact length.
+//!
+//! The applied rules' costs are re-evaluated at their nodes while
+//! reducing, dynamic ones included: [`ReduceError::InapplicableRule`] is
+//! the check that a labeler and the reducer agree.
 
 mod reduce;
 

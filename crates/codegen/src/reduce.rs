@@ -1,11 +1,11 @@
 //! Derivation walking and template rendering.
 
-use std::collections::HashMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use odburg_core::RuleChooser;
-use odburg_grammar::{Cost, NormalGrammar, NormalRhs, NormalRuleId, NtId, Pattern};
+use odburg_grammar::template::Piece;
+use odburg_grammar::{Cost, NormalGrammar, NormalRhs, NormalRuleId, NtId, Pattern, RuleId};
 use odburg_ir::{Forest, NodeId, Payload};
 
 /// A virtual register number allocated by the reducer.
@@ -37,6 +37,15 @@ pub enum ReduceError {
         /// The offending rule.
         rule: NormalRuleId,
     },
+    /// The chooser's rules for this node/nonterminal pair derive it from
+    /// itself (e.g. `a: b` and `b: a`), so the derivation never ends.
+    /// No optimal labeler produces this.
+    CyclicDerivation {
+        /// The node being reduced.
+        node: NodeId,
+        /// The nonterminal whose derivation loops.
+        nt: NtId,
+    },
 }
 
 impl fmt::Display for ReduceError {
@@ -53,6 +62,11 @@ impl fmt::Display for ReduceError {
                 f,
                 "rule #{} chosen at node {node} is inapplicable at emission time",
                 rule.0
+            ),
+            ReduceError::CyclicDerivation { node, nt } => write!(
+                f,
+                "the derivation of nonterminal #{} at node {node} loops through itself",
+                nt.0
             ),
         }
     }
@@ -111,16 +125,66 @@ impl fmt::Display for Reduction {
     }
 }
 
-/// Per-reduction bookkeeping: result registers and visited derivations.
+/// The state of a derivation on the stack, and the end of a slot list.
+const ON_STACK: u32 = u32::MAX;
+const END: u32 = u32::MAX;
+/// The state of a derivation reduced without a result register; any
+/// smaller state is the number of the register it was reduced into.
+const NO_VALUE: u32 = u32::MAX - 1;
+
+/// One `(node, nonterminal)` derivation: its state and the node's next
+/// slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    nt: NtId,
+    state: u32,
+    next: u32,
+}
+
+/// A derivation being reduced; its operands before `next` are done.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    node: NodeId,
+    slot: u32,
+    rule: NormalRuleId,
+    next: u32,
+}
+
+/// A source pattern matched at a node: its first four nonterminal leaves
+/// and the first payload its operators match.
+#[derive(Debug, Clone, Copy)]
+struct Operands {
+    leaves: [(NodeId, NtId); 4],
+    len: usize,
+    payload: Option<Payload>,
+}
+
+impl Operands {
+    fn leaf(&self, i: u8) -> Option<(NodeId, NtId)> {
+        let i = i as usize;
+        (i < self.len).then(|| self.leaves[i])
+    }
+}
+
+/// Per-reduction bookkeeping.
 ///
-/// Sharing one context across roots is what makes DAG reduction work:
-/// once a `(node, nonterminal)` derivation has been reduced, later
-/// ancestors reuse its result instead of re-emitting it — the "node
-/// duplication ends once derivations meet" rule of DAG tree-parsing.
-#[derive(Debug, Default)]
-struct ReduceCtx {
-    results: HashMap<(NodeId, NtId), VReg>,
-    done: std::collections::HashSet<(NodeId, NtId)>,
+/// Each node heads a list of slots, one per derivation reduced (or being
+/// reduced) there, so memory is O(nodes + derivations). A slot is looked
+/// up when its frame is pushed and filled when the frame is popped:
+/// sharing one reducer across roots is what makes DAG reduction work,
+/// because a derivation already reduced through another parent is reused
+/// instead of re-emitted.
+struct Reducer<'a> {
+    forest: &'a Forest,
+    grammar: &'a NormalGrammar,
+    chooser: &'a dyn RuleChooser,
+    head: Vec<u32>,
+    slots: Vec<Slot>,
+    stack: Vec<Frame>,
+    /// Scratch stack of the pattern walk in [`Reducer::operands`].
+    walk: Vec<(&'a Pattern, NodeId)>,
+    /// The instruction being rendered.
+    line: String,
 }
 
 /// Reduces the (sub)graph rooted at `root` from `goal`, appending into
@@ -141,8 +205,9 @@ pub fn reduce_tree(
     goal: NtId,
     out: &mut Reduction,
 ) -> Result<(), ReduceError> {
-    let mut ctx = ReduceCtx::default();
-    reduce_at(forest, grammar, chooser, root, goal, out, &mut ctx)
+    // Children have smaller ids than their parents, so the subgraph
+    // lies within `0..=root`.
+    Reducer::new(forest, grammar, chooser, root.index() + 1).reduce(root, goal, out)
 }
 
 /// Reduces every registered root of `forest` from the grammar's start
@@ -161,161 +226,229 @@ pub fn reduce_forest(
     chooser: &dyn RuleChooser,
 ) -> Result<Reduction, ReduceError> {
     let mut out = Reduction::default();
-    let mut ctx = ReduceCtx::default();
+    let mut reducer = Reducer::new(forest, grammar, chooser, forest.len());
     for &root in forest.roots() {
-        reduce_at(
-            forest,
-            grammar,
-            chooser,
-            root,
-            grammar.start(),
-            &mut out,
-            &mut ctx,
-        )?;
+        reducer.reduce(root, grammar.start(), &mut out)?;
     }
     Ok(out)
 }
 
-fn reduce_at(
-    forest: &Forest,
-    grammar: &NormalGrammar,
-    chooser: &dyn RuleChooser,
-    node: NodeId,
-    goal: NtId,
-    out: &mut Reduction,
-    ctx: &mut ReduceCtx,
-) -> Result<(), ReduceError> {
-    // DAGs: a derivation already reduced through another parent is
-    // reused, not repeated.
-    if ctx.done.contains(&(node, goal)) {
-        return Ok(());
-    }
-    let rule_id = chooser
-        .rule_for(node, goal)
-        .ok_or(ReduceError::MissingRule { node, nt: goal })?;
-    let rule = grammar.rule(rule_id);
-    debug_assert_eq!(rule.lhs, goal, "labeler recorded rule for wrong goal");
-
-    // Reduce operands first (post-order actions).
-    match &rule.rhs {
-        NormalRhs::Chain { from } => {
-            reduce_at(forest, grammar, chooser, node, *from, out, ctx)?;
-        }
-        NormalRhs::Base { operands, .. } => {
-            for (i, &operand) in operands.iter().enumerate() {
-                let child = forest.node(node).child(i);
-                reduce_at(forest, grammar, chooser, child, operand, out, ctx)?;
-            }
-        }
-    }
-
-    // Account the rule's cost (validates dynamic rules a second time).
-    let rc = grammar.rule_cost_at(rule_id, forest, node);
-    match rc.value() {
-        Some(v) => out.total_cost = out.total_cost + Cost::from(v),
-        None => {
-            return Err(ReduceError::InapplicableRule {
-                node,
-                rule: rule_id,
-            })
-        }
-    }
-    out.applied.push((node, rule_id));
-
-    // Fire the action of final rules.
-    if rule.is_final {
-        fire_action(forest, grammar, rule_id, node, goal, out, &mut ctx.results);
-    }
-    ctx.done.insert((node, goal));
-    Ok(())
-}
-
-/// Emits the source rule's template (if any) and registers the result
-/// vreg for `(node, goal)`.
-fn fire_action(
-    forest: &Forest,
-    grammar: &NormalGrammar,
-    rule_id: NormalRuleId,
-    node: NodeId,
-    goal: NtId,
-    out: &mut Reduction,
-    results: &mut HashMap<(NodeId, NtId), VReg>,
-) {
-    let source = grammar.source_rule(rule_id);
-
-    // Collect the (node, nt) positions of the original pattern's
-    // nonterminal leaves by walking the pattern over the subtree.
-    let mut leaves: Vec<(NodeId, NtId)> = Vec::new();
-    let mut first_payload: Option<Payload> = None;
-    collect_pattern_leaves(
-        forest,
-        &source.pattern,
-        node,
-        &mut leaves,
-        &mut first_payload,
-    );
-
-    let Some(template) = &source.template else {
-        // No action: chain rules pass their operand's value through.
-        if let Some(&(leaf_node, leaf_nt)) = leaves.first() {
-            if let Some(&v) = results.get(&(leaf_node, leaf_nt)) {
-                results.insert((node, goal), v);
-            }
-        }
-        return;
-    };
-
-    let dst = if template.contains("{dst}") {
-        let v = out.fresh_vreg();
-        results.insert((node, goal), v);
-        Some(v)
-    } else {
-        None
-    };
-
-    for part in template.split(';') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        out.instructions.push(render(
-            part,
+impl<'a> Reducer<'a> {
+    fn new(
+        forest: &'a Forest,
+        grammar: &'a NormalGrammar,
+        chooser: &'a dyn RuleChooser,
+        nodes: usize,
+    ) -> Self {
+        Reducer {
             forest,
-            node,
-            dst,
-            &leaves,
-            first_payload,
-            results,
-        ));
+            grammar,
+            chooser,
+            head: vec![END; nodes],
+            slots: Vec::new(),
+            stack: Vec::new(),
+            walk: Vec::new(),
+            line: String::new(),
+        }
     }
-}
 
-fn collect_pattern_leaves(
-    forest: &Forest,
-    pattern: &Pattern,
-    node: NodeId,
-    leaves: &mut Vec<(NodeId, NtId)>,
-    first_payload: &mut Option<Payload>,
-) {
-    match pattern {
-        Pattern::Nt(nt) => leaves.push((node, *nt)),
-        Pattern::Op { children, .. } => {
-            if first_payload.is_none() {
-                match forest.node(node).payload() {
-                    Payload::None => {}
-                    p => *first_payload = Some(p),
+    /// Reduces `goal` at `root`: operands first, so actions fire in
+    /// post-order.
+    fn reduce(&mut self, root: NodeId, goal: NtId, out: &mut Reduction) -> Result<(), ReduceError> {
+        self.push(root, goal)?;
+        while let Some(top) = self.stack.last_mut() {
+            let (node, i) = (top.node, top.next as usize);
+            let operand = match &self.grammar.rule(top.rule).rhs {
+                NormalRhs::Chain { from } => (i == 0).then_some((node, *from)),
+                NormalRhs::Base { operands, .. } => operands
+                    .get(i)
+                    .map(|&nt| (self.forest.node(node).child(i), nt)),
+            };
+            match operand {
+                Some((child, nt)) => {
+                    top.next += 1;
+                    self.push(child, nt)?;
+                }
+                None => {
+                    let frame = *top;
+                    self.stack.pop();
+                    self.finish(frame, out)?;
                 }
             }
-            for (i, c) in children.iter().enumerate() {
-                collect_pattern_leaves(
-                    forest,
-                    c,
-                    forest.node(node).child(i),
-                    leaves,
-                    first_payload,
-                );
+        }
+        Ok(())
+    }
+
+    /// Pushes the derivation of `goal` at `node`, unless it is already
+    /// reduced.
+    fn push(&mut self, node: NodeId, goal: NtId) -> Result<(), ReduceError> {
+        if let Some(slot) = self.slot(node, goal) {
+            return match self.slots[slot].state {
+                ON_STACK => Err(ReduceError::CyclicDerivation { node, nt: goal }),
+                _ => Ok(()),
+            };
+        }
+        let rule = self
+            .chooser
+            .rule_for(node, goal)
+            .ok_or(ReduceError::MissingRule { node, nt: goal })?;
+        debug_assert_eq!(
+            self.grammar.rule(rule).lhs,
+            goal,
+            "labeler recorded rule for wrong goal"
+        );
+        let head = &mut self.head[node.index()];
+        let slot = self.slots.len() as u32;
+        self.slots.push(Slot {
+            nt: goal,
+            state: ON_STACK,
+            next: *head,
+        });
+        *head = slot;
+        self.stack.push(Frame {
+            node,
+            slot,
+            rule,
+            next: 0,
+        });
+        Ok(())
+    }
+
+    fn slot(&self, node: NodeId, nt: NtId) -> Option<usize> {
+        let mut s = self.head[node.index()];
+        while s != END {
+            let slot = &self.slots[s as usize];
+            if slot.nt == nt {
+                return Some(s as usize);
+            }
+            s = slot.next;
+        }
+        None
+    }
+
+    /// The register a reduced derivation's result is in, if it has one.
+    fn value(&self, (node, nt): (NodeId, NtId)) -> Option<u32> {
+        let state = self.slots[self.slot(node, nt)?].state;
+        (state < NO_VALUE).then_some(state)
+    }
+
+    /// Accounts a derivation whose operands are reduced and fires its
+    /// action.
+    fn finish(&mut self, frame: Frame, out: &mut Reduction) -> Result<(), ReduceError> {
+        let Frame {
+            node, slot, rule, ..
+        } = frame;
+        // Validates dynamic rules a second time: this is the check that
+        // catches a labeler and reducer that disagree.
+        match self.grammar.rule_cost_at(rule, self.forest, node).value() {
+            Some(v) => out.total_cost = out.total_cost + Cost::from(v),
+            None => return Err(ReduceError::InapplicableRule { node, rule }),
+        }
+        out.applied.push((node, rule));
+        let normal = self.grammar.rule(rule);
+        self.slots[slot as usize].state = if normal.is_final {
+            self.fire(normal.source, node, out)
+        } else {
+            NO_VALUE
+        };
+        Ok(())
+    }
+
+    /// Renders the source rule's compiled template at `node` and returns
+    /// the derivation's state.
+    fn fire(&mut self, source: RuleId, node: NodeId, out: &mut Reduction) -> u32 {
+        let (forest, templates) = (self.forest, self.grammar.templates());
+        let ops = self.operands(source, node);
+        if !templates.emits(source) {
+            // No action: chain rules pass their operand's value through.
+            return ops.leaf(0).and_then(|l| self.value(l)).unwrap_or(NO_VALUE);
+        }
+        let dst = templates.dst(source).then(|| out.fresh_vreg());
+        let mut line = std::mem::take(&mut self.line);
+        for &piece in templates.pieces(source) {
+            match piece {
+                Piece::Lit(a, b) => line.push_str(&templates.text()[a as usize..b as usize]),
+                Piece::Dst => match dst {
+                    Some(v) => push_vreg(&mut line, v.0),
+                    None => line.push_str("?dst"),
+                },
+                Piece::Leaf(i) => {
+                    let leaf = ops.leaf(i);
+                    if let Some(v) = leaf.and_then(|l| self.value(l)) {
+                        push_vreg(&mut line, v);
+                    } else if let Some(p) = leaf.and_then(|(n, _)| payload_below(forest, n)) {
+                        // Folded operands (addressing modes, memory
+                        // operands) have no vreg; render a best-effort
+                        // payload from the leaf's subtree.
+                        push_payload(&mut line, forest, p);
+                    } else {
+                        line.push('?');
+                        line.push((b'a' + i) as char);
+                    }
+                }
+                Piece::LeafPayload(i) => match ops.leaf(i).map(|(n, _)| forest.node(n).payload()) {
+                    Some(p) if p != Payload::None => push_payload(&mut line, forest, p),
+                    _ => {
+                        line.push_str("?p");
+                        line.push((b'a' + i) as char);
+                    }
+                },
+                Piece::Imm => match ops.payload.unwrap_or_else(|| forest.node(node).payload()) {
+                    Payload::None => line.push_str("?imm"),
+                    p => push_payload(&mut line, forest, p),
+                },
+                Piece::Sym => match ops.payload {
+                    Some(Payload::Sym(sym)) => line.push_str(forest.symbol(sym)),
+                    Some(Payload::Int(v)) => push_int(&mut line, v),
+                    _ => line.push_str("?sym"),
+                },
+                Piece::Lbl => match forest.node(node).payload() {
+                    Payload::Sym(sym) => line.push_str(forest.symbol(sym)),
+                    Payload::Int(v) => push_int(&mut line, v),
+                    _ => line.push_str("?lbl"),
+                },
+                Piece::End => {
+                    // One allocation per instruction, at its exact length.
+                    out.instructions.push(line.as_str().to_owned());
+                    line.clear();
+                }
             }
         }
+        self.line = line;
+        dst.map_or(NO_VALUE, |v| v.0)
+    }
+
+    /// Matches the source rule's pattern at `node`, walking it in
+    /// pre-order on the scratch stack.
+    fn operands(&mut self, source: RuleId, node: NodeId) -> Operands {
+        let mut ops = Operands {
+            leaves: [(node, NtId(0)); 4],
+            len: 0,
+            payload: None,
+        };
+        let grammar = self.grammar;
+        self.walk
+            .push((&grammar.source_rules()[source.0 as usize].pattern, node));
+        while let Some((pattern, at)) = self.walk.pop() {
+            match pattern {
+                Pattern::Nt(nt) => {
+                    if ops.len < ops.leaves.len() {
+                        ops.leaves[ops.len] = (at, *nt);
+                        ops.len += 1;
+                    }
+                }
+                Pattern::Op { children, .. } => {
+                    let n = self.forest.node(at);
+                    if ops.payload.is_none() && n.payload() != Payload::None {
+                        ops.payload = Some(n.payload());
+                    }
+                    for (c, &child) in children.iter().zip(n.children()).rev() {
+                        self.walk.push((c, child));
+                    }
+                }
+            }
+        }
+        ops
     }
 }
 
@@ -336,94 +469,43 @@ fn payload_below(forest: &Forest, mut node: NodeId) -> Option<Payload> {
 
 fn push_payload(s: &mut String, forest: &Forest, p: Payload) {
     match p {
-        Payload::Int(v) => s.push_str(&v.to_string()),
-        Payload::FloatBits(b) => s.push_str(&f64::from_bits(b).to_string()),
+        Payload::Int(v) => push_int(s, v),
+        Payload::FloatBits(b) => {
+            let _ = write!(s, "{}", f64::from_bits(b));
+        }
         Payload::Sym(sym) => s.push_str(forest.symbol(sym)),
         Payload::None => s.push_str("?payload"),
     }
 }
 
-fn render(
-    template: &str,
-    forest: &Forest,
-    node: NodeId,
-    dst: Option<VReg>,
-    leaves: &[(NodeId, NtId)],
-    first_payload: Option<Payload>,
-    results: &HashMap<(NodeId, NtId), VReg>,
-) -> String {
-    let mut s = String::with_capacity(template.len() + 8);
-    let mut rest = template;
-    while let Some(open) = rest.find('{') {
-        s.push_str(&rest[..open]);
-        let Some(close) = rest[open..].find('}') else {
-            rest = &rest[open..];
-            break;
-        };
-        let key = &rest[open + 1..open + close];
-        match key {
-            "dst" => match dst {
-                Some(v) => s.push_str(&v.to_string()),
-                None => s.push_str("?dst"),
-            },
-            "a" | "b" | "c" | "d" => {
-                let idx = (key.as_bytes()[0] - b'a') as usize;
-                match leaves.get(idx).and_then(|k| results.get(k)) {
-                    Some(v) => s.push_str(&v.to_string()),
-                    None => {
-                        // Folded operands (addressing modes, memory
-                        // operands) have no vreg; render a best-effort
-                        // payload from the leaf's subtree.
-                        match leaves.get(idx).and_then(|&(n, _)| payload_below(forest, n)) {
-                            Some(p) => push_payload(&mut s, forest, p),
-                            None => {
-                                s.push('?');
-                                s.push_str(key);
-                            }
-                        }
-                    }
-                }
-            }
-            // Payload of the node bound to the pattern's nth nonterminal
-            // leaf (constants matched through a `con`-style nonterminal).
-            "pa" | "pb" | "pc" | "pd" => {
-                let idx = (key.as_bytes()[1] - b'a') as usize;
-                match leaves.get(idx).map(|&(n, _)| forest.node(n).payload()) {
-                    Some(p) if p != Payload::None => push_payload(&mut s, forest, p),
-                    _ => {
-                        s.push('?');
-                        s.push_str(key);
-                    }
-                }
-            }
-            "imm" => {
-                let p = first_payload.unwrap_or_else(|| forest.node(node).payload());
-                if p == Payload::None {
-                    s.push_str("?imm");
-                } else {
-                    push_payload(&mut s, forest, p);
-                }
-            }
-            "sym" => match first_payload {
-                Some(Payload::Sym(sym)) => s.push_str(forest.symbol(sym)),
-                Some(Payload::Int(v)) => s.push_str(&v.to_string()),
-                _ => s.push_str("?sym"),
-            },
-            "lbl" => match forest.node(node).payload() {
-                Payload::Sym(sym) => s.push_str(forest.symbol(sym)),
-                Payload::Int(v) => s.push_str(&v.to_string()),
-                _ => s.push_str("?lbl"),
-            },
-            other => {
-                s.push('{');
-                s.push_str(other);
-                s.push('}');
-            }
-        }
-        rest = &rest[open + close + 1..];
+fn push_vreg(s: &mut String, v: u32) {
+    s.push('v');
+    push_digits(s, v.into());
+}
+
+fn push_int(s: &mut String, v: i64) {
+    if v < 0 {
+        s.push('-');
     }
-    s.push_str(rest);
-    s
+    push_digits(s, v.unsigned_abs());
+}
+
+/// Appends `v` in decimal, as `Display` prints it, without going through
+/// the formatting machinery.
+fn push_digits(s: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &b in &buf[i..] {
+        s.push(b as char);
+    }
 }
 
 #[cfg(test)]
@@ -513,6 +595,50 @@ mod tests {
         let mut out = Reduction::default();
         let err = reduce_tree(&f, &g, &NoChooser, root, g.start(), &mut out).unwrap_err();
         assert!(matches!(err, ReduceError::MissingRule { .. }));
+    }
+
+    #[test]
+    fn cyclic_chooser_is_a_typed_error() {
+        let g = Arc::new(
+            parse_grammar("%start a\na: b (0)\nb: a (0)\na: ConstI8 (1)\n")
+                .unwrap()
+                .normalize(),
+        );
+        // Answers `a: b` for `a` and `b: a` for `b`, at every node.
+        struct Loop(Vec<(NtId, NormalRuleId)>);
+        impl RuleChooser for Loop {
+            fn rule_for(&self, _: NodeId, nt: NtId) -> Option<NormalRuleId> {
+                self.0.iter().find(|&&(lhs, _)| lhs == nt).map(|&(_, r)| r)
+            }
+        }
+        let chains = g.chain_rules().iter().map(|&r| (g.rule(r).lhs, r));
+        let chooser = Loop(chains.collect());
+        let mut f = Forest::new();
+        let root = parse_sexpr(&mut f, "(ConstI8 1)").unwrap();
+        f.add_root(root);
+        let err = reduce_forest(&f, &g, &chooser).unwrap_err();
+        assert_eq!(
+            err,
+            ReduceError::CyclicDerivation {
+                node: root,
+                nt: g.start()
+            }
+        );
+        assert!(err.to_string().contains("loops through itself"), "{err}");
+    }
+
+    #[test]
+    fn decimals_render_as_display_does() {
+        for v in [0, 7, -7, 10, -10, 1_234_567_890_123, i64::MIN, i64::MAX] {
+            let mut s = String::new();
+            push_int(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
+        for v in [0, 9, 10, u32::MAX] {
+            let mut s = String::new();
+            push_vreg(&mut s, v);
+            assert_eq!(s, VReg(v).to_string());
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use odburg_ir::Op;
 
@@ -86,7 +87,9 @@ impl Error for GrammarError {}
 pub struct Grammar {
     name: String,
     nonterminals: Vec<String>,
-    rules: Vec<Rule>,
+    /// Shared with every [`NormalGrammar`](crate::NormalGrammar)
+    /// normalized from this grammar.
+    rules: Arc<[Rule]>,
     start: NtId,
     dyncosts: Vec<DynCost>,
 }
@@ -118,6 +121,11 @@ impl Grammar {
     /// All rules, indexed by [`RuleId`].
     pub fn rules(&self) -> &[Rule] {
         &self.rules
+    }
+
+    /// The rules behind a shared pointer, for a normal form to share.
+    pub(crate) fn shared_rules(&self) -> Arc<[Rule]> {
+        Arc::clone(&self.rules)
     }
 
     /// The rule with the given id.
@@ -166,7 +174,7 @@ impl Grammar {
     pub fn ops_used(&self) -> Vec<Op> {
         let mut seen = HashMap::new();
         let mut out = Vec::new();
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             for op in rule.pattern.ops() {
                 if seen.insert(op, ()).is_none() {
                     out.push(op);
@@ -200,7 +208,7 @@ impl Grammar {
         for name in &self.nonterminals {
             b.nt(name);
         }
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             if rule.cost.is_dynamic() {
                 continue;
             }
@@ -237,7 +245,7 @@ impl fmt::Display for Grammar {
         for d in &self.dyncosts {
             writeln!(f, "%dyncost {}", d.name)?;
         }
-        for rule in &self.rules {
+        for rule in self.rules.iter() {
             write!(
                 f,
                 "{}: {}",
@@ -423,7 +431,7 @@ impl GrammarBuilder {
         Ok(Grammar {
             name: self.name,
             nonterminals: self.nonterminals,
-            rules: self.rules,
+            rules: self.rules.into(),
             start,
             dyncosts: self.dyncosts,
         })

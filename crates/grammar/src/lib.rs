@@ -19,7 +19,9 @@
 //!   base rule `n: Op(n1, …, nk)` or a chain rule `n: m`, which is the form
 //!   all labelers and automata operate on;
 //! * static analyses ([`analysis`]) used for validation, workload
-//!   generation and automaton construction.
+//!   generation and automaton construction;
+//! * emission templates compiled once per grammar ([`template`]), which
+//!   the reducer interprets without parsing text.
 //!
 //! # Examples
 //!
@@ -53,6 +55,7 @@ mod dsl;
 mod grammar;
 mod normal;
 mod pattern;
+pub mod template;
 
 pub use cost::{Cost, CostExpr, DynCost, DynCostFn, DynCostId, RuleCost};
 pub use dsl::parse_grammar;

@@ -10,12 +10,14 @@
 //! All labelers and automata in this library operate on [`NormalGrammar`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use odburg_ir::{Forest, NodeId, Op, NUM_OPS};
 
 use crate::cost::{CostExpr, DynCost, RuleCost};
 use crate::grammar::{Grammar, NtId, Rule, RuleId};
 use crate::pattern::Pattern;
+use crate::template::Templates;
 
 /// Id of a rule within a [`NormalGrammar`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,8 +67,10 @@ impl NormalRule {
 /// A tree grammar in normal form, with the per-operator indexes every
 /// labeler needs.
 ///
-/// A `NormalGrammar` is self-contained: it owns copies of the source rules
-/// (for emission templates) and of the dynamic-cost functions.
+/// A `NormalGrammar` is self-contained: it shares the source rules with the
+/// [`Grammar`] it came from, holds their templates compiled
+/// ([`templates`](Self::templates)), and owns copies of the dynamic-cost
+/// functions.
 #[derive(Debug, Clone)]
 pub struct NormalGrammar {
     name: String,
@@ -74,7 +78,8 @@ pub struct NormalGrammar {
     num_source_nts: usize,
     rules: Vec<NormalRule>,
     start: NtId,
-    source_rules: Vec<Rule>,
+    source_rules: Arc<[Rule]>,
+    templates: Templates,
     dyncosts: Vec<DynCost>,
     // Indexes, all keyed by dense OpId.
     base_by_op: Vec<Vec<NormalRuleId>>,
@@ -146,6 +151,12 @@ impl NormalGrammar {
     /// The source rule a normal rule was split from.
     pub fn source_rule(&self, id: NormalRuleId) -> &Rule {
         &self.source_rules[self.rule(id).source.0 as usize]
+    }
+
+    /// The source rules' emission templates, compiled once at
+    /// normalization and indexed by source [`RuleId`].
+    pub fn templates(&self) -> &Templates {
+        &self.templates
     }
 
     /// Base rules matching the given operator.
@@ -313,7 +324,7 @@ impl NormalGrammar {
         for name in &self.nonterminals[..self.num_source_nts] {
             b.nt(name);
         }
-        for rule in &self.source_rules {
+        for rule in self.source_rules.iter() {
             if rule.cost.is_dynamic() {
                 continue;
             }
@@ -428,7 +439,8 @@ pub(crate) fn normalize(grammar: &Grammar) -> NormalGrammar {
         num_source_nts,
         rules,
         start: grammar.start(),
-        source_rules: grammar.rules().to_vec(),
+        source_rules: grammar.shared_rules(),
+        templates: Templates::compile(grammar.rules()),
         dyncosts: grammar.dyncosts().to_vec(),
         base_by_op,
         chain_rules,
