@@ -16,7 +16,8 @@
 //!    `memo_misses == 0`).
 //! 4. **Conservation from telemetry alone** — `submitted == accepted +
 //!    rejected + shed` summed over every shard incarnation's telemetry
-//!    registry, with no server tally feeding the check.
+//!    registry, and those totals equal the jobs this bin submitted
+//!    (every one accepted).
 //!
 //! Results go to stdout and, as JSON, to `target/cluster_smoke.json`
 //! (CI uploads the artifact and re-asserts the invariants from it).
@@ -175,17 +176,19 @@ fn main() {
         .expect("restarted incarnation reported");
     let counters = restarted.report.counters();
 
-    // Conservation from telemetry alone: no server tally feeds this.
+    // Conservation from telemetry alone, checked against the jobs this
+    // bin submitted: every submit above expected acceptance.
     let mut totals = JobCounts::default();
     for (_, telemetry) in cluster.shard_telemetries() {
         totals.merge(&telemetry.totals());
     }
     let telemetry_conserved = totals.conserved();
     assert!(telemetry_conserved, "telemetry conservation: {totals:?}");
+    let submitted = (WARM_JOBS + KILL_JOBS + replayed) as u64;
     assert_eq!(
-        (totals.submitted, totals.rejected, totals.shed),
-        (report.submitted, report.rejected, report.shed),
-        "telemetry disagrees with the cluster report"
+        (totals.submitted, totals.accepted),
+        (submitted, submitted),
+        "telemetry disagrees with the jobs this bin submitted"
     );
     println!(
         "conservation (telemetry alone): submitted {} == accepted {} + rejected {} + shed {}",
@@ -206,7 +209,7 @@ fn main() {
         "  \"oracle_matches\": {},",
         oracle_matches + resolved_after_kill + replayed
     );
-    let _ = writeln!(json, "  \"submitted\": {},", report.submitted);
+    let _ = writeln!(json, "  \"submitted\": {submitted},");
     let _ = writeln!(json, "  \"accepted\": {},", report.accepted);
     let _ = writeln!(json, "  \"completed\": {},", report.completed);
     let _ = writeln!(json, "  \"rejected\": {},", report.rejected);

@@ -50,7 +50,8 @@
 //! `.burg` file and registers on first sight, and each file's
 //! s-expressions form one job. All three print the same per-job lines
 //! and close with the same telemetry epilogue (conservation re-checked
-//! from the metrics registries alone, then `--metrics-out`/`--trace-out`).
+//! from the metrics registries alone and against the client's own tally
+//! of submit results, then `--metrics-out`/`--trace-out`).
 //!
 //! `batch` submits every job to a
 //! [`SelectorServer`](odburg::service::SelectorServer) with an
@@ -65,16 +66,16 @@
 //! deadlines (`--deadline-ms=<n>`). A full queue *rejects* the job —
 //! backpressure is reported, never silently dropped — and a job whose
 //! deadline passes while queued completes as deadline-missed instead of
-//! being labeled. `--sched=<fifo|edf>` picks the in-lane order (default
-//! EDF; an *explicit* `--sched=edf` additionally sheds submissions
-//! whose deadline the queue already blows, reported as `shed`), and
-//! `--fair` round-robins the queue across targets so one hot target
-//! cannot starve the rest. Completed jobs print as they finish, a stats
-//! line appears every 16 submissions, and EOF triggers a graceful
-//! shutdown (which re-exports per-target tables into `--tables-dir`, so
-//! heat survives restarts). `--queue-cap`/`--deadline-ms`/`--sched`/
-//! `--fair` apply to `serve` and `cluster serve`, not to `batch`; all
-//! three take `--workers=<n>` and `--tables-dir=<dir>`, and all three
+//! being labeled. The queue pops earliest deadline first; `--shed`
+//! additionally sheds submissions whose deadline the queue already
+//! blows, reported as `shed`, and `--fair` round-robins the queue
+//! across targets so one hot target cannot starve the rest. Completed
+//! jobs print as they finish, a stats line appears every 16
+//! submissions, and EOF triggers a graceful shutdown (which re-exports
+//! per-target tables into `--tables-dir`, so heat survives restarts).
+//! `--queue-cap`/`--deadline-ms`/`--shed`/`--fair` apply to `serve`
+//! and `cluster serve`, not to `batch`; all three take
+//! `--workers=<n>` and `--tables-dir=<dir>`, and all three
 //! reject the per-grammar `--tables=<path>` flag and non-`shared`
 //! `--labeler` values — the service always labels through the shared
 //! snapshot core.
@@ -143,7 +144,7 @@ const USAGE: &str =
      <grammar|manifest> [input] [--labeler=<name>] [--tables=<path>] \
      [--workers=<n>] [--tables-dir=<dir>] [--memory-budget=<bytes>] \
      [--budget-policy=<error|flush|compact>] [--queue-cap=<n>] [--deadline-ms=<n>] \
-     [--sched=<fifo|edf>] [--fair] [--metrics-out=<path>] [--trace-out=<path>] \
+     [--shed] [--fair] [--metrics-out=<path>] [--trace-out=<path>] \
      [--compact-to=<bytes>] [--format=<text|json>] [--deny=<warning|error>] \
      [--shards=<n>] [--listen=<addr>] [--join=<addr>]";
 
@@ -181,18 +182,6 @@ enum PolicyFlag {
     Error,
     Flush,
     Compact,
-}
-
-/// Parses `--sched`. `edf` also opts the server into feasibility
-/// shedding at admission; `fifo` is the pre-scheduler baseline.
-fn parse_sched(value: &str) -> Result<SchedPolicy, String> {
-    match value {
-        "fifo" => Ok(SchedPolicy::Fifo),
-        "edf" => Ok(SchedPolicy::Edf),
-        other => Err(format!(
-            "unknown scheduling policy `{other}` (expected one of: fifo, edf)"
-        )),
-    }
 }
 
 fn parse_policy(value: &str) -> Result<PolicyFlag, String> {
@@ -241,7 +230,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut budget_policy: Option<PolicyFlag> = None;
     let mut queue_cap: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut sched: Option<SchedPolicy> = None;
+    let mut shed = false;
     let mut fair = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -300,11 +289,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 .next()
                 .ok_or("--deadline-ms needs a millisecond count")?;
             deadline_ms = Some(parse_count("--deadline-ms", value)? as u64);
-        } else if let Some(value) = arg.strip_prefix("--sched=") {
-            sched = Some(parse_sched(value)?);
-        } else if arg == "--sched" {
-            let value = iter.next().ok_or("--sched needs a policy")?;
-            sched = Some(parse_sched(value)?);
+        } else if arg == "--shed" {
+            shed = true;
         } else if arg == "--fair" {
             fair = true;
         } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
@@ -412,7 +398,7 @@ fn run(args: &[String]) -> Result<(), String> {
             memory_budget: budget,
             queue_cap,
             deadline_ms,
-            sched,
+            shed,
             fair,
             metrics_out: metrics_out.as_deref(),
             trace_out: trace_out.as_deref(),
@@ -428,8 +414,8 @@ fn run(args: &[String]) -> Result<(), String> {
                      deadline; they run to completion)"
                     .into());
             }
-            if sched.is_some() || fair {
-                return Err("--sched/--fair only apply to `serve` (batch drains every \
+            if shed || fair {
+                return Err("--shed/--fair only apply to `serve` (batch drains every \
                      job; there is no queue to schedule)"
                     .into());
             }
@@ -487,8 +473,8 @@ fn run(args: &[String]) -> Result<(), String> {
     if queue_cap.is_some() || deadline_ms.is_some() {
         return Err("--queue-cap/--deadline-ms only apply to the serve subcommand".into());
     }
-    if sched.is_some() || fair {
-        return Err("--sched/--fair only apply to the serve subcommand".into());
+    if shed || fair {
+        return Err("--shed/--fair only apply to the serve subcommand".into());
     }
     if metrics_out.is_some() || trace_out.is_some() {
         return Err("--metrics-out/--trace-out only apply to the serve subcommand".into());
@@ -783,7 +769,7 @@ struct ServiceFlags<'a> {
     memory_budget: Option<MemoryBudget>,
     queue_cap: Option<usize>,
     deadline_ms: Option<u64>,
-    sched: Option<SchedPolicy>,
+    shed: bool,
     fair: bool,
     metrics_out: Option<&'a str>,
     trace_out: Option<&'a str>,
@@ -797,11 +783,7 @@ impl ServiceFlags<'_> {
         ServerConfig {
             workers: self.workers.unwrap_or(0),
             queue_cap: self.queue_cap.unwrap_or(0),
-            sched: self.sched.unwrap_or_default(),
-            // An explicit --sched=edf opts into admission shedding too;
-            // the default (EDF ordering, no shedding) keeps the submit
-            // contract of earlier releases.
-            shed_infeasible: self.sched == Some(SchedPolicy::Edf),
+            shed_infeasible: self.shed,
             fair: self.fair.then(FairConfig::default),
             tables_dir: self.tables_dir.map(Into::into),
             memory_budget: self.memory_budget,
@@ -1129,14 +1111,14 @@ fn print_exports(report: &ServerReport) {
 }
 
 /// The one telemetry epilogue. Conservation is recomputed purely from
-/// the metrics registries of `hubs` — no loop counter or server tally
-/// feeds it — and checked against the `(submitted, rejected, shed)` of
-/// the run's own report; then `--metrics-out` gets every hub as JSONL
+/// the metrics registries of `hubs` and checked against the
+/// `(submitted, rejected, shed)` the client tallied from its own
+/// `try_submit` results; then `--metrics-out` gets every hub as JSONL
 /// and `--trace-out` the Chrome trace `write_trace` renders.
 fn telemetry_epilogue(
     flags: &ServiceFlags<'_>,
     hubs: &[Arc<Telemetry>],
-    reported: (u64, u64, u64),
+    client: &Jobs,
     write_trace: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
 ) -> Result<(), String> {
     let mut totals = JobCounts::default();
@@ -1150,8 +1132,8 @@ fn telemetry_epilogue(
     );
     assert_eq!(
         (totals.submitted, totals.rejected, totals.shed),
-        reported,
-        "telemetry registry disagrees with the run's report"
+        (client.submitted, client.rejected, client.shed),
+        "telemetry registry disagrees with the client's own tally"
     );
     if let Some(path) = flags.metrics_out {
         write_out("metrics", path, |out| {
@@ -1252,12 +1234,7 @@ fn batch(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
         latency.quantile_duration(0.50),
         latency.quantile_duration(0.99),
     );
-    telemetry_epilogue(
-        flags,
-        &[Arc::clone(server.telemetry())],
-        (report.submitted, report.rejected, report.shed),
-        |_| Ok(()),
-    )?;
+    telemetry_epilogue(flags, &[Arc::clone(server.telemetry())], &jobs, |_| Ok(()))?;
     jobs.status()
 }
 
@@ -1274,7 +1251,7 @@ fn pressure_verb(action: PressureAction) -> &'static str {
 /// read, completions print as they finish, and EOF triggers a graceful
 /// shutdown whose report (including the table re-exports into
 /// `--tables-dir`) closes the run. A full queue rejects the job, and
-/// under `--sched=edf` a deadline the queue already blows is shed at
+/// under `--shed` a deadline the queue already blows is shed at
 /// admission — both counted and printed, never silently lost. `--fair`
 /// adds per-target deficit-round-robin so one hot target cannot starve
 /// the rest.
@@ -1330,9 +1307,9 @@ fn serve(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
             if t.warm_started { "warm" } else { "cold" },
             t.table_bytes,
             t.counters.maintenance_runs,
-            t.counters.deadline_misses,
-            t.counters.rejected_submits,
-            t.counters.shed_submits,
+            t.jobs.deadline_missed,
+            t.jobs.rejected,
+            t.jobs.shed,
             match t.service_ewma {
                 Some(estimate) => format!(", ewma {estimate:?} over {} samples", t.service_samples),
                 None => String::new(),
@@ -1361,12 +1338,9 @@ fn serve(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
         report.accepted + report.rejected + report.shed,
         report.submitted
     );
-    telemetry_epilogue(
-        flags,
-        &[Arc::clone(telemetry)],
-        (report.submitted, report.rejected, report.shed),
-        |out| write_chrome_trace(out, telemetry),
-    )?;
+    telemetry_epilogue(flags, &[Arc::clone(telemetry)], &jobs, |out| {
+        write_chrome_trace(out, telemetry)
+    })?;
     jobs.status()
 }
 
@@ -1383,8 +1357,8 @@ fn serve(manifest: &str, flags: &ServiceFlags<'_>) -> Result<(), String> {
 /// framed shipment per registered target.
 ///
 /// Conservation is asserted twice at shutdown: from the
-/// [`ClusterReport`] and — independently — from the per-shard telemetry
-/// registries alone.
+/// [`ClusterReport`], and from the per-shard telemetry registries
+/// against the client's own tally of submit results.
 fn cluster_serve(
     manifest: &str,
     shards: usize,
@@ -1555,12 +1529,7 @@ fn cluster_serve(
     // shards' alone.
     let mut hubs = vec![Arc::clone(cluster.telemetry())];
     hubs.extend(cluster.shard_telemetries().into_iter().map(|(_, t)| t));
-    telemetry_epilogue(
-        flags,
-        &hubs,
-        (report.submitted, report.rejected, report.shed),
-        |out| cluster.write_chrome_trace(out),
-    )?;
+    telemetry_epilogue(flags, &hubs, &jobs, |out| cluster.write_chrome_trace(out))?;
     jobs.status()
 }
 

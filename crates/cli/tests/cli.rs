@@ -650,6 +650,9 @@ fn serve_and_batch_flag_interactions_error_one_line() {
             &["batch", manifest, "--deadline-ms=5"],
             "only applies to `serve`",
         ),
+        (&["batch", manifest, "--shed"], "only apply to `serve`"),
+        // The queue order is no longer selectable.
+        (&["serve", manifest, "--sched=edf"], "unknown flag"),
         (
             &["emit", "demo", "(ConstI8 1)", "--queue-cap=8"],
             "only apply to the serve subcommand",
@@ -1163,7 +1166,7 @@ fn serve_writes_metrics_and_trace_under_edf_and_fair() {
         manifest.to_str().unwrap(),
         "--workers=2",
         "--deadline-ms=60000",
-        "--sched=edf",
+        "--shed",
         "--fair",
         &format!("--metrics-out={}", metrics.display()),
         &format!("--trace-out={}", trace.display()),

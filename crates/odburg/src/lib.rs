@@ -195,8 +195,8 @@ pub mod prelude {
     };
     pub use crate::service::{
         AnalysisPolicy, CompletedJob, FairConfig, JobError, JobHandle, JobOptions, Priority,
-        SchedPolicy, SelectorServer, ServeError, ServerConfig, ServerReport, ServerTallies,
-        ServiceError, SubmitError, TargetServerStats, Ticket,
+        SelectorServer, ServeError, ServerConfig, ServerReport, ServiceError, SubmitError,
+        TargetServerStats, Ticket,
     };
     pub use crate::strategy::{AnyLabeler, AnyLabeling, Strategy};
     pub use odburg_codegen::{reduce_forest, reduce_tree, Reduction};

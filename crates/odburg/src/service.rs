@@ -28,10 +28,10 @@
 //!   [`JobError::DeadlineExceeded`] instead of being labeled.
 //!   Completion is delivered through [`JobHandle::wait`] /
 //!   [`JobHandle::try_wait`] — no global drain barrier.
-//! * **Overload-grade scheduling** — within each lane jobs are ordered
-//!   by [`SchedPolicy`]: arrival order (`Fifo`) or earliest deadline
-//!   first (`Edf`, the default — no-deadline jobs keep arrival order
-//!   behind every deadline). Admission control completes the picture:
+//! * **Overload-grade scheduling** — within each lane jobs pop earliest
+//!   deadline first; jobs without a deadline keep arrival order behind
+//!   every deadline, so deadline-less traffic is served exactly in
+//!   arrival order. Admission control completes the picture:
 //!   a full queue first **purges already-expired jobs** (completing
 //!   them as `DeadlineExceeded`) before `QueueFull` rejects, and with
 //!   [`ServerConfig::shed_infeasible`] set the server **sheds** jobs
@@ -49,6 +49,12 @@
 //!   starvation bound, so sustained saturation cannot defer
 //!   enforcement indefinitely. [`WorkCounters::maintenance_runs`]
 //!   proves where the work happened.
+//! * **One job ledger** — every job outcome (submitted, accepted,
+//!   rejected, shed, completed, failed, deadline-missed, panicked) is
+//!   counted once, in the per-target [`TargetMetrics`] of the server's
+//!   [`Telemetry`] registry. [`ServerReport`] and its per-target
+//!   [`TargetServerStats::jobs`] are read from that registry, so a
+//!   report and a telemetry export read the same counters.
 //! * **Graceful shutdown** — [`shutdown`](SelectorServer::shutdown)
 //!   rejects new submits, finishes every accepted job (in-flight
 //!   pinned labelings included), re-exports per-target tables into the
@@ -70,7 +76,7 @@
 //!  admission: full? → purge expired ─► still full? ── QueueFull
 //!     │       infeasible? (EWMA × jobs-ahead > deadline) ── Infeasible (shed)
 //!     ▼
-//!  [bounded queue: high │ normal; Fifo/Edf order, optional per-target DRR]
+//!  [bounded queue: high │ normal; earliest deadline first, optional per-target DRR]
 //!     │ pop (priority first)
 //!     ▼
 //!  worker: deadline passed? ──yes──► JobError::DeadlineExceeded ─┐
@@ -129,8 +135,8 @@ use std::time::{Duration, Instant};
 use odburg_codegen::{reduce_forest, ReduceError, Reduction};
 use odburg_core::telemetry::{Event, EventKind, JobCounts, TargetMetrics, Telemetry};
 use odburg_core::{
-    persist, verify, AtomicWorkCounters, LabelError, MemoryBudget, OnDemandAutomaton,
-    OnDemandConfig, PersistError, PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
+    persist, verify, LabelError, MemoryBudget, OnDemandAutomaton, OnDemandConfig, PersistError,
+    PinnedLabeling, PressureEvent, SharedOnDemand, WorkCounters,
 };
 use odburg_grammar::{Diagnostic, Grammar, NormalGrammar, Severity};
 use odburg_ir::Forest;
@@ -156,26 +162,11 @@ pub enum AnalysisPolicy {
     WarnOnly,
 }
 
-/// How each priority lane orders its waiting jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Strict arrival order within the lane, deadlines ignored until
-    /// pop. The PR-5 behavior; kept as the bench baseline.
-    Fifo,
-    /// Earliest deadline first: the job whose absolute deadline is
-    /// nearest pops next. No-deadline jobs sort after every deadline
-    /// and keep arrival order among themselves; equal deadlines break
-    /// ties by arrival. With no deadlines in play this degenerates to
-    /// exactly `Fifo`, which is why it can be the default.
-    #[default]
-    Edf,
-}
-
 /// Weighted per-target fair queueing (deficit round-robin). Each lane
 /// splits into per-target sub-queues; a round visits every target with
 /// waiting work and lets it pop up to `weight` jobs (its quantum)
 /// before yielding, so a hot target can no longer starve the registry.
-/// Within a sub-queue the [`SchedPolicy`] order still applies.
+/// Within a sub-queue jobs still pop earliest deadline first.
 #[derive(Debug, Clone, Default)]
 pub struct FairConfig {
     /// Per-target weights — jobs a target may pop per round. Unlisted
@@ -208,8 +199,6 @@ pub struct ServerConfig {
     /// [`DEFAULT_QUEUE_CAP`]; a batch that must never see `QueueFull`
     /// sets `usize::MAX`.
     pub queue_cap: usize,
-    /// How each lane orders its waiting jobs.
-    pub sched: SchedPolicy,
     /// Shed infeasible submissions at admission: when the submitting
     /// job carries a deadline and the per-target service-time EWMA says
     /// the queue ahead of it already takes longer than that deadline,
@@ -240,7 +229,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_cap: DEFAULT_QUEUE_CAP,
-            sched: SchedPolicy::default(),
             shed_infeasible: false,
             fair: None,
             tables_dir: None,
@@ -482,7 +470,7 @@ impl fmt::Display for Ticket {
 /// bounded queue's capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
-    /// Popped in [`SchedPolicy`] order after every queued `High` job.
+    /// Popped earliest deadline first, after every queued `High` job.
     #[default]
     Normal,
     /// Jumps the normal lane.
@@ -496,10 +484,10 @@ pub struct JobOptions {
     /// queued past it is completed with [`JobError::DeadlineExceeded`]
     /// instead of being labeled. A job *already being labeled* when the
     /// deadline passes finishes normally — deadlines bound queueing,
-    /// not preemption. `None` means no deadline. Under
-    /// [`SchedPolicy::Edf`] the deadline also orders the queue, and
-    /// with [`ServerConfig::shed_infeasible`] a deadline the queue
-    /// already blows is shed at submit ([`SubmitError::Infeasible`]).
+    /// not preemption. `None` means no deadline. The deadline also
+    /// orders the queue (earliest first), and with
+    /// [`ServerConfig::shed_infeasible`] a deadline the queue already
+    /// blows is shed at submit ([`SubmitError::Infeasible`]).
     pub deadline: Option<Duration>,
     /// Scheduling class.
     pub priority: Priority,
@@ -520,10 +508,6 @@ struct TargetEntry {
     /// Built on first use; the flag records whether persisted tables
     /// seeded it (for the reports).
     master: Mutex<Option<(Arc<SharedOnDemand>, bool)>>,
-    /// Service-level events attributed to this target (rejected and
-    /// shed submits, deadline misses) — merged into its reported
-    /// counters.
-    events: AtomicWorkCounters,
     /// EWMA of observed labeling latency in nanoseconds (alpha = 1/4);
     /// `0` means no observation yet. Feasibility shedding multiplies
     /// the jobs ahead of a candidate by this estimate at admission.
@@ -607,17 +591,6 @@ impl TargetEntry {
             ns => Some(Duration::from_nanos(ns)),
         }
     }
-
-    /// The target's cumulative counters: labeling work on the master
-    /// plus service-level events.
-    fn counters(&self) -> WorkCounters {
-        let mut c = self
-            .built_master()
-            .map(|(m, _)| m.counters())
-            .unwrap_or_default();
-        c.merge(&self.events.snapshot());
-        c
-    }
 }
 
 /// The server's grammar registry.
@@ -662,7 +635,6 @@ impl Registry {
                 diagnostics,
                 budget: Mutex::new(None),
                 master: Mutex::new(None),
-                events: AtomicWorkCounters::new(),
                 service_ewma_ns: AtomicU64::new(0),
                 service_samples: AtomicU64::new(0),
                 telemetry_attached: AtomicBool::new(false),
@@ -874,11 +846,11 @@ struct QueuedJob {
 }
 
 // ---------------------------------------------------------------------
-// The scheduler: Fifo/Edf sub-queues, optional per-target DRR lanes.
+// The scheduler: EDF sub-queues, optional per-target DRR lanes.
 // ---------------------------------------------------------------------
 
 /// One queued job with its scheduling key: the absolute deadline and a
-/// monotone admission sequence number for the FIFO tiebreak.
+/// monotone admission sequence number for the arrival-order tiebreak.
 #[derive(Debug)]
 struct SchedEntry {
     deadline: Option<Instant>,
@@ -914,88 +886,46 @@ impl Ord for SchedEntry {
     }
 }
 
-/// One ordered queue of waiting jobs.
-#[derive(Debug)]
-enum SubQueue {
-    /// Arrival order (entries arrive with increasing `seq`).
-    Fifo(VecDeque<SchedEntry>),
-    /// Earliest deadline first (min-heap via `Reverse`).
-    Edf(BinaryHeap<Reverse<SchedEntry>>),
-}
+/// One ordered queue of waiting jobs: earliest deadline first
+/// (min-heap via `Reverse`).
+#[derive(Debug, Default)]
+struct SubQueue(BinaryHeap<Reverse<SchedEntry>>);
 
 impl SubQueue {
-    fn new(policy: SchedPolicy) -> Self {
-        match policy {
-            SchedPolicy::Fifo => SubQueue::Fifo(VecDeque::new()),
-            SchedPolicy::Edf => SubQueue::Edf(BinaryHeap::new()),
-        }
-    }
-
     fn push(&mut self, entry: SchedEntry) {
-        match self {
-            SubQueue::Fifo(q) => q.push_back(entry),
-            SubQueue::Edf(h) => h.push(Reverse(entry)),
-        }
+        self.0.push(Reverse(entry));
     }
 
     fn pop(&mut self) -> Option<SchedEntry> {
-        match self {
-            SubQueue::Fifo(q) => q.pop_front(),
-            SubQueue::Edf(h) => h.pop().map(|r| r.0),
-        }
+        self.0.pop().map(|Reverse(e)| e)
     }
 
     fn is_empty(&self) -> bool {
-        match self {
-            SubQueue::Fifo(q) => q.is_empty(),
-            SubQueue::Edf(h) => h.is_empty(),
-        }
+        self.0.is_empty()
     }
 
     fn len(&self) -> usize {
-        match self {
-            SubQueue::Fifo(q) => q.len(),
-            SubQueue::Edf(h) => h.len(),
-        }
+        self.0.len()
     }
 
     /// Jobs this queue serves before a hypothetical new entry with
-    /// absolute `deadline`: everything under arrival order, only
-    /// earlier-or-equal deadlines under EDF.
+    /// absolute `deadline`: the queued jobs with an earlier-or-equal
+    /// deadline.
     fn count_ahead(&self, deadline: Instant) -> usize {
-        match self {
-            SubQueue::Fifo(q) => q.len(),
-            SubQueue::Edf(h) => h
-                .iter()
-                .filter(|Reverse(e)| e.deadline.is_some_and(|d| d <= deadline))
-                .count(),
-        }
+        self.0
+            .iter()
+            .filter(|Reverse(e)| e.deadline.is_some_and(|d| d <= deadline))
+            .count()
     }
 
-    /// Removes every job whose deadline has already passed at `now`,
-    /// preserving the order of the survivors.
+    /// Removes every job whose deadline has already passed at `now`.
     fn purge_expired(&mut self, now: Instant, out: &mut Vec<QueuedJob>) {
-        let expired = |e: &SchedEntry| e.deadline.is_some_and(|d| now >= d);
-        match self {
-            SubQueue::Fifo(q) => {
-                for entry in std::mem::take(q) {
-                    if expired(&entry) {
-                        out.push(entry.job);
-                    } else {
-                        q.push_back(entry);
-                    }
-                }
-            }
-            SubQueue::Edf(h) => {
-                for Reverse(entry) in std::mem::take(h).into_vec() {
-                    if expired(&entry) {
-                        out.push(entry.job);
-                    } else {
-                        h.push(Reverse(entry));
-                    }
-                }
-            }
-        }
+        let (expired, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.0)
+            .into_vec()
+            .into_iter()
+            .partition(|Reverse(e)| e.deadline.is_some_and(|d| now >= d));
+        out.extend(expired.into_iter().map(|Reverse(e)| e.job));
+        self.0 = BinaryHeap::from(live);
     }
 }
 
@@ -1017,7 +947,6 @@ struct Flow {
 /// cold one — the cold target's first job waits at most one round.
 #[derive(Debug)]
 struct DrrLane {
-    policy: SchedPolicy,
     fair: FairConfig,
     flows: HashMap<String, Flow>,
     /// Round-robin order of enlisted flows.
@@ -1034,7 +963,7 @@ impl DrrLane {
             self.flows.insert(
                 target.clone(),
                 Flow {
-                    queue: SubQueue::new(self.policy),
+                    queue: SubQueue::default(),
                     deficit: 0,
                     weight: self.fair.weight_of(&target),
                     enlisted: false,
@@ -1111,11 +1040,10 @@ enum Lane {
 }
 
 impl Lane {
-    fn new(policy: SchedPolicy, fair: Option<&FairConfig>) -> Self {
+    fn new(fair: Option<&FairConfig>) -> Self {
         match fair {
-            None => Lane::Single(SubQueue::new(policy)),
+            None => Lane::Single(SubQueue::default()),
             Some(fair) => Lane::Fair(DrrLane {
-                policy,
                 fair: fair.clone(),
                 flows: HashMap::new(),
                 active: VecDeque::new(),
@@ -1161,8 +1089,8 @@ impl Lane {
 }
 
 /// The two-lane scheduler behind the server's bounded queue. `High`
-/// still pops before `Normal`; within each lane the [`SchedPolicy`]
-/// (and optional fair queueing) decides the order.
+/// still pops before `Normal`; within each lane jobs pop earliest
+/// deadline first (across targets under optional fair queueing).
 #[derive(Debug)]
 struct Scheduler {
     high: Lane,
@@ -1170,15 +1098,15 @@ struct Scheduler {
     /// Waiting jobs across both lanes (maintained so capacity checks
     /// never walk the fair lanes' flow maps).
     queued: usize,
-    /// Admission sequence for the FIFO tiebreak.
+    /// Admission sequence for the arrival-order tiebreak.
     next_seq: u64,
 }
 
 impl Scheduler {
-    fn new(policy: SchedPolicy, fair: Option<&FairConfig>) -> Self {
+    fn new(fair: Option<&FairConfig>) -> Self {
         Scheduler {
-            high: Lane::new(policy, fair),
-            normal: Lane::new(policy, fair),
+            high: Lane::new(fair),
+            normal: Lane::new(fair),
             queued: 0,
             next_seq: 0,
         }
@@ -1222,11 +1150,11 @@ impl Scheduler {
 
     /// Jobs the scheduler would serve before a new `priority` job with
     /// absolute `deadline` — the depth that feasibility shedding
-    /// multiplies by the per-target service-time estimate. Under EDF
-    /// only earlier-or-equal deadlines count (later ones will be served
-    /// after the candidate); under FIFO everything queued counts. Exact
-    /// for single sub-queues; approximate under fair queueing, where
-    /// round-robin interleaving can reorder across flows. Costs one
+    /// multiplies by the per-target service-time estimate. Only
+    /// earlier-or-equal deadlines count (later ones will be served
+    /// after the candidate). Exact for single sub-queues; approximate
+    /// under fair queueing, where round-robin interleaving can reorder
+    /// across flows. Costs one
     /// queue scan, only paid on deadline submissions to a capped server
     /// with shedding enabled.
     fn ahead_of(&self, priority: Priority, deadline: Instant) -> usize {
@@ -1289,12 +1217,6 @@ struct ServerShared {
     queue_cap: usize,
     started: Instant,
     next_ticket: AtomicU64,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_missed: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
 }
 
 enum Task {
@@ -1371,11 +1293,6 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
     );
     let (outcome, latency) = match job.deadline {
         Some(deadline) if now >= deadline => {
-            shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            job.entry.events.merge(&WorkCounters {
-                deadline_misses: 1,
-                ..WorkCounters::default()
-            });
             let missed_by = now.saturating_duration_since(deadline);
             job.metrics.counts.add(&JobCounts {
                 deadline_missed: 1,
@@ -1420,10 +1337,6 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
             // Feed the admission estimator with what serving actually
             // cost — shedding projects queue wait from this EWMA.
             job.entry.observe_service(latency);
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            if outcome.is_err() {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-            }
             let latency_ns = duration_ns(latency);
             job.metrics.labeling.record(latency_ns);
             if est_before != 0 {
@@ -1516,35 +1429,16 @@ fn resolve_workers(configured: usize) -> usize {
     }
 }
 
-/// A point-in-time view of the server's tallies (for periodic stats
-/// lines; cheap, lock-free except the queue-depth sample).
-#[derive(Debug, Clone, Copy)]
-pub struct ServerTallies {
-    /// Jobs offered: accepted + rejected + shed.
-    pub submitted: u64,
-    /// Jobs accepted into the queue.
-    pub accepted: u64,
-    /// Jobs that ran labeling (successfully or not).
-    pub completed: u64,
-    /// Completed jobs whose labeling failed.
-    pub failed: u64,
-    /// Jobs expired with [`JobError::DeadlineExceeded`].
-    pub deadline_missed: u64,
-    /// Submissions rejected (queue full or shutdown).
-    pub rejected: u64,
-    /// Submissions shed as infeasible ([`SubmitError::Infeasible`]).
-    pub shed: u64,
-    /// Jobs currently waiting in the queue.
-    pub queue_depth: usize,
-}
-
 /// Per-target accounting in a [`ServerReport`].
 #[derive(Debug, Clone)]
 pub struct TargetServerStats {
     /// The target name.
     pub target: String,
-    /// Cumulative work on the target's master plus service events
-    /// (deadline misses, rejected submits, maintenance quanta).
+    /// The target's job outcomes, read from its telemetry registry
+    /// entry ([`TargetMetrics::counts`]).
+    pub jobs: JobCounts,
+    /// Cumulative work on the target's master, maintenance quanta
+    /// included.
     pub counters: WorkCounters,
     /// Accounted bytes of the target's tables.
     pub table_bytes: usize,
@@ -1560,7 +1454,9 @@ pub struct TargetServerStats {
 }
 
 /// What [`SelectorServer::shutdown`] learned over the server's
-/// lifetime. Conservation invariant once the queue has drained:
+/// lifetime. The seven outcome counts are [`Telemetry::totals`] of the
+/// server's registry, read after the workers have joined.
+/// Conservation invariant once the queue has drained:
 /// `accepted == completed + deadline_missed` and
 /// `submitted == accepted + rejected + shed` — no job is ever silently
 /// lost.
@@ -1636,7 +1532,7 @@ impl SelectorServer {
             },
             telemetry: Arc::new(Telemetry::new(lanes)),
             state: Mutex::new(ServerState {
-                sched: Scheduler::new(config.sched, config.fair.as_ref()),
+                sched: Scheduler::new(config.fair.as_ref()),
                 maintenance: VecDeque::new(),
                 jobs_since_maintenance: 0,
                 active: 0,
@@ -1650,12 +1546,6 @@ impl SelectorServer {
             },
             started: Instant::now(),
             next_ticket: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -1833,11 +1723,6 @@ impl SelectorServer {
         let mut st = self.shared.state.lock().expect("server state lock");
         if st.shutdown {
             drop(st);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            entry.events.merge(&WorkCounters {
-                rejected_submits: 1,
-                ..WorkCounters::default()
-            });
             metrics.counts.add(&JobCounts {
                 submitted: 1,
                 rejected: 1,
@@ -1869,11 +1754,6 @@ impl SelectorServer {
         if st.queued() >= self.shared.queue_cap {
             drop(st);
             self.deliver_expired(expired, accepted_at);
-            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            entry.events.merge(&WorkCounters {
-                rejected_submits: 1,
-                ..WorkCounters::default()
-            });
             metrics.counts.add(&JobCounts {
                 submitted: 1,
                 rejected: 1,
@@ -1901,11 +1781,6 @@ impl SelectorServer {
                 if estimated_wait > deadline {
                     drop(st);
                     self.deliver_expired(expired, accepted_at);
-                    self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                    entry.events.merge(&WorkCounters {
-                        shed_submits: 1,
-                        ..WorkCounters::default()
-                    });
                     metrics.counts.add(&JobCounts {
                         submitted: 1,
                         shed: 1,
@@ -1945,7 +1820,6 @@ impl SelectorServer {
         st.sched.push(options.priority, job);
         drop(st);
         self.deliver_expired(expired, accepted_at);
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
         metrics.counts.add(&JobCounts {
             submitted: 1,
             accepted: 1,
@@ -1970,11 +1844,6 @@ impl SelectorServer {
     fn deliver_expired(&self, expired: Vec<QueuedJob>, now: Instant) {
         for job in expired {
             let deadline = job.deadline.expect("only deadline jobs expire");
-            self.shared.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            job.entry.events.merge(&WorkCounters {
-                deadline_misses: 1,
-                ..WorkCounters::default()
-            });
             job.metrics.counts.add(&JobCounts {
                 deadline_missed: 1,
                 ..JobCounts::default()
@@ -2011,23 +1880,6 @@ impl SelectorServer {
     /// The worker pool size.
     pub fn worker_count(&self) -> usize {
         self.workers
-    }
-
-    /// A point-in-time view of the server's tallies.
-    pub fn tallies(&self) -> ServerTallies {
-        let accepted = self.shared.accepted.load(Ordering::Relaxed);
-        let rejected = self.shared.rejected.load(Ordering::Relaxed);
-        let shed = self.shared.shed.load(Ordering::Relaxed);
-        ServerTallies {
-            submitted: accepted + rejected + shed,
-            accepted,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            deadline_missed: self.shared.deadline_missed.load(Ordering::Relaxed),
-            rejected,
-            shed,
-            queue_depth: self.queue_depth(),
-        }
     }
 
     /// The server's telemetry hub: per-target metrics registry (atomic
@@ -2135,14 +1987,8 @@ impl SelectorServer {
         exported_tables: Vec<String>,
         export_errors: Vec<(String, String)>,
     ) -> ServerReport {
-        let accepted = self.shared.accepted.load(Ordering::Relaxed);
-        let rejected = self.shared.rejected.load(Ordering::Relaxed);
-        let shed = self.shared.shed.load(Ordering::Relaxed);
-        // Telemetry is proven against the primary counters, not a
-        // parallel approximation: recomputed purely from the metrics
-        // registry, conservation must hold and must agree with the
-        // `ServerShared` atomics (workers have joined; submitters that
-        // raced shutdown have fully recorded their rejection).
+        // The registry is the one job ledger, read after the workers
+        // have joined: every job they popped has recorded its outcome.
         let totals = self.shared.telemetry.totals();
         debug_assert!(
             totals.conserved(),
@@ -2152,11 +1998,9 @@ impl SelectorServer {
             totals.rejected,
             totals.shed,
         );
-        debug_assert_eq!(
-            (totals.accepted, totals.rejected, totals.shed),
-            (accepted, rejected, shed),
-            "metrics registry disagrees with server counters",
-        );
+        // Scan the interned targets: `Telemetry::target` would intern
+        // one that never saw a job.
+        let metrics = self.shared.telemetry.targets();
         let per_target = self
             .shared
             .registry
@@ -2166,7 +2010,12 @@ impl SelectorServer {
                 let (master, warm_started) = entry.built_master()?;
                 Some(TargetServerStats {
                     target: entry.name.clone(),
-                    counters: entry.counters(),
+                    jobs: metrics
+                        .iter()
+                        .find(|m| m.name() == entry.name)
+                        .map(|m| m.counts.snapshot())
+                        .unwrap_or_default(),
+                    counters: master.counters(),
                     table_bytes: master.accounted_bytes().total(),
                     warm_started,
                     pressure: *entry.last_pressure.lock().expect("pressure lock"),
@@ -2176,13 +2025,13 @@ impl SelectorServer {
             })
             .collect();
         ServerReport {
-            submitted: accepted + rejected + shed,
-            accepted,
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            deadline_missed: self.shared.deadline_missed.load(Ordering::Relaxed),
-            rejected,
-            shed,
+            submitted: totals.submitted,
+            accepted: totals.accepted,
+            completed: totals.completed,
+            failed: totals.failed,
+            deadline_missed: totals.deadline_missed,
+            rejected: totals.rejected,
+            shed: totals.shed,
             per_target,
             uptime: self.shared.started.elapsed(),
             workers: self.workers,
@@ -2563,7 +2412,7 @@ mod tests {
             .iter()
             .find(|t| t.target == "demo")
             .unwrap();
-        assert_eq!(demo.counters.deadline_misses, 1);
+        assert_eq!(demo.jobs.deadline_missed, 1);
     }
 
     #[test]
@@ -2722,7 +2571,7 @@ mod tests {
             .iter()
             .find(|t| t.target == "gated")
             .unwrap();
-        assert_eq!(gated.counters.rejected_submits, 1);
+        assert_eq!(gated.jobs.rejected, 1);
     }
 
     /// A grammar whose dynamic cost blocks until `gate` opens — the

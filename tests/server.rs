@@ -13,14 +13,13 @@ mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use odburg::prelude::*;
 use odburg::service::{
-    FairConfig, JobError, JobHandle, JobOptions, SchedPolicy, SelectorServer, ServerConfig,
-    SubmitError,
+    FairConfig, JobError, JobHandle, JobOptions, SelectorServer, ServerConfig, SubmitError,
 };
 use odburg::workloads::TreeSampler;
 
@@ -120,7 +119,7 @@ fn queue_full_backpressure_never_loses_a_job() {
     assert_eq!(report.completed + report.deadline_missed, report.accepted);
     assert_eq!(report.deadline_missed, 0, "no deadlines were set");
     let churn = &report.per_target[0];
-    assert_eq!(churn.counters.rejected_submits, rejected);
+    assert_eq!(churn.jobs.rejected, rejected);
     assert!(
         churn.counters.maintenance_runs > 0,
         "quanta ran between jobs"
@@ -194,7 +193,7 @@ proptest! {
         prop_assert_eq!(report.deadline_missed, expired);
         prop_assert_eq!(labeled + expired, 6, "conservation across the race");
         let race = &report.per_target[0];
-        prop_assert_eq!(race.counters.deadline_misses, expired);
+        prop_assert_eq!(race.jobs.deadline_missed, expired);
     }
 }
 
@@ -410,6 +409,26 @@ fn recording_grammar(
     Arc::new(g.normalize())
 }
 
+/// A grammar whose dyncost panics on the constant 13 and labels every
+/// other constant.
+fn trap_grammar() -> Arc<NormalGrammar> {
+    let mut g = odburg::grammar::parse_grammar(
+        "%grammar trap\n%start stmt\n%dyncost trap\n\
+         reg: ConstI8 [trap]\nstmt: StoreI8(reg, reg) (1)\n",
+    )
+    .unwrap();
+    g.bind_dyncost(
+        "trap",
+        Arc::new(|forest: &Forest, node: odburg::ir::NodeId| {
+            let v = forest.node(node).payload().as_int().unwrap_or(0);
+            assert_ne!(v, 13, "poison constant");
+            RuleCost::Finite(1)
+        }),
+    )
+    .unwrap();
+    Arc::new(g.normalize())
+}
+
 fn plug_forest() -> Forest {
     let mut f = Forest::new();
     let root = odburg::ir::parse_sexpr(&mut f, "(StoreI8 (ConstI8 0) (ConstI8 1))").unwrap();
@@ -543,7 +562,6 @@ proptest! {
         let server = SelectorServer::new(ServerConfig {
             workers: 1,
             queue_cap: 64,
-            sched: SchedPolicy::Edf,
             ..ServerConfig::default()
         });
         server.register_normal("wedge", gated_grammar(Arc::clone(&gate))).unwrap();
@@ -653,4 +671,195 @@ fn fair_queueing_bounds_cold_target_wait_under_hot_flood() {
     }
     let report = server.shutdown();
     assert_eq!(report.completed, 24);
+}
+
+/// The client's own ledger: what `try_submit_with` and `wait` returned,
+/// per target, in the registry's vocabulary.
+#[derive(Default)]
+struct ClientTally(std::collections::BTreeMap<String, JobCounts>);
+
+impl ClientTally {
+    fn submit(
+        &mut self,
+        server: &SelectorServer,
+        target: &str,
+        forest: Forest,
+        deadline: Option<Duration>,
+    ) -> Result<JobHandle, SubmitError> {
+        let options = JobOptions {
+            deadline,
+            ..JobOptions::default()
+        };
+        let outcome = server.try_submit_with(target, forest, options);
+        let t = self.0.entry(target.to_owned()).or_default();
+        t.submitted += 1;
+        match &outcome {
+            Ok(_) => t.accepted += 1,
+            Err(SubmitError::QueueFull { .. } | SubmitError::Shutdown) => t.rejected += 1,
+            Err(SubmitError::Infeasible { .. }) => t.shed += 1,
+            Err(e) => panic!("{target}: unexpected refusal: {e}"),
+        }
+        outcome
+    }
+
+    fn settle(&mut self, done: CompletedJob) -> CompletedJob {
+        let t = self
+            .0
+            .get_mut(&done.target)
+            .expect("accepted jobs are tallied");
+        match &done.outcome {
+            Ok(_) => t.completed += 1,
+            Err(JobError::Label(_)) => {
+                t.completed += 1;
+                t.failed += 1;
+            }
+            Err(JobError::Panicked { .. }) => {
+                t.completed += 1;
+                t.failed += 1;
+                t.panics += 1;
+            }
+            Err(JobError::DeadlineExceeded { .. }) => t.deadline_missed += 1,
+        }
+        done
+    }
+}
+
+/// One ledger: one server is driven through every job outcome, and each
+/// target's registry counts (`TargetServerStats::jobs`) must equal the
+/// client's own tally of its `try_submit_with` and `wait` results, with
+/// the report's outcome fields their sum.
+#[test]
+fn every_outcome_is_counted_once_in_the_registry() {
+    // The primed estimate outlasts the candidate's deadline, and the job
+    // queued ahead of the candidate must not expire before the
+    // `QueueFull` submit a few microseconds later.
+    const HOLD: Duration = Duration::from_millis(500);
+    const CANDIDATE: Duration = Duration::from_millis(450);
+    const AHEAD: Duration = Duration::from_millis(400);
+
+    let gate = Arc::new(Gate::default());
+    let hold = Arc::new(Gate::default());
+    let server = SelectorServer::new(ServerConfig {
+        workers: 1,
+        queue_cap: 2,
+        shed_infeasible: true,
+        ..ServerConfig::default()
+    });
+    server
+        .register_normal("gate", gated_grammar(Arc::clone(&gate)))
+        .unwrap();
+    server
+        .register_normal("hold", gated_grammar(Arc::clone(&hold)))
+        .unwrap();
+    server.register_normal("trap", trap_grammar()).unwrap();
+    let mut client = ClientTally::default();
+
+    // A labeled job, held open so that `gate`'s service-time estimate
+    // is at least HOLD.
+    let primer = client.submit(&server, "gate", plug_forest(), None).unwrap();
+    gate.wait_entered();
+    std::thread::sleep(HOLD);
+    gate.open();
+    assert!(client.settle(primer.wait()).outcome.is_ok());
+
+    // Wedge the worker again, on another target.
+    let wedge = client.submit(&server, "hold", plug_forest(), None).unwrap();
+    hold.wait_entered();
+
+    // Two dead-on-arrival jobs fill the queue; the next admission purges
+    // them, and they have resolved by the time it returns.
+    let dead: Vec<JobHandle> = (0..2)
+        .map(|k| {
+            client
+                .submit(&server, "trap", tagged_forest(k), Some(Duration::ZERO))
+                .unwrap()
+        })
+        .collect();
+    let ahead = client
+        .submit(&server, "trap", tagged_forest(2), Some(AHEAD))
+        .unwrap();
+    let ahead_expired = Instant::now() + AHEAD;
+    for mut handle in dead {
+        let done = handle.try_wait().expect("purged jobs resolve at admission");
+        assert!(matches!(
+            client.settle(done).outcome,
+            Err(JobError::DeadlineExceeded { .. })
+        ));
+    }
+
+    // `ahead` is due before the candidate, and one job at the primed
+    // estimate already outlasts the candidate's deadline.
+    match client.submit(&server, "gate", tagged_forest(3), Some(CANDIDATE)) {
+        Err(SubmitError::Infeasible { .. }) => {}
+        other => panic!("the candidate must be shed, got {other:?}"),
+    }
+    let poisoned = client
+        .submit(&server, "trap", tagged_forest(13), None)
+        .unwrap();
+    match client.submit(&server, "trap", tagged_forest(4), None) {
+        Err(SubmitError::QueueFull { capacity: 2 }) => {}
+        other => panic!("a full queue must reject, got {other:?}"),
+    }
+
+    // `ahead` expires while queued and misses at pop; the poisoned job
+    // panics; an uncovered forest fails labeling.
+    std::thread::sleep(ahead_expired.saturating_duration_since(Instant::now()));
+    hold.open();
+    assert!(client.settle(wedge.wait()).outcome.is_ok());
+    assert!(matches!(
+        client.settle(ahead.wait()).outcome,
+        Err(JobError::DeadlineExceeded { .. })
+    ));
+    assert!(matches!(
+        client.settle(poisoned.wait()).outcome,
+        Err(JobError::Panicked { .. })
+    ));
+    let mut uncovered = Forest::new();
+    let root = odburg::ir::parse_sexpr(&mut uncovered, "(AddI8 (ConstI8 1) (ConstI8 2))").unwrap();
+    uncovered.add_root(root);
+    let uncovered = client.submit(&server, "gate", uncovered, None).unwrap();
+    assert!(matches!(
+        client.settle(uncovered.wait()).outcome,
+        Err(JobError::Label(_))
+    ));
+
+    server.shutdown();
+    match client.submit(&server, "trap", tagged_forest(5), None) {
+        Err(SubmitError::Shutdown) => {}
+        other => panic!("a shut-down server must reject, got {other:?}"),
+    }
+    let report = server.shutdown();
+
+    assert_eq!(report.per_target.len(), client.0.len());
+    let mut sum = JobCounts::default();
+    for stats in &report.per_target {
+        assert_eq!(
+            Some(&stats.jobs),
+            client.0.get(&stats.target),
+            "{}: the registry disagrees with the client",
+            stats.target
+        );
+        sum.merge(&stats.jobs);
+    }
+    assert_eq!(
+        (
+            report.submitted,
+            report.accepted,
+            report.rejected,
+            report.shed,
+            report.completed,
+            report.failed,
+            report.deadline_missed,
+        ),
+        (
+            sum.submitted,
+            sum.accepted,
+            sum.rejected,
+            sum.shed,
+            sum.completed,
+            sum.failed,
+            sum.deadline_missed,
+        )
+    );
+    assert_eq!(report.accepted, report.completed + report.deadline_missed);
 }

@@ -1,8 +1,8 @@
 //! The telemetry subsystem's contracts, cross-crate: histogram
 //! merge/count preservation and the quantile error bound as properties
 //! over random samples, flight-recorder overflow accounting, and the
-//! registry conservation law recomputed against a live
-//! [`SelectorServer`]'s own report.
+//! registry conservation law of a live [`SelectorServer`], checked
+//! against the jobs the test itself submitted.
 
 mod common;
 
@@ -188,8 +188,8 @@ fn recorder_lanes_are_independent_under_concurrency() {
 
 /// The conservation law recomputed purely from the metrics registry of
 /// a live server: submitted == accepted + rejected + shed, and the
-/// registry's totals agree with the server's own shutdown report. The
-/// flight recorder must also have seen the core's `EpochPublish`
+/// registry's totals equal the jobs the test submitted. The flight
+/// recorder must also have seen the core's `EpochPublish`
 /// events, proving the shared-core hook is attached.
 #[test]
 fn live_server_registry_conserves_and_records_epochs() {
@@ -222,28 +222,13 @@ fn live_server_registry_conserves_and_records_epochs() {
     }
 
     let telemetry = Arc::clone(server.telemetry());
-    let report = server.shutdown();
+    server.shutdown();
 
     let totals = telemetry.totals();
     assert!(totals.conserved(), "registry conservation: {totals:?}");
     assert_eq!(totals.submitted, JOBS as u64);
     assert_eq!(totals.accepted, JOBS as u64);
     assert_eq!(totals.completed, JOBS as u64);
-    assert_eq!(
-        (
-            totals.submitted,
-            totals.accepted,
-            totals.rejected,
-            totals.shed
-        ),
-        (
-            report.submitted,
-            report.accepted,
-            report.rejected,
-            report.shed
-        ),
-        "registry and server report disagree"
-    );
 
     let metrics = telemetry.target("telemetry-target");
     assert_eq!(metrics.queue_wait.count(), JOBS as u64);
