@@ -1,7 +1,8 @@
 //! The one closure over [`compute_state`]: every state a grammar's
 //! fixed-cost rules reach, enumerated the way burg builds its offline
 //! tables. [`OfflineAutomaton::build`](crate::OfflineAutomaton::build) is
-//! this closure run under its state budget; the grammar verifier
+//! this closure run under its state budget and loaded into `dense.rs`'s
+//! tables; the grammar verifier
 //! ([`verify`](crate::verify)) runs it under a fixed cap and reads its
 //! findings off the output.
 //!
@@ -14,7 +15,7 @@
 //! every combination with it computes a dead state.
 
 use odburg_grammar::{Cost, NormalGrammar};
-use odburg_ir::{Op, NUM_OPS};
+use odburg_ir::Op;
 
 use crate::compute::{compute_state, fixed_only};
 use crate::counters::WorkCounters;
@@ -49,9 +50,9 @@ pub(crate) struct Closure {
     /// `exemplars[class][rep]`: the representer's state with the smallest
     /// origin.
     pub exemplars: Vec<Vec<StateId>>,
-    /// `transitions[op]`: operand representers to result state (leaf
-    /// operators under `(0, 0)`, unary ones under `(rep, 0)`).
-    pub transitions: Vec<FxHashMap<(u32, u32), StateId>>,
+    /// Every combination with a live result, and that result, in the
+    /// order the closure found them (each combination once).
+    pub log: Vec<(Combo, StateId)>,
     /// Combinations whose result is dead: no rule covers them.
     pub uncovered: Vec<Combo>,
     /// Combinations whose result spreads past the delta cap, with it.
@@ -105,7 +106,7 @@ impl Closure {
         } else if origin.size < self.origins[id.0 as usize].size {
             self.origins[id.0 as usize] = origin;
         }
-        self.transitions[combo.op.id().0 as usize].insert((combo.reps[0], combo.reps[1]), id);
+        self.log.push((combo, id));
         !self.truncated
     }
 }
@@ -119,7 +120,6 @@ pub(crate) fn close(grammar: &NormalGrammar, max_states: usize, max_delta: Cost)
     let mut c = Closure {
         reps: vec![Vec::new(); classes.len()],
         exemplars: vec![Vec::new(); classes.len()],
-        transitions: vec![FxHashMap::default(); NUM_OPS],
         ..Closure::default()
     };
     for &op in grammar.ops_used() {

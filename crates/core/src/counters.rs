@@ -13,19 +13,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Work performed by a labeler, accumulated across `label_forest` calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// IR nodes labeled.
+    /// IR nodes labeled, each counted once by whichever path resolves it.
     pub nodes: u64,
     /// Base rules considered (cost computed and compared).
     pub rule_checks: u64,
     /// Chain rules considered during closure.
     pub chain_checks: u64,
-    /// Hash-table probes (transition cache, signature interner, …).
+    /// Hash-table probes (the grow path's signature interning, …).
     pub hash_lookups: u64,
-    /// Dense table lookups (offline automaton transitions).
+    /// Transition-table probes, one per node the automata's walk resolves.
     pub table_lookups: u64,
     /// States newly constructed.
     pub states_built: u64,
-    /// Transition-cache hits (on-demand automaton fast path).
+    /// Transition probes that hit (the table walk, on-demand or offline).
     pub memo_hits: u64,
     /// Transition-cache misses (slow path: state computation).
     pub memo_misses: u64,
@@ -51,6 +51,15 @@ impl WorkCounters {
     /// A zeroed counter set.
     pub fn new() -> Self {
         WorkCounters::default()
+    }
+
+    /// Counts `nodes` nodes resolved by one hitting probe each, and
+    /// `evals` dynamic costs evaluated.
+    pub(crate) fn resolved(&mut self, nodes: u64, evals: u64) {
+        self.nodes += nodes;
+        self.table_lookups += nodes;
+        self.memo_hits += nodes;
+        self.dyncost_evals += evals;
     }
 
     /// Total work units: the machine-independent "instructions" proxy.

@@ -1,9 +1,9 @@
-//! The automaton's tables: flat arrays shared copy-on-write by the
-//! master automaton and its snapshots.
+//! The automata's tables: flat arrays shared copy-on-write by the
+//! master automaton and its snapshots, and holding the offline closure.
 //!
 //! The paper's bet is that the warm path is a *pure table lookup*; this
 //! module is the one table layout that makes the lookup look like one to
-//! the hardware:
+//! the hardware, walked by every automaton (`snapshot.rs`):
 //!
 //! * **Operand-class arrays** — transitions are keyed by the children's
 //!   representer (projected) states, burg's table compression grown on

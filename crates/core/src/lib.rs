@@ -86,7 +86,7 @@ pub use counters::{AtomicWorkCounters, WorkCounters};
 pub use generate::generate_rust;
 pub use govern::{CompactionStats, ComponentBytes, MemoryBudget, PressureAction, PressureEvent};
 pub use label::{LabelError, Labeler, Labeling, RuleChooser, StateChooser, StateLookup};
-pub use offline::{DynCostMode, OfflineAutomaton, OfflineConfig, OfflineLabeler, OfflineStats};
+pub use offline::{OfflineAutomaton, OfflineConfig, OfflineLabeler, OfflineStats};
 pub use ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig, OnDemandStats};
 pub use persist::PersistError;
 pub use shared::{InstallError, PinnedLabeling, SharedOnDemand};

@@ -1,47 +1,35 @@
 //! The offline (ahead-of-time) tree-parsing automaton — the burg-style
 //! baseline the paper compares against.
 //!
-//! All states and transition tables are computed up front by the one
+//! All states and transitions are computed up front by the one
 //! representer closure ([`closure`](crate::closure)), run to its end under
-//! the state budget. Child states are *projected* onto the operand
-//! nonterminals of each operand class (the classic representer-state table
-//! compression): operand positions with equal operand sets share one
-//! representer array, indexed by state, and each operator's transitions
-//! are keyed by the representer ids of its operands rather than by full
-//! states. A projection that derives none of its class's nonterminals
-//! still gets a representer id but is never enumerated, since every
-//! combination with it is uncovered.
+//! the state budget, and loaded into the on-demand automaton's table
+//! layout (`dense.rs`): burg's representer arrays are its operand-class
+//! arrays, and each operator's transitions are keyed by the operands'
+//! representer ids under the empty signature.
 //!
-//! Labeling is then a pure table lookup per node — the fastest labeler in
-//! this workspace — but dynamic costs cannot be represented: the automaton
-//! is fixed before the first tree is seen. [`DynCostMode`] chooses between
-//! rejecting such grammars and silently dropping their dynamic rules
-//! (which reproduces the code-quality gap that motivates on-demand
-//! automata).
+//! Labeling is then the walk an on-demand snapshot runs — the fastest
+//! labeler in this workspace — and any node it stops at is `NoCover`,
+//! since the tables are complete. Dynamic costs cannot be represented, so
+//! [`OfflineAutomaton::build`] refuses grammars with dynamic rules;
+//! stripping them first
+//! ([`NormalGrammar::strip_dynamic`](odburg_grammar::NormalGrammar::strip_dynamic))
+//! selects the fixed-cost fallback rules, which reproduces the
+//! code-quality gap that motivates on-demand automata.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use odburg_grammar::{Cost, NormalGrammar, NormalRuleId, NtId};
-use odburg_ir::{Forest, Op};
+use odburg_ir::{Forest, NodeId, Op};
 
-use crate::closure::{close, Closure};
+use crate::closure::close;
 use crate::counters::WorkCounters;
+use crate::dense::{Tables, UNSEEN};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
-use crate::state::{StateData, StateId};
-
-/// How the offline generator treats dynamic-cost rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DynCostMode {
-    /// Fail with [`LabelError::DynamicCostsUnsupported`] if the grammar
-    /// has any dynamic-cost rule.
-    #[default]
-    Error,
-    /// Drop dynamic rules (treat them as never applicable). The automaton
-    /// then selects the fixed-cost fallback rules, exactly like a burg
-    /// user who had to delete the lburg dynamic-cost rules.
-    Strip,
-}
+use crate::signature::SigId;
+use crate::snapshot::{DynEvalTable, Stop, Walk, MAX_ARITY, NO_CHILD};
+use crate::state::{StateData, StateId, StateSet};
 
 /// Configuration of the offline generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,15 +37,12 @@ pub struct OfflineConfig {
     /// Maximum number of states before construction fails (non-BURS-finite
     /// grammar guard).
     pub state_budget: usize,
-    /// Dynamic-cost handling.
-    pub dyncost_mode: DynCostMode,
 }
 
 impl Default for OfflineConfig {
     fn default() -> Self {
         OfflineConfig {
             state_budget: 1 << 16,
-            dyncost_mode: DynCostMode::Error,
         }
     }
 }
@@ -89,10 +74,13 @@ pub struct OfflineStats {
 #[derive(Debug)]
 pub struct OfflineAutomaton {
     grammar: Arc<NormalGrammar>,
-    /// The closure run to its end: the states, one representer array
-    /// per operand class and each operator's transitions (leaf operators
-    /// under `(0, 0)`, unary ones under `(rep0, 0)`).
-    tables: Closure,
+    states: StateSet,
+    /// The closure's representer arrays and transitions, keyed as the
+    /// walk keys them: leaf operators under `[NO_CHILD; 2]`, unary ones
+    /// under `[rep, NO_CHILD]`, every signature empty.
+    tables: Tables,
+    /// The grammar has no dynamic rules, so this evaluates none.
+    dyn_eval: DynEvalTable,
     stats: OfflineStats,
 }
 
@@ -101,56 +89,57 @@ impl OfflineAutomaton {
     ///
     /// # Errors
     ///
-    /// * [`LabelError::DynamicCostsUnsupported`] in
-    ///   [`DynCostMode::Error`] if the grammar has dynamic rules.
+    /// * [`LabelError::DynamicCostsUnsupported`] if the grammar has
+    ///   dynamic rules.
     /// * [`LabelError::StateBudgetExceeded`] if the state closure exceeds
     ///   the budget.
     pub fn build(grammar: Arc<NormalGrammar>, config: OfflineConfig) -> Result<Self, LabelError> {
-        let grammar = if grammar.has_dynamic_rules() {
-            match config.dyncost_mode {
-                DynCostMode::Error => return Err(LabelError::DynamicCostsUnsupported),
-                // Strip mode: rebuild without the dynamic rules so that
-                // their helper rules disappear too. Failure means a
-                // nonterminal had no fixed-cost fallback, which an
-                // offline automaton cannot represent either way.
-                DynCostMode::Strip => Arc::new(
-                    grammar
-                        .strip_dynamic()
-                        .map_err(|_| LabelError::DynamicCostsUnsupported)?,
-                ),
-            }
-        } else {
-            grammar
-        };
+        if grammar.has_dynamic_rules() {
+            return Err(LabelError::DynamicCostsUnsupported);
+        }
         let start = Instant::now();
-        let tables = close(&grammar, config.state_budget, Cost::INFINITE);
-        if tables.truncated {
+        let closure = close(&grammar, config.state_budget, Cost::INFINITE);
+        if closure.truncated {
             return Err(LabelError::StateBudgetExceeded {
                 budget: config.state_budget,
             });
         }
-        let mut automaton = OfflineAutomaton {
-            stats: OfflineStats {
-                states: tables.states.len(),
-                representers: 0,
-                transition_entries: 0,
-                bytes: tables.states.byte_size()
-                    + tables.reps.iter().map(|r| r.len() * 4).sum::<usize>(),
-                build_time: start.elapsed(),
-                build_work: tables.counters.work_units(),
-            },
-            grammar,
-            tables,
-        };
-        for &op in automaton.grammar.ops_used() {
-            if op.arity() > 0 {
-                let (n0, n1, entries) = automaton.transition_table(op);
-                automaton.stats.representers += (n0 + n1) as usize;
-                automaton.stats.transition_entries += entries.len();
-                automaton.stats.bytes += entries.len() * 12;
+        let (mut tables, mut entries) = (Tables::default(), 0);
+        for (class, reps) in closure.reps.iter().enumerate() {
+            // Highest state first: each class array is allocated once.
+            for (state, &rep) in reps.iter().enumerate().rev() {
+                tables.insert_projection(StateId(state as u32), class as u32, StateId(rep));
             }
         }
-        Ok(automaton)
+        for &(combo, state) in &closure.log {
+            let arity = combo.op.arity();
+            let mut kids = [NO_CHILD; MAX_ARITY];
+            kids[..arity].copy_from_slice(&combo.reps[..arity]);
+            tables.insert_transition(combo.op.id().0, kids, SigId::EMPTY, state, false);
+            // A leaf's state is a constant, not a transition-table entry.
+            entries += usize::from(arity > 0);
+        }
+        let g = &*grammar;
+        let classes = g
+            .ops_used()
+            .iter()
+            .flat_map(|&op| (0..op.arity()).map(move |pos| g.operand_class(op, pos) as usize));
+        let representers = classes.map(|class| closure.exemplars[class].len()).sum();
+        let dyn_eval = DynEvalTable::build(&grammar);
+        Ok(OfflineAutomaton {
+            stats: OfflineStats {
+                states: closure.states.len(),
+                representers,
+                transition_entries: entries,
+                bytes: closure.states.byte_size() + tables.projection_bytes() + entries * 12,
+                build_time: start.elapsed(),
+                build_work: closure.counters.work_units(),
+            },
+            dyn_eval,
+            grammar,
+            states: closure.states,
+            tables,
+        })
     }
 
     /// The grammar this automaton selects for.
@@ -165,27 +154,27 @@ impl OfflineAutomaton {
 
     /// The data of a state.
     pub fn state(&self, id: StateId) -> &StateData {
-        self.tables.states.get(id)
+        self.states.get(id)
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.tables.states.len()
+        self.states.len()
     }
 
     /// The state of a leaf operator, if covered.
     pub fn leaf_state(&self, op: Op) -> Option<StateId> {
-        self.tables.transitions[op.id().0 as usize]
-            .get(&(0, 0))
-            .copied()
+        self.tables
+            .lookup(op.id().0, [NO_CHILD; MAX_ARITY], SigId::EMPTY)
     }
 
     /// The representer id of every state for `(op, pos)`, padded to
     /// `num_states` entries (`u32::MAX` = no representer). Used by the
     /// Rust code generator.
     pub fn rep_map(&self, op: Op, pos: usize, num_states: usize) -> Vec<u32> {
-        let mut v = self.tables.reps[self.grammar.operand_class(op, pos) as usize].clone();
-        v.resize(num_states, u32::MAX);
+        let class = self.grammar.operand_class(op, pos);
+        let mut v = self.tables.class(class).to_vec();
+        v.resize(num_states, UNSEEN);
         v
     }
 
@@ -193,40 +182,20 @@ impl OfflineAutomaton {
     /// entries `(rep0, rep1, state)` (rep1 = 0 for unary operators). Used
     /// by the Rust code generator.
     pub fn transition_table(&self, op: Op) -> (u32, u32, Vec<(u32, u32, u32)>) {
-        let n = |pos: usize| {
-            if pos < op.arity() {
-                self.tables.exemplars[self.grammar.operand_class(op, pos) as usize].len() as u32
-            } else {
-                0
-            }
-        };
-        let entries = self.tables.transitions[op.id().0 as usize]
-            .iter()
-            .map(|(&(r0, r1), &s)| (r0, r1, s.0))
-            .collect();
-        (n(0), n(1), entries)
-    }
-
-    fn lookup(&self, op: Op, kids: &[StateId], counters: &mut WorkCounters) -> Option<StateId> {
-        let mut key = [0u32; 2];
-        for (pos, kid) in kids.iter().enumerate() {
-            counters.table_lookups += 1;
-            let reps = &self.tables.reps[self.grammar.operand_class(op, pos) as usize];
-            key[pos] = *reps.get(kid.0 as usize)?;
-        }
-        // A leaf's state is a constant, not a probe.
-        if !kids.is_empty() {
-            counters.table_lookups += 1;
-        }
-        self.tables.transitions[op.id().0 as usize]
-            .get(&(key[0], key[1]))
-            .copied()
+        // Representer ids are dense from 0, each held by some state; the
+        // operand class past the arity is empty.
+        let class = |pos| self.tables.class(self.grammar.operand_class(op, pos));
+        let n = |pos| class(pos).iter().map(|&r| r + 1).max().unwrap_or(0);
+        let rep = |kid| if kid == NO_CHILD { 0 } else { kid };
+        let entries = self.tables.transitions().filter(|t| t.op == op.id().0);
+        let entries = entries.map(|t| (rep(t.kids[0]), rep(t.kids[1]), t.state.0));
+        (n(0), n(1), entries.collect())
     }
 }
 
 impl StateLookup for OfflineAutomaton {
     fn rule_in_state(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
-        self.tables.states.get(state).rule(nt)
+        self.states.get(state).rule(nt)
     }
 }
 
@@ -255,29 +224,18 @@ impl OfflineLabeler {
 impl Labeler for OfflineLabeler {
     type Output = Labeling;
 
+    /// The table walk with the empty signature; the tables are complete,
+    /// so a node it stops at is `NoCover`.
     fn label_forest(&mut self, forest: &Forest) -> Result<Labeling, LabelError> {
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut kid_buf: Vec<StateId> = Vec::with_capacity(2);
-        for (id, node) in forest.iter() {
-            self.counters.nodes += 1;
-            kid_buf.clear();
-            for &c in node.children() {
-                kid_buf.push(states[c.index()]);
-            }
-            match self
-                .automaton
-                .lookup(node.op(), &kid_buf, &mut self.counters)
-            {
-                Some(s) => states.push(s),
-                None => {
-                    return Err(LabelError::NoCover {
-                        node: id,
-                        op: node.op(),
-                    })
-                }
-            }
+        let a = &*self.automaton;
+        let walk = Walk(&a.tables, &a.grammar, &a.dyn_eval);
+        let mut states = Vec::with_capacity(forest.len());
+        if walk.run(forest, &mut states, &mut Vec::new(), &mut self.counters) == Stop::Done {
+            return Ok(Labeling::from_states(states));
         }
-        Ok(Labeling::from_states(states))
+        let node = NodeId(states.len() as u32);
+        let op = forest.node(node).op();
+        Err(LabelError::NoCover { node, op })
     }
 
     fn counters(&self) -> WorkCounters {
@@ -372,14 +330,8 @@ mod tests {
             OfflineAutomaton::build(g.clone(), OfflineConfig::default()),
             Err(LabelError::DynamicCostsUnsupported)
         ));
-        let auto = OfflineAutomaton::build(
-            g,
-            OfflineConfig {
-                dyncost_mode: DynCostMode::Strip,
-                ..OfflineConfig::default()
-            },
-        )
-        .unwrap();
+        let stripped = Arc::new(g.strip_dynamic().unwrap());
+        let auto = OfflineAutomaton::build(stripped, OfflineConfig::default()).unwrap();
         // With the dynamic rule stripped, the fixed rule is the optimal
         // (and only) choice.
         assert_eq!(auto.num_states(), 1);
@@ -452,13 +404,7 @@ mod tests {
     #[test]
     fn state_budget_guards_construction() {
         let g = Arc::new(parse_grammar(DEMO).unwrap().normalize());
-        let result = OfflineAutomaton::build(
-            g,
-            OfflineConfig {
-                state_budget: 2,
-                ..OfflineConfig::default()
-            },
-        );
+        let result = OfflineAutomaton::build(g, OfflineConfig { state_budget: 2 });
         assert!(matches!(
             result,
             Err(LabelError::StateBudgetExceeded { budget: 2 })

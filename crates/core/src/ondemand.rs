@@ -1,20 +1,20 @@
 //! The on-demand tree-parsing automaton — the contribution of the
 //! reproduced paper.
 //!
-//! The automaton starts empty. To label a node the labeler forms the
+//! The automaton starts empty. It labels a forest with the walk its
+//! [snapshots](AutomatonSnapshot::label_warm) run: per node, the
 //! transition key *(operator, child representers, dynamic-cost
-//! signature)* — each child state projected onto the operand
-//! nonterminals of its position (burg's *representer states*, found with
-//! one array load per child) — and looks it up in the operator's slot
-//! table (see `dense.rs`):
+//! signature)* — each child state projected onto the operand nonterminals
+//! of its position (burg's *representer states*, one array load per
+//! child) — probes the operator's slot table (see `dense.rs`):
 //!
 //! * **hit** (the overwhelmingly common case once the automaton has
 //!   warmed up): the node's state is the cached one — labeling cost is a
 //!   single bounded probe, like an offline automaton;
-//! * **miss**: the state is computed right here with one
-//!   dynamic-programming step ([`compute_state`]), hash-consed, memoized,
-//!   and used — the cost of an iburg-style labeler, paid once per
-//!   distinct transition instead of once per node.
+//! * **miss**: the walk stops, and one miss step computes the state with
+//!   one dynamic-programming step ([`compute_state`]), hash-conses and
+//!   memoizes it before the walk resumes — the cost of an iburg-style
+//!   labeler, paid once per distinct transition instead of once per node.
 //!
 //! Because compiler IR is extremely repetitive, the automaton converges
 //! after a few hundred nodes and nearly all lookups hit. Dynamic costs
@@ -28,11 +28,11 @@ use odburg_ir::{Forest, NodeId, Op};
 
 use crate::compute::compute_state;
 use crate::counters::WorkCounters;
-use crate::dense::Tables;
+use crate::dense::{self, Tables};
 use crate::govern::{self, CompactionStats, ComponentBytes, MemoryBudget, PressureAction};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
 use crate::signature::SigId;
-use crate::snapshot::{self, AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
+use crate::snapshot::{self, AutomatonSnapshot, DynEvalTable, Stop, Walk, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId, StateSet};
 
 /// What to do when the automaton outgrows its budget.
@@ -412,7 +412,9 @@ impl OnDemandAutomaton {
         self.states.get(id)
     }
 
-    /// Labels a single node given its children's states.
+    /// Labels a single node given its children's states: the table
+    /// walk's probe, then on a miss the grow path's miss step. Returns the
+    /// dead state too (check [`StateData::is_dead`] for `NoCover`).
     ///
     /// Exposed for incremental drivers (JITs that label while building the
     /// forest); most callers use
@@ -420,9 +422,8 @@ impl OnDemandAutomaton {
     ///
     /// # Errors
     ///
-    /// [`LabelError::NoCover`] if the grammar cannot derive the node at
-    /// all, [`LabelError::StateBudgetExceeded`] if the automaton grew past
-    /// its budget.
+    /// [`LabelError::StateBudgetExceeded`] if the automaton grew past its
+    /// budget.
     pub fn label_node(
         &mut self,
         forest: &Forest,
@@ -432,31 +433,46 @@ impl OnDemandAutomaton {
         let op = forest.node(node).op();
         // Transition-key invariant (see `snapshot::MAX_ARITY`): a wider
         // operator would silently truncate the key and alias transitions.
-        debug_assert!(
-            op.arity() <= MAX_ARITY,
-            "operator {op} has arity {} beyond what a transition key can hold",
-            op.arity()
-        );
-        debug_assert_eq!(
-            kid_states.len(),
-            op.arity(),
-            "label_node takes exactly op.arity() child states"
-        );
-        self.counters.nodes += 1;
+        debug_assert!(op.arity() <= MAX_ARITY, "{op} overflows the key");
+        debug_assert_eq!(kid_states.len(), op.arity(), "{op}: one state per child");
+        let walk = Walk(&self.tables, &self.grammar, &self.dyn_eval);
+        let kid = |i: usize| kid_states.get(i).copied();
+        let evals = &mut self.counters.dyncost_evals;
+        let state = match walk.probe(forest, node, op, kid, &mut self.scratch, evals) {
+            Some(enc) => {
+                self.counters.resolved(1, 0);
+                StateId(enc & !dense::DEAD_BIT)
+            }
+            None => self.miss_step(forest, node, kid)?,
+        };
+        self.touch(state);
+        Ok(state)
+    }
 
-        // 1. Evaluate dynamic costs into the scratch buffer and intern
-        //    the signature (fast: most grammars have no dynamic rules at
-        //    most operators).
-        let sig = self.evaluate_signature(forest, node, op);
-
-        // 2. The fast path: one array load per child for its projection
-        //    (interned and memoized the first time the child's state
-        //    appears under the position's operand class), one bounded
-        //    probe.
+    /// The grow path's step at a node the table walk stopped at: interns
+    /// the node's signature and the children's missing projections,
+    /// probes again, and on a second miss computes, interns and memoizes
+    /// the node's state. Counts the node once, as a hit or a miss.
+    fn miss_step(
+        &mut self,
+        forest: &Forest,
+        node: NodeId,
+        kid: impl Fn(usize) -> Option<StateId>,
+    ) -> Result<StateId, LabelError> {
+        let op = forest.node(node).op();
+        // The costs stay in the scratch buffer for `build_state`.
+        let sig = if self.dyn_eval.eval(forest, node, op, &mut self.scratch) {
+            self.counters.dyncost_evals += self.scratch.len() as u64;
+            self.counters.hash_lookups += 1;
+            self.tables.signatures.intern(&self.scratch)
+        } else {
+            SigId::EMPTY
+        };
         let mut kids = [NO_CHILD; MAX_ARITY];
-        for (i, &k) in kid_states.iter().enumerate() {
+        for (i, slot) in kids.iter_mut().enumerate() {
+            let Some(k) = kid(i) else { break };
             let class = self.grammar.operand_class(op, i);
-            kids[i] = match self.tables.project(k, class) {
+            *slot = match self.tables.project(k, class) {
                 Some(p) => p.0,
                 None => {
                     let projected = self.states.get(k).project(self.grammar.operand_nts(op, i));
@@ -466,20 +482,17 @@ impl OnDemandAutomaton {
                 }
             };
         }
-        self.counters.hash_lookups += 1 + kid_states.len() as u64;
+        self.counters.nodes += 1;
+        self.counters.table_lookups += 1;
         if let Some(state) = self.tables.lookup(op.id().0, kids, sig) {
             self.counters.memo_hits += 1;
-            self.touch(state);
             return Ok(state);
         }
-
-        // 3. The slow path: compute, intern, memoize.
         self.counters.memo_misses += 1;
         let state = self.build_state(op, kids)?;
         let dead = self.states.get(state).is_dead();
         self.tables
             .insert_transition(op.id().0, kids, sig, state, dead);
-        self.touch(state);
         Ok(state)
     }
 
@@ -504,18 +517,6 @@ impl OnDemandAutomaton {
             self.heat.resize(i + 1, 0);
         }
         self.heat[i] += 1;
-    }
-
-    /// Evaluates the dynamic rules relevant at `node` into the scratch
-    /// buffer (where the slow path reads them back) and interns their
-    /// signature.
-    fn evaluate_signature(&mut self, forest: &Forest, node: NodeId, op: Op) -> SigId {
-        if !self.dyn_eval.eval(forest, node, op, &mut self.scratch) {
-            return SigId::EMPTY;
-        }
-        self.counters.dyncost_evals += self.scratch.len() as u64;
-        self.counters.hash_lookups += 1;
-        self.tables.signatures.intern(&self.scratch)
     }
 
     /// Computes, interns and budget-checks the state of a node whose
@@ -622,25 +623,38 @@ impl OnDemandAutomaton {
         }
     }
 
-    /// Labels `forest` from node `states.len()` onward, one
-    /// [`label_node`](Self::label_node) per node.
+    /// Labels `forest` from node `states.len()` onward: the table walk,
+    /// one [miss step](Self::miss_step) wherever it stops, the walk again.
+    /// Heat is added once per forest for every state resolved.
     fn label_from(&mut self, forest: &Forest, states: &mut Vec<StateId>) -> Result<(), LabelError> {
-        let mut kid_buf: Vec<StateId> = Vec::with_capacity(MAX_ARITY);
-        for idx in states.len()..forest.len() {
-            let id = NodeId(idx as u32);
-            let node = forest.node(id);
-            kid_buf.clear();
-            kid_buf.extend(node.children().iter().map(|c| states[c.index()]));
-            let state = self.label_node(forest, id, &kid_buf)?;
-            if self.states.get(state).is_dead() {
-                return Err(LabelError::NoCover {
-                    node: id,
-                    op: node.op(),
-                });
+        let start = states.len();
+        let outcome = loop {
+            let walk = Walk(&self.tables, &self.grammar, &self.dyn_eval);
+            let state = match walk.run(forest, states, &mut self.scratch, &mut self.counters) {
+                Stop::Done => break Ok(()),
+                Stop::NoCover(dead) => dead,
+                Stop::Miss => {
+                    let id = NodeId(states.len() as u32);
+                    let ch = forest.node(id).children();
+                    match self.miss_step(forest, id, |i| ch.get(i).map(|c| states[c.index()])) {
+                        Ok(state) => state,
+                        Err(e) => break Err(e),
+                    }
+                }
+            };
+            if !self.states.get(state).is_dead() {
+                states.push(state);
+                continue;
             }
-            states.push(state);
+            self.touch(state);
+            let node = NodeId(states.len() as u32);
+            let op = forest.node(node).op();
+            break Err(LabelError::NoCover { node, op });
+        };
+        for &state in &states[start..] {
+            self.touch(state);
         }
-        Ok(())
+        outcome
     }
 }
 

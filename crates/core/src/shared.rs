@@ -279,18 +279,14 @@ impl SharedOnDemand {
     ) -> Result<(Vec<StateId>, Option<Arc<AutomatonSnapshot>>), LabelError> {
         let mut local = WorkCounters::new();
 
-        // Fast path: level-batched walk over the snapshot's slot tables
-        // — no locks, no hashing, one bounded probe per node (see
-        // [`AutomatonSnapshot::label_warm`]). A miss hands the longest
-        // resolved arena prefix to the grow path, exactly as the
-        // per-node walk did.
+        // Fast path: the table walk over the snapshot — no locks, one
+        // bounded probe per node. A miss hands the resolved arena prefix
+        // to the grow path, which walks on over the master's tables.
         let walk = snap.label_warm(forest, &mut local);
-        if let Some(id) = walk.nocover {
+        if let Some(node) = walk.nocover {
             self.counters.merge(&local);
-            return Err(LabelError::NoCover {
-                node: id,
-                op: forest.node(id).op(),
-            });
+            let op = forest.node(node).op();
+            return Err(LabelError::NoCover { node, op });
         }
         let mut states = walk.states;
 
@@ -921,6 +917,38 @@ mod tests {
         let err = replica.install_snapshot(shipped).unwrap_err();
         assert!(matches!(err, InstallError::Stale { current, shipped } if current == shipped));
         assert!(err.to_string().contains("table entries"), "{err}");
+    }
+
+    #[test]
+    fn every_node_is_counted_once_by_both_automata() {
+        // The warm walk leaves the node it stops at to the grow path,
+        // which counts it once it resolves it: across cold, partly warm,
+        // fully warm and uncovered forests, every labeled node is one hit
+        // or one miss, on the single-threaded and the shared automaton.
+        let mut single = demo_automaton();
+        let shared = shared_demo();
+        let forests = [
+            "(StoreI8 (ConstI8 0) (AddI8 (LoadI8 (ConstI8 4)) (ConstI8 2)))",
+            "(StoreI8 (ConstI8 0) (AddI8 (AddI8 (ConstI8 1) (ConstI8 2)) (LoadI8 (ConstI8 3))))",
+            "(StoreI8 (ConstI8 0) (AddI8 (LoadI8 (ConstI8 4)) (ConstI8 2)))",
+            "(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))",
+            "(MulF8 (ConstF8 #1.0) (ConstF8 #1.0))",
+        ];
+        let mut labeled = 0;
+        for (i, src) in forests.into_iter().enumerate() {
+            let f = forest(src);
+            let (a, b) = (single.label_forest(&f), shared.label_forest(&f));
+            assert_eq!(a.is_ok(), b.is_ok(), "forest {i}");
+            // An uncovered forest stops at its first node.
+            labeled += if a.is_ok() { f.len() } else { 1 };
+            for c in [shared.counters(), single.counters()] {
+                assert_eq!(c.nodes, c.memo_hits + c.memo_misses, "forest {i}: {c:?}");
+                assert_eq!(c.nodes, labeled as u64, "forest {i}: {c:?}");
+                assert_eq!(c.table_lookups, c.nodes, "forest {i}: {c:?}");
+            }
+        }
+        assert!(single.counters().memo_hits > 0 && single.counters().memo_misses > 0);
+        assert_eq!(single.counters(), shared.counters());
     }
 
     #[test]

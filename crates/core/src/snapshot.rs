@@ -202,6 +202,95 @@ impl DynEvalTable {
     }
 }
 
+/// Where [`Walk::run`] stopped: at node `prefix.len()`, unless `Done`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    Done,
+    /// A child's projection, the signature or the transition is missing.
+    Miss,
+    /// The transition leads to this dead state (`NoCover`).
+    NoCover(StateId),
+}
+
+/// The one walk over the one table layout — an automaton's tables, its
+/// grammar and its dynamic-cost dispatch (the reads per node are listed at
+/// [`AutomatonSnapshot::label_warm`]): run by snapshots, by the master
+/// automaton between miss steps, and by the offline labeler, whose tables
+/// hold the empty signature only.
+#[derive(Clone, Copy)]
+pub(crate) struct Walk<'a>(pub &'a Tables, pub &'a NormalGrammar, pub &'a DynEvalTable);
+
+impl Walk<'_> {
+    /// One node's probe over its children's states `kid(i)` (`None` past
+    /// the last child), adding the dynamic costs it evaluates to `evals`:
+    /// the slot word ([`dense::DEAD_BIT`] set for a dead target), or
+    /// `None` at the first missing entry.
+    #[inline(always)]
+    pub fn probe(
+        self,
+        forest: &Forest,
+        id: NodeId,
+        op: Op,
+        kid: impl Fn(usize) -> Option<StateId>,
+        scratch: &mut Vec<RuleCost>,
+        evals: &mut u64,
+    ) -> Option<u32> {
+        let Walk(tables, grammar, dyn_eval) = self;
+        let group = tables.group(op.id().0)?;
+        // A compile-time trip count (`MAX_ARITY == 2`), fully unrolled.
+        let mut kids = [NO_CHILD; MAX_ARITY];
+        for (i, k) in kids.iter_mut().enumerate() {
+            let Some(full) = kid(i) else { break };
+            *k = tables.project(full, grammar.operand_class(op, i))?.0;
+        }
+        // All-fixed-cost operators never leave the empty signature.
+        let sig = if dyn_eval.eval(forest, id, op, scratch) {
+            *evals += scratch.len() as u64;
+            tables.signatures.find(scratch)?
+        } else {
+            SigId::EMPTY
+        };
+        group.lookup_enc(kids[0], kids[1], sig.0)
+    }
+
+    /// Resumes after `prefix` (the nodes before it, resolved in this
+    /// epoch) and extends it until the forest ends or a node stops the
+    /// walk. A node counts once it resolves (a dead state included), its
+    /// dynamic costs as they are evaluated; the tallies flush once, so
+    /// the loop writes only `states`.
+    pub fn run(
+        self,
+        forest: &Forest,
+        prefix: &mut Vec<StateId>,
+        buffer: &mut Vec<RuleCost>,
+        counters: &mut WorkCounters,
+    ) -> Stop {
+        let (start, mut evals, mut stop) = (prefix.len(), 0, Stop::Done);
+        // Local vectors keep their lengths in registers across the pushes
+        // and the dynamic-cost calls.
+        let (mut states, mut scratch) = (std::mem::take(prefix), std::mem::take(buffer));
+        for (offset, node) in forest.nodes()[start..].iter().enumerate() {
+            let ch = node.children();
+            let kid = |k: usize| ch.get(k).map(|c| states[c.index()]);
+            let id = NodeId((start + offset) as u32);
+            let Some(enc) = self.probe(forest, id, node.op(), kid, &mut scratch, &mut evals) else {
+                stop = Stop::Miss;
+                break;
+            };
+            // The dead flag rides in the slot word: no extra load.
+            if enc & dense::DEAD_BIT != 0 {
+                stop = Stop::NoCover(StateId(enc & !dense::DEAD_BIT));
+                break;
+            }
+            states.push(StateId(enc));
+        }
+        let resolved = states.len() - start + matches!(stop, Stop::NoCover(_)) as usize;
+        counters.resolved(resolved as u64, evals);
+        (*prefix, *buffer) = (states, scratch);
+        stop
+    }
+}
+
 /// Outcome of a warm (snapshot-only) labeling walk: the arena-order
 /// prefix of nodes answered from the snapshot, and whether that prefix
 /// resolved a node to the dead state (`NoCover`).
@@ -376,17 +465,8 @@ impl AutomatonSnapshot {
     /// the frozen class arrays; a child not yet projected under its
     /// operand class is a miss like any other.
     pub fn lookup(&self, op: Op, kid_states: &[StateId], sig: SigId) -> Option<StateId> {
-        debug_assert!(
-            op.arity() <= MAX_ARITY,
-            "operator {op} has arity {} > MAX_ARITY={MAX_ARITY}: the key would truncate",
-            op.arity()
-        );
-        debug_assert!(
-            kid_states.len() >= op.arity(),
-            "lookup needs all {} child states of {op}, got {}",
-            op.arity(),
-            kid_states.len()
-        );
+        debug_assert!(op.arity() <= MAX_ARITY, "{op} overflows the key");
+        debug_assert!(kid_states.len() >= op.arity(), "{op}: one state per child");
         let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, &k) in kid_states.iter().take(op.arity()).enumerate() {
             kids[i] = self.tables.project(k, self.grammar.operand_class(op, i))?.0;
@@ -394,87 +474,24 @@ impl AutomatonSnapshot {
         self.tables.lookup(op.id().0, kids, sig)
     }
 
-    /// Labels as much of `forest` as this snapshot can answer, with a
-    /// **level-batched** walk over the arena. The arena order is itself
-    /// a level schedule — every child is created (and therefore
-    /// resolved) strictly before its parent — so the walk consumes the
-    /// forest as one in-place run of ascending levels: sequential,
-    /// prefetch-friendly reads of the node arena and of the growing
-    /// state buffer, with the whole previous level's states already
-    /// sitting contiguously when a parent is reached. (An explicit
-    /// counting-sort into per-level runs was measured and rejected: the
-    /// scatter pass plus the reordered — i.e. random — arena reads cost
-    /// more than the batching saved, since the slot regions it tried to
-    /// keep hot already fit in cache.)
+    /// Labels as much of `forest` as this snapshot can answer, with the
+    /// one table walk the master automaton and the offline labeler run
+    /// too. Arena order is a level schedule (children precede parents),
+    /// so the walk reads the node arena and the growing state buffer
+    /// sequentially; an explicit per-level sort was measured and rejected.
     ///
-    /// Per node the walk is exactly the table reads: one class-array
-    /// load per child (its projection), one signature probe at
-    /// dynamic-cost operators, and a bounded probe of the operator's
-    /// transition group, with the dead flag read from the probed slot —
-    /// no `Arc` chase. Misses stop the walk (the grow path recomputes
-    /// from the returned arena prefix); transition probes are counted as
-    /// [`WorkCounters::table_lookups`].
+    /// Per node the walk is exactly the table reads: one class-array load
+    /// per child (its projection), one signature probe at dynamic-cost
+    /// operators, and a bounded probe of the operator's transition group,
+    /// with the dead flag read from the probed slot. A miss stops the
+    /// walk, and the grow path resumes from the returned arena prefix and
+    /// counts the node it stopped at; each node resolved here counts one
+    /// [`WorkCounters::nodes`], table lookup and memo hit.
     pub fn label_warm(&self, forest: &Forest, counters: &mut WorkCounters) -> WarmWalk {
-        let tables = &self.tables;
-        let grammar = &*self.grammar;
-        let dyn_eval = &*self.dyn_eval;
-        let mut states: Vec<StateId> = Vec::with_capacity(forest.len());
-        let mut scratch: Vec<RuleCost> = Vec::new();
-        // Per-node tallies accumulate in locals and flush once — the
-        // loop writes no memory but the states vector.
-        let mut nodes = 0u64;
-        let mut hits = 0u64;
-        let mut evals = 0u64;
-        let mut nocover = None;
-        'walk: for (id, node) in forest.iter() {
-            let op = node.op();
-            let opid = op.id().0;
-            nodes += 1;
-            // An operator without a group has no transitions: a miss.
-            let Some(group) = tables.group(opid) else {
-                break 'walk;
-            };
-            // Child projections with a compile-time trip count
-            // (`MAX_ARITY == 2`), fully unrolled by the optimizer.
-            let mut kids = [NO_CHILD; MAX_ARITY];
-            let ch = node.children();
-            for (i, kid) in kids.iter_mut().enumerate() {
-                let Some(&c) = ch.get(i) else { break };
-                match tables.project(states[c.index()], grammar.operand_class(op, i)) {
-                    Some(p) => *kid = p.0,
-                    None => break 'walk,
-                }
-            }
-            // A node of an all-fixed-cost operator never leaves the
-            // empty signature; dynamic nodes resolve their cost vector
-            // through the signature probe.
-            let sig = if dyn_eval.eval(forest, id, op, &mut scratch) {
-                evals += scratch.len() as u64;
-                match tables.signatures.find(&scratch) {
-                    Some(s) => s,
-                    None => break 'walk,
-                }
-            } else {
-                SigId::EMPTY
-            };
-            // The probe result carries the dead flag in its top bit, so
-            // the `NoCover` check costs no extra load.
-            match group.lookup_enc(kids[0], kids[1], sig.0) {
-                Some(enc) => {
-                    if enc & dense::DEAD_BIT != 0 {
-                        nocover = Some(id);
-                        break 'walk;
-                    }
-                    hits += 1;
-                    states.push(StateId(enc));
-                }
-                None => break 'walk,
-            }
-        }
-        counters.nodes += nodes;
-        counters.table_lookups += nodes;
-        counters.memo_hits += hits;
-        counters.dyncost_evals += evals;
+        let mut states = Vec::with_capacity(forest.len());
+        let walk = Walk(&self.tables, &self.grammar, &self.dyn_eval);
+        let stop = walk.run(forest, &mut states, &mut Vec::new(), counters);
+        let nocover = matches!(stop, Stop::NoCover(_)).then(|| NodeId(states.len() as u32));
         WarmWalk { states, nocover }
     }
 

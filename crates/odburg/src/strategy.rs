@@ -231,13 +231,9 @@ pub enum AnyLabeler {
     /// `AnyLabeler` values move through constructors and collections by
     /// value.
     Shared(Box<SharedOnDemand>),
-    /// See [`Strategy::Offline`].
-    Offline {
-        /// The labeler driving the automaton.
-        labeler: OfflineLabeler,
-        /// The automaton, shared for rule lookup after labeling.
-        automaton: Arc<OfflineAutomaton>,
-    },
+    /// See [`Strategy::Offline`]; the labeler holds the automaton, which
+    /// answers rule lookups after labeling.
+    Offline(OfflineLabeler),
     /// See [`Strategy::Dp`].
     Dp(DpLabeler),
     /// See [`Strategy::Macro`].
@@ -283,17 +279,21 @@ impl AnyLabeler {
                 OnDemandAutomaton::new(normal),
             ))),
             Strategy::Offline => {
-                let automaton = Arc::new(OfflineAutomaton::build(
-                    normal,
-                    OfflineConfig {
-                        dyncost_mode: odburg_core::DynCostMode::Strip,
-                        ..OfflineConfig::default()
-                    },
-                )?);
-                AnyLabeler::Offline {
-                    labeler: OfflineLabeler::new(Arc::clone(&automaton)),
-                    automaton,
-                }
+                // Rebuilt without the dynamic rules, so their helper rules
+                // disappear too. Failure means a nonterminal had no
+                // fixed-cost fallback, which an offline automaton cannot
+                // represent either way.
+                let normal = if normal.has_dynamic_rules() {
+                    Arc::new(
+                        normal
+                            .strip_dynamic()
+                            .map_err(|_| LabelError::DynamicCostsUnsupported)?,
+                    )
+                } else {
+                    normal
+                };
+                let automaton = OfflineAutomaton::build(normal, OfflineConfig::default())?;
+                AnyLabeler::Offline(OfflineLabeler::new(Arc::new(automaton)))
             }
             Strategy::Dp => AnyLabeler::Dp(DpLabeler::new(normal)),
             Strategy::Macro => AnyLabeler::Macro(MacroExpander::new(normal)),
@@ -392,7 +392,7 @@ impl AnyLabeler {
                 let snap = sh.snapshot();
                 Arc::clone(snap.grammar())
             }
-            AnyLabeler::Offline { automaton, .. } => Arc::clone(automaton.grammar()),
+            AnyLabeler::Offline(off) => Arc::clone(off.automaton().grammar()),
             AnyLabeler::Dp(dp) => Arc::clone(dp.grammar()),
             AnyLabeler::Macro(mx) => Arc::clone(mx.grammar()),
         }
@@ -410,8 +410,8 @@ impl AnyLabeler {
                 ChooserInner::OnDemand(l.chooser(od))
             }
             (AnyLabeler::Shared(sh), AnyLabeling::States(l)) => ChooserInner::Shared(l.chooser(sh)),
-            (AnyLabeler::Offline { automaton, .. }, AnyLabeling::States(l)) => {
-                ChooserInner::Offline(l.chooser(automaton.as_ref()))
+            (AnyLabeler::Offline(off), AnyLabeling::States(l)) => {
+                ChooserInner::Offline(l.chooser(off.automaton().as_ref()))
             }
             (AnyLabeler::Dp(_), AnyLabeling::Dp(l)) => ChooserInner::Dp(l),
             (AnyLabeler::Macro(_), AnyLabeling::Macro(l)) => ChooserInner::Macro(l),
@@ -437,8 +437,8 @@ impl AnyLabeler {
                     s.states, s.transitions, s.signatures
                 )
             }
-            AnyLabeler::Offline { automaton, .. } => {
-                let s = automaton.stats();
+            AnyLabeler::Offline(off) => {
+                let s = off.automaton().stats();
                 format!(
                     "{} states, {} transition entries (offline, built ahead of time)",
                     s.states, s.transition_entries
@@ -461,9 +461,7 @@ impl Labeler for AnyLabeler {
             AnyLabeler::Shared(sh) => {
                 AnyLabeling::States(Labeler::label_forest(sh.as_mut(), forest)?)
             }
-            AnyLabeler::Offline { labeler, .. } => {
-                AnyLabeling::States(labeler.label_forest(forest)?)
-            }
+            AnyLabeler::Offline(off) => AnyLabeling::States(off.label_forest(forest)?),
             AnyLabeler::Dp(dp) => AnyLabeling::Dp(dp.label_forest(forest)?),
             AnyLabeler::Macro(mx) => AnyLabeling::Macro(mx.label_forest(forest)?),
         })
@@ -473,7 +471,7 @@ impl Labeler for AnyLabeler {
         match self {
             AnyLabeler::OnDemand(od) => od.counters(),
             AnyLabeler::Shared(sh) => SharedOnDemand::counters(sh),
-            AnyLabeler::Offline { labeler, .. } => labeler.counters(),
+            AnyLabeler::Offline(off) => off.counters(),
             AnyLabeler::Dp(dp) => dp.counters(),
             AnyLabeler::Macro(mx) => mx.counters(),
         }
@@ -483,7 +481,7 @@ impl Labeler for AnyLabeler {
         match self {
             AnyLabeler::OnDemand(od) => od.reset_counters(),
             AnyLabeler::Shared(sh) => Labeler::reset_counters(sh.as_mut()),
-            AnyLabeler::Offline { labeler, .. } => labeler.reset_counters(),
+            AnyLabeler::Offline(off) => off.reset_counters(),
             AnyLabeler::Dp(dp) => dp.reset_counters(),
             AnyLabeler::Macro(mx) => mx.reset_counters(),
         }
@@ -493,7 +491,7 @@ impl Labeler for AnyLabeler {
         match self {
             AnyLabeler::OnDemand(_) => "ondemand",
             AnyLabeler::Shared(_) => "shared",
-            AnyLabeler::Offline { .. } => "offline",
+            AnyLabeler::Offline(_) => "offline",
             AnyLabeler::Dp(_) => "dp",
             AnyLabeler::Macro(_) => "macro",
         }

@@ -111,6 +111,44 @@ fn state_bound_is_the_offline_automaton_size() {
     );
 }
 
+/// FNV-1a, as `tests/persist.rs` hashes its golden export.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The offline automaton of every stripped built-in, pinned: its size
+/// (`states`, `representers`, `transition_entries`) and the exact bytes
+/// `odburg generate <target>` prints (length and FNV-1a). A change to the
+/// closure or to the offline table layout must reproduce all six.
+#[test]
+fn offline_tables_of_the_built_ins_are_pinned() {
+    let golden: [(&str, [usize; 3], (usize, u64)); 6] = [
+        ("demo", [6, 10, 3], (4_712, 0xed6a_68c2_f577_ab01)),
+        ("x86ish", [101, 240, 94], (84_349, 0x2166_74ab_d7ae_c5ad)),
+        ("riscish", [73, 210, 65], (60_358, 0x113a_a102_96ad_b446)),
+        ("sparcish", [73, 210, 65], (60_361, 0x58d3_e625_a6ae_2757)),
+        ("alphaish", [74, 211, 66], (61_552, 0x4ab7_cc53_8ac5_8632)),
+        ("jvmish", [38, 100, 32], (22_786, 0xfe80_bc21_1ada_8eb6)),
+    ];
+    let built_ins = odburg::targets::all();
+    assert_eq!(built_ins.len(), golden.len());
+    for (grammar, (name, size, bytes)) in built_ins.iter().zip(golden) {
+        assert_eq!(grammar.name(), name);
+        let stripped = Arc::new(grammar.without_dynamic_rules().unwrap().normalize());
+        let auto = OfflineAutomaton::build(stripped, OfflineConfig::default()).unwrap();
+        let s = auto.stats();
+        assert_eq!(
+            [s.states, s.representers, s.transition_entries],
+            size,
+            "{name}"
+        );
+        let src = odburg::select::generate_rust(&auto, &format!("odburg generate {name}"));
+        assert_eq!((src.len(), fnv1a(src.as_bytes())), bytes, "{name}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

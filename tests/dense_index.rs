@@ -431,3 +431,31 @@ fn operand_classes_follow_operand_sets() {
         }
     }
 }
+
+/// The warm walk on fully warmed tables, over every built-in target: a
+/// sampled forest of 400 trees, labeled once through the shared
+/// automaton, is answered by the published snapshot with zero misses and
+/// no `NoCover`, and the walk's states equal the master automaton's
+/// labeling of the same forest (the shared automaton's own, and a
+/// single-threaded automaton's fed the same forest).
+#[test]
+fn warm_walk_answers_every_built_in_without_a_miss() {
+    const SEED: u64 = 0x0db * 1_000_003;
+    for grammar in odburg::targets::all() {
+        let normal = Arc::new(grammar.normalize());
+        let name = normal.name().to_owned();
+        let forest = TreeSampler::new(&normal, SEED).sample_forest(400);
+        let shared = SharedOnDemand::new(OnDemandAutomaton::new(Arc::clone(&normal)));
+        let labeled = shared.label_forest(&forest).expect("workload labels");
+        let mut single = OnDemandAutomaton::new(Arc::clone(&normal));
+        let single = single.label_forest(&forest).expect("workload labels");
+
+        let mut counters = WorkCounters::new();
+        let walk = shared.snapshot().label_warm(&forest, &mut counters);
+        assert!(walk.nocover.is_none(), "{name}: warm walk hit NoCover");
+        assert_eq!(walk.states.len(), forest.len(), "{name}: warm misses");
+        assert_eq!(counters.memo_hits, forest.len() as u64, "{name}");
+        assert_eq!(walk.states, labeled.states(), "{name}: shared master");
+        assert_eq!(walk.states, single.states(), "{name}: single master");
+    }
+}

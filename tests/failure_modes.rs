@@ -104,13 +104,7 @@ fn state_budgets_fire_on_both_automata() {
 
     let fixed = Arc::new(grammar.without_dynamic_rules().unwrap().normalize());
     assert!(matches!(
-        OfflineAutomaton::build(
-            fixed,
-            OfflineConfig {
-                state_budget: 3,
-                ..OfflineConfig::default()
-            }
-        ),
+        OfflineAutomaton::build(fixed, OfflineConfig { state_budget: 3 }),
         Err(LabelError::StateBudgetExceeded { budget: 3 })
     ));
 }
@@ -183,15 +177,12 @@ fn strip_mode_loses_exactly_the_dynamic_rules() {
     let grammar = odburg::targets::x86ish();
     let normal = Arc::new(grammar.normalize());
     let auto = OfflineAutomaton::build(
-        normal,
-        OfflineConfig {
-            dyncost_mode: DynCostMode::Strip,
-            ..OfflineConfig::default()
-        },
+        Arc::new(normal.strip_dynamic().unwrap()),
+        OfflineConfig::default(),
     )
     .unwrap();
-    // Strip mode and the explicitly stripped grammar produce automata of
-    // the same size.
+    // Stripping the normal grammar and the source grammar produce
+    // automata of the same size.
     let stripped = Arc::new(
         odburg::targets::x86ish()
             .without_dynamic_rules()

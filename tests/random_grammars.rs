@@ -33,13 +33,7 @@ fn non_burs_finite_grammar_defeats_offline_but_not_ondemand() {
     )
     .unwrap();
     let normal = Arc::new(grammar.normalize());
-    let result = OfflineAutomaton::build(
-        normal.clone(),
-        OfflineConfig {
-            state_budget: 1000,
-            ..OfflineConfig::default()
-        },
-    );
+    let result = OfflineAutomaton::build(normal.clone(), OfflineConfig { state_budget: 1000 });
     assert!(
         matches!(result, Err(LabelError::StateBudgetExceeded { .. })),
         "offline construction must diverge: {result:?}"
@@ -88,7 +82,6 @@ proptest! {
         let stripped = Arc::new(normal.strip_dynamic().expect("leaf fallbacks exist"));
         let config = OfflineConfig {
             state_budget: 4_000,
-            ..OfflineConfig::default()
         };
         match OfflineAutomaton::build(stripped.clone(), config) {
             Ok(offline) => {
