@@ -19,8 +19,9 @@
 //!    registry, and those totals equal the jobs this bin submitted
 //!    (every one accepted).
 //!
-//! Results go to stdout and, as JSON, to `target/cluster_smoke.json`
-//! (CI uploads the artifact and re-asserts the invariants from it).
+//! Every invariant is asserted here, on every run. Results go to stdout
+//! and, as JSON, to `target/cluster_smoke.json` (CI uploads the
+//! artifact).
 //!
 //! Regenerate with:
 //! `cargo run --release -p odburg_bench --bin cluster_smoke`
@@ -256,6 +257,12 @@ fn main() {
         "restarted shard missed its shipped tables on warm traffic"
     );
     assert_eq!(lost_accepted_on_kill, 0);
+    assert!(
+        report.shipments > 0 && report.writer_elections > 0,
+        "the cluster shipped {} times over {} writer elections",
+        report.shipments,
+        report.writer_elections
+    );
     println!(
         "ok: oracle-identical, zero lost accepted jobs, zero grow-path entries on the replica"
     );

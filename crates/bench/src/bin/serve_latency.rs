@@ -1,9 +1,8 @@
 //! **Serve latency: the long-running server under open-loop load.**
 //!
-//! The `service_throughput` bench measures closed-loop batches (submit
-//! everything, drain once). This one measures what the [`SelectorServer`]
-//! redesign exists for: **continuous mixed-target traffic** against a
-//! *bounded* queue with deadlines and backpressure. Two phases:
+//! What the [`SelectorServer`] exists for: **continuous mixed-target
+//! traffic** against a *bounded* queue with deadlines and backpressure.
+//! Four phases:
 //!
 //! * **paced** — an arrival-paced ([`paced_traffic`]) open-loop replay:
 //!   jobs are submitted at their scheduled instants whether or not
@@ -40,7 +39,8 @@
 //!   `overload_noshed`.
 //!
 //! Results go to stdout and, as JSON, to `target/serve_latency.json`
-//! (CI uploads the artifact and re-asserts the fields).
+//! (CI uploads the artifact); `lost` is `accepted − completed −
+//! deadline_missed`, so its check is the accepted-side conservation.
 //!
 //! Regenerate with:
 //! `cargo run --release -p odburg_bench --bin serve_latency`

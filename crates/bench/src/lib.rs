@@ -1,10 +1,11 @@
 //! Shared plumbing for the table/figure binaries in `src/bin/`.
 //!
-//! Every binary regenerates one table or figure of the reproduced
-//! evaluation (see `EXPERIMENTS.md` at the workspace root for the
-//! experiment index). Run them with `--release`; the Criterion benches
-//! under `benches/` provide statistically solid timings for the same
-//! quantities.
+//! Every `table*`/`figure*`/`ablation*` binary regenerates the table or
+//! figure of the reproduced evaluation it is named after; the smoke
+//! binaries (`serve_latency`, `table_pressure`, `cluster_smoke`) assert
+//! their own invariants. Run them with `--release`; the Criterion
+//! benches under `benches/` provide statistically solid timings for the
+//! same quantities.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +23,7 @@ pub fn quantile(samples: &[Duration], q: f64) -> Duration {
     Histogram::from_durations(samples).quantile_duration(q)
 }
 
-/// [`quantile`] in integer microseconds (the serve benches' JSON unit).
+/// [`quantile`] in integer microseconds (`serve_latency`'s JSON unit).
 pub fn quantile_us(samples: &[Duration], q: f64) -> u128 {
     quantile(samples, q).as_micros()
 }

@@ -604,6 +604,28 @@ fn serve_streams_with_queue_cap_and_deadline() {
         "{stdout}"
     );
 
+    // Mixed traffic through a 4-slot queue with a per-target byte
+    // budget, shedding and fair queueing: rejections are typed
+    // backpressure, and every job is still accounted for.
+    let mixed = mixed_manifest(&dir.join("mixed"), 20);
+    let (ok, stdout, stderr) = odburg(&[
+        "serve",
+        mixed.to_str().unwrap(),
+        "--workers=2",
+        "--queue-cap=4",
+        "--deadline-ms=5000",
+        "--memory-budget=256k",
+        "--shed",
+        "--fair",
+    ]);
+    assert!(ok, "{stderr}");
+    let [submitted, completed, failed, rejected, shed, missed] = serve_counts(&stdout);
+    assert_eq!(submitted, 60, "{stdout}");
+    assert!(completed > 0, "{stdout}");
+    assert_eq!(failed, 0, "{stdout}");
+    assert_eq!(completed + rejected + shed + missed, submitted, "{stdout}");
+    assert!(stdout.contains("maintenance quanta"), "{stdout}");
+
     // Serve reads from stdin with `-`.
     use std::io::Write as _;
     use std::process::{Command, Stdio};
@@ -969,7 +991,7 @@ fn service_flags_and_labeler_flags_do_not_mix() {
 }
 
 /// The intentionally-defective grammar checked into the repo for lint
-/// tests and the CI analysis-smoke job.
+/// tests.
 fn broken_fixture() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures/broken.burg")
 }
@@ -1011,13 +1033,18 @@ fn lint_json_reports_counts_findings_and_witnesses() {
         "{stdout}"
     );
 
-    let (ok, stdout, stderr) = odburg(&["lint", "demo", "--format=json"]);
-    assert!(ok, "{stderr}");
-    assert!(
-        stdout.contains("\"counts\":{\"error\":0,\"warning\":0,\"info\":0}"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"state_bound\":{\"states\":"), "{stdout}");
+    for target in [
+        "demo", "x86ish", "riscish", "sparcish", "alphaish", "jvmish",
+    ] {
+        let (ok, stdout, stderr) = odburg(&["lint", target, "--deny=warning", "--format=json"]);
+        assert!(ok, "{target}: {stderr}");
+        assert!(
+            stdout.contains("\"counts\":{\"error\":0,\"warning\":0,\"info\":0}"),
+            "{stdout}"
+        );
+        let bound = json_object(&stdout, "state_bound");
+        assert!(json_number(bound, "states") > 0.0, "{stdout}");
+    }
 }
 
 #[test]
@@ -1132,6 +1159,81 @@ fn mixed_manifest(dir: &std::path::Path, rounds: usize) -> std::path::PathBuf {
     manifest
 }
 
+/// The counts of `serve`'s final accounting line: submitted, completed,
+/// failed, rejected, shed and deadline-missed.
+fn serve_counts(stdout: &str) -> [u64; 6] {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("serve: submitted "))
+        .unwrap_or_else(|| panic!("no accounting line in:\n{stdout}"));
+    let line = &line["serve: ".len()..];
+    let counts: Vec<u64> = line
+        .split(", ")
+        .take(6)
+        .map(|field| {
+            let count = field.split_once(' ').and_then(|(_, n)| n.parse().ok());
+            count.unwrap_or_else(|| panic!("bad field `{field}` in: {line}"))
+        })
+        .collect();
+    counts.try_into().unwrap()
+}
+
+// String scanning is enough for the CLI's JSON: its strings hold no
+// braces, brackets or escaped quotes.
+
+/// The number after the first `"key":` in `json`.
+fn json_number(json: &str, key: &str) -> f64 {
+    let rest = json_after(json, &format!("\"{key}\":"));
+    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
+    rest[..end]
+        .parse()
+        .unwrap_or_else(|e| panic!("`{key}` in {json}: {e}"))
+}
+
+/// The string after the first `"key":` in `json`.
+fn json_str<'a>(json: &'a str, key: &str) -> &'a str {
+    let rest = json_after(json, &format!("\"{key}\":\""));
+    &rest[..rest.find('"').unwrap()]
+}
+
+/// The flat object after the first `"key":` in `json`, up to its first
+/// closing brace.
+fn json_object<'a>(json: &'a str, key: &str) -> &'a str {
+    let rest = json_after(json, &format!("\"{key}\":{{"));
+    &rest[..rest.find('}').unwrap()]
+}
+
+fn json_after<'a>(json: &'a str, pattern: &str) -> &'a str {
+    let start = json
+        .find(pattern)
+        .unwrap_or_else(|| panic!("no `{pattern}` in {json}"));
+    &json[start + pattern.len()..]
+}
+
+/// The top-level objects of the JSON array that `array` starts inside.
+fn json_elements(array: &str) -> Vec<&str> {
+    let (mut depth, mut start, mut elements) = (0, 0, Vec::new());
+    for (i, c) in array.char_indices() {
+        match c {
+            '{' => {
+                if depth == 0 {
+                    start = i;
+                }
+                depth += 1;
+            }
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    elements.push(&array[start..=i]);
+                }
+            }
+            ']' if depth == 0 => break,
+            _ => {}
+        }
+    }
+    elements
+}
+
 #[test]
 fn cluster_serve_reports_every_shard_and_conserves_jobs() {
     let manifest = mixed_manifest(&std::env::temp_dir().join("odburg-cli-cluster"), 4);
@@ -1181,11 +1283,58 @@ fn serve_writes_metrics_and_trace_under_edf_and_fair() {
         "{stdout}"
     );
     let jsonl = std::fs::read_to_string(&metrics).unwrap();
-    let first = jsonl.lines().next().unwrap_or_default();
-    assert!(first.starts_with("{\"type\":\"meta\""), "{first}");
-    assert!(jsonl.contains("\"type\":\"metrics\""), "{jsonl}");
+    let mut records = jsonl.lines();
+    let meta = records.next().unwrap_or_default();
+    assert!(meta.starts_with("{\"type\":\"meta\""), "{meta}");
+    assert_eq!(json_str(meta, "format"), "odburg-telemetry-v1");
+    assert!(
+        meta.contains("\"lanes\":[\"submit\",\"worker-0\",\"worker-1\",\"core\"]"),
+        "{meta}"
+    );
+    // Conservation from the per-target registry records alone, and a
+    // real latency histogram for every stage of every served target.
+    let (mut sums, mut kinds) = ([0; 5], std::collections::BTreeSet::new());
+    for record in records {
+        if json_str(record, "type") == "event" {
+            kinds.insert(json_str(record, "kind"));
+            continue;
+        }
+        assert_eq!(json_str(record, "type"), "metrics", "{record}");
+        let keys = ["submitted", "accepted", "rejected", "shed", "completed"];
+        for (sum, key) in sums.iter_mut().zip(keys) {
+            *sum += json_number(record, key) as u64;
+        }
+        if json_number(record, "completed") == 0.0 {
+            continue;
+        }
+        for stage in ["queue_wait", "labeling", "reduce"] {
+            let h = json_object(record, stage);
+            let [p50, p99, max] = ["p50_ns", "p99_ns", "max_ns"].map(|q| json_number(h, q));
+            assert!(json_number(h, "count") > 0.0, "{stage}: {record}");
+            assert!(p50 <= p99 && p99 <= max, "{stage}: {record}");
+        }
+    }
+    let [submitted, accepted, rejected, shed, completed] = sums;
+    assert_eq!(submitted, 18, "{jsonl}");
+    assert_eq!(submitted, accepted + rejected + shed, "{jsonl}");
+    assert!(completed > 0, "{jsonl}");
+    for kind in ["submit", "admit", "pop", "complete", "epoch_publish"] {
+        assert!(kinds.contains(kind), "no `{kind}` event in {kinds:?}");
+    }
+
     let trace = std::fs::read_to_string(&trace).unwrap();
-    assert!(trace.contains("\"traceEvents\":["), "{trace}");
+    let mut phases = std::collections::BTreeSet::new();
+    for event in json_elements(json_after(&trace, "\"traceEvents\":[")) {
+        let phase = json_str(event, "ph");
+        if phase == "X" {
+            let (ts, dur) = (json_number(event, "ts"), json_number(event, "dur"));
+            assert!(ts >= 0.0 && dur >= 0.0, "{event}");
+        }
+        phases.insert(phase);
+    }
+    for phase in ["M", "X", "i"] {
+        assert!(phases.contains(phase), "no `{phase}` event in {trace}");
+    }
 }
 
 #[test]

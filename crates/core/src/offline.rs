@@ -26,6 +26,7 @@ use odburg_ir::{Forest, NodeId, Op};
 use crate::closure::close;
 use crate::counters::WorkCounters;
 use crate::dense::{Tables, UNSEEN};
+use crate::govern;
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
 use crate::signature::SigId;
 use crate::snapshot::{DynEvalTable, Stop, Walk, MAX_ARITY, NO_CHILD};
@@ -58,8 +59,10 @@ pub struct OfflineStats {
     pub representers: usize,
     /// Total transition-table entries.
     pub transition_entries: usize,
-    /// Approximate total table bytes (transition tables + representer
-    /// arrays + state data).
+    /// Accounted bytes of the tables the labeler reads: state data,
+    /// transition groups, representer arrays and the signature table,
+    /// priced as the on-demand automaton's tables are
+    /// ([`ComponentBytes::total`](crate::govern::ComponentBytes::total)).
     pub bytes: usize,
     /// Wall-clock construction time.
     pub build_time: Duration,
@@ -131,7 +134,7 @@ impl OfflineAutomaton {
                 states: closure.states.len(),
                 representers,
                 transition_entries: entries,
-                bytes: closure.states.byte_size() + tables.projection_bytes() + entries * 12,
+                bytes: govern::account_tables(closure.states.arena(), &[], &tables).total(),
                 build_time: start.elapsed(),
                 build_work: closure.counters.work_units(),
             },

@@ -439,11 +439,11 @@ impl OnDemandAutomaton {
         let kid = |i: usize| kid_states.get(i).copied();
         let evals = &mut self.counters.dyncost_evals;
         let state = match walk.probe(forest, node, op, kid, &mut self.scratch, evals) {
-            Some(enc) => {
+            Ok(enc) => {
                 self.counters.resolved(1, 0);
                 StateId(enc & !dense::DEAD_BIT)
             }
-            None => self.miss_step(forest, node, kid)?,
+            Err(costs) => self.miss_step(forest, node, kid, costs)?,
         };
         self.touch(state);
         Ok(state)
@@ -452,17 +452,23 @@ impl OnDemandAutomaton {
     /// The grow path's step at a node the table walk stopped at: interns
     /// the node's signature and the children's missing projections,
     /// probes again, and on a second miss computes, interns and memoizes
-    /// the node's state. Counts the node once, as a hit or a miss.
+    /// the node's state. Counts the node once, as a hit or a miss, and
+    /// evaluates its dynamic costs only if the walk's probe did not
+    /// (`costs`).
     fn miss_step(
         &mut self,
         forest: &Forest,
         node: NodeId,
         kid: impl Fn(usize) -> Option<StateId>,
+        mut costs: bool,
     ) -> Result<StateId, LabelError> {
         let op = forest.node(node).op();
-        // The costs stay in the scratch buffer for `build_state`.
-        let sig = if self.dyn_eval.eval(forest, node, op, &mut self.scratch) {
+        if !costs && self.dyn_eval.eval(forest, node, op, &mut self.scratch) {
             self.counters.dyncost_evals += self.scratch.len() as u64;
+            costs = true;
+        }
+        // The costs stay in the scratch buffer for `build_state`.
+        let sig = if costs {
             self.counters.hash_lookups += 1;
             self.tables.signatures.intern(&self.scratch)
         } else {
@@ -633,10 +639,11 @@ impl OnDemandAutomaton {
             let state = match walk.run(forest, states, &mut self.scratch, &mut self.counters) {
                 Stop::Done => break Ok(()),
                 Stop::NoCover(dead) => dead,
-                Stop::Miss => {
+                Stop::Miss { costs } => {
                     let id = NodeId(states.len() as u32);
                     let ch = forest.node(id).children();
-                    match self.miss_step(forest, id, |i| ch.get(i).map(|c| states[c.index()])) {
+                    let kid = |i: usize| ch.get(i).map(|c| states[c.index()]);
+                    match self.miss_step(forest, id, kid, costs) {
                         Ok(state) => state,
                         Err(e) => break Err(e),
                     }

@@ -231,13 +231,16 @@ impl Enc {
     }
 }
 
-/// Serializes a snapshot's tables into `writer`; see the
-/// [module docs](self) for the format.
+/// Streams a snapshot's tables to any [`Write`] sink; see the
+/// [module docs](self) for the format. This is the single serialization
+/// entry point: the file path ([`save_tables`]) and the cluster
+/// table-shipping path both produce bytes through it, so a shipped
+/// snapshot is bit-identical to a file export of the same snapshot.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] if writing fails.
-pub fn export_snapshot<W: Write>(
+pub fn write_tables_to<W: Write>(
     snapshot: &AutomatonSnapshot,
     mut writer: W,
 ) -> Result<(), PersistError> {
@@ -362,7 +365,7 @@ impl<'a> Dec<'a> {
         }
     }
     /// Decodes one state. Rule ids are range-checked later, against the
-    /// grammar, by [`import_snapshot`]; [`inspect_snapshot`] has no
+    /// grammar, by [`read_tables_from`]; [`inspect_snapshot`] has no
     /// grammar to check them against.
     fn state(&mut self) -> Result<StateData, PersistError> {
         let slots = self.count("state slot", 8)?;
@@ -387,7 +390,7 @@ impl<'a> Dec<'a> {
 /// The decoded, structurally validated contents of a table file —
 /// everything checkable without the grammar. Grammar-dependent checks
 /// (fingerprint, rule-id ranges, nonterminal count) happen in
-/// [`import_snapshot`]; [`inspect_tables`] stops here.
+/// [`read_tables_from`]; [`inspect_tables`] stops here.
 struct RawTables {
     fingerprint: u64,
     config: OnDemandConfig,
@@ -596,14 +599,15 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     })
 }
 
-/// Deserializes tables exported by [`export_snapshot`], validating them
-/// against the grammar and configuration the importing automaton will
-/// run with.
+/// Reads tables written by [`write_tables_to`] from any [`Read`] source,
+/// validating them against the grammar and configuration the importing
+/// automaton will run with. The file path ([`load_tables`]) and the
+/// cluster table-shipping path both consume bytes through it.
 ///
 /// # Errors
 ///
 /// See the integrity discussion in the [module docs](self).
-pub fn import_snapshot<R: Read>(
+pub fn read_tables_from<R: Read>(
     reader: R,
     grammar: Arc<NormalGrammar>,
     expected: OnDemandConfig,
@@ -713,7 +717,7 @@ pub struct TableFileInfo {
 /// # Errors
 ///
 /// [`PersistError`] for unreadable, truncated, corrupted or malformed
-/// files, exactly as [`import_snapshot`] would report them.
+/// files, exactly as [`read_tables_from`] would report them.
 pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistError> {
     let payload = read_payload(reader)?;
     let raw = parse_payload(&payload)?;
@@ -751,40 +755,6 @@ fn read_exact_or_truncated<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<()
             PersistError::Io(e)
         }
     })
-}
-
-// ------------------------------------------------- streaming entry points
-
-/// Streams a snapshot's tables to any [`Write`] sink. This is the single
-/// serialization entry point: the file path ([`save_tables`]) and the
-/// cluster table-shipping path both produce bytes through it, so a
-/// shipped snapshot is bit-identical to a file export of the same
-/// snapshot.
-///
-/// # Errors
-///
-/// [`PersistError::Io`] if writing fails.
-pub fn write_tables_to<W: Write>(
-    snapshot: &AutomatonSnapshot,
-    writer: W,
-) -> Result<(), PersistError> {
-    export_snapshot(snapshot, writer)
-}
-
-/// Reads tables from any [`Read`] source, validating them against the
-/// grammar and configuration the importing automaton will run with.
-/// Counterpart of [`write_tables_to`]; the file path ([`load_tables`])
-/// and the cluster table-shipping path both consume bytes through it.
-///
-/// # Errors
-///
-/// See [`import_snapshot`].
-pub fn read_tables_from<R: Read>(
-    reader: R,
-    grammar: Arc<NormalGrammar>,
-    expected: OnDemandConfig,
-) -> Result<AutomatonSnapshot, PersistError> {
-    import_snapshot(reader, grammar, expected)
 }
 
 // ------------------------------------------------------------ file paths
@@ -843,7 +813,7 @@ pub fn save_tables(snapshot: &AutomatonSnapshot, path: &Path) -> Result<(), Pers
 ///
 /// # Errors
 ///
-/// See [`import_snapshot`], plus [`PersistError::Io`] if the file cannot
+/// See [`read_tables_from`], plus [`PersistError::Io`] if the file cannot
 /// be opened.
 pub fn load_tables(
     path: &Path,
@@ -890,8 +860,8 @@ mod tests {
     fn round_trip(auto: &OnDemandAutomaton) -> AutomatonSnapshot {
         let snap = auto.snapshot();
         let mut bytes = Vec::new();
-        export_snapshot(&snap, &mut bytes).unwrap();
-        import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap()
+        write_tables_to(&snap, &mut bytes).unwrap();
+        read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap()
     }
 
     #[test]
@@ -916,8 +886,8 @@ mod tests {
         let snap = auto.snapshot();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        export_snapshot(&snap, &mut a).unwrap();
-        export_snapshot(&snap, &mut b).unwrap();
+        write_tables_to(&snap, &mut a).unwrap();
+        write_tables_to(&snap, &mut b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -949,8 +919,8 @@ mod tests {
         auto.label_forest(&f).unwrap();
 
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
-        let imported = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), config).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
+        let imported = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), config).unwrap();
         assert_eq!(imported.config(), config);
         // And a different compact budget is a config mismatch, not a
         // silent acceptance.
@@ -961,7 +931,7 @@ mod tests {
             },
             ..OnDemandConfig::default()
         };
-        let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
+        let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
         assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
     }
 
@@ -970,7 +940,7 @@ mod tests {
         let (auto, _) = warmed();
         let snap = auto.snapshot();
         let mut bytes = Vec::new();
-        export_snapshot(&snap, &mut bytes).unwrap();
+        write_tables_to(&snap, &mut bytes).unwrap();
         let info = inspect_snapshot(&bytes[..]).unwrap();
         let stats = snap.stats();
         assert_eq!(info.fingerprint, auto.grammar().fingerprint());
@@ -993,7 +963,7 @@ mod tests {
         ));
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let mut corrupt = bytes.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x40;
@@ -1011,11 +981,11 @@ mod tests {
     fn wrong_grammar_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let other = parse_grammar("%start reg\nreg: ConstI8 (2)\n")
             .unwrap()
             .normalize();
-        let err = import_snapshot(&bytes[..], Arc::new(other), auto.config()).unwrap_err();
+        let err = read_tables_from(&bytes[..], Arc::new(other), auto.config()).unwrap_err();
         assert!(matches!(err, PersistError::GrammarMismatch { .. }), "{err}");
     }
 
@@ -1023,7 +993,7 @@ mod tests {
     fn wrong_config_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let budgets = [
             OnDemandConfig {
                 state_budget: auto.config().state_budget / 2,
@@ -1035,7 +1005,7 @@ mod tests {
             },
         ];
         for other in budgets {
-            let err = import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
+            let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
             assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
         }
     }
@@ -1044,10 +1014,10 @@ mod tests {
     fn truncation_and_corruption_are_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let grammar = Arc::clone(auto.grammar());
         for cut in [0, 3, 10, 24, bytes.len() / 2, bytes.len() - 1] {
-            let err = import_snapshot(&bytes[..cut], Arc::clone(&grammar), auto.config())
+            let err = read_tables_from(&bytes[..cut], Arc::clone(&grammar), auto.config())
                 .expect_err("truncated file must be rejected");
             assert!(
                 matches!(err, PersistError::Truncated | PersistError::BadMagic),
@@ -1058,7 +1028,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x40;
             assert!(
-                import_snapshot(&corrupt[..], Arc::clone(&grammar), auto.config()).is_err(),
+                read_tables_from(&corrupt[..], Arc::clone(&grammar), auto.config()).is_err(),
                 "bit flip at byte {i} must be detected"
             );
         }
@@ -1082,7 +1052,7 @@ mod tests {
     }
 
     fn malformed(auto: &OnDemandAutomaton, bytes: &[u8]) -> String {
-        match import_snapshot(bytes, Arc::clone(auto.grammar()), auto.config()) {
+        match read_tables_from(bytes, Arc::clone(auto.grammar()), auto.config()) {
             Err(PersistError::Malformed(what)) => what,
             other => panic!("expected a malformed-file error, got {other:?}"),
         }
@@ -1092,7 +1062,7 @@ mod tests {
     fn out_of_range_operator_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         // The transitions (18 bytes each, op first) precede the class
         // arrays. Point the first transition at an operator id no IR
         // operator has.
@@ -1107,7 +1077,7 @@ mod tests {
     fn inconsistent_class_arrays_are_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let snap = auto.snapshot();
         let start = class_section(&auto, &bytes);
         let classes = auto.grammar().operand_classes().len();
@@ -1162,7 +1132,7 @@ mod tests {
     #[test]
     fn not_a_table_file_is_rejected() {
         let (auto, _) = warmed();
-        let err = import_snapshot(
+        let err = read_tables_from(
             &b"%start reg\nreg: ConstI8 (1)\n"[..],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -1175,10 +1145,10 @@ mod tests {
     fn future_version_is_rejected() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
-        export_snapshot(&auto.snapshot(), &mut bytes).unwrap();
+        write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let err =
-            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
+            read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion { .. }),
             "{err}"
@@ -1187,7 +1157,7 @@ mod tests {
         // must be re-exported, not decoded as version 3.
         bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
         let err =
-            import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
+            read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion { found: 2 }),
             "{err}"

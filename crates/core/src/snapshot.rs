@@ -206,8 +206,11 @@ impl DynEvalTable {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stop {
     Done,
-    /// A child's projection, the signature or the transition is missing.
-    Miss,
+    /// A child's projection, the signature or the transition is missing;
+    /// `costs` says whether the buffer holds the node's dynamic costs.
+    Miss {
+        costs: bool,
+    },
     /// The transition leads to this dead state (`NoCover`).
     NoCover(StateId),
 }
@@ -224,7 +227,8 @@ impl Walk<'_> {
     /// One node's probe over its children's states `kid(i)` (`None` past
     /// the last child), adding the dynamic costs it evaluates to `evals`:
     /// the slot word ([`dense::DEAD_BIT`] set for a dead target), or
-    /// `None` at the first missing entry.
+    /// `Err(costs)` at the first missing entry, where `costs` says whether
+    /// `scratch` holds the node's dynamic costs for the miss step.
     #[inline(always)]
     pub fn probe(
         self,
@@ -234,23 +238,25 @@ impl Walk<'_> {
         kid: impl Fn(usize) -> Option<StateId>,
         scratch: &mut Vec<RuleCost>,
         evals: &mut u64,
-    ) -> Option<u32> {
+    ) -> Result<u32, bool> {
         let Walk(tables, grammar, dyn_eval) = self;
-        let group = tables.group(op.id().0)?;
+        let group = tables.group(op.id().0).ok_or(false)?;
         // A compile-time trip count (`MAX_ARITY == 2`), fully unrolled.
         let mut kids = [NO_CHILD; MAX_ARITY];
         for (i, k) in kids.iter_mut().enumerate() {
             let Some(full) = kid(i) else { break };
-            *k = tables.project(full, grammar.operand_class(op, i))?.0;
+            let class = grammar.operand_class(op, i);
+            *k = tables.project(full, class).ok_or(false)?.0;
         }
         // All-fixed-cost operators never leave the empty signature.
-        let sig = if dyn_eval.eval(forest, id, op, scratch) {
+        let costs = dyn_eval.eval(forest, id, op, scratch);
+        let sig = if costs {
             *evals += scratch.len() as u64;
-            tables.signatures.find(scratch)?
+            tables.signatures.find(scratch).ok_or(true)?
         } else {
             SigId::EMPTY
         };
-        group.lookup_enc(kids[0], kids[1], sig.0)
+        group.lookup_enc(kids[0], kids[1], sig.0).ok_or(costs)
     }
 
     /// Resumes after `prefix` (the nodes before it, resolved in this
@@ -273,9 +279,12 @@ impl Walk<'_> {
             let ch = node.children();
             let kid = |k: usize| ch.get(k).map(|c| states[c.index()]);
             let id = NodeId((start + offset) as u32);
-            let Some(enc) = self.probe(forest, id, node.op(), kid, &mut scratch, &mut evals) else {
-                stop = Stop::Miss;
-                break;
+            let enc = match self.probe(forest, id, node.op(), kid, &mut scratch, &mut evals) {
+                Ok(enc) => enc,
+                Err(costs) => {
+                    stop = Stop::Miss { costs };
+                    break;
+                }
             };
             // The dead flag rides in the slot word: no extra load.
             if enc & dense::DEAD_BIT != 0 {

@@ -14,19 +14,42 @@ use odburg_ir::{Forest, NodeId, OpKind, Payload};
 /// shape). This is the "closer inspection of the leaf nodes" that lcc's
 /// `memop()` performs to decide whether a load and a store refer to the
 /// same location.
+///
+/// The pairs left to compare sit on an explicit stack, so an address of
+/// any depth compares on any thread's stack. The first 16 pending pairs
+/// live in an array and only further ones spill to the heap, so common
+/// addresses compare without allocating.
 pub fn same_tree(forest: &Forest, a: NodeId, b: NodeId) -> bool {
-    if a == b {
-        return true;
+    const INLINE: usize = 16;
+    let mut inline = [(a, b); INLINE];
+    // Pairs spill only while the array is full, so popping the spill
+    // first keeps one last-in-first-out order.
+    let (mut len, mut spill) = (1, Vec::new());
+    loop {
+        let (a, b) = match spill.pop() {
+            Some(pair) => pair,
+            None if len > 0 => {
+                len -= 1;
+                inline[len]
+            }
+            None => return true,
+        };
+        if a == b {
+            continue;
+        }
+        let (na, nb) = (forest.node(a), forest.node(b));
+        if na.op() != nb.op() || na.payload() != nb.payload() {
+            return false;
+        }
+        for (&ca, &cb) in na.children().iter().zip(nb.children()) {
+            if len < INLINE {
+                inline[len] = (ca, cb);
+                len += 1;
+            } else {
+                spill.push((ca, cb));
+            }
+        }
     }
-    let na = forest.node(a);
-    let nb = forest.node(b);
-    if na.op() != nb.op() || na.payload() != nb.payload() {
-        return false;
-    }
-    na.children()
-        .iter()
-        .zip(nb.children())
-        .all(|(&ca, &cb)| same_tree(forest, ca, cb))
 }
 
 /// The integer constant the rule's immediate test concerns: the node's own
@@ -245,6 +268,45 @@ mod tests {
         let store2 = f2.node(root2);
         let load2 = f2.node(f2.node(store2.child(1)).child(0));
         assert!(!same_tree(&f2, store2.child(0), load2.child(0)));
+    }
+
+    #[test]
+    fn a_million_deep_address_labels_on_a_two_mib_stack() {
+        use odburg_core::{Labeler, OnDemandAutomaton};
+        use odburg_ir::{Op, OpKind, Payload, TypeTag};
+
+        // Built through the arena API: `parse_sexpr` recurses per level.
+        const DEPTH: usize = 1_000_000;
+        let mut f = Forest::new();
+        let x = Payload::Sym(f.intern("x"));
+        let address = |f: &mut Forest| {
+            let mut node = f.leaf(Op::new(OpKind::AddrLocal, TypeTag::P), x);
+            for _ in 0..DEPTH {
+                node = f.unary(Op::new(OpKind::Load, TypeTag::P), node);
+            }
+            node
+        };
+        let (stored, loaded) = (address(&mut f), address(&mut f));
+        let load = f.unary(Op::new(OpKind::Load, TypeTag::I8), loaded);
+        let five = f.leaf(Op::new(OpKind::Const, TypeTag::I8), Payload::Int(5));
+        let add = f.binary(Op::new(OpKind::Add, TypeTag::I8), load, five);
+        let store = f.binary(Op::new(OpKind::Store, TypeTag::I8), stored, add);
+        f.add_root(store);
+
+        // Rust's default stack for spawned threads, and so for every
+        // server worker.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let (labeled, rmw) = worker
+            .spawn(move || {
+                let mut od =
+                    OnDemandAutomaton::new(std::sync::Arc::new(crate::x86ish().normalize()));
+                (od.label_forest(&f).is_ok(), memop_left(&f, store))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(labeled);
+        assert_eq!(rmw, RuleCost::Finite(1));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! forest from that target's own grammar (so every job is guaranteed
 //! labelable), with per-job tree counts and depths drawn from the same
 //! seeded RNG. The same seed always produces the same job sequence,
-//! which is what lets the `service_throughput` bench train warm tables
-//! on exactly the traffic it then measures.
+//! which is what lets `tests/server.rs` and perfbench's `serve_warm`
+//! train warm tables on exactly the traffic they then serve.
 
 use std::time::Duration;
 

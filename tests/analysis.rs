@@ -119,9 +119,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The offline automaton of every stripped built-in, pinned: its size
-/// (`states`, `representers`, `transition_entries`) and the exact bytes
-/// `odburg generate <target>` prints (length and FNV-1a). A change to the
-/// closure or to the offline table layout must reproduce all six.
+/// (`states`, `representers`, `transition_entries`), the exact bytes
+/// `odburg generate <target>` prints (length and FNV-1a), and the
+/// accounted bytes of the tables its labeler reads (`OfflineStats::bytes`).
+/// A change to the closure or to the offline table layout must reproduce
+/// all six.
 #[test]
 fn offline_tables_of_the_built_ins_are_pinned() {
     let golden: [(&str, [usize; 3], (usize, u64)); 6] = [
@@ -132,9 +134,11 @@ fn offline_tables_of_the_built_ins_are_pinned() {
         ("alphaish", [74, 211, 66], (61_552, 0x4ab7_cc53_8ac5_8632)),
         ("jvmish", [38, 100, 32], (22_786, 0xfe80_bc21_1ada_8eb6)),
     ];
+    let table_bytes = [3_464, 39_800, 22_316, 22_316, 23_432, 12_056];
     let built_ins = odburg::targets::all();
     assert_eq!(built_ins.len(), golden.len());
-    for (grammar, (name, size, bytes)) in built_ins.iter().zip(golden) {
+    let golden = golden.into_iter().zip(table_bytes);
+    for (grammar, ((name, size, bytes), table_bytes)) in built_ins.iter().zip(golden) {
         assert_eq!(grammar.name(), name);
         let stripped = Arc::new(grammar.without_dynamic_rules().unwrap().normalize());
         let auto = OfflineAutomaton::build(stripped, OfflineConfig::default()).unwrap();
@@ -146,6 +150,7 @@ fn offline_tables_of_the_built_ins_are_pinned() {
         );
         let src = odburg::select::generate_rust(&auto, &format!("odburg generate {name}"));
         assert_eq!((src.len(), fnv1a(src.as_bytes())), bytes, "{name}");
+        assert_eq!(s.bytes, table_bytes, "{name}");
     }
 }
 

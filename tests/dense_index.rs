@@ -459,3 +459,30 @@ fn warm_walk_answers_every_built_in_without_a_miss() {
         assert_eq!(walk.states, single.states(), "{name}: single master");
     }
 }
+
+/// A node's dynamic costs are evaluated once, on the grow path too: the
+/// probe that stops at a node hands the costs it evaluated to the miss
+/// step. So a cold pass over the MiniC suite (one forest) counts exactly
+/// the `dyncost_evals` of a warm relabel, on the single-threaded
+/// automaton and on a fresh shared one.
+#[test]
+fn a_cold_pass_evaluates_each_dynamic_cost_once() {
+    let suite = odburg::workloads::combined_workload().forest;
+    for name in ["x86ish", "riscish", "jvmish"] {
+        let normal = Arc::new(odburg::targets::by_name(name).unwrap().normalize());
+        let mut single = OnDemandAutomaton::new(Arc::clone(&normal));
+        single.label_forest(&suite).expect("suite labels");
+        let cold = single.counters().dyncost_evals;
+        single.reset_counters();
+        single.label_forest(&suite).expect("suite relabels");
+        let warm = single.counters();
+        assert_eq!(warm.memo_misses, 0, "{name}: the relabel is warm");
+        assert!(warm.dyncost_evals > 0, "{name}");
+        assert_eq!(cold, warm.dyncost_evals, "{name}: single-threaded");
+
+        let shared = SharedOnDemand::new(OnDemandAutomaton::new(normal));
+        shared.label_forest(&suite).expect("suite labels");
+        let evals = shared.counters().dyncost_evals;
+        assert_eq!(evals, warm.dyncost_evals, "{name}: shared");
+    }
+}

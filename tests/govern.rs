@@ -395,7 +395,7 @@ fn compaction_reports_exactly_the_bytes_it_builds() {
                 let snapshot = auto.snapshot();
                 assert_eq!(snapshot.stats().bytes, bytes, "{case}");
                 let mut file = Vec::new();
-                odburg::select::persist::export_snapshot(&snapshot, &mut file).unwrap();
+                odburg::select::persist::write_tables_to(&snapshot, &mut file).unwrap();
                 let info = odburg::select::persist::inspect_snapshot(&file[..]).unwrap();
                 assert_eq!(info.bytes, bytes, "{case}");
             }

@@ -23,7 +23,7 @@ fn warmed(seed: u64) -> (OnDemandAutomaton, Forest) {
 
 fn exported(auto: &OnDemandAutomaton) -> Vec<u8> {
     let mut bytes = Vec::new();
-    persist::export_snapshot(&auto.snapshot(), &mut bytes).expect("export succeeds");
+    persist::write_tables_to(&auto.snapshot(), &mut bytes).expect("export succeeds");
     bytes
 }
 
@@ -35,7 +35,7 @@ proptest! {
         let (mut auto, forest) = warmed(seed);
         let bytes = exported(&auto);
 
-        let imported = persist::import_snapshot(
+        let imported = persist::read_tables_from(
             &bytes[..],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -61,7 +61,7 @@ proptest! {
         let (auto, _) = warmed(seed % 4);
         let bytes = exported(&auto);
         let cut = (seed as usize * 131) % bytes.len();
-        let err = persist::import_snapshot(
+        let err = persist::read_tables_from(
             &bytes[..cut],
             Arc::clone(auto.grammar()),
             auto.config(),
@@ -79,7 +79,7 @@ proptest! {
         let mut bytes = exported(&auto);
         let pos = (seed as usize * 257) % bytes.len();
         bytes[pos] ^= 1 << (seed % 8);
-        if persist::import_snapshot(&bytes[..], Arc::clone(auto.grammar()), auto.config()).is_ok() {
+        if persist::read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).is_ok() {
             // The only flip that can survive every integrity check is one
             // that flipped nothing.
             prop_assert_eq!(bytes, exported(&auto));
@@ -106,14 +106,14 @@ fn cross_config_and_cross_grammar_imports_are_rejected() {
         },
     ] {
         assert!(matches!(
-            persist::import_snapshot(&bytes[..], Arc::clone(auto.grammar()), other),
+            persist::read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other),
             Err(persist::PersistError::ConfigMismatch { .. })
         ));
     }
 
     let other = Arc::new(odburg::targets::riscish().normalize());
     assert!(matches!(
-        persist::import_snapshot(&bytes[..], other, auto.config()),
+        persist::read_tables_from(&bytes[..], other, auto.config()),
         Err(persist::PersistError::GrammarMismatch { .. })
     ));
 }
@@ -202,11 +202,11 @@ fn minic_export_matches_the_golden_bytes() {
         (30_923, 0x49bb_6ed8_73c1_247f)
     );
     let mut from_shared = Vec::new();
-    persist::export_snapshot(&shared.snapshot(), &mut from_shared).expect("export");
+    persist::write_tables_to(&shared.snapshot(), &mut from_shared).expect("export");
     assert_eq!(from_shared, bytes, "shared export differs");
-    let imported =
-        persist::import_snapshot(&bytes[..], Arc::clone(&normal), direct.config()).expect("import");
+    let imported = persist::read_tables_from(&bytes[..], Arc::clone(&normal), direct.config())
+        .expect("import");
     let mut again = Vec::new();
-    persist::export_snapshot(&imported, &mut again).expect("export");
+    persist::write_tables_to(&imported, &mut again).expect("export");
     assert_eq!(again, bytes, "round trip differs");
 }

@@ -319,6 +319,73 @@ fn shutdown_reexports_tables_and_heat_survives_restart() {
     assert_eq!(churn.counters.states_built, 0);
 }
 
+/// The built-in registry over fixed-seed mixed traffic (120 jobs across
+/// the six built-ins) at 1, 2, 4 and 8 workers, cold and warm-started
+/// from tables trained on exactly that traffic: every job labels, the
+/// registry conserves and counts all 120 as accepted and completed,
+/// every target reports the run's mode, and the warm registry never
+/// enters the grow path.
+#[test]
+fn registry_serves_mixed_traffic_cold_and_warm_at_1_2_4_8_workers() {
+    const JOBS: u64 = 120;
+    let traffic = odburg::workloads::builtin_traffic(0xC0FFEE, JOBS as usize);
+    let dir = std::env::temp_dir().join("odburg-server-warm-registry");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Yesterday's service: one automaton per target, trained on the
+    // traffic it will see, its tables persisted.
+    for grammar in odburg::targets::all() {
+        let name = grammar.name();
+        let mut seen = Forest::new();
+        for job in traffic.iter().filter(|j| j.target == name) {
+            seen.append(&job.forest);
+        }
+        let mut trainer = OnDemandAutomaton::new(Arc::new(grammar.normalize()));
+        trainer.label_forest(&seen).unwrap();
+        let path = dir.join(format!("{name}.odbt"));
+        odburg::select::persist::save_tables(&trainer.snapshot(), &path).unwrap();
+    }
+
+    for workers in [1, 2, 4, 8] {
+        for warm in [false, true] {
+            let run = format!("{workers} workers, warm {warm}");
+            let server = SelectorServer::with_builtin_targets(ServerConfig {
+                workers,
+                queue_cap: usize::MAX,
+                tables_dir: warm.then(|| dir.clone()),
+                ..ServerConfig::default()
+            });
+            let handles: Vec<JobHandle> = traffic
+                .iter()
+                .map(|job| server.try_submit(&job.target, job.forest.clone()).unwrap())
+                .collect();
+            for handle in handles {
+                let done = handle.wait();
+                assert!(done.outcome.is_ok(), "{run}: {:?}", done.outcome);
+            }
+            server.wait_idle();
+            let totals = server.telemetry().totals();
+            assert!(totals.conserved(), "{run}: {totals:?}");
+            assert_eq!((totals.accepted, totals.completed), (JOBS, JOBS), "{run}");
+
+            let report = server.shutdown();
+            for t in &report.per_target {
+                assert_eq!(t.warm_started, warm, "{run}: {}", t.target);
+                if warm {
+                    let c = &t.counters;
+                    assert_eq!(
+                        (c.memo_misses, c.states_built),
+                        (0, 0),
+                        "{run}: {}",
+                        t.target
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scheduler coverage: EDF ordering, admission purging, fair queueing.
 // The deterministic wedge: a grammar whose dynamic cost blocks on a

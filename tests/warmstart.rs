@@ -16,8 +16,8 @@ fn restart_snapshot() -> (Arc<NormalGrammar>, AutomatonSnapshot, Forest) {
     let mut trainer = OnDemandAutomaton::new(Arc::clone(&normal));
     trainer.label_forest(&suite).expect("suite labels");
     let mut bytes = Vec::new();
-    persist::export_snapshot(&trainer.snapshot(), &mut bytes).expect("export succeeds");
-    let snapshot = persist::import_snapshot(&bytes[..], Arc::clone(&normal), trainer.config())
+    persist::write_tables_to(&trainer.snapshot(), &mut bytes).expect("export succeeds");
+    let snapshot = persist::read_tables_from(&bytes[..], Arc::clone(&normal), trainer.config())
         .expect("import succeeds");
     (normal, snapshot, suite)
 }
@@ -123,9 +123,9 @@ fn imported_epoch_survives_the_round_trip() {
     auto.label_forest(&suite).expect("labels");
 
     let mut bytes = Vec::new();
-    persist::export_snapshot(&auto.snapshot(), &mut bytes).expect("export succeeds");
+    persist::write_tables_to(&auto.snapshot(), &mut bytes).expect("export succeeds");
     let snapshot =
-        persist::import_snapshot(&bytes[..], normal, auto.config()).expect("import succeeds");
+        persist::read_tables_from(&bytes[..], normal, auto.config()).expect("import succeeds");
     assert_eq!(snapshot.epoch(), 2);
 
     let shared = SharedOnDemand::with_seed_snapshot(Arc::new(snapshot));
