@@ -51,7 +51,10 @@
 //!   stack and fails with [`ReduceError::CyclicDerivation`].
 //! * **One allocation per instruction.** Each instruction is rendered
 //!   into one scratch buffer kept for the whole reduction and then
-//!   copied out at its exact length.
+//!   copied out at its exact length. Every other buffer, the output
+//!   lists included, is sized once from the forest's node count, for two
+//!   derivations and two instructions per node; a reduction within that
+//!   makes seven allocations besides.
 //!
 //! The applied rules' costs are re-evaluated at their nodes while
 //! reducing, dynamic ones included: [`ReduceError::InapplicableRule`] is

@@ -125,6 +125,18 @@ impl fmt::Display for Reduction {
     }
 }
 
+/// Derivations and instructions per node that a reduction's buffers are
+/// sized for up front. On mixed traffic the built-in targets apply about
+/// 1.1 rules and emit about 1.1 instructions per node, and at most 1.5
+/// and 1.8 in any one job; a forest that needs more grows the buffers
+/// as usual.
+const PER_NODE: usize = 2;
+/// Room for the pattern walk, which holds at most as many entries as a
+/// source pattern has nodes.
+const WALK: usize = 16;
+/// Room for one instruction's text.
+const LINE: usize = 64;
+
 /// The state of a derivation on the stack, and the end of a slot list.
 const ON_STACK: u32 = u32::MAX;
 const END: u32 = u32::MAX;
@@ -207,7 +219,10 @@ pub fn reduce_tree(
 ) -> Result<(), ReduceError> {
     // Children have smaller ids than their parents, so the subgraph
     // lies within `0..=root`.
-    Reducer::new(forest, grammar, chooser, root.index() + 1).reduce(root, goal, out)
+    let nodes = root.index() + 1;
+    out.instructions.reserve(PER_NODE * nodes);
+    out.applied.reserve(PER_NODE * nodes);
+    Reducer::new(forest, grammar, chooser, nodes).reduce(root, goal, out)
 }
 
 /// Reduces every registered root of `forest` from the grammar's start
@@ -225,7 +240,11 @@ pub fn reduce_forest(
     grammar: &NormalGrammar,
     chooser: &dyn RuleChooser,
 ) -> Result<Reduction, ReduceError> {
-    let mut out = Reduction::default();
+    let mut out = Reduction {
+        instructions: Vec::with_capacity(PER_NODE * forest.len()),
+        applied: Vec::with_capacity(PER_NODE * forest.len()),
+        ..Reduction::default()
+    };
     let mut reducer = Reducer::new(forest, grammar, chooser, forest.len());
     for &root in forest.roots() {
         reducer.reduce(root, grammar.start(), &mut out)?;
@@ -245,10 +264,11 @@ impl<'a> Reducer<'a> {
             grammar,
             chooser,
             head: vec![END; nodes],
-            slots: Vec::new(),
-            stack: Vec::new(),
-            walk: Vec::new(),
-            line: String::new(),
+            slots: Vec::with_capacity(PER_NODE * nodes),
+            // Every frame on the stack holds a slot.
+            stack: Vec::with_capacity(PER_NODE * nodes),
+            walk: Vec::with_capacity(WALK),
+            line: String::with_capacity(LINE),
         }
     }
 

@@ -237,11 +237,6 @@ impl StateSet {
             .enumerate()
             .map(|(i, s)| (StateId(i as u32), &**s))
     }
-
-    /// Total approximate byte size of all states.
-    pub fn byte_size(&self) -> usize {
-        self.states.iter().map(|s| s.byte_size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -330,6 +325,5 @@ mod tests {
         assert!(new3);
         assert_ne!(id1, id3);
         assert_eq!(set.get(id1), &s1);
-        assert!(set.byte_size() > 0);
     }
 }

@@ -1,7 +1,15 @@
 //! The node arena: a forest of IR trees with an interned symbol table.
+//!
+//! Symbol names live back to back in one text arena, found through an
+//! open-addressed index of ids. Interning a new name appends its bytes
+//! and one end offset, so it allocates nothing of its own; the arena and
+//! the index grow by doubling. The index hashes with SipHash under keys
+//! drawn per forest ([`RandomState`]): names come from clients, and a
+//! hash they could predict would let them send names that all collide.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::node::{Node, NodeId, Payload};
 use crate::op::Op;
@@ -34,8 +42,7 @@ pub struct SymId(pub u32);
 pub struct Forest {
     nodes: Vec<Node>,
     roots: Vec<NodeId>,
-    symbols: Vec<String>,
-    symbol_ids: HashMap<String, SymId>,
+    symbols: Symbols,
 }
 
 impl Forest {
@@ -150,13 +157,7 @@ impl Forest {
     ///
     /// Interning the same string twice returns the same id.
     pub fn intern(&mut self, name: &str) -> SymId {
-        if let Some(&id) = self.symbol_ids.get(name) {
-            return id;
-        }
-        let id = SymId(self.symbols.len() as u32);
-        self.symbols.push(name.to_owned());
-        self.symbol_ids.insert(name.to_owned(), id);
-        id
+        self.symbols.intern(name)
     }
 
     /// The string of an interned symbol.
@@ -165,12 +166,12 @@ impl Forest {
     ///
     /// Panics if `id` does not belong to this forest.
     pub fn symbol(&self, id: SymId) -> &str {
-        &self.symbols[id.0 as usize]
+        self.symbols.name(id.0 as usize)
     }
 
     /// Looks up a symbol id without interning.
     pub fn find_symbol(&self, name: &str) -> Option<SymId> {
-        self.symbol_ids.get(name).copied()
+        self.symbols.lookup(name)
     }
 
     /// Appends every node and root of `other` into `self`, remapping ids.
@@ -178,10 +179,9 @@ impl Forest {
     /// Useful for concatenating per-function forests into one workload.
     pub fn append(&mut self, other: &Forest) {
         let base = self.nodes.len() as u32;
-        let mut sym_map: Vec<SymId> = Vec::with_capacity(other.symbols.len());
-        for name in &other.symbols {
-            sym_map.push(self.intern(name));
-        }
+        let sym_map: Vec<SymId> = (0..other.symbols.len())
+            .map(|i| self.intern(other.symbols.name(i)))
+            .collect();
         for node in &other.nodes {
             let children: Vec<NodeId> =
                 node.children().iter().map(|c| NodeId(c.0 + base)).collect();
@@ -204,6 +204,103 @@ impl fmt::Display for Forest {
             writeln!(f)?;
         }
         Ok(())
+    }
+}
+
+/// Names a forest starts with room for when it interns its first one.
+const FIRST_NAMES: usize = 16;
+
+/// The symbol table: names back to back in one arena, and an index of
+/// their ids.
+#[derive(Clone, Default)]
+struct Symbols {
+    /// Every name, in id order.
+    text: String,
+    /// Where each name ends in `text`; it starts where the previous one
+    /// ends.
+    ends: Vec<usize>,
+    /// Open-addressed slots holding `id + 1`, or 0 when empty: a power of
+    /// two in length (or empty), at most half full.
+    index: Vec<u32>,
+    /// This forest's SipHash keys.
+    hasher: RandomState,
+}
+
+/// The names in id order: where the index puts them depends on the
+/// forest's random keys, so it stays out of the output.
+impl fmt::Debug for Symbols {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|id| self.name(id)))
+            .finish()
+    }
+}
+
+impl Symbols {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn name(&self, id: usize) -> &str {
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
+    }
+
+    /// The id of `name`, which hashes to `hash`, or the free slot its
+    /// probe sequence ends at. The index must not be empty.
+    fn find(&self, name: &str, hash: u64) -> Result<SymId, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.index[slot] {
+                0 => return Err(slot),
+                id if self.name(id as usize - 1) == name => return Ok(SymId(id - 1)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn lookup(&self, name: &str) -> Option<SymId> {
+        if self.index.is_empty() {
+            return None;
+        }
+        self.find(name, self.hasher.hash_one(name)).ok()
+    }
+
+    fn intern(&mut self, name: &str) -> SymId {
+        // Room for one more name keeps the index at most half full, so
+        // every probe ends.
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.grow();
+        }
+        let slot = match self.find(name, self.hasher.hash_one(name)) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let entry = u32::try_from(self.len() + 1).expect("fewer than 2^32 - 1 symbols");
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        self.index[slot] = entry;
+        SymId(entry - 1)
+    }
+
+    /// Doubles the index and re-slots every id; on the first name, makes
+    /// room for [`FIRST_NAMES`] names at once.
+    fn grow(&mut self) {
+        if self.index.is_empty() {
+            self.text.reserve(8 * FIRST_NAMES);
+            self.ends.reserve(FIRST_NAMES);
+        }
+        let slots = (2 * self.index.len()).max(2 * FIRST_NAMES);
+        let mut index = vec![0u32; slots];
+        for id in 0..self.len() {
+            let mut slot = self.hasher.hash_one(self.name(id)) as usize & (slots - 1);
+            while index[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            index[slot] = id as u32 + 1;
+        }
+        self.index = index;
     }
 }
 
@@ -254,6 +351,32 @@ mod tests {
         assert_eq!(f.symbol(b), "y");
         assert_eq!(f.find_symbol("x"), Some(a));
         assert_eq!(f.find_symbol("zz"), None);
+    }
+
+    #[test]
+    fn interning_survives_the_index_growing() {
+        let mut f = Forest::new();
+        let names: Vec<String> = (0..1000).map(|i| format!("s{i}")).collect();
+        let ids: Vec<SymId> = names.iter().map(|n| f.intern(n)).collect();
+        let copy = f.clone();
+        for (i, (name, &id)) in names.iter().zip(&ids).enumerate() {
+            assert_eq!(id, SymId(i as u32));
+            assert_eq!(f.intern(name), id);
+            assert_eq!(copy.find_symbol(name), Some(id));
+            assert_eq!(f.symbol(id), name);
+        }
+        assert_eq!(f.intern(""), SymId(1000));
+        assert_eq!(f.symbol(SymId(1000)), "");
+        assert_eq!(f.find_symbol("s1000"), None);
+        assert_eq!(Forest::new().find_symbol(""), None);
+        // Two forests with the same names print the same, whatever their
+        // keys put where.
+        let mut other = Forest::new();
+        for name in &names {
+            other.intern(name);
+        }
+        other.intern("");
+        assert_eq!(format!("{f:?}"), format!("{other:?}"));
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl OpKind {
         )
     }
 
-    fn name(self) -> &'static str {
+    const fn name(self) -> &'static str {
         match self {
             OpKind::Const => "Const",
             OpKind::AddrGlobal => "AddrGlobal",
@@ -362,21 +362,70 @@ impl Error for ParseOpError {}
 impl FromStr for Op {
     type Err = ParseOpError;
 
+    /// Parses `<kind><type>`, e.g. `AddI4`, in O(1): the last one or two
+    /// bytes name the type tag (no suffix ends another), and the rest is
+    /// one probe of a perfect hash over the kind names.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // Kind names are unambiguous prefixes (no kind name is a prefix of
-        // another followed by a valid suffix), so longest-match over kinds
-        // and then an exact suffix match is enough.
-        for kind in ALL_KINDS {
-            let name = kind.name();
-            if let Some(rest) = s.strip_prefix(name) {
-                for ty in ALL_TYPE_TAGS {
-                    if rest == ty.suffix() {
-                        return Ok(Op::new(kind, ty));
-                    }
-                }
-            }
+        split_type(s.as_bytes())
+            .and_then(|(kind, ty)| Some(Op::new(OpKind::from_name(kind)?, ty)))
+            .ok_or_else(|| ParseOpError { text: s.to_owned() })
+    }
+}
+
+/// Splits a type suffix off the end of an operator name.
+fn split_type(name: &[u8]) -> Option<(&[u8], TypeTag)> {
+    let (&last, rest) = name.split_last()?;
+    match last {
+        b'P' => return Some((rest, TypeTag::P)),
+        b'V' => return Some((rest, TypeTag::V)),
+        _ => {}
+    }
+    let (&class, rest) = rest.split_last()?;
+    let ty = match (class, last) {
+        (b'I', b'1') => TypeTag::I1,
+        (b'I', b'2') => TypeTag::I2,
+        (b'I', b'4') => TypeTag::I4,
+        (b'I', b'8') => TypeTag::I8,
+        (b'F', b'4') => TypeTag::F4,
+        (b'F', b'8') => TypeTag::F8,
+        _ => return None,
+    };
+    Some((rest, ty))
+}
+
+/// Slot of a kind name in [`KIND_SLOTS`]: a multiplicative hash of its
+/// first byte, its last two bytes and its length. The multiplier was
+/// chosen so that the 30 kind names land in 30 distinct slots; building
+/// the table checks it.
+const fn kind_slot(name: &[u8]) -> usize {
+    let n = name.len();
+    let key =
+        name[0] as u32 | (name[n - 2] as u32) << 8 | (name[n - 1] as u32) << 16 | (n as u32) << 24;
+    (key.wrapping_mul(0xEEBB_6119) >> 26) as usize
+}
+
+/// Index into [`ALL_KINDS`] of the kind whose name hashes to each slot,
+/// or `u8::MAX`.
+const KIND_SLOTS: [u8; 64] = {
+    let mut slots = [u8::MAX; 64];
+    let mut k = 0;
+    while k < ALL_KINDS.len() {
+        let slot = kind_slot(ALL_KINDS[k].name().as_bytes());
+        assert!(slots[slot] == u8::MAX, "two kind names share a slot");
+        slots[slot] = k as u8;
+        k += 1;
+    }
+    slots
+};
+
+impl OpKind {
+    /// The kind named exactly `name`.
+    fn from_name(name: &[u8]) -> Option<OpKind> {
+        if name.len() < 2 {
+            return None;
         }
-        Err(ParseOpError { text: s.to_owned() })
+        let kind = *ALL_KINDS.get(KIND_SLOTS[kind_slot(name)] as usize)?;
+        (kind.name().as_bytes() == name).then_some(kind)
     }
 }
 

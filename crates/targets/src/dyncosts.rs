@@ -275,7 +275,9 @@ mod tests {
         use odburg_core::{Labeler, OnDemandAutomaton};
         use odburg_ir::{Op, OpKind, Payload, TypeTag};
 
-        // Built through the arena API: `parse_sexpr` recurses per level.
+        // Built through the arena API. `parse_sexpr` reads any depth too
+        // (the IR crate round-trips a million-deep chain), but two
+        // million levels of text would only slow the test down.
         const DEPTH: usize = 1_000_000;
         let mut f = Forest::new();
         let x = Payload::Sym(f.intern("x"));
