@@ -109,12 +109,16 @@
 //!
 //! Memory governance: `--memory-budget=<bytes>` (suffixes `k`, `m`, `g`
 //! accepted) caps an on-demand automaton's accounted table bytes and
-//! `--budget-policy=<error|flush|compact>` picks the pressure response
-//! (default `compact`: evict cold states, keep the hot working set). On
-//! `label`, `emit` and `compile` the flags configure the labeler's
-//! [`BudgetPolicy`](odburg_core::BudgetPolicy); on the service
-//! subcommands they set per-target budgets, enforced in the maintenance
-//! quanta the workers run between jobs — never on the submit path.
+//! `--budget-policy=<flush|compact>` picks the pressure response
+//! (default `compact`: evict cold states, keep the hot working set); the
+//! policy needs a budget. Together they name one
+//! [`MemoryBudget`](odburg_core::MemoryBudget). On `label`, `emit` and
+//! `compile` it bounds the labeler's automaton
+//! ([`OnDemandConfig::memory_budget`](odburg_core::OnDemandConfig)), also
+//! one warm-started with `--tables`; on `batch`, `serve` and `cluster
+//! serve` it is the server's budget, enforced per target in the
+//! maintenance quanta the workers run between jobs — never on the
+//! submit path.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -143,7 +147,7 @@ const USAGE: &str =
     "usage: odburg <stats|lint|normal|automaton|generate|label|emit|compile|bench|tables|batch|serve|cluster> \
      <grammar|manifest> [input] [--labeler=<name>] [--tables=<path>] \
      [--workers=<n>] [--tables-dir=<dir>] [--memory-budget=<bytes>] \
-     [--budget-policy=<error|flush|compact>] [--queue-cap=<n>] [--deadline-ms=<n>] \
+     [--budget-policy=<flush|compact>] [--queue-cap=<n>] [--deadline-ms=<n>] \
      [--shed] [--fair] [--metrics-out=<path>] [--trace-out=<path>] \
      [--compact-to=<bytes>] [--format=<text|json>] [--deny=<warning|error>] \
      [--shards=<n>] [--listen=<addr>] [--join=<addr>]";
@@ -176,22 +180,35 @@ fn parse_deny(value: &str) -> Result<Severity, String> {
     }
 }
 
-/// The `--budget-policy` flag values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PolicyFlag {
-    Error,
-    Flush,
-    Compact,
+/// The relief `--budget-policy=compact`, the default, names: keep the
+/// hottest states that fit half the budget.
+const COMPACT: PressureAction = PressureAction::Compact {
+    retain_fraction: 0.5,
+};
+
+fn parse_policy(value: &str) -> Result<PressureAction, String> {
+    match value {
+        "flush" => Ok(PressureAction::Flush),
+        "compact" => Ok(COMPACT),
+        other => Err(format!(
+            "unknown budget policy `{other}` (expected one of: flush, compact)"
+        )),
+    }
 }
 
-fn parse_policy(value: &str) -> Result<PolicyFlag, String> {
-    match value {
-        "error" => Ok(PolicyFlag::Error),
-        "flush" => Ok(PolicyFlag::Flush),
-        "compact" => Ok(PolicyFlag::Compact),
-        other => Err(format!(
-            "unknown budget policy `{other}` (expected one of: error, flush, compact)"
-        )),
+/// The one budget `--memory-budget` and `--budget-policy` name, on
+/// every subcommand that takes them.
+fn budget_from_flags(
+    bytes: Option<usize>,
+    action: Option<PressureAction>,
+) -> Result<Option<MemoryBudget>, String> {
+    match (bytes, action) {
+        (None, None) => Ok(None),
+        (None, Some(_)) => Err("--budget-policy needs --memory-budget=<bytes>".into()),
+        (Some(byte_budget), action) => Ok(Some(MemoryBudget {
+            byte_budget,
+            action: action.unwrap_or(COMPACT),
+        })),
     }
 }
 
@@ -227,7 +244,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut tables_dir: Option<String> = None;
     let mut workers: Option<usize> = None;
     let mut memory_budget: Option<usize> = None;
-    let mut budget_policy: Option<PolicyFlag> = None;
+    let mut budget_policy: Option<PressureAction> = None;
     let mut queue_cap: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut shed = false;
@@ -345,6 +362,7 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
     let tables = tables.as_deref();
+    let budget = budget_from_flags(memory_budget, budget_policy)?;
 
     let command = positional.first().ok_or(USAGE)?;
     if (format.is_some() || deny.is_some()) && command.as_str() != "lint" {
@@ -376,22 +394,6 @@ fn run(args: &[String]) -> Result<(), String> {
                  drop `--labeler={strategy}` or pass --labeler=shared"
             ));
         }
-        let budget = match (memory_budget, budget_policy) {
-            (None, None) => None,
-            (None, Some(_)) => {
-                return Err("--budget-policy needs --memory-budget=<bytes>".into());
-            }
-            (Some(bytes), None | Some(PolicyFlag::Compact)) => {
-                Some(MemoryBudget::compact(bytes, 0.5))
-            }
-            (Some(bytes), Some(PolicyFlag::Flush)) => Some(MemoryBudget::flush(bytes)),
-            (Some(_), Some(PolicyFlag::Error)) => {
-                return Err(format!(
-                    "{command} budgets support --budget-policy=compact or flush \
-                     (`error` would fail jobs instead of bounding memory)"
-                ));
-            }
-        };
         let flags = ServiceFlags {
             workers,
             tables_dir: tables_dir.as_deref(),
@@ -479,11 +481,11 @@ fn run(args: &[String]) -> Result<(), String> {
     if metrics_out.is_some() || trace_out.is_some() {
         return Err("--metrics-out/--trace-out only apply to the serve subcommand".into());
     }
-    if !matches!(command.as_str(), "label" | "emit" | "compile")
-        && (memory_budget.is_some() || budget_policy.is_some())
-    {
+    if !matches!(command.as_str(), "label" | "emit" | "compile") && budget.is_some() {
         return Err(
-            "--memory-budget/--budget-policy apply to label, emit, compile and batch".into(),
+            "--memory-budget/--budget-policy apply to label, emit, compile and \
+             batch/serve/cluster serve"
+                .into(),
         );
     }
     if command.as_str() == "tables" {
@@ -493,15 +495,6 @@ fn run(args: &[String]) -> Result<(), String> {
             );
         }
         return tables_command(&positional, strategy, compact_to);
-    }
-    let governed = governed_config(strategy, memory_budget, budget_policy)?;
-    if governed.is_some() && tables.is_some() {
-        return Err(
-            "--memory-budget/--budget-policy cannot combine with --tables: persisted \
-             tables carry their own configuration (re-export them under the governed \
-             one first)"
-                .into(),
-        );
     }
     let grammar_name = positional.get(1).ok_or(USAGE)?;
     let grammar = load_grammar(grammar_name)?;
@@ -520,68 +513,26 @@ fn run(args: &[String]) -> Result<(), String> {
             &grammar,
             strategy,
             tables,
-            governed,
+            budget,
             positional.get(2).ok_or("label needs an s-expression")?,
         ),
         "emit" => emit(
             &grammar,
             strategy,
             tables,
-            governed,
+            budget,
             positional.get(2).ok_or("emit needs an s-expression")?,
         ),
         "compile" => compile(
             &grammar,
             strategy,
             tables,
-            governed,
+            budget,
             positional.get(2).ok_or("compile needs a MiniC file")?,
         ),
         "bench" => bench(&grammar, strategy, tables),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
-}
-
-/// Resolves the governance flags into an explicit automaton
-/// configuration, or `None` when the defaults apply.
-fn governed_config(
-    strategy: Strategy,
-    memory_budget: Option<usize>,
-    budget_policy: Option<PolicyFlag>,
-) -> Result<Option<OnDemandConfig>, String> {
-    let policy = match (memory_budget, budget_policy) {
-        (None, None) => return Ok(None),
-        (None, Some(PolicyFlag::Error)) => BudgetPolicy::Error,
-        (None, Some(PolicyFlag::Flush)) => BudgetPolicy::Flush,
-        (None, Some(PolicyFlag::Compact)) => {
-            return Err("--budget-policy=compact needs --memory-budget=<bytes>".into());
-        }
-        (Some(byte_budget), None | Some(PolicyFlag::Compact)) => BudgetPolicy::Compact {
-            byte_budget,
-            retain_fraction: 0.5,
-        },
-        (Some(_), Some(PolicyFlag::Flush)) => {
-            return Err("byte-triggered flushing is a service action: use \
-                 `odburg batch --memory-budget=<bytes> --budget-policy=flush`; the \
-                 labeler-level flush policy triggers on the state budget (drop \
-                 --memory-budget)"
-                .into());
-        }
-        (Some(_), Some(PolicyFlag::Error)) => {
-            return Err(
-                "--budget-policy=error takes no --memory-budget (the state budget \
-                 governs the error policy)"
-                    .into(),
-            );
-        }
-    };
-    let base = strategy
-        .ondemand_config()
-        .ok_or_else(|| format!("{}", strategy::ConfigUnsupported { strategy }))?;
-    Ok(Some(OnDemandConfig {
-        budget_policy: policy,
-        ..base
-    }))
 }
 
 fn load_grammar(name: &str) -> Result<Grammar, String> {
@@ -593,42 +544,46 @@ fn load_grammar(name: &str) -> Result<Grammar, String> {
     parse_grammar(&text).map_err(|e| format!("{name}: {e}"))
 }
 
+/// Builds the labeler for `label`, `emit` and `compile`: warm from
+/// `--tables` when given, and under `budget` when given — a mismatched
+/// file is always a loud error, never a silent cold start.
 fn build_labeler(
     grammar: &Grammar,
     strategy: Strategy,
     tables: Option<&str>,
-    governed: Option<OnDemandConfig>,
+    budget: Option<MemoryBudget>,
 ) -> Result<AnyLabeler, String> {
-    if let Some(mode) = governed {
-        // Governance flags resolved to an explicit configuration (they
-        // exclude --tables; `run` already rejected the combination).
-        return AnyLabeler::build_with_mode(strategy, Arc::new(grammar.normalize()), mode)
-            .map_err(|e| format!("{e}"));
+    if let Some(path) = tables {
+        let snapshot = load_tables_for(grammar, strategy, path, budget)?;
+        return AnyLabeler::build_warm(strategy, Arc::new(snapshot)).map_err(|e| format!("{e}"));
     }
-    let Some(path) = tables else {
+    let Some(budget) = budget else {
         return AnyLabeler::build(strategy, grammar)
             .map_err(|e| format!("cannot build `{strategy}` labeler: {e}"));
     };
-    // One-stop warm start: config resolution, table validation and
-    // construction share a single error path, so a mismatched file is
-    // always a loud error here, never a silent cold start.
-    AnyLabeler::build_warm_from_tables(strategy, Arc::new(grammar.normalize()), Path::new(path))
-        .map_err(|e| match e {
-            strategy::WarmStartError::Unsupported(e) => format!("--tables: {e}"),
-            strategy::WarmStartError::Persist(e) => format!("cannot load tables `{path}`: {e}"),
-        })
+    let config = OnDemandConfig {
+        memory_budget: Some(budget),
+        ..OnDemandConfig::default()
+    };
+    AnyLabeler::build_with_mode(strategy, Arc::new(grammar.normalize()), config)
+        .map_err(|e| format!("{e}"))
 }
 
-/// Imports persisted tables for `strategy`, validating grammar
-/// fingerprint and configuration.
+/// Imports persisted tables for `strategy`, validating the grammar
+/// fingerprint; the tables run under `budget`.
 fn load_tables_for(
     grammar: &Grammar,
     strategy: Strategy,
     path: &str,
+    budget: Option<MemoryBudget>,
 ) -> Result<AutomatonSnapshot, String> {
     let config = strategy
         .ondemand_config()
         .ok_or_else(|| format!("--tables: {}", strategy::WarmStartUnsupported { strategy }))?;
+    let config = OnDemandConfig {
+        memory_budget: budget,
+        ..config
+    };
     odburg::select::persist::load_tables(Path::new(path), Arc::new(grammar.normalize()), config)
         .map_err(|e| format!("cannot load tables `{path}`: {e}"))
 }
@@ -699,7 +654,7 @@ fn tables_command(
             Ok(())
         }
         "import" => {
-            let snapshot = load_tables_for(&grammar, strategy, path)?;
+            let snapshot = load_tables_for(&grammar, strategy, path, None)?;
             let s = snapshot.stats();
             println!(
                 "imported {}: epoch {}, {} states, {} transitions, {} signatures",
@@ -717,20 +672,8 @@ fn tables_command(
 fn tables_stats(path: &str) -> Result<(), String> {
     let info = odburg::select::persist::inspect_tables(Path::new(path))
         .map_err(|e| format!("cannot inspect tables `{path}`: {e}"))?;
-    let policy = match info.config.budget_policy {
-        BudgetPolicy::Error => "error".to_owned(),
-        BudgetPolicy::Flush => "flush".to_owned(),
-        BudgetPolicy::Compact {
-            byte_budget,
-            retain_fraction,
-        } => format!("compact ({byte_budget} bytes, retain {retain_fraction})"),
-    };
     println!("tables:              {path}");
     println!("grammar fingerprint: {:#018x}", info.fingerprint);
-    println!(
-        "config:              state budget {}, policy {policy}",
-        info.config.state_budget,
-    );
     println!("epoch:               {}", info.epoch);
     println!("nonterminals:        {}", info.num_nts);
     println!(
@@ -892,13 +835,17 @@ fn read_manifest(
         let trees = std::fs::read_to_string(file)
             .map_err(|e| format!("{at}: cannot read `{file}`: {e}"))?;
         let mut forest = Forest::new();
-        for tree in trees.lines() {
-            let tree = tree.trim();
+        for line in trees.lines() {
+            let tree = line.trim();
             if tree.is_empty() || tree.starts_with('#') {
                 continue;
             }
-            let root = parse_sexpr(&mut forest, tree)
-                .map_err(|e| format!("{at}: {file}: bad tree: {e}"))?;
+            // Offsets count from the line's start, indentation included.
+            let indent = line.len() - line.trim_start().len();
+            let root = parse_sexpr(&mut forest, tree).map_err(|mut e| {
+                e.offset += indent;
+                format!("{at}: {file}: bad tree: {e}")
+            })?;
             forest.add_root(root);
         }
         if forest.is_empty() {
@@ -1791,11 +1738,11 @@ fn label(
     grammar: &Grammar,
     strategy: Strategy,
     tables: Option<&str>,
-    governed: Option<OnDemandConfig>,
+    budget: Option<MemoryBudget>,
     src: &str,
 ) -> Result<(), String> {
     let (forest, _) = parse_tree(grammar.name(), src)?;
-    let mut labeler = build_labeler(grammar, strategy, tables, governed)?;
+    let mut labeler = build_labeler(grammar, strategy, tables, budget)?;
     let labeling = labeler
         .label_forest(&forest)
         .map_err(|e| format!("labeling failed: {e}"))?;
@@ -1846,11 +1793,11 @@ fn emit(
     grammar: &Grammar,
     strategy: Strategy,
     tables: Option<&str>,
-    governed: Option<OnDemandConfig>,
+    budget: Option<MemoryBudget>,
     src: &str,
 ) -> Result<(), String> {
     let (forest, _) = parse_tree(grammar.name(), src)?;
-    let mut labeler = build_labeler(grammar, strategy, tables, governed)?;
+    let mut labeler = build_labeler(grammar, strategy, tables, budget)?;
     let labeling = labeler
         .label_forest(&forest)
         .map_err(|e| format!("labeling failed: {e}"))?;
@@ -1866,12 +1813,12 @@ fn compile(
     grammar: &Grammar,
     strategy: Strategy,
     tables: Option<&str>,
-    governed: Option<OnDemandConfig>,
+    budget: Option<MemoryBudget>,
     path: &str,
 ) -> Result<(), String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let forest = odburg::frontend::compile(&source).map_err(|e| format!("{path}: {e}"))?;
-    let mut labeler = build_labeler(grammar, strategy, tables, governed)?;
+    let mut labeler = build_labeler(grammar, strategy, tables, budget)?;
     let labeling = labeler
         .label_forest(&forest)
         .map_err(|e| format!("labeling failed: {e}"))?;
@@ -1891,41 +1838,26 @@ fn compile(
 
 /// Compares the chosen strategy against every other on a replicated
 /// MiniC workload — all driven through the `Labeler` trait. With
-/// `--tables`, every strategy whose configuration matches the persisted
-/// tables is warm-started from them.
+/// `--tables`, every on-demand strategy is warm-started from the
+/// persisted tables.
 fn bench(grammar: &Grammar, chosen: Strategy, tables: Option<&str>) -> Result<(), String> {
     use std::time::Instant;
     let suite = odburg::workloads::combined_workload();
     let forest = odburg::workloads::replicate(&suite.forest, 20);
     println!("workload: MiniC suite x20 ({} nodes)", forest.len());
 
-    // Import the table file once per distinct automaton configuration
-    // (ondemand and shared use the same tables) and reuse the snapshot
-    // across strategies.
-    let mut imported: Vec<(OnDemandConfig, Option<Arc<AutomatonSnapshot>>)> = Vec::new();
-    let mut snapshot_for = |strategy: Strategy| -> Option<Arc<AutomatonSnapshot>> {
-        let path = tables?;
-        let config = strategy.ondemand_config()?;
-        if let Some((_, cached)) = imported.iter().find(|(c, _)| *c == config) {
-            return cached.clone();
-        }
-        let loaded = load_tables_for(grammar, strategy, path).ok().map(Arc::new);
-        imported.push((config, loaded.clone()));
-        loaded
+    // One import, shared by every strategy that can use it; it fails
+    // loudly if the chosen strategy cannot.
+    let snapshot = match tables {
+        Some(path) => Some(Arc::new(load_tables_for(grammar, chosen, path, None)?)),
+        None => None,
     };
-    // Fail loudly if the chosen strategy cannot use the given tables;
-    // other strategies just fall back to a cold start.
-    if let Some(path) = tables {
-        if snapshot_for(chosen).is_none() {
-            // Re-run uncached for the error message.
-            load_tables_for(grammar, chosen, path)?;
-        }
-    }
 
     let mut results: Vec<(Strategy, f64)> = Vec::new();
     for strategy in Strategy::ALL {
-        let warm =
-            snapshot_for(strategy).and_then(|snap| AnyLabeler::build_warm(strategy, snap).ok());
+        let warm = snapshot
+            .clone()
+            .and_then(|snap| AnyLabeler::build_warm(strategy, snap).ok());
         let mut labeler = match warm {
             Some(l) => l,
             None => match AnyLabeler::build(strategy, grammar) {

@@ -208,7 +208,8 @@ fn bad_table_files_are_rejected_not_mislabeled() {
     assert!(!ok);
     assert!(stderr.contains("different grammar"), "{stderr}");
 
-    // Wrong configuration: tables grown under another state budget.
+    // Another configuration is not a mismatch: tables grown under
+    // another state budget import, because a file carries tables only.
     let budgeted = dir.join("budgeted.odbt");
     let normal = Arc::new(odburg::targets::x86ish().normalize());
     let mut auto = OnDemandAutomaton::with_config(
@@ -221,12 +222,9 @@ fn bad_table_files_are_rejected_not_mislabeled() {
     auto.label_forest(&odburg::workloads::combined_workload().forest)
         .unwrap();
     odburg::select::persist::save_tables(&auto.snapshot(), &budgeted).unwrap();
-    let (ok, _, stderr) = odburg(&["tables", "import", "x86ish", budgeted.to_str().unwrap()]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("different automaton configuration"),
-        "{stderr}"
-    );
+    let (ok, stdout, stderr) = odburg(&["tables", "import", "x86ish", budgeted.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("imported"), "{stdout}");
 
     // Corrupted payload.
     let mut bytes = std::fs::read(&tables).unwrap();
@@ -294,7 +292,6 @@ fn tables_stats_prints_a_per_component_breakdown() {
         "signatures:",
         "accounted bytes:",
         "epoch:",
-        "policy error",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
     }
@@ -372,16 +369,6 @@ fn governance_flags_configure_the_labeler() {
                 "demo",
                 "(ConstI8 1)",
                 "--memory-budget=1m",
-                "--budget-policy=flush",
-            ],
-            "service action",
-        ),
-        (
-            &[
-                "emit",
-                "demo",
-                "(ConstI8 1)",
-                "--memory-budget=1m",
                 "--labeler=dp",
             ],
             "not backed by an on-demand automaton",
@@ -407,21 +394,33 @@ fn governance_flags_configure_the_labeler() {
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }
 
-    // Governance + --tables is a configuration conflict, stated plainly.
+    // A byte-triggered flush bounds the labeler as a compaction does.
+    let (ok, stdout, stderr) = odburg(&[
+        "emit",
+        "demo",
+        "(StoreI8 (AddrLocalP @x) (ConstI8 5))",
+        "--memory-budget=1m",
+        "--budget-policy=flush",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("cost 2"), "{stdout}");
+
+    // A budget applies to tables warm-started from a file, too: the
+    // file carries no configuration to conflict with it.
     let dir = std::env::temp_dir().join("odburg-cli-govern");
     std::fs::create_dir_all(&dir).unwrap();
     let tables = dir.join("demo.odbt");
     let (ok, _, stderr) = odburg(&["tables", "export", "demo", tables.to_str().unwrap()]);
     assert!(ok, "{stderr}");
-    let (ok, _, stderr) = odburg(&[
+    let (ok, stdout, stderr) = odburg(&[
         "emit",
         "demo",
-        "(ConstI8 1)",
+        "(StoreI8 (AddrLocalP @x) (ConstI8 5))",
         &format!("--tables={}", tables.to_str().unwrap()),
         "--memory-budget=1m",
     ]);
-    assert!(!ok);
-    assert!(stderr.contains("cannot combine with --tables"), "{stderr}");
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("cost 2"), "{stdout}");
 }
 
 #[test]
@@ -467,7 +466,7 @@ fn batch_applies_a_memory_budget_per_target() {
         "--budget-policy=error",
     ]);
     assert!(!ok);
-    assert!(stderr.contains("compact or flush"), "{stderr}");
+    assert!(stderr.contains("unknown budget policy"), "{stderr}");
     let (ok, _, stderr) = odburg(&[
         "batch",
         manifest.to_str().unwrap(),
@@ -920,6 +919,13 @@ fn batch_rejects_malformed_manifests_cleanly() {
     let (ok, _, stderr) = odburg(&["batch", manifest.to_str().unwrap()]);
     assert!(!ok);
     assert!(stderr.contains("bad tree"), "{stderr}");
+
+    // An indented malformed tree: the offset counts the indentation, as
+    // `odburg emit` counts it.
+    std::fs::write(&badtree, "    (AddI8 (ConstI8 1))\n").unwrap();
+    let (ok, _, stderr) = odburg(&["batch", manifest.to_str().unwrap()]);
+    assert!(!ok);
+    assert!(stderr.contains("at byte 5"), "{stderr}");
 
     // A manifest with only comments.
     let manifest = dir.join("empty.txt");

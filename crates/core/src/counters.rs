@@ -32,12 +32,12 @@ pub struct WorkCounters {
     /// Dynamic-cost functions evaluated.
     pub dyncost_evals: u64,
     /// Full table flushes (every state discarded; see
-    /// [`BudgetPolicy::Flush`](crate::BudgetPolicy) and budget
-    /// enforcement with [`PressureAction::Flush`](crate::PressureAction)).
+    /// [`OnDemandAutomaton::clear`](crate::OnDemandAutomaton::clear) and
+    /// budget relief with [`PressureAction::Flush`](crate::PressureAction)).
     pub flushes: u64,
     /// Heat-guided compaction passes (cold states evicted, hot ones
     /// remapped into a new epoch; see
-    /// [`BudgetPolicy::Compact`](crate::BudgetPolicy)).
+    /// [`MemoryBudget`](crate::MemoryBudget)).
     pub compactions: u64,
     /// States evicted by compaction passes (flushes do not count here —
     /// they discard everything and are visible as `flushes`).

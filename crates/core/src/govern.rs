@@ -5,10 +5,10 @@
 //! tables that grow with the traffic actually seen — which in a
 //! long-running service still means *unbounded* growth under adversarial
 //! or churny workloads (every fresh dynamic-cost signature mints new
-//! transitions forever). The pressure valve the automaton shipped with,
-//! [`BudgetPolicy::Flush`](crate::BudgetPolicy), throws away every state
-//! — hot ones included — and sends the service back to cold-start miss
-//! rates. This module is the surgical alternative:
+//! transitions forever). A flush ([`PressureAction::Flush`]) bounds it by
+//! throwing away every state — hot ones included — and sends the service
+//! back to cold-start miss rates. This module adds the surgical
+//! alternative:
 //!
 //! * **Accounting** — [`ComponentBytes`] breaks an automaton's footprint
 //!   down per component (state arena, projection arena, transition
@@ -28,14 +28,14 @@
 //!   across the transition groups, class arrays and signature
 //!   interner. Everything evicted is merely forgotten memoization: a
 //!   future miss recomputes it, so labelings stay bit-identical.
-//! * **Budgets** — [`MemoryBudget`] names a byte ceiling plus the
-//!   [`PressureAction`] to take when it is crossed; the selection
-//!   service enforces one per target in the worker maintenance quanta
-//!   between jobs
-//!   ([`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)),
-//!   and [`BudgetPolicy::Compact`](crate::BudgetPolicy) wires the same
-//!   mechanism into the automaton's own grow path. Both relieve the
-//!   tables through one flush-or-compact step.
+//! * **Budgets** — [`MemoryBudget`], a byte ceiling plus the
+//!   [`PressureAction`] to take when it is crossed, is the one type that
+//!   bounds an automaton. It has two readers: the grow path, through
+//!   [`OnDemandConfig::memory_budget`](crate::OnDemandConfig::memory_budget),
+//!   and the selection service, which enforces its server-wide budget in
+//!   the worker maintenance quanta between jobs
+//!   ([`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)).
+//!   Both relieve the tables through one flush-or-compact step.
 //!
 //! The lifecycle, end to end: traffic grows the tables → touch counters
 //! accumulate per epoch → the budget trips → a single-writer compaction
@@ -94,8 +94,8 @@ impl ComponentBytes {
 /// What to do when a [`MemoryBudget`] is crossed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PressureAction {
-    /// Drop every state, transition and signature (cold restart — the
-    /// behavior of [`BudgetPolicy::Flush`](crate::BudgetPolicy)).
+    /// Drop every state, projection, transition and signature: bounded
+    /// memory at the price of re-warming from cold.
     Flush,
     /// Compact: retain the hottest states that fit
     /// `retain_fraction * byte_budget` bytes and evict the rest.
@@ -120,9 +120,40 @@ impl PressureAction {
 }
 
 /// A byte ceiling for one automaton's tables plus the action that
-/// enforces it; see
-/// [`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)
-/// and the selection service's per-target budgets.
+/// relieves them: the one type that bounds an on-demand automaton, read
+/// by its grow path
+/// ([`OnDemandConfig::memory_budget`](crate::OnDemandConfig::memory_budget))
+/// and by the selection service's maintenance quanta
+/// ([`SharedOnDemand::run_maintenance`](crate::SharedOnDemand::run_maintenance)).
+///
+/// # Epoch semantics
+///
+/// Either action starts a new **epoch** (see
+/// [`OnDemandAutomaton::epoch`](crate::OnDemandAutomaton::epoch)): a
+/// flush replaces the state and projection arenas, class arrays,
+/// transition groups and signature interner, and a compaction rebuilds
+/// them under remapped ids, so state ids from different epochs are
+/// unrelated values. The concurrent
+/// [`SharedOnDemand`](crate::SharedOnDemand) handles this without ever
+/// invalidating in-flight readers:
+///
+/// * every published [`AutomatonSnapshot`](crate::AutomatonSnapshot)
+///   carries its epoch, and a replaced snapshot stays alive exactly as
+///   long as something can still reference it — a reader that loaded it
+///   before the relief keeps labeling against its frozen tables, and a
+///   pinned labeling keeps its epoch's tables alive indefinitely;
+///   replaced snapshots nothing references are dropped on the next
+///   publication;
+/// * a reader entering the writer lock compares its snapshot's epoch
+///   with the master's and restarts the forest from scratch on a
+///   mismatch (labelings never mix state ids across epochs);
+/// * callers that hold labelings across forests should use
+///   [`SharedOnDemand::label_forest_pinned`](crate::SharedOnDemand::label_forest_pinned),
+///   which returns the labeling together with the exact snapshot it
+///   refers to.
+///
+/// A compaction keeps the warm states, so steady-state miss rates stay
+/// close to the unbounded automaton's; a flush re-warms from cold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBudget {
     /// Accounted bytes ([`ComponentBytes::total`]) above which the
@@ -179,7 +210,7 @@ pub struct CompactionStats {
     pub bytes_after: usize,
 }
 
-/// The byte target a `Compact` policy rebuilds down to.
+/// The byte target a compacting budget rebuilds down to.
 pub(crate) fn compact_target_bytes(byte_budget: usize, retain_fraction: f32) -> usize {
     let fraction = if retain_fraction.is_finite() {
         retain_fraction.clamp(0.05, 1.0)

@@ -87,7 +87,7 @@ pub use generate::generate_rust;
 pub use govern::{CompactionStats, ComponentBytes, MemoryBudget, PressureAction, PressureEvent};
 pub use label::{LabelError, Labeler, Labeling, RuleChooser, StateChooser, StateLookup};
 pub use offline::{OfflineAutomaton, OfflineConfig, OfflineLabeler, OfflineStats};
-pub use ondemand::{BudgetPolicy, OnDemandAutomaton, OnDemandConfig, OnDemandStats};
+pub use ondemand::{OnDemandAutomaton, OnDemandConfig, OnDemandStats};
 pub use persist::PersistError;
 pub use shared::{InstallError, PinnedLabeling, SharedOnDemand};
 pub use snapshot::{AutomatonSnapshot, RawProjection, RawTransition, SnapshotStats, WarmWalk};

@@ -28,141 +28,40 @@ use odburg_ir::{Forest, NodeId, Op};
 
 use crate::compute::compute_state;
 use crate::counters::WorkCounters;
-use crate::dense::{self, Tables};
+use crate::dense::Tables;
 use crate::govern::{self, CompactionStats, ComponentBytes, MemoryBudget, PressureAction};
 use crate::label::{LabelError, Labeler, Labeling, StateLookup};
 use crate::signature::SigId;
 use crate::snapshot::{self, AutomatonSnapshot, DynEvalTable, Stop, Walk, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId, StateSet};
 
-/// What to do when the automaton outgrows its budget.
+/// Configuration of an [`OnDemandAutomaton`]: the bounds on its memo.
 ///
-/// One ladder applies the policy to every forest, on the single-threaded
-/// [`OnDemandAutomaton`] and the shared
-/// [`SharedOnDemand`](crate::SharedOnDemand) alike, so both take the same
-/// flushes and compactions for the same forests.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum BudgetPolicy {
-    /// Fail with [`LabelError::StateBudgetExceeded`].
-    #[default]
-    Error,
-    /// Flush every state, projection, transition and signature and
-    /// relabel the current forest from scratch — bounded memory at the
-    /// price of re-warming (the memory-management strategy a long-running
-    /// JIT wants). Applies to whole forests
-    /// ([`label_forest`](Labeler::label_forest)); the incremental
-    /// [`OnDemandAutomaton::label_node`] path still reports the error
-    /// because its caller holds state ids a flush would invalidate.
-    ///
-    /// # Epoch semantics under the snapshot-based shared automaton
-    ///
-    /// A flush starts a new **epoch** (see
-    /// [`OnDemandAutomaton::epoch`]): the state and projection arenas,
-    /// class arrays, transition groups and signature interner are
-    /// replaced, so state ids from different epochs are unrelated
-    /// values. The concurrent
-    /// [`SharedOnDemand`](crate::SharedOnDemand) handles this without
-    /// ever invalidating in-flight readers:
-    ///
-    /// * every published [`AutomatonSnapshot`] carries its epoch, and a
-    ///   replaced snapshot stays alive exactly as long as something can
-    ///   still reference it — a reader that loaded it before the flush
-    ///   keeps labeling against its frozen tables, and a pinned labeling
-    ///   keeps its epoch's tables alive indefinitely; replaced snapshots
-    ///   nothing references are dropped on the next publication;
-    /// * a reader entering the writer lock compares its snapshot's epoch
-    ///   with the master's and restarts the forest from scratch on a
-    ///   mismatch (labelings never mix state ids across epochs);
-    /// * callers that hold labelings across forests should use
-    ///   [`SharedOnDemand::label_forest_pinned`](crate::SharedOnDemand::label_forest_pinned),
-    ///   which returns the labeling together with the exact snapshot it
-    ///   refers to.
-    Flush,
-    /// Keep the tables under a **byte budget** by evicting cold states
-    /// instead of wiping everything: when a forest leaves the accounted
-    /// bytes ([`OnDemandAutomaton::accounted_bytes`]) above
-    /// `byte_budget`, a single-writer [compaction](crate::govern) pass
-    /// rebuilds the tables retaining only the hottest states that fit
-    /// `retain_fraction * byte_budget` bytes, remapping state,
-    /// projection and signature ids into a **new epoch**, and the forest
-    /// is relabeled in it.
-    ///
-    /// Epoch semantics are exactly [`BudgetPolicy::Flush`]'s — a
-    /// compaction bumps the epoch, in-flight readers of the shared
-    /// automaton finish against their frozen snapshot, and pinned
-    /// labelings keep their epoch's tables alive — but warm states
-    /// survive, so steady-state miss rates stay close to the unbounded
-    /// automaton's. A state-budget overflow under this policy also
-    /// compacts and retries the forest once, mirroring `Flush`; the
-    /// byte check then runs on the retry's tables.
-    Compact {
-        /// Accounted table bytes above which the automaton compacts.
-        byte_budget: usize,
-        /// Fraction of `byte_budget` the compacted tables may occupy
-        /// (clamped to `0.05..=1.0`); the rest is headroom for regrowth
-        /// before the next pass.
-        retain_fraction: f32,
-    },
-}
-
-impl BudgetPolicy {
-    /// The relief step the grow path runs when the automaton outgrows
-    /// this policy; `None` under `Error`. `Flush` has no byte ceiling:
-    /// only the state budget trips it.
-    fn relief(self) -> Option<MemoryBudget> {
-        match self {
-            BudgetPolicy::Error => None,
-            BudgetPolicy::Flush => Some(MemoryBudget::flush(usize::MAX)),
-            BudgetPolicy::Compact {
-                byte_budget,
-                retain_fraction,
-            } => Some(MemoryBudget::compact(byte_budget, retain_fraction)),
-        }
-    }
-}
-
-// Manual impls because `retain_fraction` is an `f32`: two policies are
-// equal when their fractions are bit-identical, which is reflexive (the
-// CLI and persist layer only produce finite fractions).
-impl PartialEq for BudgetPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (BudgetPolicy::Error, BudgetPolicy::Error)
-            | (BudgetPolicy::Flush, BudgetPolicy::Flush) => true,
-            (
-                BudgetPolicy::Compact {
-                    byte_budget: a,
-                    retain_fraction: x,
-                },
-                BudgetPolicy::Compact {
-                    byte_budget: b,
-                    retain_fraction: y,
-                },
-            ) => a == b && x.to_bits() == y.to_bits(),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for BudgetPolicy {}
-
-/// Configuration of an [`OnDemandAutomaton`]: its budget. The transition
-/// key has one form, over the children's representer states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Neither bound changes what a table entry means — any subset of the
+/// tables labels correctly — so tables grown under one configuration
+/// label under any other, and a table file carries none.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnDemandConfig {
-    /// Maximum number of states before labeling fails with
-    /// [`LabelError::StateBudgetExceeded`]. Guards against grammars whose
-    /// automata do not converge.
+    /// Maximum number of states. Without a memory budget, growing past
+    /// it fails with [`LabelError::StateBudgetExceeded`]. Guards against
+    /// grammars whose automata do not converge.
     pub state_budget: usize,
-    /// What happens when the budget is hit.
-    pub budget_policy: BudgetPolicy,
+    /// The budget the grow path enforces, `None` for none. With one, a
+    /// state-budget overflow relieves the tables with the budget's
+    /// [action](MemoryBudget::action) and relabels the forest once, and
+    /// so does a forest that leaves the accounted bytes
+    /// ([`OnDemandAutomaton::accounted_bytes`]) above its
+    /// [`byte_budget`](MemoryBudget::byte_budget). Either relief starts a
+    /// new epoch (see [`MemoryBudget`]). `MemoryBudget::flush(usize::MAX)`
+    /// flushes on the state budget alone.
+    pub memory_budget: Option<MemoryBudget>,
 }
 
 impl Default for OnDemandConfig {
     fn default() -> Self {
         OnDemandConfig {
             state_budget: 1 << 20,
-            budget_policy: BudgetPolicy::Error,
+            memory_budget: None,
         }
     }
 }
@@ -180,11 +79,6 @@ pub struct OnDemandStats {
     /// [`OnDemandAutomaton::accounted_bytes`] for the per-component
     /// breakdown).
     pub bytes: usize,
-    /// Times the automaton was flushed by [`BudgetPolicy::Flush`] or
-    /// [`OnDemandAutomaton::clear`].
-    pub flushes: usize,
-    /// Heat-guided [compaction](crate::govern) passes run so far.
-    pub compactions: usize,
 }
 
 /// The on-demand tree-parsing automaton.
@@ -216,7 +110,7 @@ pub struct OnDemandStats {
 #[derive(Debug)]
 pub struct OnDemandAutomaton {
     grammar: Arc<NormalGrammar>,
-    config: OnDemandConfig,
+    pub(crate) config: OnDemandConfig,
     states: StateSet,
     projections: StateSet,
     /// Class arrays, transition groups and signature interner, in the
@@ -231,8 +125,6 @@ pub struct OnDemandAutomaton {
     /// Current epoch: bumped by every flush *and* every compaction;
     /// state ids are only meaningful within one epoch.
     epoch: u64,
-    flushes: usize,
-    compactions: usize,
     /// Per-state touch counters for the current epoch (indexed by
     /// `StateId`), bumped once per labeled node; compaction evicts the
     /// coldest states by this measure. Reset by a flush, carried over
@@ -259,8 +151,6 @@ impl OnDemandAutomaton {
             scratch: Vec::new(),
             counters: WorkCounters::new(),
             epoch: 0,
-            flushes: 0,
-            compactions: 0,
             heat: Vec::new(),
         }
     }
@@ -275,7 +165,6 @@ impl OnDemandAutomaton {
         self.tables = Tables::default();
         self.heat.clear();
         self.epoch += 1;
-        self.flushes += 1;
         self.counters.flushes += 1;
     }
 
@@ -285,10 +174,9 @@ impl OnDemandAutomaton {
     }
 
     /// The current epoch. State ids are only meaningful within one
-    /// epoch; a [`clear`](OnDemandAutomaton::clear) (or a
-    /// [`BudgetPolicy::Flush`]) and a
-    /// [`compact`](OnDemandAutomaton::compact) (or a
-    /// [`BudgetPolicy::Compact`]) each start the next one.
+    /// epoch; a [`clear`](OnDemandAutomaton::clear) and a
+    /// [`compact`](OnDemandAutomaton::compact), run by hand or by a
+    /// [`MemoryBudget`], each start the next one.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -335,8 +223,6 @@ impl OnDemandAutomaton {
             scratch: Vec::new(),
             counters: WorkCounters::new(),
             epoch: snapshot.epoch(),
-            flushes: 0,
-            compactions: 0,
             heat: vec![0; snapshot.states_arena().len()],
         }
     }
@@ -353,14 +239,11 @@ impl OnDemandAutomaton {
             transitions: self.tables.transition_count(),
             signatures: self.tables.signatures.len(),
             bytes: self.accounted_bytes().total(),
-            flushes: self.flushes,
-            compactions: self.compactions,
         }
     }
 
     /// Per-component byte accounting of the current tables — the number
-    /// [`BudgetPolicy::Compact`] and service [`MemoryBudget`]s compare
-    /// against. Computed the same way for live masters, published
+    /// a [`MemoryBudget`] compares against. Computed the same way for live masters, published
     /// snapshots ([`SnapshotStats::bytes`](crate::SnapshotStats::bytes))
     /// and persisted table files
     /// ([`persist::inspect_tables`](crate::persist::inspect_tables)).
@@ -372,7 +255,7 @@ impl OnDemandAutomaton {
     /// `target_bytes`, starting a **new epoch** — the memory governor's
     /// surgical alternative to [`clear`](OnDemandAutomaton::clear). See
     /// [`govern`](crate::govern) for the algorithm and
-    /// [`BudgetPolicy::Compact`] for when this runs automatically.
+    /// [`OnDemandConfig::memory_budget`] for when this runs automatically.
     ///
     /// `extra_heat` folds in touch counts gathered outside the master
     /// (the shared automaton passes the published snapshot's fast-path
@@ -401,7 +284,6 @@ impl OnDemandAutomaton {
         self.tables = compacted.tables;
         self.heat = compacted.heat;
         self.epoch += 1;
-        self.compactions += 1;
         self.counters.compactions += 1;
         self.counters.states_evicted += compacted.stats.evicted_states as u64;
         compacted.stats
@@ -410,43 +292,6 @@ impl OnDemandAutomaton {
     /// The data of a state.
     pub fn state(&self, id: StateId) -> &StateData {
         self.states.get(id)
-    }
-
-    /// Labels a single node given its children's states: the table
-    /// walk's probe, then on a miss the grow path's miss step. Returns the
-    /// dead state too (check [`StateData::is_dead`] for `NoCover`).
-    ///
-    /// Exposed for incremental drivers (JITs that label while building the
-    /// forest); most callers use
-    /// [`label_forest`](OnDemandAutomaton::label_forest).
-    ///
-    /// # Errors
-    ///
-    /// [`LabelError::StateBudgetExceeded`] if the automaton grew past its
-    /// budget.
-    pub fn label_node(
-        &mut self,
-        forest: &Forest,
-        node: NodeId,
-        kid_states: &[StateId],
-    ) -> Result<StateId, LabelError> {
-        let op = forest.node(node).op();
-        // Transition-key invariant (see `snapshot::MAX_ARITY`): a wider
-        // operator would silently truncate the key and alias transitions.
-        debug_assert!(op.arity() <= MAX_ARITY, "{op} overflows the key");
-        debug_assert_eq!(kid_states.len(), op.arity(), "{op}: one state per child");
-        let walk = Walk(&self.tables, &self.grammar, &self.dyn_eval);
-        let kid = |i: usize| kid_states.get(i).copied();
-        let evals = &mut self.counters.dyncost_evals;
-        let state = match walk.probe(forest, node, op, kid, &mut self.scratch, evals) {
-            Ok(enc) => {
-                self.counters.resolved(1, 0);
-                StateId(enc & !dense::DEAD_BIT)
-            }
-            Err(costs) => self.miss_step(forest, node, kid, costs)?,
-        };
-        self.touch(state);
-        Ok(state)
     }
 
     /// The grow path's step at a node the table walk stopped at: interns
@@ -567,18 +412,18 @@ impl OnDemandAutomaton {
     /// The grow path — the one labeling loop of every master automaton,
     /// single-threaded or [shared](crate::SharedOnDemand). Labels
     /// `forest` from node `states.len()` onward (the caller may hand in
-    /// a prefix already resolved in the current epoch) and applies the
-    /// [`BudgetPolicy`]:
+    /// a prefix already resolved in the current epoch). Without a
+    /// [memory budget](OnDemandConfig::memory_budget) that is all; with
+    /// one:
     ///
-    /// 1. a state-budget overflow returns the error under `Error`; under
-    ///    `Flush` and `Compact` it [relieves](Self::relieve) the tables
+    /// 1. a state-budget overflow [relieves](Self::relieve) the tables
     ///    and relabels the forest from scratch once (a second overflow
     ///    means the forest alone exceeds the budget);
-    /// 2. then, under `Compact`, a forest that moved the freshness key
-    ///    and left the accounted bytes above `byte_budget` compacts and
-    ///    relabels once more, so the ids handed back belong to the epoch
-    ///    the automaton is left in. The key gate keeps forests that
-    ///    added no entry from paying the O(tables) accounting sweep.
+    /// 2. then a forest that moved the freshness key and left the
+    ///    accounted bytes above `byte_budget` relieves and relabels once
+    ///    more, so the ids handed back belong to the epoch the automaton
+    ///    is left in. The key gate keeps forests that added no entry from
+    ///    paying the O(tables) accounting sweep.
     ///
     /// `heat(epoch)` supplies touch counts gathered outside the master
     /// for a compaction in `epoch`; it is called only when one runs.
@@ -590,22 +435,21 @@ impl OnDemandAutomaton {
     ) -> Result<(), LabelError> {
         let entry = self.freshness();
         let mut outcome = self.label_from(forest, states);
-        let Some(relief) = self.config.budget_policy.relief() else {
+        let Some(budget) = self.config.memory_budget else {
             return outcome;
         };
         if matches!(outcome, Err(LabelError::StateBudgetExceeded { .. })) {
-            self.relieve(&relief, &heat);
+            self.relieve(&budget, &heat);
             states.clear();
             outcome = self.label_from(forest, states);
         }
         if outcome.is_ok()
-            && matches!(relief.action, PressureAction::Compact { .. })
             && self.freshness() != entry
-            && self.accounted_bytes().total() > relief.byte_budget
+            && self.accounted_bytes().total() > budget.byte_budget
         {
-            // This forest's states are at peak heat, so its working set
-            // survives the compaction and the relabel is cheap.
-            self.relieve(&relief, &heat);
+            // This forest's states are at peak heat, so a compaction keeps
+            // its working set and the relabel is cheap.
+            self.relieve(&budget, &heat);
             states.clear();
             outcome = self.label_from(forest, states);
         }
@@ -820,7 +664,6 @@ mod tests {
         assert!(stats.evicted_states > 0, "{stats:?}");
         assert!(stats.bytes_after < before, "{stats:?}");
         assert_eq!(auto.epoch(), epoch_before + 1, "compaction starts an epoch");
-        assert_eq!(auto.stats().compactions, 1);
         assert_eq!(auto.counters().compactions, 1);
         assert_eq!(auto.counters().states_evicted, stats.evicted_states as u64);
 
@@ -861,10 +704,7 @@ mod tests {
         let mut auto = OnDemandAutomaton::with_config(
             Arc::new(g.normalize()),
             OnDemandConfig {
-                budget_policy: BudgetPolicy::Compact {
-                    byte_budget,
-                    retain_fraction: 0.5,
-                },
+                memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
                 ..OnDemandConfig::default()
             },
         );
@@ -877,7 +717,7 @@ mod tests {
             );
         }
         assert!(
-            auto.stats().compactions > 0,
+            auto.counters().compactions > 0,
             "churn must trigger compaction"
         );
     }

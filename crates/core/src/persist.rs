@@ -27,11 +27,6 @@
 //! checksum u64      FNV-1a over the payload bytes
 //! payload:
 //!   grammar fingerprint   u64  (NormalGrammar::fingerprint)
-//!   config                budget_policy u8
-//!                         (0=error, 1=flush, 2=compact; compact is
-//!                         followed by byte_budget u64 +
-//!                         retain_fraction f32 bits u32),
-//!                         state_budget u64
 //!   epoch                 u64
 //!   num_nts               u32
 //!   signatures            count; per sig: len + RuleCost entries
@@ -49,18 +44,19 @@
 //!
 //! # Integrity
 //!
-//! A table file is only meaningful relative to the exact grammar and
-//! automaton configuration it was built from — state and rule ids are
-//! indices into those structures, so importing mismatched tables would
-//! produce *wrong labelings*, not just errors. Import therefore rejects,
-//! with a specific [`PersistError`]:
+//! A table file is only meaningful relative to the exact grammar it was
+//! built from — state and rule ids are indices into its structures, so
+//! importing mismatched tables would produce *wrong labelings*, not just
+//! errors. The automaton's configuration is not part of it: the tables
+//! are a memo, any subset of which labels correctly, so the budgets they
+//! grew under change nothing about what an entry means, and a file
+//! imports under whatever [`OnDemandConfig`] the importer runs. Import
+//! rejects, with a specific [`PersistError`]:
 //!
 //! * files that are not table files, or from another format version;
 //! * truncated files and payload corruption (checksum);
 //! * a grammar whose [`fingerprint`](odburg_grammar::NormalGrammar::fingerprint)
 //!   differs from the one the tables were exported under;
-//! * a configuration (state budget, budget policy) differing from the
-//!   expected one;
 //! * internally inconsistent tables (out-of-range ids, a class array
 //!   longer than the state arena, a class count the grammar does not
 //!   have, a projection that does not fit its class) — defense in depth
@@ -91,17 +87,18 @@ use odburg_ir::NUM_OPS;
 
 use crate::dense::{Tables, UNSEEN};
 use crate::govern::{self, ComponentBytes};
-use crate::ondemand::{BudgetPolicy, OnDemandConfig};
+use crate::ondemand::OnDemandConfig;
 use crate::signature::SigId;
 use crate::snapshot::{AutomatonSnapshot, DynEvalTable, MAX_ARITY, NO_CHILD};
 use crate::state::{StateData, StateId};
 
-/// The current table-file format version. Version 3 keys every
-/// transition by projection ids and stores the per-operand-class
-/// projection arrays in place of the projection-mode flag and the
-/// `(state, op, pos)` projection cache; older files are rejected with
-/// [`PersistError::UnsupportedVersion`] (re-export them).
-pub const FORMAT_VERSION: u32 = 3;
+/// The current table-file format version. Version 4 drops the
+/// configuration section (budget policy and state budget) version 3
+/// carried, since a configuration bounds the memo without changing what
+/// an entry means; version 3 keyed every transition by projection ids
+/// and stored the per-operand-class projection arrays. Older files are
+/// rejected with [`PersistError::UnsupportedVersion`] (re-export them).
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: [u8; 4] = *b"ODBT";
 
@@ -128,14 +125,6 @@ pub enum PersistError {
         /// Fingerprint recorded in the file.
         found: u64,
     },
-    /// The tables were exported under a different automaton
-    /// configuration.
-    ConfigMismatch {
-        /// Configuration the caller expects.
-        expected: OnDemandConfig,
-        /// Configuration recorded in the file.
-        found: OnDemandConfig,
-    },
     /// The payload is internally inconsistent (out-of-range ids or
     /// malformed sections) despite a valid checksum.
     Malformed(String),
@@ -160,11 +149,6 @@ impl std::fmt::Display for PersistError {
                 f,
                 "tables were exported for a different grammar \
                  (fingerprint {found:#018x}, expected {expected:#018x}); re-export them"
-            ),
-            PersistError::ConfigMismatch { expected, found } => write!(
-                f,
-                "tables were exported under a different automaton configuration \
-                 ({found:?}, expected {expected:?})"
             ),
             PersistError::Malformed(what) => {
                 write!(f, "table file is malformed: {what}")
@@ -203,9 +187,6 @@ struct Enc {
 }
 
 impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
     fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -245,22 +226,7 @@ pub fn write_tables_to<W: Write>(
     mut writer: W,
 ) -> Result<(), PersistError> {
     let mut e = Enc { buf: Vec::new() };
-    let config = snapshot.config();
-
     e.u64(snapshot.grammar().fingerprint());
-    match config.budget_policy {
-        BudgetPolicy::Error => e.u8(0),
-        BudgetPolicy::Flush => e.u8(1),
-        BudgetPolicy::Compact {
-            byte_budget,
-            retain_fraction,
-        } => {
-            e.u8(2);
-            e.u64(byte_budget as u64);
-            e.u32(retain_fraction.to_bits());
-        }
-    }
-    e.u64(config.state_budget as u64);
     e.u64(snapshot.epoch());
     e.u32(snapshot.grammar().num_nts() as u32);
 
@@ -330,9 +296,6 @@ impl<'a> Dec<'a> {
         self.pos = end;
         Ok(bytes)
     }
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
     fn u16(&mut self) -> Result<u16, PersistError> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
@@ -393,7 +356,6 @@ impl<'a> Dec<'a> {
 /// [`read_tables_from`]; [`inspect_tables`] stops here.
 struct RawTables {
     fingerprint: u64,
-    config: OnDemandConfig,
     epoch: u64,
     num_nts: usize,
     num_classes: usize,
@@ -443,33 +405,6 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
     };
 
     let fingerprint = d.u64()?;
-    let budget_policy = match d.u8()? {
-        0 => BudgetPolicy::Error,
-        1 => BudgetPolicy::Flush,
-        2 => {
-            let byte_budget = d.u64()? as usize;
-            let retain_fraction = f32::from_bits(d.u32()?);
-            if !retain_fraction.is_finite() {
-                return Err(PersistError::Malformed(format!(
-                    "retain fraction {retain_fraction} is not finite"
-                )));
-            }
-            BudgetPolicy::Compact {
-                byte_budget,
-                retain_fraction,
-            }
-        }
-        v => {
-            return Err(PersistError::Malformed(format!(
-                "budget policy {v} out of range"
-            )))
-        }
-    };
-    let state_budget = d.u64()? as usize;
-    let config = OnDemandConfig {
-        state_budget,
-        budget_policy,
-    };
     let epoch = d.u64()?;
     let num_nts = d.u32()? as usize;
 
@@ -589,7 +524,6 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
 
     Ok(RawTables {
         fingerprint,
-        config,
         epoch,
         num_nts,
         num_classes,
@@ -600,9 +534,9 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
 }
 
 /// Reads tables written by [`write_tables_to`] from any [`Read`] source,
-/// validating them against the grammar and configuration the importing
-/// automaton will run with. The file path ([`load_tables`]) and the
-/// cluster table-shipping path both consume bytes through it.
+/// validating them against the grammar the importing automaton runs; the
+/// imported snapshot runs under `config`. The file path ([`load_tables`])
+/// and the cluster table-shipping path both consume bytes through it.
 ///
 /// # Errors
 ///
@@ -610,7 +544,7 @@ fn parse_payload(payload: &[u8]) -> Result<RawTables, PersistError> {
 pub fn read_tables_from<R: Read>(
     reader: R,
     grammar: Arc<NormalGrammar>,
-    expected: OnDemandConfig,
+    config: OnDemandConfig,
 ) -> Result<AutomatonSnapshot, PersistError> {
     let payload = read_payload(reader)?;
     let raw = parse_payload(&payload)?;
@@ -620,12 +554,6 @@ pub fn read_tables_from<R: Read>(
         return Err(PersistError::GrammarMismatch {
             expected: expected_fp,
             found: raw.fingerprint,
-        });
-    }
-    if raw.config != expected {
-        return Err(PersistError::ConfigMismatch {
-            expected,
-            found: raw.config,
         });
     }
     if raw.num_nts != grammar.num_nts() {
@@ -669,7 +597,7 @@ pub fn read_tables_from<R: Read>(
     Ok(AutomatonSnapshot::new(
         raw.epoch,
         grammar,
-        raw.config,
+        config,
         raw.states,
         raw.projections,
         raw.tables,
@@ -678,7 +606,7 @@ pub fn read_tables_from<R: Read>(
 }
 
 /// A grammar-free summary of a persisted table file, as printed by
-/// `odburg tables stats`: identity (fingerprint, configuration, epoch),
+/// `odburg tables stats`: identity (fingerprint, epoch),
 /// per-section entry counts, and the same per-component byte accounting
 /// ([`ComponentBytes`]) a live snapshot reports — so a budget can be
 /// sized from files on disk.
@@ -686,8 +614,6 @@ pub fn read_tables_from<R: Read>(
 pub struct TableFileInfo {
     /// Fingerprint of the grammar the tables were exported under.
     pub fingerprint: u64,
-    /// The automaton configuration the tables were exported under.
-    pub config: OnDemandConfig,
     /// The epoch the snapshot belonged to.
     pub epoch: u64,
     /// Nonterminal count of the exporting grammar's normal form.
@@ -723,7 +649,6 @@ pub fn inspect_snapshot<R: Read>(reader: R) -> Result<TableFileInfo, PersistErro
     let raw = parse_payload(&payload)?;
     Ok(TableFileInfo {
         fingerprint: raw.fingerprint,
-        config: raw.config,
         epoch: raw.epoch,
         num_nts: raw.num_nts,
         states: raw.states.len(),
@@ -818,15 +743,16 @@ pub fn save_tables(snapshot: &AutomatonSnapshot, path: &Path) -> Result<(), Pers
 pub fn load_tables(
     path: &Path,
     grammar: Arc<NormalGrammar>,
-    expected: OnDemandConfig,
+    config: OnDemandConfig,
 ) -> Result<AutomatonSnapshot, PersistError> {
     let file = std::fs::File::open(path)?;
-    read_tables_from(std::io::BufReader::new(file), grammar, expected)
+    read_tables_from(std::io::BufReader::new(file), grammar, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::MemoryBudget;
     use crate::label::Labeler;
     use crate::ondemand::OnDemandAutomaton;
     use odburg_grammar::parse_grammar;
@@ -906,10 +832,7 @@ mod tests {
         .unwrap()
         .normalize();
         let config = OnDemandConfig {
-            budget_policy: BudgetPolicy::Compact {
-                byte_budget: 123_456,
-                retain_fraction: 0.375,
-            },
+            memory_budget: Some(MemoryBudget::compact(123_456, 0.375)),
             ..OnDemandConfig::default()
         };
         let mut auto = crate::OnDemandAutomaton::with_config(Arc::new(g), config);
@@ -922,17 +845,15 @@ mod tests {
         write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
         let imported = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), config).unwrap();
         assert_eq!(imported.config(), config);
-        // And a different compact budget is a config mismatch, not a
-        // silent acceptance.
+        // A different compact budget imports the same tables: the file
+        // carries none, and the snapshot runs under the importer's.
         let other = OnDemandConfig {
-            budget_policy: BudgetPolicy::Compact {
-                byte_budget: 999,
-                retain_fraction: 0.375,
-            },
+            memory_budget: Some(MemoryBudget::compact(999, 0.375)),
             ..OnDemandConfig::default()
         };
-        let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
-        assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
+        let imported = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap();
+        assert_eq!(imported.config(), other);
+        assert_eq!(imported.stats(), auto.snapshot().stats());
     }
 
     #[test]
@@ -944,7 +865,6 @@ mod tests {
         let info = inspect_snapshot(&bytes[..]).unwrap();
         let stats = snap.stats();
         assert_eq!(info.fingerprint, auto.grammar().fingerprint());
-        assert_eq!(info.config, auto.config());
         assert_eq!(info.epoch, stats.epoch);
         assert_eq!(info.states, stats.states);
         assert_eq!(info.projections, stats.projections);
@@ -990,7 +910,7 @@ mod tests {
     }
 
     #[test]
-    fn wrong_config_is_rejected() {
+    fn tables_import_under_any_config() {
         let (auto, _) = warmed();
         let mut bytes = Vec::new();
         write_tables_to(&auto.snapshot(), &mut bytes).unwrap();
@@ -1000,13 +920,14 @@ mod tests {
                 ..auto.config()
             },
             OnDemandConfig {
-                budget_policy: BudgetPolicy::Flush,
+                memory_budget: Some(MemoryBudget::flush(usize::MAX)),
                 ..auto.config()
             },
         ];
         for other in budgets {
-            let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap_err();
-            assert!(matches!(err, PersistError::ConfigMismatch { .. }), "{err}");
+            let imported = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), other).unwrap();
+            assert_eq!(imported.config(), other);
+            assert_eq!(imported.stats(), auto.snapshot().stats());
         }
     }
 
@@ -1154,14 +1075,17 @@ mod tests {
             "{err}"
         );
         // A version-2 file (projection flag, `(state, op, pos)` cache)
-        // must be re-exported, not decoded as version 3.
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let err =
-            read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config()).unwrap_err();
-        assert!(
-            matches!(err, PersistError::UnsupportedVersion { found: 2 }),
-            "{err}"
-        );
+        // or a version-3 one (configuration section) must be re-exported,
+        // not decoded as version 4.
+        for old in [2, 3] {
+            bytes[4..8].copy_from_slice(&u32::to_le_bytes(old));
+            let err = read_tables_from(&bytes[..], Arc::clone(auto.grammar()), auto.config())
+                .unwrap_err();
+            assert!(
+                matches!(err, PersistError::UnsupportedVersion { found } if found == old),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! snapshot has not seen enters the single-writer grow path: the
 //! mutable master automaton behind a mutex resumes the forest where the
 //! lock-free walk stopped — through the same grow function, and so the
-//! same budget-policy ladder, as a single-threaded
+//! same memory-budget ladder, as a single-threaded
 //! [`OnDemandAutomaton`] — and publishes a fresh snapshot. Publication
 //! copies no table: the snapshot shares the master's slot arrays, and
 //! the master copies an array only when it next grows one a snapshot
@@ -45,7 +45,7 @@ use odburg_ir::{Forest, NodeId};
 use crate::counters::{AtomicWorkCounters, WorkCounters};
 use crate::govern::{ComponentBytes, MemoryBudget, PressureEvent};
 use crate::label::{LabelError, Labeler, Labeling, StateChooser, StateLookup};
-use crate::ondemand::{OnDemandAutomaton, OnDemandConfig};
+use crate::ondemand::OnDemandAutomaton;
 use crate::snapshot::AutomatonSnapshot;
 use crate::state::StateId;
 
@@ -65,15 +65,6 @@ pub enum InstallError {
         expected: u64,
         /// Fingerprint carried by the shipped snapshot.
         found: u64,
-    },
-    /// The shipped tables were built under a different configuration
-    /// (state budget or budget policy), so they are not interchangeable
-    /// with ours.
-    ConfigMismatch {
-        /// Configuration this automaton runs.
-        expected: OnDemandConfig,
-        /// Configuration carried by the shipped snapshot.
-        found: OnDemandConfig,
     },
     /// The shipped snapshot is not strictly newer than what is already
     /// published: its `(epoch, entries)` pair is `<=` ours, where
@@ -96,10 +87,6 @@ impl std::fmt::Display for InstallError {
             InstallError::GrammarMismatch { expected, found } => write!(
                 f,
                 "shipped tables belong to grammar {found:#018x}, automaton runs {expected:#018x}"
-            ),
-            InstallError::ConfigMismatch { expected, found } => write!(
-                f,
-                "shipped tables built under {found:?}, automaton runs {expected:?}"
             ),
             InstallError::Stale { current, shipped } => write!(
                 f,
@@ -156,7 +143,7 @@ pub struct SharedOnDemand {
     /// reference it — a reader mid-forest, or a [`PinnedLabeling`]
     /// holding it; every other replaced snapshot is dropped on the next
     /// publication, so grow-churn workloads do not accumulate dead
-    /// tables. See [`BudgetPolicy::Flush`](crate::BudgetPolicy::Flush) for the epoch interaction.
+    /// tables. See [`MemoryBudget`] for the epoch interaction.
     current: ArcSwap<AutomatonSnapshot>,
     /// The mutable master automaton — the single-writer grow path.
     writer: Mutex<OnDemandAutomaton>,
@@ -253,8 +240,8 @@ impl SharedOnDemand {
     }
 
     /// Labels a forest and pins the snapshot the resulting state ids
-    /// refer to. Use this when labelings outlive the next flush (see
-    /// [`BudgetPolicy::Flush`](crate::BudgetPolicy::Flush)).
+    /// refer to. Use this when labelings outlive the next flush or
+    /// compaction (see [`MemoryBudget`]).
     ///
     /// # Errors
     ///
@@ -313,7 +300,7 @@ impl SharedOnDemand {
                 states.clear();
             }
 
-            // The one grow path and budget-policy ladder; a compaction
+            // The one grow path and memory-budget ladder; a compaction
             // folds in the published snapshot's fast-path heat. It
             // relabels after any compaction, so the states handed back
             // never alias a remapped id in the published snapshot.
@@ -355,11 +342,13 @@ impl SharedOnDemand {
     /// already seen never enters the grow path here.
     ///
     /// The shipment is fenced, not trusted: it must carry our grammar
-    /// fingerprint and configuration, and must be *strictly newer* than
-    /// the published snapshot under the lexicographic `(epoch, entries)`
-    /// order (see [`InstallError::Stale`]) — a late broadcast from a
+    /// fingerprint and be *strictly newer* than the published snapshot
+    /// under the lexicographic `(epoch, entries)` order (see
+    /// [`InstallError::Stale`]) — a late broadcast from a
     /// deposed writer, or a re-delivered duplicate, is rejected as
     /// [`InstallError::Stale`] without disturbing the published tables.
+    /// The master keeps its own configuration: a shipment carries tables
+    /// only.
     ///
     /// Returns the installed snapshot's epoch.
     ///
@@ -375,12 +364,6 @@ impl SharedOnDemand {
             return Err(InstallError::GrammarMismatch {
                 expected: expected_fp,
                 found: found_fp,
-            });
-        }
-        if snapshot.config() != current.config() {
-            return Err(InstallError::ConfigMismatch {
-                expected: current.config(),
-                found: snapshot.config(),
             });
         }
         let fence = |cur: &AutomatonSnapshot| {
@@ -403,7 +386,9 @@ impl SharedOnDemand {
         // ...re-checked under it: a concurrent grow or install may have
         // published newer tables while we waited.
         fence(&self.current.load())?;
+        let config = master.config();
         *master = OnDemandAutomaton::from_snapshot(&snapshot);
+        master.config = config;
         let epoch = snapshot.epoch();
         self.current.store(snapshot);
         if let Some(scope) = self.events.lock().as_ref() {
@@ -430,13 +415,13 @@ impl SharedOnDemand {
     /// anything needed doing, so a report can prove governance ran in
     /// worker quanta rather than on the submit/complete hot path.
     ///
-    /// A `budget` is an externally supplied [`MemoryBudget`] (the
-    /// selection service's per-target budgets), independent of the
-    /// automaton's own [`BudgetPolicy`](crate::BudgetPolicy): when the
-    /// accounted bytes exceed it, the grow path's relief step runs the
-    /// configured [`PressureAction`](crate::PressureAction) — a flush
-    /// wipes the tables, a compaction evicts the cold tail — and the
-    /// result is published. Pinned labelings are unaffected either way
+    /// A `budget` is the selection service's [`MemoryBudget`], independent
+    /// of the one the grow path enforces
+    /// ([`OnDemandConfig::memory_budget`](crate::OnDemandConfig::memory_budget)):
+    /// when the accounted bytes exceed it, the grow path's relief step
+    /// runs its [`PressureAction`](crate::PressureAction) — a flush wipes
+    /// the tables, a compaction evicts the cold tail — and the result is
+    /// published. Pinned labelings are unaffected either way
     /// (their snapshots stay alive). Returns what happened, or `None`
     /// when there is no budget or the tables fit.
     pub fn run_maintenance(&self, budget: Option<&MemoryBudget>) -> Option<PressureEvent> {
@@ -510,11 +495,11 @@ impl SharedOnDemand {
 
 impl StateLookup for SharedOnDemand {
     /// Resolves against the currently published snapshot. Within an
-    /// epoch this is always correct (ids are append-only). Across a
-    /// [`BudgetPolicy::Flush`](crate::BudgetPolicy::Flush), a stale id degrades to `None` (the
-    /// snapshot's lookup is bounds-checked) — prefer
+    /// epoch this is always correct (ids are append-only). Across a flush
+    /// or compaction, a stale id degrades to `None` (the snapshot's
+    /// lookup is bounds-checked) — prefer
     /// [`SharedOnDemand::label_forest_pinned`] when labelings outlive
-    /// flushes.
+    /// them.
     fn rule_in_state(&self, state: StateId, nt: NtId) -> Option<NormalRuleId> {
         self.current.load().rule_in_state(state, nt)
     }
@@ -548,7 +533,7 @@ mod tests {
     use odburg_ir::parse_sexpr;
     use std::sync::Arc;
 
-    use crate::ondemand::{BudgetPolicy, OnDemandConfig};
+    use crate::ondemand::OnDemandConfig;
 
     fn demo_automaton() -> OnDemandAutomaton {
         let g = parse_grammar(
@@ -673,7 +658,7 @@ mod tests {
                 // their union needs 4, so the second forest forces a
                 // flush that its solo relabel survives.
                 state_budget: 3,
-                budget_policy: BudgetPolicy::Flush,
+                memory_budget: Some(MemoryBudget::flush(usize::MAX)),
             },
         );
         let shared = SharedOnDemand::new(auto);
@@ -795,10 +780,7 @@ mod tests {
         let auto = OnDemandAutomaton::with_config(
             Arc::clone(g.grammar()),
             OnDemandConfig {
-                budget_policy: BudgetPolicy::Compact {
-                    byte_budget,
-                    retain_fraction: 0.5,
-                },
+                memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
                 ..OnDemandConfig::default()
             },
         );
@@ -920,6 +902,26 @@ mod tests {
     }
 
     #[test]
+    fn install_accepts_tables_grown_under_another_config() {
+        // A shipment carries tables only: a replica with its own state
+        // budget installs a default-config writer's tables, answers the
+        // writer's forest without a miss, and keeps its budget.
+        let writer = SharedOnDemand::new(demo_automaton());
+        let config = OnDemandConfig {
+            state_budget: 64,
+            ..OnDemandConfig::default()
+        };
+        let grammar = Arc::clone(writer.snapshot().grammar());
+        let replica = SharedOnDemand::new(OnDemandAutomaton::with_config(grammar, config));
+        let f = forest("(StoreI8 (ConstI8 0) (AddI8 (LoadI8 (ConstI8 4)) (ConstI8 2)))");
+        writer.label_forest(&f).unwrap();
+        replica.install_snapshot(writer.snapshot()).unwrap();
+        replica.label_forest(&f).unwrap();
+        assert_eq!(replica.counters().memo_misses, 0, "replica missed");
+        assert_eq!(replica.with_read(OnDemandAutomaton::config), config);
+    }
+
+    #[test]
     fn every_node_is_counted_once_by_both_automata() {
         // The warm walk leaves the node it stops at to the grow path,
         // which counts it once it resolves it: across cold, partly warm,
@@ -985,7 +987,7 @@ mod tests {
             Arc::new(g),
             OnDemandConfig {
                 state_budget: 3,
-                budget_policy: BudgetPolicy::Flush,
+                memory_budget: Some(MemoryBudget::flush(usize::MAX)),
             },
         );
         let shared = SharedOnDemand::new(auto);
@@ -1026,7 +1028,7 @@ mod tests {
                 // their union needs 4, so the second forest forces a
                 // flush that its solo relabel survives.
                 state_budget: 3,
-                budget_policy: BudgetPolicy::Flush,
+                memory_budget: Some(MemoryBudget::flush(usize::MAX)),
             },
         );
         let shared = SharedOnDemand::new(auto);

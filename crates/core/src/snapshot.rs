@@ -21,12 +21,11 @@
 //! array only when it next grows one a snapshot still holds.
 //!
 //! Because the master automaton is append-only within an epoch (state,
-//! transition and signature ids are never reassigned until a
-//! [`BudgetPolicy::Flush`](crate::BudgetPolicy) wipe or a heat-guided
-//! [compaction](crate::govern) starts the next epoch), any prefix of a
-//! forest labeled against an older snapshot remains valid against the
-//! newer master — the slow path can resume exactly where the fast path
-//! stopped.
+//! transition and signature ids are never reassigned until a flush or a
+//! heat-guided [compaction](crate::govern) starts the next epoch), any
+//! prefix of a forest labeled against an older snapshot remains valid
+//! against the newer master — the slow path can resume exactly where the
+//! fast path stopped.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -426,8 +425,7 @@ impl AutomatonSnapshot {
 
     /// The flush epoch this snapshot belongs to. State ids are only
     /// comparable between snapshots (or labelings) of the same epoch; see
-    /// the epoch discussion on
-    /// [`BudgetPolicy::Flush`](crate::BudgetPolicy).
+    /// the epoch semantics on [`MemoryBudget`](crate::MemoryBudget).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -437,7 +435,8 @@ impl AutomatonSnapshot {
         &self.grammar
     }
 
-    /// The configuration the master automaton was created with.
+    /// The configuration this snapshot's tables run under: the publishing
+    /// master's, or the one an import was given.
     pub fn config(&self) -> OnDemandConfig {
         self.config
     }

@@ -434,8 +434,7 @@ pub enum EventKind {
     /// overlaps.
     Ship,
     /// A replica refused a shipment (stale epoch, zombie writer, grammar
-    /// or config mismatch); `arg` is the writer-lease epoch the shipment
-    /// carried.
+    /// mismatch); `arg` is the writer-lease epoch the shipment carried.
     ShipReject,
     /// A target's traffic was re-routed to the next ring shard after a
     /// shard failure; `arg` is the index of the shard now serving it.

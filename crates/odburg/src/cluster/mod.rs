@@ -13,7 +13,7 @@
 //! * **Table shipping.** The writer's published snapshot travels to
 //!   every replica as persist-format bytes over a framed
 //!   [`ShipTransport`] ([`ship_target`]); receivers re-validate magic,
-//!   checksum, grammar fingerprint and configuration, then swap the
+//!   checksum, grammar fingerprint and table structure, then swap the
 //!   snapshot in through the same epoch/hazard-pointer publication path
 //!   a local compaction uses — in-flight pinned labelings are
 //!   unaffected, and a stale or mismatched shipment is a typed
@@ -239,7 +239,6 @@ impl ClusterReport {
 struct TargetSpec {
     name: String,
     grammar: Arc<NormalGrammar>,
-    mode: OnDemandConfig,
 }
 
 /// One shard slot. `alive` is the routing fast path; the `server` slot
@@ -380,8 +379,9 @@ impl ShardCluster {
         self.register_normal(grammar.name(), Arc::new(grammar.normalize()))
     }
 
-    /// Registers an already-normalized grammar on every shard; see
-    /// [`register_with_mode`](Self::register_with_mode).
+    /// Registers an already-normalized grammar on every alive shard,
+    /// records the spec for future restarts, and elects the initial
+    /// writer: the ring owner of the name.
     ///
     /// # Errors
     ///
@@ -391,26 +391,10 @@ impl ShardCluster {
         name: &str,
         grammar: Arc<NormalGrammar>,
     ) -> Result<WriterLease, ServiceError> {
-        self.register_with_mode(name, grammar, OnDemandConfig::default())
-    }
-
-    /// Registers a grammar with an explicit automaton configuration on
-    /// every alive shard, records the spec for future restarts, and
-    /// elects the initial writer: the ring owner of the name.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_with_mode(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-        mode: OnDemandConfig,
-    ) -> Result<WriterLease, ServiceError> {
         for shard in &self.shards {
             let guard = shard.server.read().expect("shard lock");
             if let Some(server) = guard.as_ref() {
-                server.register_with_mode(name, Arc::clone(&grammar), mode)?;
+                server.register_normal(name, Arc::clone(&grammar))?;
             }
         }
         self.targets
@@ -419,7 +403,6 @@ impl ShardCluster {
             .push(Arc::new(TargetSpec {
                 name: name.to_string(),
                 grammar,
-                mode,
             }));
         let writer = self
             .ring
@@ -662,7 +645,7 @@ impl ShardCluster {
     /// shipment on shard `idx`, returning the installed snapshot's
     /// epoch. This is where every fence lives, in order: the
     /// writer-lease epoch (zombie broadcast), shard liveness, persist
-    /// validation (checksum, grammar fingerprint, configuration), and
+    /// validation (checksum, grammar fingerprint, table structure), and
     /// the receiving core's `(epoch, table entries)` monotonic fence. Public
     /// because the socket serving path ([`SocketTransport`]) and the
     /// differential tests inject frames directly.
@@ -719,7 +702,8 @@ impl ShardCluster {
                     target: shipment.target.clone(),
                 })
             })?;
-        let snapshot = read_tables_from(&shipment.bytes[..], Arc::clone(&spec.grammar), spec.mode)?;
+        let grammar = Arc::clone(&spec.grammar);
+        let snapshot = read_tables_from(&shipment.bytes[..], grammar, OnDemandConfig::default())?;
         let guard = self.shards[idx].server.read().expect("shard lock");
         let server = guard.as_ref().ok_or(ShipError::ShardDown { shard: idx })?;
         let shared = server.shared(&shipment.target)?;
@@ -799,7 +783,7 @@ impl ShardCluster {
             }
             let server = SelectorServer::new(shard_config(&self.config.server, idx));
             for spec in self.targets.lock().expect("targets lock").iter() {
-                server.register_with_mode(&spec.name, Arc::clone(&spec.grammar), spec.mode)?;
+                server.register_normal(&spec.name, Arc::clone(&spec.grammar))?;
             }
             self.shard_telemetry
                 .lock()

@@ -7,7 +7,7 @@
 //! as [`odburg_core::persist::write_tables_to`] produced them — so a
 //! shipped snapshot is bit-identical to a file export, and everything
 //! the persist layer validates (magic, version, checksum, grammar
-//! fingerprint, configuration) is validated again on receive.
+//! fingerprint, table structure) is validated again on receive.
 //!
 //! [`ShipTransport`] is deliberately tiny — ordered delivery of opaque
 //! frames — so the cluster logic is transport-agnostic:
@@ -38,10 +38,10 @@ pub enum ShipError {
     /// The transport failed (connection lost, short write, …).
     Io(io::Error),
     /// The shipped bytes failed persist-layer validation: truncated or
-    /// corrupt frame, wrong grammar fingerprint, wrong configuration.
+    /// corrupt frame, wrong grammar fingerprint, malformed tables.
     Persist(PersistError),
     /// The bytes were valid but the receiving core refused to install
-    /// them (stale epoch, mismatched grammar/config — see
+    /// them (stale epoch, mismatched grammar — see
     /// [`InstallError`]).
     Install(InstallError),
     /// The shipment carries a writer-lease epoch older than the one the

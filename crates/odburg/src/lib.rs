@@ -205,10 +205,10 @@ pub mod prelude {
         Histogram, JobCounts, TargetMetrics, Telemetry,
     };
     pub use odburg_core::{
-        AutomatonSnapshot, BudgetPolicy, CompactionStats, ComponentBytes, InstallError, LabelError,
-        Labeler, Labeling, MemoryBudget, OfflineAutomaton, OfflineConfig, OfflineLabeler,
-        OnDemandAutomaton, OnDemandConfig, PinnedLabeling, PressureAction, PressureEvent,
-        RuleChooser, SharedOnDemand, WorkCounters,
+        AutomatonSnapshot, CompactionStats, ComponentBytes, InstallError, LabelError, Labeler,
+        Labeling, MemoryBudget, OfflineAutomaton, OfflineConfig, OfflineLabeler, OnDemandAutomaton,
+        OnDemandConfig, PinnedLabeling, PressureAction, PressureEvent, RuleChooser, SharedOnDemand,
+        WorkCounters,
     };
     pub use odburg_dp::{DpLabeler, MacroExpander};
     pub use odburg_grammar::{

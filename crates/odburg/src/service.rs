@@ -7,10 +7,9 @@
 //! latency targets with bounded memory. This module is that layer:
 //!
 //! * **Registry** — targets map to lazily built
-//!   [`SharedOnDemand`] masters. The six built-in grammars come
-//!   pre-registered via `with_builtin_targets`; more targets can
-//!   register at any time, each with its own [`OnDemandConfig`], so
-//!   masters with different state budgets and budget policies coexist.
+//!   [`SharedOnDemand`] masters under the default [`OnDemandConfig`].
+//!   The six built-in grammars come pre-registered via
+//!   `with_builtin_targets`; more targets can register at any time.
 //! * **Warm start** — with a tables directory configured, a master is
 //!   seeded from `<dir>/<target>.odbt` (the
 //!   [`odburg_core::persist`] format written by
@@ -40,9 +39,10 @@
 //!   observed service time). Optional [`FairConfig`] adds weighted
 //!   per-target fair queueing (deficit round-robin) so one hot target
 //!   cannot starve the registry.
-//! * **Off-path maintenance** — per-target [`MemoryBudget`]
-//!   enforcement (compaction, flushes) never runs on the submit or
-//!   complete path. Workers run **maintenance quanta** between jobs
+//! * **Off-path maintenance** — the server's [`MemoryBudget`]
+//!   ([`ServerConfig::memory_budget`]) is enforced per target
+//!   (compaction, flushes), never on the submit or complete path.
+//!   Workers run **maintenance quanta** between jobs
 //!   ([`SharedOnDemand::run_maintenance`]): after a target's job
 //!   completes, a quantum for that target is queued behind the
 //!   remaining jobs and enforces the budget in the next gap — with a
@@ -216,9 +216,9 @@ pub struct ServerConfig {
     /// master's tables back into it so the hot working set survives
     /// restarts.
     pub tables_dir: Option<PathBuf>,
-    /// Default per-target memory budget, enforced in the maintenance
-    /// quanta workers run between jobs — never on the submit path.
-    /// [`SelectorServer::set_memory_budget`] overrides it per target.
+    /// The memory budget every target's tables are held to, enforced in
+    /// the maintenance quanta workers run between jobs — never on the
+    /// submit path.
     pub memory_budget: Option<MemoryBudget>,
     /// What registration does with grammar-verifier findings.
     pub analysis_policy: AnalysisPolicy,
@@ -493,18 +493,14 @@ pub struct JobOptions {
     pub priority: Priority,
 }
 
-/// One registered target: its grammar, its automaton configuration, and
-/// the lazily built shared master.
+/// One registered target: its grammar and the lazily built shared
+/// master.
 #[derive(Debug)]
 struct TargetEntry {
     name: String,
     grammar: Arc<NormalGrammar>,
-    mode: OnDemandConfig,
     /// The grammar verifier's findings at registration time.
     diagnostics: Vec<Diagnostic>,
-    /// Per-target memory budget: `Some(Some(_))` overrides the service
-    /// default, `Some(None)` opts the target out, `None` inherits.
-    budget: Mutex<Option<Option<MemoryBudget>>>,
     /// Built on first use; the flag records whether persisted tables
     /// seeded it (for the reports).
     master: Mutex<Option<(Arc<SharedOnDemand>, bool)>>,
@@ -540,7 +536,8 @@ impl TargetEntry {
         let mut warm = false;
         let master = match tables_dir.map(|d| d.join(format!("{}.odbt", self.name))) {
             Some(path) if path.exists() => {
-                let snapshot = persist::load_tables(&path, Arc::clone(&self.grammar), self.mode)
+                let grammar = Arc::clone(&self.grammar);
+                let snapshot = persist::load_tables(&path, grammar, OnDemandConfig::default())
                     .map_err(|error| ServiceError::Tables {
                         target: self.name.clone(),
                         error,
@@ -548,10 +545,7 @@ impl TargetEntry {
                 warm = true;
                 SharedOnDemand::with_seed_snapshot(Arc::new(snapshot))
             }
-            _ => SharedOnDemand::new(OnDemandAutomaton::with_config(
-                Arc::clone(&self.grammar),
-                self.mode,
-            )),
+            _ => SharedOnDemand::new(OnDemandAutomaton::new(Arc::clone(&self.grammar))),
         };
         let master = Arc::new(master);
         *slot = Some((Arc::clone(&master), warm));
@@ -597,18 +591,13 @@ impl TargetEntry {
 #[derive(Debug)]
 struct Registry {
     tables_dir: Option<PathBuf>,
-    default_budget: Option<MemoryBudget>,
+    memory_budget: Option<MemoryBudget>,
     analysis_policy: AnalysisPolicy,
     targets: RwLock<HashMap<String, Arc<TargetEntry>>>,
 }
 
 impl Registry {
-    fn register_with_mode(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-        mode: OnDemandConfig,
-    ) -> Result<(), ServiceError> {
+    fn register(&self, name: &str, grammar: Arc<NormalGrammar>) -> Result<(), ServiceError> {
         // Run the verifier outside the registry lock: analysis is pure
         // and the duplicate check below stays authoritative.
         let diagnostics = verify::analyze(&grammar);
@@ -631,9 +620,7 @@ impl Registry {
             Arc::new(TargetEntry {
                 name: name.to_owned(),
                 grammar,
-                mode,
                 diagnostics,
-                budget: Mutex::new(None),
                 master: Mutex::new(None),
                 service_ewma_ns: AtomicU64::new(0),
                 service_samples: AtomicU64::new(0),
@@ -679,16 +666,6 @@ impl Registry {
             .collect();
         names.sort();
         names
-    }
-
-    /// The budget maintenance enforces for `entry`: its override when
-    /// set, the service default otherwise.
-    fn effective_budget(&self, entry: &TargetEntry) -> Option<MemoryBudget> {
-        entry
-            .budget
-            .lock()
-            .expect("budget lock")
-            .unwrap_or(self.default_budget)
     }
 }
 
@@ -1392,12 +1369,12 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
 /// event for the reports.
 fn run_quantum(shared: &ServerShared, entry: Arc<TargetEntry>) {
     if let Some((master, _)) = entry.built_master() {
-        let budget = shared.registry.effective_budget(&entry);
+        let budget = shared.registry.memory_budget.as_ref();
         let t = Instant::now();
         // Same containment as the labeling path: a panicking quantum
         // must not take the worker (and its `active` slot) with it.
         let event = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            master.run_maintenance(budget.as_ref())
+            master.run_maintenance(budget)
         }))
         .unwrap_or(None);
         // Any Compact/Flush the quantum triggered is recorded by the
@@ -1526,7 +1503,7 @@ impl SelectorServer {
         let shared = Arc::new(ServerShared {
             registry: Registry {
                 tables_dir: config.tables_dir,
-                default_budget: config.memory_budget,
+                memory_budget: config.memory_budget,
                 analysis_policy: config.analysis_policy,
                 targets: RwLock::new(HashMap::new()),
             },
@@ -1577,8 +1554,8 @@ impl SelectorServer {
         server
     }
 
-    /// Registers a grammar under its own name with the default
-    /// automaton configuration. Allowed at any time while serving.
+    /// Registers a grammar under its own name. Allowed at any time while
+    /// serving.
     ///
     /// # Errors
     ///
@@ -1597,38 +1574,7 @@ impl SelectorServer {
         name: &str,
         grammar: Arc<NormalGrammar>,
     ) -> Result<(), ServiceError> {
-        self.register_with_mode(name, grammar, OnDemandConfig::default())
-    }
-
-    /// Registers a grammar with an explicit automaton configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::DuplicateTarget`] if the name is taken.
-    pub fn register_with_mode(
-        &self,
-        name: &str,
-        grammar: Arc<NormalGrammar>,
-        mode: OnDemandConfig,
-    ) -> Result<(), ServiceError> {
-        self.shared.registry.register_with_mode(name, grammar, mode)
-    }
-
-    /// Overrides the server-level default memory budget for one target:
-    /// `Some(budget)` applies that budget in its maintenance quanta,
-    /// `None` opts the target out entirely.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnknownTarget`] if the name is not registered.
-    pub fn set_memory_budget(
-        &self,
-        target: &str,
-        budget: Option<MemoryBudget>,
-    ) -> Result<(), ServiceError> {
-        let entry = self.shared.registry.entry(target)?;
-        *entry.budget.lock().expect("budget lock") = Some(budget);
-        Ok(())
+        self.shared.registry.register(name, grammar)
     }
 
     /// The registered target names, sorted.
@@ -2278,29 +2224,6 @@ mod tests {
         assert!(done.outcome.is_ok());
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn configured_master_per_target() {
-        let server = SelectorServer::new(batch_config(2));
-        let normal = Arc::new(odburg_targets::demo().normalize());
-        let mode = OnDemandConfig {
-            state_budget: 64,
-            budget_policy: odburg_core::BudgetPolicy::Flush,
-        };
-        server
-            .register_with_mode("demo-budgeted", Arc::clone(&normal), mode)
-            .unwrap();
-        server.register_normal("demo", normal).unwrap();
-        let rmw = "(StoreI8 (AddrLocalP @x) (AddI8 (LoadI8 (AddrLocalP @x)) (ConstI8 5)))";
-        for (target, config) in [("demo-budgeted", mode), ("demo", OnDemandConfig::default())] {
-            let done = server.try_submit(target, forest(rmw)).unwrap().wait();
-            // Each master runs its own configuration and still selects
-            // the RMW fold.
-            let red = done.reduce().unwrap();
-            assert_eq!(red.total_cost, odburg_grammar::Cost::finite(2), "{target}");
-            assert_eq!(server.shared(target).unwrap().snapshot().config(), config);
-        }
     }
 
     #[test]

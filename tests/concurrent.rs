@@ -176,7 +176,7 @@ fn concurrent_flushes_stay_correct() {
             // whole workload (46): each forest survives its own relabel,
             // but the set keeps forcing flushes.
             state_budget: 36,
-            budget_policy: BudgetPolicy::Flush,
+            memory_budget: Some(MemoryBudget::flush(usize::MAX)),
         },
     );
     let shared = Arc::new(SharedOnDemand::new(auto));
@@ -204,7 +204,7 @@ fn concurrent_flushes_stay_correct() {
         }
     });
     assert!(
-        shared.stats().flushes > 0,
+        shared.counters().flushes > 0,
         "the tiny budget must actually force flushes"
     );
 }

@@ -13,7 +13,7 @@
 //! snapshot's per-node lookups, and its selections must match the
 //! `DpLabeler` oracle. All of it is checked over random grammars and
 //! random forests and — because compaction rebuilds the tables from
-//! remapped ids — across a `BudgetPolicy::Compact` epoch change. The
+//! remapped ids — across a compacting `MemoryBudget`'s epoch change. The
 //! operand classes themselves are checked on the built-in grammars.
 
 mod common;
@@ -347,10 +347,7 @@ proptest! {
         let compacting = SharedOnDemand::new(OnDemandAutomaton::with_config(
             Arc::clone(&normal),
             OnDemandConfig {
-                budget_policy: BudgetPolicy::Compact {
-                    byte_budget: (full_bytes / 2).max(2048),
-                    retain_fraction: 0.5,
-                },
+                memory_budget: Some(MemoryBudget::compact((full_bytes / 2).max(2048), 0.5)),
                 ..OnDemandConfig::default()
             },
         ));

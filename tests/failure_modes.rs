@@ -121,7 +121,7 @@ fn flush_policy_bounds_memory_and_stays_correct() {
         normal.clone(),
         OnDemandConfig {
             state_budget: budget,
-            budget_policy: BudgetPolicy::Flush,
+            memory_budget: Some(MemoryBudget::flush(usize::MAX)),
         },
     );
     let mut dp = DpLabeler::new(normal.clone());
@@ -139,7 +139,10 @@ fn flush_policy_bounds_memory_and_stays_correct() {
         assert_eq!(od_cost, dp_cost, "{}: flush broke optimality", program.name);
         assert!(od.stats().states <= budget + 1, "budget not respected");
     }
-    assert!(od.stats().flushes > 0, "the tiny budget must force flushes");
+    assert!(
+        od.counters().flushes > 0,
+        "the tiny budget must force flushes"
+    );
 }
 
 #[test]
@@ -156,7 +159,7 @@ fn clear_resets_to_cold() {
     od.clear();
     assert_eq!(od.stats().states, 0);
     assert_eq!(od.stats().transitions, 0);
-    assert_eq!(od.stats().flushes, 1);
+    assert_eq!(od.counters().flushes, 1);
     // And it still works afterwards.
     od.label_forest(&forest).unwrap();
     assert!(od.stats().states > 0);

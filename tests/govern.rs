@@ -35,10 +35,7 @@ fn compaction_epoch_labelings_are_bit_identical_to_dp() {
     let auto = OnDemandAutomaton::with_config(
         Arc::clone(&normal),
         OnDemandConfig {
-            budget_policy: BudgetPolicy::Compact {
-                byte_budget,
-                retain_fraction: 0.5,
-            },
+            memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
             ..OnDemandConfig::default()
         },
     );
@@ -97,10 +94,7 @@ fn single_threaded_compact_policy_is_bit_identical_to_dp() {
     let mut auto = OnDemandAutomaton::with_config(
         Arc::clone(&normal),
         OnDemandConfig {
-            budget_policy: BudgetPolicy::Compact {
-                byte_budget,
-                retain_fraction: 0.5,
-            },
+            memory_budget: Some(MemoryBudget::compact(byte_budget, 0.5)),
             ..OnDemandConfig::default()
         },
     );
@@ -116,7 +110,7 @@ fn single_threaded_compact_policy_is_bit_identical_to_dp() {
             "bytes exceeded the budget after forest {k}"
         );
     }
-    assert!(auto.stats().compactions > 0, "the churn must compact");
+    assert!(auto.counters().compactions > 0, "the churn must compact");
 }
 
 #[test]
@@ -199,13 +193,10 @@ fn single_threaded_and_shared_ladders_agree() {
     // one must take the same flushes and compactions, answer with the
     // same result, and stay oracle-identical, under every policy.
     let normal = churn_grammar();
-    let mut policies = vec![BudgetPolicy::Error, BudgetPolicy::Flush];
+    let mut budgets = vec![None, Some(MemoryBudget::flush(usize::MAX))];
     for kib in [1, 2, 4, 8, 16] {
         for retain_fraction in [0.05, 0.25, 0.5] {
-            policies.push(BudgetPolicy::Compact {
-                byte_budget: kib * 1024,
-                retain_fraction,
-            });
+            budgets.push(Some(MemoryBudget::compact(kib * 1024, retain_fraction)));
         }
     }
     for adds in [3, 6, 10] {
@@ -222,12 +213,12 @@ fn single_threaded_and_shared_ladders_agree() {
         }
         let expected: Vec<Reduction> = forests.iter().map(|f| dp_reduction(f, &normal)).collect();
         for state_budget in [6, 8, 12, 16, 24, 32, 48, usize::MAX] {
-            for &budget_policy in &policies {
+            for &memory_budget in &budgets {
                 let config = OnDemandConfig {
                     state_budget,
-                    budget_policy,
+                    memory_budget,
                 };
-                let case = format!("{adds} adds, state budget {state_budget}, {budget_policy:?}");
+                let case = format!("{adds} adds, state budget {state_budget}, {memory_budget:?}");
                 let mut single = OnDemandAutomaton::with_config(Arc::clone(&normal), config);
                 let shared = SharedOnDemand::new(OnDemandAutomaton::with_config(
                     Arc::clone(&normal),
@@ -237,6 +228,12 @@ fn single_threaded_and_shared_ladders_agree() {
                     let result = single.label_forest(forest);
                     assert_eq!(result, shared.label_forest(forest), "{case}: forest {k}");
                     assert_eq!(single.stats(), shared.stats(), "{case}: forest {k}");
+                    let reliefs = |c: WorkCounters| (c.flushes, c.compactions);
+                    assert_eq!(
+                        reliefs(single.counters()),
+                        reliefs(shared.counters()),
+                        "{case}: forest {k}"
+                    );
                     assert_eq!(
                         single.epoch(),
                         shared.with_read(OnDemandAutomaton::epoch),
@@ -320,46 +317,27 @@ fn server_budget_is_enforced_per_target_between_jobs() {
 }
 
 #[test]
-fn per_target_budget_overrides_the_server_default() {
+fn server_flush_budget_reports_its_pressure_event() {
     let server = SelectorServer::new(ServerConfig {
         workers: 1,
         queue_cap: usize::MAX,
-        // A default so tight every target would flush after each job…
+        // A budget so tight the target flushes after its job.
         memory_budget: Some(MemoryBudget::flush(1)),
         ..ServerConfig::default()
     });
     server.register_normal("governed", churn_grammar()).unwrap();
-    server.register_normal("exempt", churn_grammar()).unwrap();
-    // …except the one opted out.
-    server.set_memory_budget("exempt", None).unwrap();
-    assert!(matches!(
-        server.set_memory_budget("nope", None),
-        Err(ServiceError::UnknownTarget { .. })
-    ));
 
-    let handles: Vec<JobHandle> = ["governed", "exempt"]
-        .into_iter()
-        .map(|target| server.try_submit(target, store_forest(1, 2)).unwrap())
-        .collect();
-    for handle in handles {
-        assert!(handle.wait().outcome.is_ok());
-    }
+    let handle = server.try_submit("governed", store_forest(1, 2)).unwrap();
+    assert!(handle.wait().outcome.is_ok());
     let report = server.shutdown();
     assert_eq!(report.failed, 0);
-    let stats = |name: &str| {
-        report
-            .per_target
-            .iter()
-            .find(|t| t.target == name)
-            .unwrap()
-            .clone()
-    };
-    let governed = stats("governed");
-    assert!(governed.pressure.is_some(), "default budget must apply");
+    let governed = report
+        .per_target
+        .iter()
+        .find(|t| t.target == "governed")
+        .unwrap();
+    assert!(governed.pressure.is_some(), "the server budget must apply");
     assert_eq!(governed.counters.flushes, 1);
-    let exempt = stats("exempt");
-    assert!(exempt.pressure.is_none(), "opt-out must stick");
-    assert!(exempt.table_bytes > 1);
 }
 
 /// Compaction predicts the footprint of tables it has not built yet, and

@@ -83,11 +83,16 @@ fn incremental_label_node_matches_forest_labeling() {
     let mut whole = OnDemandAutomaton::new(normal.clone());
     let labeling = whole.label_forest(&forest).unwrap();
 
+    // The JIT relabels its forest after every node it adds: the prefix
+    // answers from the memo, and only the new node can miss.
     let mut incremental = OnDemandAutomaton::new(normal);
+    let mut building = Forest::new();
     let mut states = Vec::new();
     for (id, node) in forest.iter() {
-        let kids: Vec<_> = node.children().iter().map(|c| states[c.index()]).collect();
-        states.push(incremental.label_node(&forest, id, &kids).unwrap());
+        building.push(node.op(), node.children(), node.payload());
+        let prefix = incremental.label_forest(&building).unwrap();
+        assert_eq!(prefix.states()[..states.len()], states[..], "node {id}");
+        states.push(prefix.state_of(id));
     }
     assert_eq!(labeling.states(), &states[..]);
 }

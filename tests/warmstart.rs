@@ -113,7 +113,7 @@ fn imported_epoch_survives_the_round_trip() {
     let mut auto = OnDemandAutomaton::with_config(
         Arc::clone(&normal),
         OnDemandConfig {
-            budget_policy: BudgetPolicy::Flush,
+            memory_budget: Some(MemoryBudget::flush(usize::MAX)),
             ..OnDemandConfig::default()
         },
     );
