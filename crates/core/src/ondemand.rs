@@ -53,7 +53,7 @@ pub struct OnDemandConfig {
     /// ([`OnDemandAutomaton::accounted_bytes`]) above its
     /// [`byte_budget`](MemoryBudget::byte_budget). Either relief starts a
     /// new epoch (see [`MemoryBudget`]). `MemoryBudget::flush(usize::MAX)`
-    /// flushes on the state budget alone.
+    /// flushes on the state budget alone, and never sweeps the bytes.
     pub memory_budget: Option<MemoryBudget>,
 }
 
@@ -110,7 +110,7 @@ pub struct OnDemandStats {
 #[derive(Debug)]
 pub struct OnDemandAutomaton {
     grammar: Arc<NormalGrammar>,
-    pub(crate) config: OnDemandConfig,
+    config: OnDemandConfig,
     states: StateSet,
     projections: StateSet,
     /// Class arrays, transition groups and signature interner, in the
@@ -225,6 +225,18 @@ impl OnDemandAutomaton {
             epoch: snapshot.epoch(),
             heat: vec![0; snapshot.states_arena().len()],
         }
+    }
+
+    /// Replaces the tables with `snapshot`'s, as a replica installs a
+    /// writer's shipment. The configuration and the work counters stay:
+    /// they describe this master, not the tables, so the counters never
+    /// go backwards across an install.
+    pub(crate) fn adopt(&mut self, snapshot: &AutomatonSnapshot) {
+        *self = OnDemandAutomaton {
+            config: self.config,
+            counters: self.counters,
+            ..OnDemandAutomaton::from_snapshot(snapshot)
+        };
     }
 
     /// The configuration.
@@ -423,7 +435,8 @@ impl OnDemandAutomaton {
     ///    accounted bytes above `byte_budget` relieves and relabels once
     ///    more, so the ids handed back belong to the epoch the automaton
     ///    is left in. The key gate keeps forests that added no entry from
-    ///    paying the O(tables) accounting sweep.
+    ///    paying the O(tables) accounting sweep, and a `byte_budget` of
+    ///    `usize::MAX`, which no account can pass, skips it always.
     ///
     /// `heat(epoch)` supplies touch counts gathered outside the master
     /// for a compaction in `epoch`; it is called only when one runs.
@@ -444,6 +457,7 @@ impl OnDemandAutomaton {
             outcome = self.label_from(forest, states);
         }
         if outcome.is_ok()
+            && budget.byte_budget != usize::MAX
             && self.freshness() != entry
             && self.accounted_bytes().total() > budget.byte_budget
         {
@@ -617,6 +631,31 @@ mod tests {
             auto.label_forest(&f),
             Err(LabelError::StateBudgetExceeded { budget: 1 })
         ));
+    }
+
+    #[test]
+    fn an_unbounded_byte_budget_flushes_on_the_state_budget_alone() {
+        let g = parse_grammar(DEMO).unwrap().normalize();
+        let mut auto = OnDemandAutomaton::with_config(
+            Arc::new(g),
+            OnDemandConfig {
+                state_budget: 2,
+                memory_budget: Some(MemoryBudget::flush(usize::MAX)),
+            },
+        );
+        // Tables that grow but stay within the state budget never flush.
+        let (add, _) = forest_of("(AddI8 (ConstI8 1) (ConstI8 2))");
+        for _ in 0..3 {
+            auto.label_forest(&add).unwrap();
+        }
+        assert_eq!(auto.stats().states, 2);
+        assert_eq!(auto.counters().flushes, 0);
+        // A forest that overflows the state budget flushes once and
+        // labels in the new epoch.
+        let (load, _) = forest_of("(LoadI8 (ConstI8 1))");
+        auto.label_forest(&load).unwrap();
+        assert_eq!(auto.counters().flushes, 1);
+        assert_eq!(auto.epoch(), 1);
     }
 
     #[test]

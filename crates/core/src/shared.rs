@@ -347,8 +347,8 @@ impl SharedOnDemand {
     /// [`InstallError::Stale`]) — a late broadcast from a
     /// deposed writer, or a re-delivered duplicate, is rejected as
     /// [`InstallError::Stale`] without disturbing the published tables.
-    /// The master keeps its own configuration: a shipment carries tables
-    /// only.
+    /// The master keeps its own configuration and work counters: a
+    /// shipment carries tables only.
     ///
     /// Returns the installed snapshot's epoch.
     ///
@@ -386,9 +386,7 @@ impl SharedOnDemand {
         // ...re-checked under it: a concurrent grow or install may have
         // published newer tables while we waited.
         fence(&self.current.load())?;
-        let config = master.config();
-        *master = OnDemandAutomaton::from_snapshot(&snapshot);
-        master.config = config;
+        master.adopt(&snapshot);
         let epoch = snapshot.epoch();
         self.current.store(snapshot);
         if let Some(scope) = self.events.lock().as_ref() {
@@ -899,6 +897,28 @@ mod tests {
         let err = replica.install_snapshot(shipped).unwrap_err();
         assert!(matches!(err, InstallError::Stale { current, shipped } if current == shipped));
         assert!(err.to_string().contains("table entries"), "{err}");
+    }
+
+    #[test]
+    fn a_replica_keeps_its_counters_across_an_install() {
+        // An install replaces the replica's tables, not the record of the
+        // work it did: its counters never go backwards, so `since` across
+        // an install still measures the work done in between.
+        let writer = shared_demo();
+        let replica = shared_demo();
+        replica
+            .label_forest(&forest("(LoadI8 (AddI8 (ConstI8 1) (ConstI8 2)))"))
+            .unwrap();
+        let grown = replica.counters();
+        assert_eq!((grown.memo_misses, grown.states_built), (3, 3), "{grown:?}");
+        let f = forest("(StoreI8 (ConstI8 0) (AddI8 (LoadI8 (ConstI8 4)) (ConstI8 2)))");
+        writer.label_forest(&f).unwrap();
+        replica.install_snapshot(writer.snapshot()).unwrap();
+        assert_eq!(replica.counters(), grown);
+        replica.label_forest(&f).unwrap();
+        let delta = replica.counters().since(&grown);
+        assert_eq!(delta.nodes, f.len() as u64, "{delta:?}");
+        assert_eq!((delta.memo_misses, delta.states_built), (0, 0));
     }
 
     #[test]

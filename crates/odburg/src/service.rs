@@ -55,6 +55,18 @@
 //!   [`Telemetry`] registry. [`ServerReport`] and its per-target
 //!   [`TargetServerStats::jobs`] are read from that registry, so a
 //!   report and a telemetry export read the same counters.
+//! * **Wake-free handoff** — waking a parked thread costs several
+//!   microseconds, as much as labeling a small job, so the common path
+//!   avoids it. A worker that finishes a task and finds nothing queued
+//!   spins for up to `SPIN_WINDOW` (50 µs) on an admission sequence
+//!   before it parks; a submit wakes a worker only when one is parked
+//!   and the pending tasks outnumber the spinning workers; a
+//!   [`JobHandle::wait`] polls its result for the same window before it
+//!   sleeps, and delivery wakes only a waiter that sleeps. At most one
+//!   worker per server spins at a time, and only on a server whose
+//!   workers leave a core free (`workers < available_parallelism()`), so
+//!   a server that uses every core never spins. A futex is touched only
+//!   when someone sleeps.
 //! * **Graceful shutdown** — [`shutdown`](SelectorServer::shutdown)
 //!   rejects new submits, finishes every accepted job (in-flight
 //!   pinned labelings included), re-exports per-target tables into the
@@ -77,16 +89,27 @@
 //!     │       infeasible? (EWMA × jobs-ahead > deadline) ── Infeasible (shed)
 //!     ▼
 //!  [bounded queue: high │ normal; earliest deadline first, optional per-target DRR]
-//!     │ pop (priority first)
+//!     │ bump the admission sequence; notify_one only if a worker is
+//!     │ parked and the pending tasks outnumber the spinning workers
 //!     ▼
-//!  worker: deadline passed? ──yes──► JobError::DeadlineExceeded ─┐
-//!     │ no                                                       │
-//!     ▼                                                          ▼
-//!  label_forest_pinned ──► Ok(PinnedLabeling) / JobError ──► JobHandle
-//!     │                                                  wait()/try_wait()
+//!  worker (spinning on the sequence, or parked): pop (priority first)
+//!     │
+//!     ▼
+//!  deadline passed? ──yes──► JobError::DeadlineExceeded ─┐
+//!     │ no                                               │
+//!     ▼                                                  ▼
+//!  label_forest_pinned ──► Ok(PinnedLabeling) / JobError ──► deliver: set `ready`;
+//!     │                                      wake the waiter only if it sleeps
+//!     │                                                  │
+//!     │                       JobHandle::wait(): poll `ready` for the spin
+//!     │                       window, then sleep  /  try_wait(): poll once
 //!     ▼
 //!  maintenance quantum for the job's target (between jobs:
 //!  budget check → compact/flush off the hot path)
+//!     │
+//!     ▼
+//!  nothing queued: spin up to SPIN_WINDOW (one worker per server, only
+//!  when the workers leave a core free), then park
 //! ```
 //!
 //! # Epoch pinning
@@ -128,7 +151,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -676,6 +699,9 @@ impl Registry {
 #[derive(Debug)]
 enum SlotState {
     Pending,
+    /// Pending, and the handle's owner sleeps on the slot's condvar:
+    /// the one state in which delivery has someone to wake.
+    Parked,
     // Boxed: a slot outlives its job by however long the caller sits on
     // the handle, and `CompletedJob` (forest + pinned labeling) is big.
     Ready(Box<CompletedJob>),
@@ -686,6 +712,10 @@ enum SlotState {
 struct Slot {
     state: Mutex<SlotState>,
     cond: Condvar,
+    /// Set by [`deliver`](Self::deliver) under the lock, so a waiter can
+    /// poll for its result without the lock. It publishes nothing: the
+    /// result is read under the lock, so `Relaxed` suffices.
+    ready: AtomicBool,
 }
 
 impl Slot {
@@ -693,13 +723,19 @@ impl Slot {
         Slot {
             state: Mutex::new(SlotState::Pending),
             cond: Condvar::new(),
+            ready: AtomicBool::new(false),
         }
     }
 
     fn deliver(&self, done: CompletedJob) {
         let mut state = self.state.lock().expect("job slot lock");
+        let parked = matches!(*state, SlotState::Parked);
         *state = SlotState::Ready(Box::new(done));
-        self.cond.notify_all();
+        self.ready.store(true, Ordering::Relaxed);
+        // A handle has one owner, so at most one thread sleeps here.
+        if parked {
+            self.cond.notify_one();
+        }
     }
 }
 
@@ -710,6 +746,9 @@ pub struct JobHandle {
     ticket: Ticket,
     target: String,
     slot: Arc<Slot>,
+    /// Whether [`wait`](Self::wait) spins before it sleeps: only when
+    /// the server's workers do ([`spins`]).
+    spin: bool,
 }
 
 impl JobHandle {
@@ -723,22 +762,26 @@ impl JobHandle {
         &self.target
     }
 
-    /// Blocks until the job completes and returns its result.
+    /// Blocks until the job completes and returns its result. On a
+    /// server whose workers spin (see the [module docs](self)), it first
+    /// polls for the result for up to 50 µs, so a result delivered within
+    /// that window costs no wake-up.
     ///
     /// # Panics
     ///
     /// Panics if the result was already taken by
     /// [`try_wait`](Self::try_wait).
     pub fn wait(self) -> CompletedJob {
+        if self.spin {
+            spin_until(|| self.slot.ready.load(Ordering::Relaxed));
+        }
         let mut state = self.slot.state.lock().expect("job slot lock");
         loop {
-            match &*state {
-                SlotState::Ready(_) => match std::mem::replace(&mut *state, SlotState::Taken) {
-                    SlotState::Ready(done) => return *done,
-                    _ => unreachable!("checked Ready above"),
-                },
+            match std::mem::replace(&mut *state, SlotState::Taken) {
+                SlotState::Ready(done) => return *done,
                 SlotState::Taken => panic!("job {} was already waited on", self.ticket),
-                SlotState::Pending => {
+                SlotState::Pending | SlotState::Parked => {
+                    *state = SlotState::Parked;
                     state = self.slot.cond.wait(state).expect("job slot lock");
                 }
             }
@@ -748,6 +791,9 @@ impl JobHandle {
     /// Returns the result if the job has completed, without blocking.
     /// Once this returns `Some`, the handle is spent.
     pub fn try_wait(&mut self) -> Option<CompletedJob> {
+        if !self.slot.ready.load(Ordering::Relaxed) {
+            return None;
+        }
         let mut state = self.slot.state.lock().expect("job slot lock");
         match &*state {
             SlotState::Ready(_) => match std::mem::replace(&mut *state, SlotState::Taken) {
@@ -1149,6 +1195,39 @@ impl Scheduler {
 /// the budget exists for.
 const MAINTENANCE_STARVATION_BOUND: usize = 32;
 
+/// How long an idle worker polls for new work before it parks, and how
+/// long [`JobHandle::wait`] polls for its result before it sleeps.
+///
+/// Waking a parked thread costs about 7 µs on a 2-vCPU VM (a condvar
+/// ping-pong between two threads measured 14.2–14.8 µs per round trip),
+/// and `Condvar::notify_one` makes a futex syscall even when nobody
+/// waits (229–255 ns). A handoff inside the window pays neither. On
+/// perfbench `serve_cold` (1 worker, 2 vCPUs; seeds 3040–3045, 12 s
+/// runs, the parent and four windows in rotated order) the median p50
+/// latency ratio to the parent was 0.937 with a 15 µs window, 0.948 with
+/// 30 µs, 0.911 with 50 µs and 0.884 with 100 µs. Seed by seed 50 and
+/// 100 µs were within noise of each other, though at 50 µs about 17% of
+/// submits still found the worker parked (5% at 100 µs). 50 µs keeps the
+/// gain at half the idle cost: an idle server burns at most one window
+/// of one core per idle transition. Only a server whose workers leave a
+/// core free spins at all ([`spins`]).
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// Whether a server of `workers` workers on `cores` cores spins: only
+/// when its workers leave a core for the threads that submit and wait,
+/// so a spinner never holds a core another thread of the server needs.
+fn spins(workers: usize, cores: usize) -> bool {
+    workers < cores
+}
+
+/// Polls `done` until it holds or [`SPIN_WINDOW`] has passed.
+fn spin_until(done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() && start.elapsed() < SPIN_WINDOW {
+        std::hint::spin_loop();
+    }
+}
+
 #[derive(Debug)]
 struct ServerState {
     sched: Scheduler,
@@ -1162,6 +1241,12 @@ struct ServerState {
     jobs_since_maintenance: usize,
     /// Jobs and quanta currently being processed by workers.
     active: usize,
+    /// Workers asleep on [`ServerShared::work`].
+    parked: usize,
+    /// Workers polling [`ServerShared::admissions`] (at most one).
+    spinning: usize,
+    /// Callers asleep on [`ServerShared::idle`].
+    idle_waiters: usize,
     shutdown: bool,
 }
 
@@ -1170,8 +1255,35 @@ impl ServerState {
         self.sched.len()
     }
 
+    /// Queued jobs and pending maintenance quanta.
+    fn pending(&self) -> usize {
+        self.sched.len() + self.maintenance.len()
+    }
+
     fn is_idle(&self) -> bool {
-        self.sched.len() == 0 && self.maintenance.is_empty() && self.active == 0
+        self.pending() == 0 && self.active == 0
+    }
+
+    /// Takes the next task, counted as active: a job, unless a pending
+    /// maintenance quantum is overdue or no job waits.
+    fn pop_task(&mut self) -> Option<Task> {
+        let overdue = self.jobs_since_maintenance >= MAINTENANCE_STARVATION_BOUND
+            && !self.maintenance.is_empty();
+        let job = if overdue { None } else { self.sched.pop() };
+        let task = match job {
+            Some(job) => {
+                self.jobs_since_maintenance += 1;
+                Task::Job(job)
+            }
+            None => {
+                let entry = self.maintenance.pop_front()?;
+                entry.maintenance_queued.store(false, Ordering::Relaxed);
+                self.jobs_since_maintenance = 0;
+                Task::Maintain(entry)
+            }
+        };
+        self.active += 1;
+        Some(task)
     }
 }
 
@@ -1187,8 +1299,16 @@ struct ServerShared {
     /// governor actions).
     telemetry: Arc<Telemetry>,
     state: Mutex<ServerState>,
-    /// Wakes workers: a job or quantum was queued, or shutdown began.
+    /// Wakes parked workers: a job or quantum was queued, or shutdown
+    /// began.
     work: Condvar,
+    /// Bumped under the state lock by every queued job or quantum and by
+    /// shutdown; a spinning worker polls it instead of sleeping on
+    /// `work`. It publishes nothing (the worker pops under the lock), so
+    /// `Relaxed` suffices.
+    admissions: AtomicU64,
+    /// Whether idle workers and waiting handles spin ([`spins`]).
+    spin: bool,
     /// Wakes [`SelectorServer::wait_idle`] callers.
     idle: Condvar,
     queue_cap: usize,
@@ -1207,36 +1327,55 @@ impl ServerShared {
     fn core_lane(&self) -> usize {
         self.telemetry.lane_names().len() - 1
     }
+
+    /// Announces a job or quantum just queued in `st` (the locked state):
+    /// bumps the sequence a spinning worker polls, and wakes a parked
+    /// worker only when the pending tasks outnumber the spinning workers
+    /// — a worker that is busy, spinning or waking looks at the queue
+    /// again before it parks.
+    fn announce(&self, st: &ServerState) {
+        self.admissions.fetch_add(1, Ordering::Relaxed);
+        if st.parked > 0 && st.pending() > st.spinning {
+            self.work.notify_one();
+        }
+    }
+
+    /// Wakes [`SelectorServer::wait_idle`] callers once `st` (the locked
+    /// state) is idle, if any sleep.
+    fn notify_idle(&self, st: &ServerState) {
+        if st.idle_waiters > 0 && st.is_idle() {
+            self.idle.notify_all();
+        }
+    }
 }
 
 fn worker_loop(shared: Arc<ServerShared>, lane: usize) {
+    // Set by every task served: a worker spins only on its way from a
+    // task to the park, never at start-up.
+    let mut may_spin = false;
     loop {
         let task = {
             let mut st = shared.state.lock().expect("server state lock");
             loop {
-                let overdue = st.jobs_since_maintenance >= MAINTENANCE_STARVATION_BOUND
-                    && !st.maintenance.is_empty();
-                if !overdue {
-                    if let Some(job) = st.sched.pop() {
-                        st.jobs_since_maintenance += 1;
-                        st.active += 1;
-                        break Task::Job(job);
-                    }
+                if let Some(task) = st.pop_task() {
+                    break task;
                 }
-                if let Some(entry) = st.maintenance.pop_front() {
-                    entry.maintenance_queued.store(false, Ordering::Relaxed);
-                    st.jobs_since_maintenance = 0;
-                    st.active += 1;
-                    break Task::Maintain(entry);
-                }
+                shared.notify_idle(&st);
                 if st.shutdown {
-                    shared.idle.notify_all();
                     break Task::Exit;
                 }
-                if st.is_idle() {
-                    shared.idle.notify_all();
+                if std::mem::take(&mut may_spin) && shared.spin && st.spinning == 0 {
+                    st.spinning += 1;
+                    let seen = shared.admissions.load(Ordering::Relaxed);
+                    drop(st);
+                    spin_until(|| shared.admissions.load(Ordering::Relaxed) != seen);
+                    st = shared.state.lock().expect("server state lock");
+                    st.spinning -= 1;
+                    continue;
                 }
+                st.parked += 1;
                 st = shared.work.wait(st).expect("server state lock");
+                st.parked -= 1;
             }
         };
         match task {
@@ -1244,6 +1383,7 @@ fn worker_loop(shared: Arc<ServerShared>, lane: usize) {
             Task::Maintain(entry) => run_quantum(&shared, entry),
             Task::Exit => break,
         }
+        may_spin = true;
     }
 }
 
@@ -1357,12 +1497,10 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
     let mut st = shared.state.lock().expect("server state lock");
     if !job.entry.maintenance_queued.swap(true, Ordering::Relaxed) {
         st.maintenance.push_back(Arc::clone(&job.entry));
-        shared.work.notify_one();
+        shared.announce(&st);
     }
     st.active -= 1;
-    if st.is_idle() {
-        shared.idle.notify_all();
-    }
+    shared.notify_idle(&st);
 }
 
 /// Runs one maintenance quantum for `entry` and records any pressure
@@ -1391,17 +1529,20 @@ fn run_quantum(shared: &ServerShared, entry: Arc<TargetEntry>) {
     }
     let mut st = shared.state.lock().expect("server state lock");
     st.active -= 1;
-    if st.is_idle() {
-        shared.idle.notify_all();
-    }
+    shared.notify_idle(&st);
+}
+
+/// The machine's available parallelism, read once per process: the call
+/// reads the cgroup files and took 26–90 µs on a 2-vCPU VM, a cost no
+/// server set-up should pay again.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn resolve_workers(configured: usize) -> usize {
     match configured {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
+        0 => cores().min(8),
         n => n,
     }
 }
@@ -1513,9 +1654,14 @@ impl SelectorServer {
                 maintenance: VecDeque::new(),
                 jobs_since_maintenance: 0,
                 active: 0,
+                parked: 0,
+                spinning: 0,
+                idle_waiters: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
+            admissions: AtomicU64::new(0),
+            spin: spins(workers, cores()),
             idle: Condvar::new(),
             queue_cap: match config.queue_cap {
                 0 => DEFAULT_QUEUE_CAP,
@@ -1752,6 +1898,7 @@ impl SelectorServer {
             ticket,
             target: entry.name.clone(),
             slot: Arc::clone(&slot),
+            spin: self.shared.spin,
         };
         let job = QueuedJob {
             ticket,
@@ -1764,6 +1911,7 @@ impl SelectorServer {
             slot,
         };
         st.sched.push(options.priority, job);
+        self.shared.announce(&st);
         drop(st);
         self.deliver_expired(expired, accepted_at);
         metrics.counts.add(&JobCounts {
@@ -1778,7 +1926,6 @@ impl SelectorServer {
             ticket.0,
             options.deadline.map_or(0, duration_ns),
         );
-        self.shared.work.notify_one();
         Ok(handle)
     }
 
@@ -1863,7 +2010,9 @@ impl SelectorServer {
     pub fn wait_idle(&self) {
         let mut st = self.shared.state.lock().expect("server state lock");
         while !st.is_idle() {
+            st.idle_waiters += 1;
             st = self.shared.idle.wait(st).expect("server state lock");
+            st.idle_waiters -= 1;
         }
     }
 
@@ -1884,6 +2033,9 @@ impl SelectorServer {
         {
             let mut st = self.shared.state.lock().expect("server state lock");
             st.shutdown = true;
+            // Stops a spinning worker at once; `notify_all` wakes the
+            // parked ones.
+            self.shared.admissions.fetch_add(1, Ordering::Relaxed);
         }
         self.shared.work.notify_all();
         {
@@ -2524,6 +2676,105 @@ mod tests {
         let (lock, cv) = &**gate;
         *lock.lock().expect("gate lock") = true;
         cv.notify_all();
+    }
+
+    /// Polls the locked server state until `f` returns a value.
+    fn poll_state<T>(server: &SelectorServer, f: impl Fn(&ServerState) -> Option<T>) -> T {
+        loop {
+            if let Some(v) = f(&server.shared.state.lock().expect("server state lock")) {
+                return v;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn a_server_spins_only_when_its_workers_leave_a_core_free() {
+        assert!(spins(1, 2));
+        assert!(spins(3, 4));
+        assert!(!spins(1, 1));
+        assert!(!spins(2, 2));
+        assert!(!spins(8, 2));
+        // Workers that fill every core never spin, and neither do the
+        // server's handles: an idle worker goes straight to the park.
+        let cores = cores();
+        let server = SelectorServer::with_builtin_targets(batch_config(cores));
+        assert!(!server.shared.spin);
+        let handle = server
+            .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+            .unwrap();
+        assert!(!handle.spin);
+        assert!(handle.wait().outcome.is_ok());
+        poll_state(&server, |st| {
+            assert_eq!(st.spinning, 0, "a server that fills every core spun");
+            (st.parked == cores).then_some(())
+        });
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_worker_spins_then_parks_and_shutdown_stops_it() {
+        let server = SelectorServer::new(batch_config(1));
+        // Before its first task the worker parks without spinning, and a
+        // submit wakes it.
+        poll_state(&server, |st| {
+            assert_eq!(st.spinning, 0, "the worker spun before its first task");
+            (st.parked == 1).then_some(())
+        });
+        server.register(&odburg_targets::demo()).unwrap();
+        let submit = || {
+            server
+                .try_submit("demo", forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"))
+                .unwrap()
+        };
+        assert!(submit().wait().outcome.is_ok());
+        let mut jobs = 1;
+        if server.shared.spin {
+            // After its job and quantum the worker spins, then parks; this
+            // thread sees the spin unless it is descheduled for the whole
+            // window, so it retries with another job.
+            let caught = (0..10_000).any(|_| {
+                jobs += 1;
+                assert!(submit().wait().outcome.is_ok());
+                poll_state(&server, |st| match (st.spinning, st.parked) {
+                    (1, _) => Some(true),
+                    (_, 1) => Some(false),
+                    _ => None,
+                })
+            });
+            assert!(caught, "the worker never spun");
+        }
+        // Shutdown bumps the sequence the spinner polls: it returns at once,
+        // with every job accounted.
+        let started = Instant::now();
+        let report = server.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!((report.accepted, report.completed), (jobs, jobs));
+    }
+
+    #[test]
+    fn delivery_wakes_a_parked_waiter() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let server = SelectorServer::new(batch_config(1));
+        server
+            .register_normal("gated", gated_grammar(&gate))
+            .unwrap();
+        let handle = server.try_submit("gated", forest("(ConstI8 0)")).unwrap();
+        let slot = Arc::clone(&handle.slot);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(move || handle.wait());
+            // The waiter spins out its window while the job is gated, then
+            // parks: only then does the job complete.
+            while !matches!(
+                *slot.state.lock().expect("job slot lock"),
+                SlotState::Parked
+            ) {
+                std::hint::spin_loop();
+            }
+            open_gate(&gate);
+            assert!(waiter.join().expect("waiter").outcome.is_ok());
+        });
+        server.shutdown();
     }
 
     #[test]

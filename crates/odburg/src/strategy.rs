@@ -32,14 +32,13 @@
 //! ```
 
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 use std::sync::Arc;
 
 use odburg_core::{
-    persist, AutomatonSnapshot, LabelError, Labeler, Labeling, OfflineAutomaton, OfflineConfig,
-    OfflineLabeler, OnDemandAutomaton, OnDemandConfig, PersistError, RuleChooser, SharedOnDemand,
-    StateChooser, WorkCounters,
+    AutomatonSnapshot, LabelError, Labeler, Labeling, OfflineAutomaton, OfflineConfig,
+    OfflineLabeler, OnDemandAutomaton, OnDemandConfig, RuleChooser, SharedOnDemand, StateChooser,
+    WorkCounters,
 };
 use odburg_dp::{DpLabeler, DpLabeling, MacroExpander, MacroLabeling};
 use odburg_grammar::{Grammar, NormalGrammar, NormalRuleId, NtId};
@@ -148,37 +147,6 @@ impl fmt::Display for WarmStartUnsupported {
 }
 
 impl std::error::Error for WarmStartUnsupported {}
-
-/// Error of [`AnyLabeler::build_warm_from_tables`]: either the strategy
-/// has no on-demand tables at all, or the table file failed to load or
-/// validate against the grammar and the strategy's configuration.
-#[derive(Debug)]
-pub enum WarmStartError {
-    /// The strategy cannot warm-start (offline, dp, macro).
-    Unsupported(WarmStartUnsupported),
-    /// Loading or validating the table file failed. Fingerprint and
-    /// configuration mismatches land here — they are hard errors, never
-    /// a silent cold start.
-    Persist(PersistError),
-}
-
-impl fmt::Display for WarmStartError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WarmStartError::Unsupported(e) => e.fmt(f),
-            WarmStartError::Persist(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for WarmStartError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WarmStartError::Unsupported(e) => Some(e),
-            WarmStartError::Persist(e) => Some(e),
-        }
-    }
-}
 
 /// Error of [`AnyLabeler::build_with_mode`]: the strategy is not backed
 /// by an on-demand automaton, so an [`OnDemandConfig`] (state budget,
@@ -348,33 +316,6 @@ impl AnyLabeler {
                 Err(WarmStartUnsupported { strategy })
             }
         }
-    }
-
-    /// Warm-starts the selector for `strategy` directly from a table
-    /// file: imports the tables under the strategy's on-demand
-    /// configuration, validates them against `normal` (grammar
-    /// fingerprint, integrity), and builds the warm labeler — rejecting
-    /// mismatched tables loudly instead of silently falling back to a
-    /// cold start.
-    ///
-    /// # Errors
-    ///
-    /// [`WarmStartError::Unsupported`] for strategies without on-demand
-    /// tables; [`WarmStartError::Persist`] if the file is missing,
-    /// corrupted, or was exported under a different grammar.
-    pub fn build_warm_from_tables(
-        strategy: Strategy,
-        normal: Arc<NormalGrammar>,
-        path: &Path,
-    ) -> Result<AnyLabeler, WarmStartError> {
-        let config = strategy
-            .ondemand_config()
-            .ok_or(WarmStartError::Unsupported(WarmStartUnsupported {
-                strategy,
-            }))?;
-        let snapshot =
-            persist::load_tables(path, normal, config).map_err(WarmStartError::Persist)?;
-        AnyLabeler::build_warm(strategy, Arc::new(snapshot)).map_err(WarmStartError::Unsupported)
     }
 
     /// The normalized grammar the selector labels against. Reductions of
@@ -571,6 +512,9 @@ mod tests {
         // grammar A must never build a labeler for grammar B — the
         // fingerprint-mismatch PersistError has to surface, not a silent
         // cold fallback or a mislabeling warm start.
+        use odburg_core::persist::{load_tables, save_tables};
+        use odburg_core::PersistError;
+
         let dir = std::env::temp_dir().join("odburg-strategy-warm");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("demo.odbt");
@@ -582,26 +526,24 @@ mod tests {
             odburg_ir::parse_sexpr(&mut forest, "(StoreI8 (AddrLocalP @x) (ConstI8 1))").unwrap();
         forest.add_root(root);
         trainer.label_forest(&forest).unwrap();
-        odburg_core::persist::save_tables(&trainer.snapshot(), &path).unwrap();
+        save_tables(&trainer.snapshot(), &path).unwrap();
+        let config = OnDemandConfig::default();
 
         // The matching grammar warm-starts fine for both table-backed
         // strategies.
         for strategy in [Strategy::OnDemand, Strategy::Shared] {
-            let mut warm =
-                AnyLabeler::build_warm_from_tables(strategy, Arc::clone(&demo), &path).unwrap();
+            let snapshot = load_tables(&path, Arc::clone(&demo), config).unwrap();
+            let mut warm = AnyLabeler::build_warm(strategy, Arc::new(snapshot)).unwrap();
             warm.label_forest(&forest).unwrap();
             assert_eq!(warm.counters().memo_misses, 0, "{strategy}");
         }
 
         // A different grammar is a hard fingerprint error.
         let other = Arc::new(crate::targets::jvmish().normalize());
-        let err = AnyLabeler::build_warm_from_tables(Strategy::OnDemand, other, &path)
-            .expect_err("mismatched grammar must be rejected");
+        let err =
+            load_tables(&path, other, config).expect_err("mismatched grammar must be rejected");
         assert!(
-            matches!(
-                err,
-                WarmStartError::Persist(PersistError::GrammarMismatch { .. })
-            ),
+            matches!(err, PersistError::GrammarMismatch { .. }),
             "{err:?}"
         );
 
@@ -617,19 +559,19 @@ mod tests {
         );
         budgeted.label_forest(&forest).unwrap();
         let budgeted_path = dir.join("demo-budgeted.odbt");
-        odburg_core::persist::save_tables(&budgeted.snapshot(), &budgeted_path).unwrap();
+        save_tables(&budgeted.snapshot(), &budgeted_path).unwrap();
         for strategy in [Strategy::OnDemand, Strategy::Shared] {
-            let mut warm =
-                AnyLabeler::build_warm_from_tables(strategy, Arc::clone(&demo), &budgeted_path)
-                    .unwrap();
+            let snapshot = load_tables(&budgeted_path, Arc::clone(&demo), config).unwrap();
+            let mut warm = AnyLabeler::build_warm(strategy, Arc::new(snapshot)).unwrap();
             warm.label_forest(&forest).unwrap();
             assert_eq!(warm.counters().memo_misses, 0, "{strategy}");
         }
 
-        // And strategies without tables never load the file at all.
-        let err = AnyLabeler::build_warm_from_tables(Strategy::Dp, demo, &path)
+        // And strategies without tables cannot warm-start.
+        let snapshot = load_tables(&path, demo, config).unwrap();
+        let err = AnyLabeler::build_warm(Strategy::Dp, Arc::new(snapshot))
             .expect_err("dp cannot warm-start");
-        assert!(matches!(err, WarmStartError::Unsupported(_)), "{err:?}");
+        assert_eq!(err.strategy, Strategy::Dp);
     }
 
     #[test]

@@ -386,6 +386,88 @@ fn registry_serves_mixed_traffic_cold_and_warm_at_1_2_4_8_workers() {
     }
 }
 
+/// The handoff between a submitter and the workers. Jobs arrive back to
+/// back, with gaps inside a worker's spin window (tens of µs) and with
+/// gaps far beyond it, so workers take some jobs while they spin and
+/// others after they have parked; some handles are waited on at once,
+/// the rest only once the server has gone idle. At 1, 2 and 4 workers
+/// every job must reduce exactly as the DP oracle does, the registry
+/// must conserve, and a shutdown issued right after the last result —
+/// while a worker spins, on a server whose workers leave a core free —
+/// must return promptly with every job accounted.
+#[test]
+fn handoff_serves_spinning_and_parked_workers_at_1_2_4_workers() {
+    const JOBS: usize = 60;
+    let traffic = odburg::workloads::builtin_traffic(0x5EED, JOBS);
+    let gaps = [
+        Duration::ZERO,
+        Duration::from_micros(20),
+        Duration::from_millis(2),
+    ];
+    for workers in [1, 2, 4] {
+        let server = SelectorServer::with_builtin_targets(ServerConfig {
+            workers,
+            queue_cap: usize::MAX,
+            ..ServerConfig::default()
+        });
+        let check = |job: &odburg::workloads::TrafficJob, handle: JobHandle| {
+            let done = handle.wait();
+            let got = done.reduce().expect("builtin traffic labels and reduces");
+            let want = dp_reduction(&job.forest, &server.grammar(&job.target).unwrap());
+            assert_eq!(got.instructions, want.instructions, "{workers} workers");
+            assert_eq!(got.total_cost, want.total_cost, "{workers} workers");
+        };
+        let mut later = Vec::new();
+        for (i, job) in traffic.iter().enumerate() {
+            let gap = gaps[i % gaps.len()];
+            if gap > Duration::from_millis(1) {
+                std::thread::sleep(gap);
+            } else {
+                let until = Instant::now() + gap;
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            }
+            let handle = server.try_submit(&job.target, job.forest.clone()).unwrap();
+            if i % 4 == 3 {
+                later.push((job, handle));
+            } else {
+                check(job, handle);
+            }
+        }
+        // Far past any spin window the idle workers have parked.
+        server.wait_idle();
+        std::thread::sleep(Duration::from_millis(2));
+        for (job, handle) in later {
+            check(job, handle);
+        }
+        let totals = server.telemetry().totals();
+        assert!(totals.conserved(), "{workers} workers: {totals:?}");
+
+        let last = &traffic[0];
+        check(
+            last,
+            server
+                .try_submit(&last.target, last.forest.clone())
+                .unwrap(),
+        );
+        let started = Instant::now();
+        let report = server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{workers} workers: shutdown took {:?}",
+            started.elapsed()
+        );
+        let accepted = JOBS as u64 + 1;
+        assert_eq!(
+            (report.submitted, report.accepted, report.completed),
+            (accepted, accepted, accepted),
+            "{workers} workers"
+        );
+        assert_eq!(report.failed + report.deadline_missed, 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scheduler coverage: EDF ordering, admission purging, fair queueing.
 // The deterministic wedge: a grammar whose dynamic cost blocks on a
