@@ -151,7 +151,6 @@ fn paced_phase(grammars: &[(String, Arc<NormalGrammar>)]) -> PhaseStats {
     });
     let options = JobOptions {
         deadline: Some(deadline),
-        ..JobOptions::default()
     };
     let started = Instant::now();
     let mut handles = Vec::with_capacity(JOBS);
@@ -204,7 +203,6 @@ fn burst_phase() -> PhaseStats {
     let mut submitted = 1u64;
     let expired = JobOptions {
         deadline: Some(Duration::ZERO),
-        ..JobOptions::default()
     };
     for i in 0..BURST {
         let mut forest = odburg_ir::Forest::new();
@@ -328,7 +326,6 @@ fn overload_phase(phase: &'static str, shed_infeasible: bool) -> PhaseStats {
     for (count, base, deadline) in classes {
         let options = JobOptions {
             deadline: Some(deadline),
-            ..JobOptions::default()
         };
         for i in 0..count {
             submitted += 1;

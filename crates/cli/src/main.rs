@@ -36,9 +36,8 @@
 //! declared but unbound, i.e. never applicable).
 //!
 //! `label`, `emit`, `compile` and `bench` accept `--labeler=<name>`
-//! (ondemand, shared, offline, dp, macro); every
-//! strategy is constructed and driven through the unified
-//! [`Labeler`](odburg_core::Labeler) trait via
+//! (ondemand, shared, offline, dp, macro); every strategy is
+//! constructed and driven through the unified [`Labeler`] trait via
 //! [`odburg::strategy::AnyLabeler`]. They also accept `--tables=<path>`
 //! to warm-start an on-demand strategy from tables persisted by
 //! `tables export` — a mismatched or corrupted file is rejected with an
@@ -53,8 +52,7 @@
 //! from the metrics registries alone and against the client's own tally
 //! of submit results, then `--metrics-out`/`--trace-out`).
 //!
-//! `batch` submits every job to a
-//! [`SelectorServer`](odburg::service::SelectorServer) with an
+//! `batch` submits every job to a [`SelectorServer`] with an
 //! **uncapped** queue — everything accepted — waits on every job in
 //! submission order, then shuts the server down (re-exporting tables
 //! into `--tables-dir`) and prints a single report. A job that fails,
@@ -86,39 +84,38 @@
 //! trees as s-expressions, and — when the verifier's automaton closure
 //! converges — the state bound: the number of states of the automaton
 //! the grammar's fixed-cost rules build, per operator. `--format=json`
-//! emits a machine-readable report (used by the CI `analysis-smoke`
-//! job); `--deny=<severity>` picks the exit-code threshold: the default
-//! `--deny=error` fails only on error-severity findings, while
-//! `--deny=warning` also fails on warnings. The service subcommands
-//! always register manifest grammars under the `Deny` policy: a grammar
-//! with error-severity findings is rejected with one stderr line per
-//! diagnostic instead of failing jobs with `NoCover` at runtime.
+//! emits a machine-readable report (checked by the lint tests in
+//! `crates/cli/tests/cli.rs`); `--deny=<severity>` picks the exit-code
+//! threshold: the default `--deny=error` fails only on error-severity
+//! findings, while `--deny=warning` also fails on warnings. The service
+//! subcommands always register manifest grammars under the `Deny`
+//! policy: a grammar with error-severity findings is rejected with one
+//! stderr line per diagnostic instead of failing jobs with `NoCover` at
+//! runtime.
 //!
 //! `cluster serve` drives the same manifest format through an in-process
-//! [`ShardCluster`](odburg::cluster::ShardCluster): `--shards=<n>`
-//! (default 3) shards behind consistent-hash routing with one writer
-//! lease per target. After the manifest drains, the writer's tables are
-//! shipped to every replica; `--listen=<addr>` then serves one joining
-//! process a shipment per target over the framed TCP transport, while
-//! `--join=<addr>` connects to such a listener first and installs every
-//! received shipment before serving — so the joining run's warm traffic
-//! labels entirely from shipped tables (the final report prints the
-//! grow-path counters to prove it). Conservation is re-checked from the
-//! telemetry registries alone at shutdown, and `--trace-out` renders
-//! every shard as its own Chrome-trace process with shipment spans.
+//! [`ShardCluster`]: `--shards=<n>` (default 3) shards behind
+//! consistent-hash routing with one writer lease per target. After the
+//! manifest drains, the writer's tables are shipped to every replica;
+//! `--listen=<addr>` then serves one joining process a shipment per
+//! target over the framed TCP transport, while `--join=<addr>` connects
+//! to such a listener first and installs every received shipment before
+//! serving — so the joining run's warm traffic labels entirely from
+//! shipped tables (the final report prints the grow-path counters to
+//! prove it). Conservation is re-checked from the telemetry registries
+//! alone at shutdown, and `--trace-out` renders every shard as its own
+//! Chrome-trace process with shipment spans.
 //!
 //! Memory governance: `--memory-budget=<bytes>` (suffixes `k`, `m`, `g`
 //! accepted) caps an on-demand automaton's accounted table bytes and
 //! `--budget-policy=<flush|compact>` picks the pressure response
 //! (default `compact`: evict cold states, keep the hot working set); the
-//! policy needs a budget. Together they name one
-//! [`MemoryBudget`](odburg_core::MemoryBudget). On `label`, `emit` and
-//! `compile` it bounds the labeler's automaton
-//! ([`OnDemandConfig::memory_budget`](odburg_core::OnDemandConfig)), also
-//! one warm-started with `--tables`; on `batch`, `serve` and `cluster
-//! serve` it is the server's budget, enforced per target in the
-//! maintenance quanta the workers run between jobs — never on the
-//! submit path.
+//! policy needs a budget. Together they name one [`MemoryBudget`]. On
+//! `label`, `emit` and `compile` it bounds the labeler's automaton
+//! ([`OnDemandConfig::memory_budget`]), also one warm-started with
+//! `--tables`; on `batch`, `serve` and `cluster serve` it is the
+//! server's budget, enforced per target in the maintenance quanta the
+//! workers run between jobs — never on the submit path.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -727,7 +724,7 @@ impl ServiceFlags<'_> {
             workers: self.workers.unwrap_or(0),
             queue_cap: self.queue_cap.unwrap_or(0),
             shed_infeasible: self.shed,
-            fair: self.fair.then(FairConfig::default),
+            fair: self.fair,
             tables_dir: self.tables_dir.map(Into::into),
             memory_budget: self.memory_budget,
             analysis_policy: AnalysisPolicy::Deny,
@@ -737,7 +734,6 @@ impl ServiceFlags<'_> {
     fn job_options(&self) -> JobOptions {
         JobOptions {
             deadline: self.deadline_ms.map(Duration::from_millis),
-            ..JobOptions::default()
         }
     }
 }
@@ -1200,8 +1196,8 @@ fn pressure_verb(action: PressureAction) -> &'static str {
 /// `--tables-dir`) closes the run. A full queue rejects the job, and
 /// under `--shed` a deadline the queue already blows is shed at
 /// admission — both counted and printed, never silently lost. `--fair`
-/// adds per-target deficit-round-robin so one hot target cannot starve
-/// the rest.
+/// serves the targets round-robin, one job per visit, so one hot target
+/// cannot starve the rest.
 ///
 /// Observability: the periodic stats line and the post-shutdown
 /// conservation check are sourced from the server's telemetry registry

@@ -15,9 +15,8 @@
 //! them ([`HashRing::successors`]), so the failover order of every
 //! target is deterministic and known in advance.
 
-/// FNV-1a over `bytes` — the same hash family the persist checksum and
-/// the service's DRR target hashing use; endian-stable and
-/// dependency-free.
+/// FNV-1a over `bytes` — the same hash family the persist checksum
+/// uses; endian-stable and dependency-free.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -194,9 +194,8 @@ pub mod prelude {
         ShipmentReport, SocketTransport, WriterLease,
     };
     pub use crate::service::{
-        AnalysisPolicy, CompletedJob, FairConfig, JobError, JobHandle, JobOptions, Priority,
-        SelectorServer, ServeError, ServerConfig, ServerReport, ServiceError, SubmitError,
-        TargetServerStats, Ticket,
+        AnalysisPolicy, CompletedJob, JobError, JobHandle, JobOptions, SelectorServer, ServeError,
+        ServerConfig, ServerReport, ServiceError, SubmitError, TargetServerStats, Ticket,
     };
     pub use crate::strategy::{AnyLabeler, AnyLabeling, Strategy};
     pub use odburg_codegen::{reduce_forest, reduce_tree, Reduction};

@@ -17,28 +17,30 @@
 //!   *mismatched* file is a hard [`ServiceError::Tables`] carrying the
 //!   target name — never a silent cold start, never a mislabel.
 //! * **The server** — [`SelectorServer`] owns a persistent worker pool
-//!   fed by a **bounded** two-lane (priority) job queue.
+//!   fed by a **bounded** job queue.
 //!   [`try_submit`](SelectorServer::try_submit) either accepts a job
 //!   and returns a [`JobHandle`], or rejects it with a *typed*
 //!   [`SubmitError`] — [`SubmitError::QueueFull`] is backpressure as a
 //!   first-class outcome, not an error to hide. Per-job
-//!   [`JobOptions`] carry a deadline and a priority; a job whose
-//!   deadline passes while it waits is completed with
+//!   [`JobOptions`] carry a deadline; a job whose deadline passes
+//!   while it waits is completed with
 //!   [`JobError::DeadlineExceeded`] instead of being labeled.
 //!   Completion is delivered through [`JobHandle::wait`] /
 //!   [`JobHandle::try_wait`] — no global drain barrier.
-//! * **Overload-grade scheduling** — within each lane jobs pop earliest
-//!   deadline first; jobs without a deadline keep arrival order behind
-//!   every deadline, so deadline-less traffic is served exactly in
-//!   arrival order. Admission control completes the picture:
-//!   a full queue first **purges already-expired jobs** (completing
-//!   them as `DeadlineExceeded`) before `QueueFull` rejects, and with
+//! * **Overload-grade scheduling** — jobs pop earliest deadline first;
+//!   jobs without a deadline keep arrival order behind every deadline,
+//!   so deadline-less traffic is served exactly in arrival order, and a
+//!   caller jumps the queue by giving a job a deadline. Admission
+//!   control completes the picture: a full queue first **purges
+//!   already-expired jobs** (completing them as `DeadlineExceeded`)
+//!   before `QueueFull` rejects, and with
 //!   [`ServerConfig::shed_infeasible`] set the server **sheds** jobs
 //!   whose deadline the queue ahead of them already blows
 //!   ([`SubmitError::Infeasible`], estimated from a per-target EWMA of
-//!   observed service time). Optional [`FairConfig`] adds weighted
-//!   per-target fair queueing (deficit round-robin) so one hot target
-//!   cannot starve the registry.
+//!   observed service time). With [`ServerConfig::fair`] set, each
+//!   target queues in a flow of its own and the flows are served
+//!   round-robin, one job per visit, so one hot target cannot starve the
+//!   registry.
 //! * **Off-path maintenance** — the server's [`MemoryBudget`]
 //!   ([`ServerConfig::memory_budget`]) is enforced per target
 //!   (compaction, flushes), never on the submit or complete path.
@@ -88,11 +90,12 @@
 //!  admission: full? → purge expired ─► still full? ── QueueFull
 //!     │       infeasible? (EWMA × jobs-ahead > deadline) ── Infeasible (shed)
 //!     ▼
-//!  [bounded queue: high │ normal; earliest deadline first, optional per-target DRR]
+//!  [bounded queue: earliest deadline first; with `fair`, one flow per
+//!   target, the flows served round-robin]
 //!     │ bump the admission sequence; notify_one only if a worker is
 //!     │ parked and the pending tasks outnumber the spinning workers
 //!     ▼
-//!  worker (spinning on the sequence, or parked): pop (priority first)
+//!  worker (spinning on the sequence, or parked): pop
 //!     │
 //!     ▼
 //!  deadline passed? ──yes──► JobError::DeadlineExceeded ─┐
@@ -185,42 +188,18 @@ pub enum AnalysisPolicy {
     WarnOnly,
 }
 
-/// Weighted per-target fair queueing (deficit round-robin). Each lane
-/// splits into per-target sub-queues; a round visits every target with
-/// waiting work and lets it pop up to `weight` jobs (its quantum)
-/// before yielding, so a hot target can no longer starve the registry.
-/// Within a sub-queue jobs still pop earliest deadline first.
-#[derive(Debug, Clone, Default)]
-pub struct FairConfig {
-    /// Per-target weights — jobs a target may pop per round. Unlisted
-    /// targets weigh 1; configured weights of 0 are clamped to 1.
-    pub weights: Vec<(String, u32)>,
-}
-
-impl FairConfig {
-    fn weight_of(&self, target: &str) -> u32 {
-        self.weights
-            .iter()
-            .find(|(name, _)| name == target)
-            .map(|(_, w)| *w)
-            .unwrap_or(1)
-            .max(1)
-    }
-}
-
 /// Configuration of a [`SelectorServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Size of the persistent worker pool. `0` picks the machine's
     /// available parallelism, capped at 8.
     pub workers: usize,
-    /// Capacity of the bounded job queue (waiting jobs, both priority
-    /// lanes together; jobs being labeled do not count). Submissions
-    /// beyond it are rejected with [`SubmitError::QueueFull`] — after
-    /// already-expired queued jobs have been purged, so dead work never
-    /// holds capacity against live work. `0` resolves to
-    /// [`DEFAULT_QUEUE_CAP`]; a batch that must never see `QueueFull`
-    /// sets `usize::MAX`.
+    /// Capacity of the bounded job queue (waiting jobs; jobs being
+    /// labeled do not count). Submissions beyond it are rejected with
+    /// [`SubmitError::QueueFull`] — after already-expired queued jobs
+    /// have been purged, so dead work never holds capacity against live
+    /// work. `0` resolves to [`DEFAULT_QUEUE_CAP`]; a batch that must
+    /// never see `QueueFull` sets `usize::MAX`.
     pub queue_cap: usize,
     /// Shed infeasible submissions at admission: when the submitting
     /// job carries a deadline and the per-target service-time EWMA says
@@ -229,9 +208,11 @@ pub struct ServerConfig {
     /// that is doomed to expire. Off by default (it changes the submit
     /// contract), and moot for deadline-less jobs.
     pub shed_infeasible: bool,
-    /// Weighted per-target fair queueing; `None` (the default) keeps
-    /// one sub-queue per lane.
-    pub fair: Option<FairConfig>,
+    /// Per-target fair queueing: each target queues in a flow of its
+    /// own, and the flows are served round-robin, one job per visit, so
+    /// one hot target cannot starve the rest. `false` (the default)
+    /// queues every job in one flow.
+    pub fair: bool,
     /// Directory of persisted tables: masters warm-start from
     /// `<dir>/<target>.odbt` (missing files start cold; mismatched or
     /// corrupted ones are [`ServiceError::Tables`], never a silent cold
@@ -253,7 +234,7 @@ impl Default for ServerConfig {
             workers: 0,
             queue_cap: DEFAULT_QUEUE_CAP,
             shed_infeasible: false,
-            fair: None,
+            fair: false,
             tables_dir: None,
             memory_budget: None,
             analysis_policy: AnalysisPolicy::default(),
@@ -488,18 +469,6 @@ impl fmt::Display for Ticket {
     }
 }
 
-/// Scheduling class of a job: `High` jobs are popped before any
-/// `Normal` job, regardless of arrival order. Both lanes share the
-/// bounded queue's capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Popped earliest deadline first, after every queued `High` job.
-    #[default]
-    Normal,
-    /// Jumps the normal lane.
-    High,
-}
-
 /// Per-job options for [`SelectorServer::try_submit_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobOptions {
@@ -512,8 +481,6 @@ pub struct JobOptions {
     /// [`ServerConfig::shed_infeasible`] a deadline the queue already
     /// blows is shed at submit ([`SubmitError::Infeasible`]).
     pub deadline: Option<Duration>,
-    /// Scheduling class.
-    pub priority: Priority,
 }
 
 /// One registered target: its grammar and the lazily built shared
@@ -869,7 +836,8 @@ struct QueuedJob {
 }
 
 // ---------------------------------------------------------------------
-// The scheduler: EDF sub-queues, optional per-target DRR lanes.
+// The scheduler: one earliest-deadline-first heap per flow, the flows
+// served round-robin.
 // ---------------------------------------------------------------------
 
 /// One queued job with its scheduling key: the absolute deadline and a
@@ -909,251 +877,90 @@ impl Ord for SchedEntry {
     }
 }
 
-/// One ordered queue of waiting jobs: earliest deadline first
-/// (min-heap via `Reverse`).
-#[derive(Debug, Default)]
-struct SubQueue(BinaryHeap<Reverse<SchedEntry>>);
-
-impl SubQueue {
-    fn push(&mut self, entry: SchedEntry) {
-        self.0.push(Reverse(entry));
-    }
-
-    fn pop(&mut self) -> Option<SchedEntry> {
-        self.0.pop().map(|Reverse(e)| e)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Jobs this queue serves before a hypothetical new entry with
-    /// absolute `deadline`: the queued jobs with an earlier-or-equal
-    /// deadline.
-    fn count_ahead(&self, deadline: Instant) -> usize {
-        self.0
-            .iter()
-            .filter(|Reverse(e)| e.deadline.is_some_and(|d| d <= deadline))
-            .count()
-    }
-
-    /// Removes every job whose deadline has already passed at `now`.
-    fn purge_expired(&mut self, now: Instant, out: &mut Vec<QueuedJob>) {
-        let (expired, live): (Vec<_>, Vec<_>) = std::mem::take(&mut self.0)
-            .into_vec()
-            .into_iter()
-            .partition(|Reverse(e)| e.deadline.is_some_and(|d| now >= d));
-        out.extend(expired.into_iter().map(|Reverse(e)| e.job));
-        self.0 = BinaryHeap::from(live);
-    }
-}
-
-/// One target's flow in a fair ([`DrrLane`]) lane.
-#[derive(Debug)]
-struct Flow {
-    queue: SubQueue,
-    /// Jobs this flow may still pop in its current head visit.
-    deficit: u32,
-    /// The quantum granted per round ([`FairConfig`] weight).
-    weight: u32,
-    /// Whether the flow is enlisted in the round (in `active`, or the
-    /// current head). Guards against double insertion.
-    enlisted: bool,
-}
-
-/// Deficit round-robin across per-target flows: each flow with waiting
-/// work gets `weight` pops per round, so a hot target cannot starve a
-/// cold one — the cold target's first job waits at most one round.
-#[derive(Debug)]
-struct DrrLane {
-    fair: FairConfig,
-    flows: HashMap<String, Flow>,
-    /// Round-robin order of enlisted flows.
-    active: VecDeque<String>,
-    /// The flow currently at the head of the round (quantum not yet
-    /// exhausted), kept out of `active` between pops.
-    current: Option<String>,
-}
-
-impl DrrLane {
-    fn push(&mut self, entry: SchedEntry) {
-        let target = entry.job.entry.name.clone();
-        if !self.flows.contains_key(&target) {
-            self.flows.insert(
-                target.clone(),
-                Flow {
-                    queue: SubQueue::default(),
-                    deficit: 0,
-                    weight: self.fair.weight_of(&target),
-                    enlisted: false,
-                },
-            );
-        }
-        let flow = self.flows.get_mut(&target).expect("flow inserted above");
-        flow.queue.push(entry);
-        if !flow.enlisted {
-            flow.enlisted = true;
-            self.active.push_back(target);
-        }
-    }
-
-    fn pop(&mut self) -> Option<SchedEntry> {
-        loop {
-            let target = match self.current.take() {
-                Some(t) => t,
-                None => {
-                    let t = self.active.pop_front()?;
-                    // A fresh head visit grants the flow its quantum.
-                    let flow = self.flows.get_mut(&t).expect("enlisted flows exist");
-                    flow.deficit = flow.deficit.saturating_add(flow.weight);
-                    t
-                }
-            };
-            let flow = self.flows.get_mut(&target).expect("enlisted flows exist");
-            if flow.queue.is_empty() {
-                // Fully purged while enlisted: leave the round.
-                flow.deficit = 0;
-                flow.enlisted = false;
-                continue;
-            }
-            if flow.deficit == 0 {
-                // Quantum exhausted: rotate to the back of the round.
-                self.active.push_back(target);
-                continue;
-            }
-            flow.deficit -= 1;
-            let entry = flow.queue.pop().expect("checked non-empty");
-            if flow.queue.is_empty() {
-                flow.deficit = 0;
-                flow.enlisted = false;
-            } else {
-                self.current = Some(target);
-            }
-            return Some(entry);
-        }
-    }
-
-    fn purge_expired(&mut self, now: Instant, out: &mut Vec<QueuedJob>) {
-        for flow in self.flows.values_mut() {
-            flow.queue.purge_expired(now, out);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.flows.values().map(|f| f.queue.len()).sum()
-    }
-
-    fn count_ahead(&self, deadline: Instant) -> usize {
-        self.flows
-            .values()
-            .map(|f| f.queue.count_ahead(deadline))
-            .sum()
-    }
-}
-
-/// One priority lane: a single [`SubQueue`], or per-target DRR flows.
-#[derive(Debug)]
-enum Lane {
-    Single(SubQueue),
-    Fair(DrrLane),
-}
-
-impl Lane {
-    fn new(fair: Option<&FairConfig>) -> Self {
-        match fair {
-            None => Lane::Single(SubQueue::default()),
-            Some(fair) => Lane::Fair(DrrLane {
-                fair: fair.clone(),
-                flows: HashMap::new(),
-                active: VecDeque::new(),
-                current: None,
-            }),
-        }
-    }
-
-    fn push(&mut self, entry: SchedEntry) {
-        match self {
-            Lane::Single(q) => q.push(entry),
-            Lane::Fair(drr) => drr.push(entry),
-        }
-    }
-
-    fn pop(&mut self) -> Option<SchedEntry> {
-        match self {
-            Lane::Single(q) => q.pop(),
-            Lane::Fair(drr) => drr.pop(),
-        }
-    }
-
-    fn purge_expired(&mut self, now: Instant, out: &mut Vec<QueuedJob>) {
-        match self {
-            Lane::Single(q) => q.purge_expired(now, out),
-            Lane::Fair(drr) => drr.purge_expired(now, out),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Lane::Single(q) => q.len(),
-            Lane::Fair(drr) => drr.len(),
-        }
-    }
-
-    fn count_ahead(&self, deadline: Instant) -> usize {
-        match self {
-            Lane::Single(q) => q.count_ahead(deadline),
-            Lane::Fair(drr) => drr.count_ahead(deadline),
-        }
-    }
-}
-
-/// The two-lane scheduler behind the server's bounded queue. `High`
-/// still pops before `Normal`; within each lane jobs pop earliest
-/// deadline first (across targets under optional fair queueing).
+/// The scheduler behind the server's bounded queue: one
+/// earliest-deadline-first heap per flow, and the flows served
+/// round-robin, one job per visit. Every job is in flow 0 unless
+/// [`ServerConfig::fair`] is set; then each target is a flow of its own,
+/// keyed by its dense telemetry id, so a hot target cannot starve a cold
+/// one: the cold target's first job waits at most one round.
 #[derive(Debug)]
 struct Scheduler {
-    high: Lane,
-    normal: Lane,
-    /// Waiting jobs across both lanes (maintained so capacity checks
-    /// never walk the fair lanes' flow maps).
+    fair: bool,
+    /// Per flow: its waiting jobs (a min-heap via `Reverse`), and
+    /// whether the flow is in the round (in `round`, or `last`). The
+    /// flag guards against double insertion.
+    flows: Vec<(BinaryHeap<Reverse<SchedEntry>>, bool)>,
+    /// The enlisted flows in round-robin order.
+    round: VecDeque<usize>,
+    /// The flow that served the last pop, kept out of `round` until the
+    /// next pop, so a flow that enlists in between goes first.
+    last: Option<usize>,
+    /// Waiting jobs across all flows, so capacity checks stay O(1).
     queued: usize,
     /// Admission sequence for the arrival-order tiebreak.
     next_seq: u64,
 }
 
 impl Scheduler {
-    fn new(fair: Option<&FairConfig>) -> Self {
+    fn new(fair: bool) -> Self {
         Scheduler {
-            high: Lane::new(fair),
-            normal: Lane::new(fair),
+            fair,
+            flows: Vec::new(),
+            round: VecDeque::new(),
+            last: None,
             queued: 0,
             next_seq: 0,
         }
     }
 
-    fn push(&mut self, priority: Priority, job: QueuedJob) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = SchedEntry {
-            deadline: job.deadline,
-            seq,
-            job,
+    fn push(&mut self, job: QueuedJob) {
+        let flow = if self.fair {
+            job.metrics.id() as usize
+        } else {
+            0
         };
-        match priority {
-            Priority::High => self.high.push(entry),
-            Priority::Normal => self.normal.push(entry),
+        if flow >= self.flows.len() {
+            self.flows.resize_with(flow + 1, Default::default);
         }
+        let (heap, enlisted) = &mut self.flows[flow];
+        heap.push(Reverse(SchedEntry {
+            deadline: job.deadline,
+            seq: self.next_seq,
+            job,
+        }));
+        if !std::mem::replace(enlisted, true) {
+            self.round.push_back(flow);
+        }
+        self.next_seq += 1;
         self.queued += 1;
     }
 
     fn pop(&mut self) -> Option<QueuedJob> {
-        let entry = self.high.pop().or_else(|| self.normal.pop())?;
-        self.queued -= 1;
-        Some(entry.job)
+        if let Some(last) = self.last.take() {
+            let (heap, enlisted) = &mut self.flows[last];
+            if heap.is_empty() {
+                *enlisted = false;
+            } else {
+                self.round.push_back(last);
+            }
+        }
+        while let Some(flow) = self.round.pop_front() {
+            let (heap, enlisted) = &mut self.flows[flow];
+            // A flow that `purge_expired` emptied leaves the round at its
+            // visit.
+            let Some(Reverse(entry)) = heap.pop() else {
+                *enlisted = false;
+                continue;
+            };
+            if heap.is_empty() {
+                *enlisted = false;
+            } else {
+                self.last = Some(flow);
+            }
+            self.queued -= 1;
+            return Some(entry.job);
+        }
+        None
     }
 
     /// Extracts every queued job whose deadline has passed at `now`.
@@ -1161,8 +968,14 @@ impl Scheduler {
     /// the state lock.
     fn purge_expired(&mut self, now: Instant) -> Vec<QueuedJob> {
         let mut out = Vec::new();
-        self.high.purge_expired(now, &mut out);
-        self.normal.purge_expired(now, &mut out);
+        for (heap, _) in &mut self.flows {
+            let (expired, live): (Vec<_>, Vec<_>) = std::mem::take(heap)
+                .into_vec()
+                .into_iter()
+                .partition(|Reverse(e)| e.deadline.is_some_and(|d| now >= d));
+            out.extend(expired.into_iter().map(|Reverse(e)| e.job));
+            *heap = BinaryHeap::from(live);
+        }
         self.queued -= out.len();
         out
     }
@@ -1171,26 +984,25 @@ impl Scheduler {
         self.queued
     }
 
-    /// Jobs the scheduler would serve before a new `priority` job with
-    /// absolute `deadline` — the depth that feasibility shedding
-    /// multiplies by the per-target service-time estimate. Only
-    /// earlier-or-equal deadlines count (later ones will be served
-    /// after the candidate). Exact for single sub-queues; approximate
-    /// under fair queueing, where round-robin interleaving can reorder
-    /// across flows. Costs one
-    /// queue scan, only paid on deadline submissions to a capped server
-    /// with shedding enabled.
-    fn ahead_of(&self, priority: Priority, deadline: Instant) -> usize {
-        match priority {
-            Priority::High => self.high.count_ahead(deadline),
-            Priority::Normal => self.high.len() + self.normal.count_ahead(deadline),
-        }
+    /// Jobs queued with a deadline earlier than or equal to `deadline`,
+    /// over all flows: the jobs the scheduler serves before a new job
+    /// with that absolute deadline — the depth that feasibility shedding
+    /// multiplies by the per-target service-time estimate. Exact for one
+    /// flow; approximate under fair queueing, where the round-robin
+    /// interleaves flows. Costs one queue scan, only paid on deadline
+    /// submissions to a server with shedding enabled.
+    fn ahead_of(&self, deadline: Instant) -> usize {
+        self.flows
+            .iter()
+            .flat_map(|(heap, _)| heap.iter())
+            .filter(|Reverse(e)| e.deadline.is_some_and(|d| d <= deadline))
+            .count()
     }
 }
 
 /// How many consecutive job pops may starve a pending maintenance
 /// quantum before it jumps the line. Under sustained saturation the job
-/// lanes never empty; without this bound a memory budget would go
+/// queue never empties; without this bound a memory budget would go
 /// unenforced for exactly as long as the overload lasts — the regime
 /// the budget exists for.
 const MAINTENANCE_STARVATION_BOUND: usize = 32;
@@ -1491,7 +1303,7 @@ fn process_job(shared: &ServerShared, job: QueuedJob, lane: usize) {
     });
 
     // Between-jobs maintenance: queue a quantum for this job's target
-    // (deduplicated). Queued *behind* the job lanes — budget
+    // (deduplicated). Queued *behind* the waiting jobs — budget
     // enforcement never delays a submit or the delivery above — but
     // with a starvation bound, so it still runs under saturation.
     let mut st = shared.state.lock().expect("server state lock");
@@ -1650,7 +1462,7 @@ impl SelectorServer {
             },
             telemetry: Arc::new(Telemetry::new(lanes)),
             state: Mutex::new(ServerState {
-                sched: Scheduler::new(config.fair.as_ref()),
+                sched: Scheduler::new(config.fair),
                 maintenance: VecDeque::new(),
                 jobs_since_maintenance: 0,
                 active: 0,
@@ -1760,8 +1572,7 @@ impl SelectorServer {
             .map(|(m, _)| m)
     }
 
-    /// Submits a job with default [`JobOptions`] (no deadline, normal
-    /// priority).
+    /// Submits a job with default [`JobOptions`] (no deadline).
     ///
     /// # Errors
     ///
@@ -1866,7 +1677,7 @@ impl SelectorServer {
             if let (Some(deadline), Some(abs_deadline), Some(est)) =
                 (options.deadline, deadline, entry.estimated_service())
             {
-                let ahead = st.sched.ahead_of(options.priority, abs_deadline);
+                let ahead = st.sched.ahead_of(abs_deadline);
                 let depth = ahead.min(u32::MAX as usize) as u32;
                 let workers = self.workers.min(u32::MAX as usize).max(1) as u32;
                 let estimated_wait = est.saturating_mul(depth) / workers;
@@ -1910,7 +1721,7 @@ impl SelectorServer {
             accepted_at,
             slot,
         };
-        st.sched.push(options.priority, job);
+        st.sched.push(job);
         self.shared.announce(&st);
         drop(st);
         self.deliver_expired(expired, accepted_at);
@@ -1968,11 +1779,6 @@ impl SelectorServer {
             .lock()
             .expect("server state lock")
             .queued()
-    }
-
-    /// The worker pool size.
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// The server's telemetry hub: per-target metrics registry (atomic
@@ -2469,7 +2275,6 @@ mod tests {
                 forest("(StoreI8 (AddrLocalP @x) (ConstI8 1))"),
                 JobOptions {
                     deadline: Some(Duration::ZERO),
-                    ..JobOptions::default()
                 },
             )
             .unwrap();
@@ -2777,57 +2582,70 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn server_high_priority_jumps_the_normal_lane() {
-        // Wedge the single worker on a gated job, queue normals, then
-        // one High: the high-priority job must be popped (and
-        // completed) before any queued normal job.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let server = SelectorServer::new(ServerConfig {
-            workers: 1,
-            queue_cap: 64,
-            ..ServerConfig::default()
-        });
-        server
-            .register_normal("gated", gated_grammar(&gate))
-            .unwrap();
-        let h_plug = server.try_submit("gated", forest("(ConstI8 0)")).unwrap();
-        let normals: Vec<JobHandle> = (0..3)
-            .map(|i| {
-                server
-                    .try_submit("gated", forest(&format!("(ConstI8 {i})")))
-                    .unwrap()
-            })
-            .collect();
-        let high = server
-            .try_submit_with(
-                "gated",
-                forest("(ConstI8 99)"),
-                JobOptions {
-                    priority: Priority::High,
-                    ..JobOptions::default()
-                },
-            )
-            .unwrap();
-        // Everything is queued (or wedged in the gate); release.
-        open_gate(&gate);
-        let done = high.wait();
-        assert!(done.outcome.is_ok());
-        assert!(h_plug.wait().outcome.is_ok());
-        // The high job was *submitted after* every normal but must be
-        // *popped before* them: accepted later + started earlier means
-        // its queued time is strictly below every normal's. This holds
-        // regardless of scheduling jitter.
-        for h in normals {
-            let normal = h.wait();
-            assert!(normal.outcome.is_ok());
-            assert!(
-                done.queued < normal.queued,
-                "high priority must jump the normal lane: high queued {:?}, normal queued {:?}",
-                done.queued,
-                normal.queued
-            );
+    /// A job of `target` on `server`'s registry, for driving a
+    /// [`Scheduler`] directly.
+    fn queued_job(
+        server: &SelectorServer,
+        target: &str,
+        ticket: u64,
+        deadline: Option<Instant>,
+    ) -> QueuedJob {
+        let entry = server.shared.registry.entry(target).unwrap();
+        let (master, _) = entry.master(None).unwrap();
+        QueuedJob {
+            ticket: Ticket(ticket),
+            metrics: server.telemetry().target(target),
+            entry,
+            master,
+            forest: Forest::new(),
+            deadline,
+            accepted_at: Instant::now(),
+            slot: Arc::new(Slot::new()),
         }
+    }
+
+    #[test]
+    fn fair_rotation_rejoins_late_and_drops_purged_flows_at_their_visit() {
+        let server = small_server();
+        let t0 = Instant::now();
+        let mut sched = Scheduler::new(true);
+        let push = |sched: &mut Scheduler, target, ticket, deadline| {
+            sched.push(queued_job(&server, target, ticket, deadline));
+        };
+        let drain = |sched: &mut Scheduler, n| -> Vec<u64> {
+            (0..n).map(|_| sched.pop().unwrap().ticket.0).collect()
+        };
+        // The flow that served a pop rejoins the back of the round at the
+        // next pop, behind a flow that enlisted in between.
+        push(&mut sched, "x86ish", 0, None);
+        push(&mut sched, "x86ish", 1, None);
+        assert_eq!(drain(&mut sched, 1), [0]);
+        push(&mut sched, "riscish", 2, None);
+        assert_eq!(drain(&mut sched, 2), [2, 1]);
+        // A flow that `purge_expired` empties keeps its place until its
+        // visit, so a job that arrives before then is served there.
+        push(&mut sched, "x86ish", 3, Some(t0));
+        push(&mut sched, "riscish", 4, None);
+        push(&mut sched, "riscish", 5, None);
+        assert_eq!(sched.purge_expired(t0).len(), 1);
+        push(&mut sched, "jvmish", 6, None);
+        push(&mut sched, "x86ish", 7, None);
+        assert_eq!(drain(&mut sched, 4), [7, 4, 6, 5]);
+        // The last pop's flow, emptied by a purge, leaves the round at the
+        // next pop: a job that arrives later enlists it anew, at the back.
+        let t1 = t0 + Duration::from_secs(1);
+        push(&mut sched, "x86ish", 8, Some(t0));
+        push(&mut sched, "x86ish", 9, Some(t1));
+        push(&mut sched, "riscish", 10, None);
+        push(&mut sched, "riscish", 11, None);
+        assert_eq!(drain(&mut sched, 1), [8]);
+        assert_eq!(sched.purge_expired(t1).len(), 1);
+        assert_eq!(drain(&mut sched, 1), [10]);
+        push(&mut sched, "jvmish", 12, None);
+        push(&mut sched, "x86ish", 13, None);
+        assert_eq!(drain(&mut sched, 3), [12, 13, 11]);
+        assert!(sched.pop().is_none());
+        assert_eq!(sched.len(), 0);
         server.shutdown();
     }
 }

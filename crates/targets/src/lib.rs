@@ -168,8 +168,9 @@ mod tests {
     #[test]
     fn all_targets_analyze_clean() {
         // The shipped grammars must pass the verifier at `--deny=warning`
-        // strength: no findings at warning severity or above (this backs
-        // the CI analysis-smoke job).
+        // strength: no findings at warning severity or above (the CLI's
+        // lint tests in `crates/cli/tests/cli.rs` check the same through
+        // `odburg lint --deny=warning`).
         for g in all() {
             let diags = verify::analyze(&g.normalize());
             let bad: Vec<String> = diags

@@ -18,9 +18,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use odburg::prelude::*;
-use odburg::service::{
-    FairConfig, JobError, JobHandle, JobOptions, SelectorServer, ServerConfig, SubmitError,
-};
+use odburg::service::{JobError, JobHandle, JobOptions, SelectorServer, ServerConfig, SubmitError};
 use odburg::workloads::TreeSampler;
 
 use common::{churn_grammar, dp_reduction, random_grammar};
@@ -156,7 +154,6 @@ proptest! {
                     forest.clone(),
                     JobOptions {
                         deadline: Some(Duration::from_micros(deadline_us)),
-                        ..JobOptions::default()
                     },
                 )
                 .expect("a 64-slot queue accepts 6 jobs");
@@ -630,7 +627,6 @@ fn expired_queued_jobs_do_not_hold_queue_slots() {
                     churn_forest(k),
                     JobOptions {
                         deadline: Some(Duration::ZERO),
-                        ..JobOptions::default()
                     },
                 )
                 .expect("zero-deadline jobs are accepted, then expire")
@@ -728,7 +724,6 @@ proptest! {
                 tagged_forest(i as i64),
                 JobOptions {
                     deadline: Some(Duration::from_secs(600 + rank * 60)),
-                    ..JobOptions::default()
                 },
             ).unwrap();
             handles.push(handle);
@@ -759,9 +754,9 @@ proptest! {
 }
 
 /// Per-target fair queueing bounds a cold target's wait under a
-/// hot-target flood: with deficit round-robin (weight 1 each), the
-/// cold jobs interleave one-per-round instead of waiting out all
-/// twenty hot jobs.
+/// hot-target flood: with the targets served round-robin, one job per
+/// visit, the cold jobs interleave one-per-round instead of waiting out
+/// all twenty hot jobs.
 #[test]
 fn fair_queueing_bounds_cold_target_wait_under_hot_flood() {
     let gate = Arc::new(Gate::default());
@@ -769,7 +764,7 @@ fn fair_queueing_bounds_cold_target_wait_under_hot_flood() {
     let server = SelectorServer::new(ServerConfig {
         workers: 1,
         queue_cap: 64,
-        fair: Some(FairConfig::default()),
+        fair: true,
         ..ServerConfig::default()
     });
     server
@@ -801,7 +796,7 @@ fn fair_queueing_bounds_cold_target_wait_under_hot_flood() {
 
     let order = dedup_log(&log.lock().unwrap());
     assert_eq!(order.len(), 23);
-    // DRR with equal weights alternates hot/cold while both have work:
+    // Round-robin alternates hot/cold while both have work:
     // the i-th cold job (i from 1) pops within the first 2*i jobs —
     // without fair queueing it would sit behind all twenty hot jobs.
     for (i, pos) in order
@@ -822,6 +817,58 @@ fn fair_queueing_bounds_cold_target_wait_under_hot_flood() {
     assert_eq!(report.completed, 24);
 }
 
+/// The exact pop order over three targets, with and without fair
+/// queueing: behind the wedged single worker, hot 0–3, warm 10–11 and
+/// cold 20 are queued in that order. Without `fair` every job is in one
+/// flow, so deadline-less jobs pop in arrival order; with `fair` the
+/// targets take turns, one job per visit, in the order they enlisted.
+#[test]
+fn fair_queueing_rotates_targets_in_a_pinned_order() {
+    for (fair, want) in [
+        (true, [0, 10, 20, 1, 11, 2, 3]),
+        (false, [0, 1, 2, 3, 10, 11, 20]),
+    ] {
+        let gate = Arc::new(Gate::default());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let server = SelectorServer::new(ServerConfig {
+            workers: 1,
+            queue_cap: 64,
+            fair,
+            ..ServerConfig::default()
+        });
+        server
+            .register_normal("wedge", gated_grammar(Arc::clone(&gate)))
+            .unwrap();
+        for target in ["hot", "warm", "cold"] {
+            server
+                .register_normal(target, recording_grammar(target, target, Arc::clone(&log)))
+                .unwrap();
+        }
+
+        let plug = server.try_submit("wedge", plug_forest()).unwrap();
+        gate.wait_entered();
+        let mut handles = Vec::new();
+        for (target, values) in [("hot", 0..4), ("warm", 10..12), ("cold", 20..21)] {
+            for k in values {
+                handles.push(server.try_submit(target, tagged_forest(k)).unwrap());
+            }
+        }
+
+        gate.open();
+        for handle in handles {
+            assert!(handle.wait().outcome.is_ok());
+        }
+        assert!(plug.wait().outcome.is_ok());
+
+        let order: Vec<i64> = dedup_log(&log.lock().unwrap())
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect();
+        assert_eq!(order, want, "fair: {fair}");
+        assert_eq!(server.shutdown().completed, 8, "fair: {fair}");
+    }
+}
+
 /// The client's own ledger: what `try_submit_with` and `wait` returned,
 /// per target, in the registry's vocabulary.
 #[derive(Default)]
@@ -835,10 +882,7 @@ impl ClientTally {
         forest: Forest,
         deadline: Option<Duration>,
     ) -> Result<JobHandle, SubmitError> {
-        let options = JobOptions {
-            deadline,
-            ..JobOptions::default()
-        };
+        let options = JobOptions { deadline };
         let outcome = server.try_submit_with(target, forest, options);
         let t = self.0.entry(target.to_owned()).or_default();
         t.submitted += 1;
